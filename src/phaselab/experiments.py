@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import Field
+from .fields import Field, gradient
 from .grids import Grid, circle_grid, require_resolution, torus_grid
 from .nodal import (
     NodalSet,
@@ -30,7 +30,6 @@ from .solvers import (
     SolveConfig,
     SolverError,
     StopRule,
-    _residual,
     gradient_flow,
     multi_interface_seed,
     newton_refine,
@@ -142,7 +141,7 @@ def comparison_test(
         )
 
     for name, fld in (("u", u), ("v", v)):
-        res = _residual(fld.grid, fld.values, fld.epsilon, p)
+        res = gradient(fld, p).values
         rn = float(np.max(np.abs(res[interior])))
         if rn > residual_tol:
             return ComparisonReport(

@@ -61,8 +61,14 @@ class Field:
 def laplacian(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Second-order stencil Laplacian; zero on Dirichlet boundary rows."""
     if grid.kind == "circle":
-        h2 = grid.h ** 2
-        return (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / h2
+        # (v[i+1] - 2 v[i]) + v[i-1], summed in that order into one array
+        out = -2.0 * v
+        out[:-1] += v[1:]
+        out[-1] += v[0]
+        out[1:] += v[:-1]
+        out[0] += v[-1]
+        out /= grid.h ** 2
+        return out
     if grid.kind == "interval":
         h2 = grid.h ** 2
         out = np.zeros_like(v)
@@ -78,9 +84,12 @@ def energy(f: Field, p: Potential) -> float:
     v, eps = f.values, f.epsilon
     g = f.grid
     if g.kind == "circle":
-        du = np.roll(v, -1) - v
-        grad_term = 0.5 * eps / g.h * float(np.dot(du, du))
-        well_term = g.h / eps * float(np.sum(p.w(v)))
+        h = g.h
+        du = np.empty_like(v)
+        np.subtract(v[1:], v[:-1], out=du[:-1])
+        du[-1] = v[0] - v[-1]
+        grad_term = 0.5 * eps / h * float(np.dot(du, du))
+        well_term = h / eps * float(np.sum(p.w(v)))
         return grad_term + well_term
     if g.kind == "interval":
         du = np.diff(v)

@@ -5,9 +5,14 @@ well force explicitly,
 
     (I + dt/eps * (-eps^2 Lap_h)) u_new = u - dt/eps * W'(u),
 
-so every step is one banded (1-D) or FFT-diagonalized (torus) solve and the
-monitored energy is non-increasing for the default step dt = eps * h.  Newton
-solves -eps Lap_h(u) + W'(u)/eps = 0 with residual-max-norm backtracking.
+so every step is one banded (interval), prefactored sparse LU (circle) or
+FFT-diagonalized (torus) solve and the monitored energy is non-increasing for
+the default step dt = eps * h.  Newton solves -eps Lap_h(u) + W'(u)/eps = 0
+with residual-max-norm backtracking.  Its Jacobian -eps Lap_h + W''(u)/eps is
+solved banded on the interval; on the circle by one cyclic banded solve (the
+tridiagonal part, two right-hand sides) and a Sherman-Morrison correction for
+the two periodic corner entries; on the torus by MINRES preconditioned with
+the FFT inverse of the constant-coefficient operator.
 """
 
 from __future__ import annotations
@@ -134,13 +139,6 @@ class ModelSolution:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _residual(grid: Grid, v: np.ndarray, eps: float, p: Potential) -> np.ndarray:
-    out = -eps * laplacian(grid, v) + p.dw(v) / eps
-    if grid.kind == "interval":
-        out[0] = out[-1] = 0.0
-    return out
-
-
 # ---------------------------------------------------------------------------
 # linear solves
 
@@ -216,9 +214,40 @@ def _smallest_eigenvalue_estimate(grid, v, eps, p):
             A[idx, (idx - 1) % n] = -cc
             vals = np.linalg.eigvalsh(A)
             return float(vals[np.argmin(np.abs(vals))])
-    except Exception:
+    except (np.linalg.LinAlgError, ValueError):  # scipy.linalg raises numpy's LinAlgError
         return None
     return None
+
+
+def _solve_cyclic_tridiagonal(diag: np.ndarray, off: float, rhs: np.ndarray) -> np.ndarray:
+    """Solve the periodic chain A x = rhs, A = tridiag(off, diag, off) plus
+    the corners A[0, n-1] = A[n-1, 0] = off.
+
+    Sherman-Morrison: A = B + u w^T with u = (g, 0, ..., 0, off) and
+    w = (1, 0, ..., 0, off/g), where B is A without its corners and with
+    B[0, 0] = diag[0] - g, B[n-1, n-1] = diag[n-1] - off^2/g.  One banded
+    solve with two right-hand sides (rhs and u) then a rank-1 correction.
+    The shift g = -diag[0] keeps B[0, 0] away from zero; it falls back to
+    -|off| when diag[0] is small against the coupling.
+    """
+    n = diag.size
+    g = -diag[0] if abs(diag[0]) >= abs(off) else -abs(off)
+    ab = np.empty((3, n))
+    ab[0] = ab[2] = off  # ab[0, 0] and ab[2, -1] lie outside the band
+    ab[1] = diag
+    ab[1, 0] -= g
+    ab[1, -1] -= off * off / g
+    b = np.zeros((n, 2))
+    b[:, 0] = rhs
+    b[0, 1] = g
+    b[-1, 1] = off
+    yz = scipy.linalg.solve_banded((1, 1), ab, b)
+    y, z = yz[:, 0], yz[:, 1]
+    ratio = off / g
+    denom = 1.0 + z[0] + ratio * z[-1]
+    if denom == 0.0 or not np.isfinite(denom):
+        raise np.linalg.LinAlgError(f"Sherman-Morrison denominator is {denom!r}")
+    return y - ((y[0] + ratio * y[-1]) / denom) * z
 
 
 def _make_jacobian_solver(grid: Grid, eps: float, p: Potential):
@@ -248,21 +277,15 @@ def _make_jacobian_solver(grid: Grid, eps: float, p: Potential):
         return solve
 
     if grid.kind == "circle":
-        n = grid.shape[0]
         cc = eps / grid.h**2
-        idx = np.arange(n)
-        rows = np.concatenate([idx, idx, idx])
-        cols = np.concatenate([idx, (idx + 1) % n, (idx - 1) % n])
 
         def solve(v, res):
             diag = 2.0 * cc + p.d2w(v) / eps
-            data = np.concatenate([diag, np.full(n, -cc), np.full(n, -cc)])
-            A = sp.csc_matrix((data, (rows, cols)), shape=(n, n))
             try:
-                return spla.splu(A).solve(res)
-            except RuntimeError as exc:
+                return _solve_cyclic_tridiagonal(diag, -cc, res)
+            except (np.linalg.LinAlgError, ValueError) as exc:
                 raise SingularJacobianError(
-                    f"sparse Jacobian factorization failed: {exc}",
+                    f"cyclic Jacobian solve failed: {exc}",
                     _smallest_eigenvalue_estimate(grid, v, eps, p),
                 ) from exc
 
@@ -324,7 +347,10 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
     eps = f.epsilon
     solver = _make_jacobian_solver(f.grid, eps, p)
 
-    res = _residual(f.grid, v, eps, p)
+    def residual(w):
+        return gradient(Field(f.grid, w, eps), p).values
+
+    res = residual(v)
     rn = sup_norm(res)
     history = [rn]
     iterations = 0
@@ -376,7 +402,7 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
                 if first_step is None:
                     first_step = step
                 w_v = w_v - step
-                w_res = _residual(f.grid, w_v, eps, p)
+                w_res = residual(w_v)
                 w_rn = sup_norm(w_res)
                 if not np.isfinite(w_rn) or w_rn > 1e3 * (1.0 + rn):
                     break
@@ -393,7 +419,7 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
             alpha = cfg.damping
             for _ in range(40):
                 trial = v - alpha * first_step
-                tres = _residual(f.grid, trial, eps, p)
+                tres = residual(trial)
                 trn = sup_norm(tres)
                 if np.isfinite(trn) and trn < rn:
                     v, res, rn = trial, tres, trn
@@ -414,7 +440,7 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
             except SolverError:
                 break
             trial = v - step
-            tres = _residual(f.grid, trial, eps, p)
+            tres = residual(trial)
             trn = sup_norm(tres)
             if np.isfinite(trn) and trn < 0.5 * rn:
                 v, res, rn = trial, tres, trn

@@ -60,6 +60,20 @@ def test_laplacian_eigenfunction_consistency(k):
     assert rel <= (k * g.h) ** 2 / 12.0 * 1.1
 
 
+@pytest.mark.parametrize("n", [16, 17, 256, 2048])
+def test_circle_stencils_match_roll_formulas_exactly(n):
+    g = circle_grid(n)
+    rng = np.random.default_rng(n)
+    for scale in (1e-3, 1.0, 1e3):
+        v = scale * rng.standard_normal(n)
+        lap = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / g.h**2
+        assert np.array_equal(laplacian(g, v), lap)
+        eps = 0.3
+        du = np.roll(v, -1) - v
+        e = 0.5 * eps / g.h * float(np.dot(du, du)) + g.h / eps * float(np.sum(P.w(v)))
+        assert energy(Field(g, v, eps), P) == e
+
+
 def test_gradient_vanishes_at_constant_states():
     g = circle_grid(128)
     for c in (1.0, 0.0, -1.0):

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import phaselab as pl
-from phaselab.fields import Field, energy, gradient, sup_norm
+from phaselab.fields import Field, energy, gradient, hessian_apply, sup_norm
 from phaselab.grids import circle_grid
 from phaselab.potentials import quartic
 from phaselab.solvers import (
     NewtonDivergenceError,
+    SingularJacobianError,
     SolveConfig,
     StopRule,
     existence_threshold,
@@ -17,6 +20,8 @@ from phaselab.solvers import (
     newton_refine,
     reflect_extend,
     solve_dirichlet_model,
+    _make_jacobian_solver,
+    _solve_cyclic_tridiagonal,
 )
 
 P = quartic()
@@ -244,3 +249,68 @@ def test_solve_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(damping=-0.5).validate()
     SolveConfig().validate()
+
+
+def _dense_cyclic(diag, off):
+    n = diag.size
+    A = np.diag(diag) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
+    A[0, -1] = A[-1, 0] = off
+    return A
+
+
+class TestCircleJacobianSolve:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([16, 17, 256, 2048]),
+        seed=st.integers(0, 2**32 - 1),
+        family=st.sampled_from(["jacobian", "indefinite"]),
+        zero_corner=st.booleans(),
+    )
+    def test_matches_dense_solve(self, n, seed, family, zero_corner):
+        rng = np.random.default_rng(seed)
+        cc = 10.0 ** rng.uniform(0.0, 4.0)  # eps / h^2
+        if family == "jacobian":
+            # 2 eps/h^2 + W''(u)/eps with W'' in [-1, 3.3]: indefinite near
+            # the interfaces, as at the saddles Newton refines
+            diag = 2.0 * cc + rng.uniform(-1.0, 3.3, n) * 10.0 ** rng.uniform(0.0, 1.3)
+        else:
+            diag = rng.uniform(-4.0, 4.0, n) * cc
+        if zero_corner:
+            diag[0] = 0.0  # the Sherman-Morrison shift falls back to the coupling
+        rhs = rng.standard_normal(n)
+        x = _solve_cyclic_tridiagonal(diag, -cc, rhs)
+        ref = np.linalg.solve(_dense_cyclic(diag, -cc), rhs)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_solver_inverts_hessian(self):
+        g = circle_grid(256)
+        f = multi_interface_seed(g, 0.2, [0.0, 2.5])
+        J = np.column_stack(
+            [hessian_apply(f, f.with_values(e), P).values for e in np.eye(256)]
+        )
+        rhs = gradient(f, P).values
+        step = _make_jacobian_solver(g, 0.2, P)(f.values, rhs)
+        ref = np.linalg.solve(J, rhs)
+        assert np.linalg.norm(step - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_singular_banded_part_raises(self):
+        # diag[0] = 0 picks the shift -|off|, which leaves the banded part the
+        # Neumann chain tridiag(-1, 2, -1) with unit corners: an exact zero pivot
+        diag = np.full(16, 2.0)
+        diag[0] = diag[-1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _solve_cyclic_tridiagonal(diag, -1.0, np.ones(16))
+
+    def test_non_finite_iterate_raises_singular_jacobian(self):
+        g = circle_grid(256)
+        v = np.zeros(256)
+        v[7] = np.nan
+        with pytest.raises(SingularJacobianError):
+            _make_jacobian_solver(g, 0.2, P)(v, np.ones(256))
+
+    def test_newton_on_inflection_constant_is_singular(self):
+        # W''(1/sqrt 3) = 0, so the Jacobian is -eps Lap_h, singular on constants
+        g = circle_grid(256)
+        f = Field(g, np.full(256, 1.0 / np.sqrt(3.0)), 0.2)
+        with pytest.raises(SingularJacobianError):
+            newton_refine(f, P)
