@@ -1,4 +1,4 @@
-"""Command-line surface: solves, analyses, experiments, sweeps.
+"""Command-line surface: solves, analyses, experiments.
 
 Exit codes: 0 success, 1 failed assertion/check, 2 usage error (unknown
 flags, invalid parameters).
@@ -117,17 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--csv", type=str, default=None, help="census CSV path")
     _common(s)
     s.set_defaults(func=cmd_experiment)
-
-    s = sp.add_parser("sweep", help="cartesian eps x seed sweep of an experiment")
-    s.add_argument("--experiment", choices=["two-interface", "m-rigidity"], required=True)
-    s.add_argument("--m", type=int, default=4)
-    s.add_argument("--eps", type=float, nargs="+", required=True)
-    s.add_argument("--seeds", type=int, required=True)
-    s.add_argument("--perturbation", type=float, default=0.3)
-    s.add_argument("--surfaces", nargs="+", default=["circle"])
-    s.add_argument("--csv", type=str, required=True)
-    _common(s)
-    s.set_defaults(func=cmd_sweep)
 
     return ap
 
@@ -368,37 +357,6 @@ def cmd_experiment(args) -> int:
         emit_plotdata(report, args.csv)
     if args.json:
         sys.stdout.write(report.to_json_bytes().decode())
-    return 0 if report.passed else 1
-
-
-def cmd_sweep(args) -> int:
-    seeds = list(range(args.seed, args.seed + args.seeds))
-    cfg = SolveConfig(tol_grad=args.tol) if args.tol else None
-    if args.experiment == "two-interface":
-        kw = {"eps_list": args.eps, "seeds": seeds}
-        if args.grid_n:
-            kw["n"] = args.grid_n
-        if cfg:
-            kw["cfg"] = cfg
-        report = xp.experiment_two_interface(**kw)
-    else:
-        kw = {
-            "m": args.m,
-            "eps_list": args.eps,
-            "seeds": seeds,
-            "perturbation": args.perturbation,
-            "surfaces": tuple(args.surfaces),
-        }
-        if args.grid_n:
-            kw["circle_n"] = args.grid_n
-        if cfg:
-            kw["cfg"] = cfg
-        report = xp.experiment_m_rigidity(**kw)
-    emit_plotdata(report, args.csv)
-    census = ", ".join(f"{k}={v}" for k, v in sorted(report.census().items()))
-    print(f"sweep census: {census}; wrote {args.csv}")
-    if args.out:
-        Path(args.out).write_bytes(report.to_json_bytes())
     return 0 if report.passed else 1
 
 

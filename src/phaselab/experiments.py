@@ -27,6 +27,7 @@ from .nodal import (
 from .potentials import Potential, quartic
 from .reports import ExperimentReport, assertion
 from .solvers import (
+    DAMPING,
     SolveConfig,
     SolverError,
     StopRule,
@@ -79,26 +80,18 @@ class ComparisonReport:
 
 
 def _mask_boundary(grid: Grid, mask: np.ndarray) -> np.ndarray:
-    """Points of the mask with a neighbor outside it (or at an array edge)."""
-    if grid.kind == "interval":
-        left = np.concatenate([[False], mask[:-1]])
-        right = np.concatenate([mask[1:], [False]])
-        return mask & ~(left & right)
-    if grid.kind == "circle":
-        return mask & ~(np.roll(mask, 1) & np.roll(mask, -1))
-    inside = (
-        np.roll(mask, 1, axis=0)
-        & np.roll(mask, -1, axis=0)
-        & np.roll(mask, 1, axis=1)
-        & np.roll(mask, -1, axis=1)
-    )
+    """Points of the mask with a neighbor outside it (or beyond an interval end)."""
+    padded = np.pad(mask, 1, mode="constant" if grid.kind == "interval" else "wrap")
+    core = [slice(1, -1)] * mask.ndim
+    inside = np.ones_like(mask)
+    for axis in range(mask.ndim):
+        for side in (slice(None, -2), slice(2, None)):
+            inside &= padded[tuple(core[:axis] + [side] + core[axis + 1 :])]
     return mask & ~inside
 
 
 def _point_coordinates(grid: Grid, loc) -> tuple:
-    if grid.kind == "torus":
-        return (float(grid.axis(0)[loc[0]]), float(grid.axis(1)[loc[1]]))
-    return (float(grid.axis(0)[loc[0]]),)
+    return tuple(float(grid.axis(axis)[i]) for axis, i in enumerate(loc))
 
 
 def comparison_test(
@@ -291,7 +284,7 @@ def build_barrier(
         mask,
         kind,
         (center_index * h) % L,
-        steps * h if kind == "three_lobe" else steps * h,
+        steps * h,
         center_index,
         half_steps,
         zeros,
@@ -401,7 +394,7 @@ def _config_echo(p: Potential, cfg: SolveConfig, **extra) -> dict:
             "max_newton": cfg.max_newton,
             "max_flow_steps": cfg.max_flow_steps,
             "flow_dt": cfg.flow_dt,
-            "damping": cfg.damping,
+            "damping": DAMPING,
             "min_points_per_eps": cfg.min_points_per_eps,
         },
         "residual_form": RESIDUAL_FORM,

@@ -16,6 +16,7 @@ Hessian exactly self-adjoint up to rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,47 +61,48 @@ class Field:
 
 def laplacian(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Second-order stencil Laplacian; zero on Dirichlet boundary rows."""
-    if grid.kind == "circle":
-        # (v[i+1] - 2 v[i]) + v[i-1], summed in that order into one array
-        out = -2.0 * v
-        out[:-1] += v[1:]
-        out[-1] += v[0]
-        out[1:] += v[:-1]
-        out[0] += v[-1]
-        out /= grid.h ** 2
-        return out
     if grid.kind == "interval":
         h2 = grid.h ** 2
         out = np.zeros_like(v)
         out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
         return out
-    h1, h2 = grid.spacings
-    return (np.roll(v, -1, axis=0) - 2.0 * v + np.roll(v, 1, axis=0)) / h1**2 + (
-        np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)
-    ) / h2**2
+    # periodic: (v[i+1] - 2 v[i]) + v[i-1] along each wrapped axis, axes summed in order
+    out = None
+    for axis, h in enumerate(grid.spacings):
+        w = v.swapaxes(0, axis)
+        d = -2.0 * w
+        d[:-1] += w[1:]
+        d[-1] += w[0]
+        d[1:] += w[:-1]
+        d[0] += w[-1]
+        d /= h ** 2
+        d = d.swapaxes(0, axis)
+        if out is None:
+            out = d
+        else:
+            out += d
+    return out
 
 
 def energy(f: Field, p: Potential) -> float:
     v, eps = f.values, f.epsilon
     g = f.grid
-    if g.kind == "circle":
-        h = g.h
-        du = np.empty_like(v)
-        np.subtract(v[1:], v[:-1], out=du[:-1])
-        du[-1] = v[0] - v[-1]
-        grad_term = 0.5 * eps / h * float(np.dot(du, du))
-        well_term = h / eps * float(np.sum(p.w(v)))
-        return grad_term + well_term
     if g.kind == "interval":
         du = np.diff(v)
         grad_term = 0.5 * eps / g.h * float(np.dot(du, du))
         well_term = float(np.sum(g.weights() * p.w(v))) / eps
         return grad_term + well_term
-    h1, h2 = g.spacings
-    d1 = np.roll(v, -1, axis=0) - v
-    d2 = np.roll(v, -1, axis=1) - v
-    grad_term = 0.5 * eps * (h2 / h1 * float(np.sum(d1 * d1)) + h1 / h2 * float(np.sum(d2 * d2)))
-    well_term = h1 * h2 / eps * float(np.sum(p.w(v)))
+    # periodic: forward differences along each wrapped axis
+    cell = math.prod(g.spacings)
+    grad_term = 0.0
+    for axis, h in enumerate(g.spacings):
+        du = np.empty_like(v)
+        w, d = v.swapaxes(0, axis), du.swapaxes(0, axis)
+        np.subtract(w[1:], w[:-1], out=d[:-1])
+        d[-1] = w[0] - w[-1]
+        du = du.ravel()
+        grad_term += 0.5 * eps * (cell / h) / h * float(np.dot(du, du))
+    well_term = cell / eps * float(np.sum(p.w(v)))
     return grad_term + well_term
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +55,7 @@ class Grid:
     def npoints(self) -> int:
         return int(np.prod(self.shape))
 
-    @property
+    @functools.cached_property
     def spacings(self) -> tuple[float, ...]:
         if self.kind == "interval":
             return (2.0 * self.lengths[0] / (self.shape[0] - 1),)
@@ -71,22 +73,13 @@ class Grid:
         n = self.shape[i]
         return (self.lengths[i] / n) * np.arange(n)
 
-    def coordinates(self):
-        """Coordinate array(s): 1-D vector, or a meshgrid pair for the torus."""
-        if self.kind == "torus":
-            return np.meshgrid(self.axis(0), self.axis(1), indexing="ij")
-        return self.axis(0)
-
     def weights(self) -> np.ndarray:
         """Quadrature weights, one per grid point (trapezoid on intervals)."""
         if self.kind == "interval":
             w = np.full(self.shape[0], self.h)
             w[0] = w[-1] = 0.5 * self.h
             return w
-        if self.kind == "circle":
-            return np.full(self.shape[0], self.h)
-        h1, h2 = self.spacings
-        return np.full(self.shape, h1 * h2)
+        return np.full(self.shape, math.prod(self.spacings))
 
     def resolution_ratio(self, epsilon: float) -> float:
         return epsilon / self.h

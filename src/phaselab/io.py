@@ -12,8 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from .fields import Field
-from .grids import circle_grid, interval_grid, torus_grid
-from .nodal import DecayFit, NodalSet
+from .grids import make_grid
+from .nodal import DecayFit, NodalSet, nodal_distance
 from .reports import ExperimentReport, canonicalize
 from .solvers import FlowTrace
 
@@ -29,6 +29,12 @@ __all__ = [
 
 SNAPSHOT_NAME = "phaselab-snapshot"
 SNAPSHOT_VERSION = 1
+# per grid kind: the snapshot label of its lengths, the CSV names of its coordinates
+LABELS = {
+    "interval": ("half_length", "x"),
+    "circle": ("circumference", "theta"),
+    "torus": ("circumferences", "theta,y"),
+}
 
 
 class SnapshotError(ValueError):
@@ -46,15 +52,10 @@ class CorruptSnapshotError(SnapshotError):
 def save_snapshot(f: Field, path, potential: dict | None = None, config_hash: str | None = None) -> None:
     g = f.grid
     lines = [f"{SNAPSHOT_NAME} {SNAPSHOT_VERSION}"]
-    if g.kind == "interval":
-        lines.append(f"grid: interval {g.shape[0]} {g.lengths[0].hex()} # half_length {g.lengths[0]!r}")
-    elif g.kind == "circle":
-        lines.append(f"grid: circle {g.shape[0]} {g.lengths[0].hex()} # circumference {g.lengths[0]!r}")
-    else:
-        lines.append(
-            f"grid: torus {g.shape[0]} {g.shape[1]} {g.lengths[0].hex()} {g.lengths[1].hex()} "
-            f"# circumferences {g.lengths[0]!r} {g.lengths[1]!r}"
-        )
+    lines.append(
+        f"grid: {g.kind} {' '.join(str(n) for n in g.shape)} {' '.join(L.hex() for L in g.lengths)} "
+        f"# {LABELS[g.kind][0]} {' '.join(repr(L) for L in g.lengths)}"
+    )
     lines.append(f"epsilon: {float(f.epsilon).hex()} # {float(f.epsilon)!r}")
     lines.append("potential: " + json.dumps(canonicalize(potential) if potential else None, sort_keys=True))
     lines.append(f"config: {config_hash or '-'}")
@@ -87,20 +88,17 @@ def load_snapshot_with_meta(path):
             f"snapshot version {version} unsupported; this build reads version {SNAPSHOT_VERSION}"
         )
 
-    grid_body = _parse_header_line(lines, 1, "grid").split()
-    kind = grid_body[0]
-    if kind == "interval":
-        grid = interval_grid(int(grid_body[1]), float.fromhex(grid_body[2]))
-    elif kind == "circle":
-        grid = circle_grid(int(grid_body[1]), float.fromhex(grid_body[2]))
-    elif kind == "torus":
-        grid = torus_grid(
-            int(grid_body[1]),
-            int(grid_body[2]),
-            (float.fromhex(grid_body[3]), float.fromhex(grid_body[4])),
-        )
-    else:
-        raise CorruptSnapshotError(f"unknown grid kind {kind!r}")
+    grid_line = _parse_header_line(lines, 1, "grid")
+    try:
+        kind, *body = grid_line.split()
+        k = len(body) // 2
+        if not body or 2 * k != len(body):
+            raise ValueError("expected one point count and one length per axis")
+        shape = [int(x) for x in body[:k]]
+        lengths = [float.fromhex(x) for x in body[k:]]
+        grid = make_grid(kind, shape[0] if k == 1 else shape, lengths)
+    except (ValueError, TypeError) as exc:
+        raise CorruptSnapshotError(f"bad grid line {grid_line!r}: {exc}") from None
 
     epsilon = float.fromhex(_parse_header_line(lines, 2, "epsilon"))
     pot_line = lines[3]
@@ -159,40 +157,31 @@ def emit_plotdata(obj, path) -> None:
         raise TypeError(f"no CSV emitter for {type(obj).__name__}")
 
 
+def _num(x) -> str:
+    """One numeric CSV cell: the shortest round-trip decimal of a Python float."""
+    return repr(float(x))
+
+
 def _emit_field(f: Field, path: Path) -> None:
     g = f.grid
-    if g.kind == "torus":
-        th, yy = g.axis(0), g.axis(1)
-        rows = ["theta,y,value"]
-        for i in range(g.shape[0]):
-            for j in range(g.shape[1]):
-                rows.append(f"{th[i]!r},{yy[j]!r},{f.values[i, j]!r}")
-    else:
-        name = "theta" if g.kind == "circle" else "x"
-        rows = [f"{name},value"]
-        coords = g.axis(0)
-        for c, v in zip(coords, f.values):
-            rows.append(f"{c!r},{v!r}")
+    axes = np.meshgrid(*(g.axis(i) for i in range(len(g.shape))), indexing="ij")
+    cols = [c.ravel() for c in axes] + [f.values.ravel()]
+    rows = [f"{LABELS[g.kind][1]},value"]
+    rows += [",".join(_num(x) for x in row) for row in zip(*cols)]
     path.write_text("\n".join(rows) + "\n")
 
 
 def _emit_decay(fit: DecayFit, f: Field, ns, path: Path) -> None:
-    from .grids import circle_distance
-
-    coords = f.grid.axis(0)
-    if f.grid.kind == "circle":
-        d = circle_distance(coords[:, None], ns.angles[None, :], f.grid.lengths[0]).min(axis=1)
-    else:
-        d = np.abs(coords[:, None] - ns.angles[None, :]).min(axis=1)
+    d = nodal_distance(f, ns)
     gap = np.abs(f.values**2 - 1.0)
     rows = [
-        f"# amplitude={fit.amplitude!r} kappa={fit.kappa!r} rms_residual={fit.rms_residual!r}",
+        f"# amplitude={_num(fit.amplitude)} kappa={_num(fit.kappa)} rms_residual={_num(fit.rms_residual)}",
         "distance,log_gap,fitted",
     ]
     logC = np.log(fit.amplitude)
     for di, gi in zip(d, gap):
-        lg = repr(float(np.log(gi))) if gi > 0 else ""
-        rows.append(f"{di!r},{lg},{float(logC - fit.kappa * di)!r}")
+        lg = _num(np.log(gi)) if gi > 0 else ""
+        rows.append(f"{_num(di)},{lg},{_num(logC - fit.kappa * di)}")
     path.write_text("\n".join(rows) + "\n")
 
 
@@ -202,13 +191,12 @@ def _emit_trace(trace: FlowTrace, path: Path) -> None:
         header = "step,energy," + ",".join(f"angle{i}" for i in range(width))
         rows = [header]
         for step, angles in trace.angle_samples:
-            e = trace.energies[step]
-            cells = [repr(float(a)) for a in angles] + [""] * (width - len(angles))
-            rows.append(f"{step},{float(e)!r}," + ",".join(cells))
+            cells = [_num(a) for a in angles] + [""] * (width - len(angles))
+            rows.append(f"{step},{_num(trace.energies[step])}," + ",".join(cells))
     else:
         rows = ["step,energy"]
         for i, e in enumerate(trace.energies):
-            rows.append(f"{i},{float(e)!r}")
+            rows.append(f"{i},{_num(e)}")
     path.write_text("\n".join(rows) + "\n")
 
 
@@ -218,11 +206,13 @@ def _emit_report(report: ExperimentReport, path: Path) -> None:
     for r in report.runs:
         cells = []
         for k in keys:
-            v = r.get(k, "")
-            if isinstance(v, float):
-                cells.append(repr(v))
+            v = r.get(k)
+            if v is None:
+                cells.append("")
+            elif isinstance(v, (float, np.floating)):
+                cells.append(_num(v))
             elif isinstance(v, (list, tuple)):
-                cells.append('"' + ";".join(repr(float(x)) for x in v) + '"')
+                cells.append('"' + ";".join(_num(x) for x in v) + '"')
             else:
                 cells.append(str(v))
         rows.append(",".join(cells))
@@ -230,12 +220,12 @@ def _emit_report(report: ExperimentReport, path: Path) -> None:
 
 
 def _emit_nodal(ns: NodalSet, path: Path) -> None:
-    if ns.kind == "torus" and ns.points is not None:
-        rows = ["theta,y,sign,axis"]
-        for (t, y), s, ax in zip(ns.points, ns.point_signs, ns.point_axes):
-            rows.append(f"{t!r},{y!r},{int(s)},{int(ax)}")
+    if ns.points is not None:
+        rows = [f"{LABELS[ns.kind][1]},sign,axis"]
+        for pt, s, ax in zip(ns.points, ns.point_signs, ns.point_axes):
+            rows.append(",".join(_num(x) for x in pt) + f",{int(s)},{int(ax)}")
     else:
         rows = ["position,direction"]
         for a, d in zip(ns.angles, ns.directions):
-            rows.append(f"{float(a)!r},{int(d)}")
+            rows.append(f"{_num(a)},{int(d)}")
     path.write_text("\n".join(rows) + "\n")

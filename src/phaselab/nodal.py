@@ -28,6 +28,7 @@ __all__ = [
     "check_rotation_symmetry",
     "cluster_fiber_angles",
     "fit_decay",
+    "nodal_distance",
 ]
 
 
@@ -56,72 +57,60 @@ class NodalSet:
         return self.count == 0
 
 
-def _scan_line(values: np.ndarray, coords: np.ndarray, spacing: float, wrap: bool):
-    """Sign-change crossings plus exact grid zeros along one line of samples."""
-    v = values
-    n = v.size
-    pos, direction = [], []
-    exact = np.flatnonzero(v == 0.0)
-    for i in exact:
-        left = v[(i - 1) % n] if (wrap or i > 0) else 0.0
-        right = v[(i + 1) % n] if (wrap or i < n - 1) else 0.0
-        d = np.sign(right - left)
-        pos.append(coords[i])
-        direction.append(int(d))
-    last = n if wrap else n - 1
-    for i in range(last):
-        a, b = v[i], v[(i + 1) % n]
-        if a * b < 0.0:
-            t = a / (a - b)
-            pos.append(coords[i] + t * spacing)
-            direction.append(1 if b > 0 else -1)
-    return np.asarray(pos, dtype=float), np.asarray(direction, dtype=int)
+def _crossings(v: np.ndarray, axis: int, wrap: bool):
+    """Sign changes between neighbours along one axis, in row-major order.
+
+    Returns the index tuple of each edge's first end, the interpolation
+    fraction t = a / (a - b) toward the second end, and the direction
+    (+1 rising, -1 falling).  With ``wrap`` the last sample pairs with the first.
+    """
+    w = v.swapaxes(0, axis)
+    a, b = (w, np.concatenate([w[1:], w[:1]])) if wrap else (w[:-1], w[1:])
+    a, b = a.swapaxes(0, axis), b.swapaxes(0, axis)
+    idx = np.nonzero(a * b < 0.0)
+    a, b = a[idx], b[idx]
+    return idx, a / (a - b), np.where(b > 0, 1, -1)
 
 
 def extract_nodal_set(f: Field) -> NodalSet:
-    g = f.grid
-    if g.kind in ("circle", "interval"):
-        wrap = g.kind == "circle"
-        pos, direction = _scan_line(f.values, g.axis(0), g.h, wrap)
-        if wrap:
-            pos = pos % g.lengths[0]
-        order = np.argsort(pos)
-        return NodalSet(g.kind, pos[order], direction[order], g.lengths)
+    """Exact grid zeros first, then interpolated crossings along each axis.
 
-    # torus: interpolated crossings along both coordinate directions
-    th, yy = g.axis(0), g.axis(1)
-    h1, h2 = g.spacings
+    In 1-D an exact zero's direction is the sign of (right - left), with 0
+    beyond the interval ends; torus zeros carry sign 0 and axis -1.
+    """
+    g = f.grid
     v = f.values
-    pts, signs, axes = [], [], []
-    zero_mask = v == 0.0
-    for i, j in zip(*np.nonzero(zero_mask)):
-        pts.append((th[i], yy[j]))
-        signs.append(0)
-        axes.append(-1)
-    a, b = v, np.roll(v, -1, axis=0)
-    cross = a * b < 0.0
-    for i, j in zip(*np.nonzero(cross)):
-        t = a[i, j] / (a[i, j] - b[i, j])
-        pts.append(((th[i] + t * h1) % g.lengths[0], yy[j]))
-        signs.append(1 if b[i, j] > 0 else -1)
-        axes.append(0)
-    a, b = v, np.roll(v, -1, axis=1)
-    cross = a * b < 0.0
-    for i, j in zip(*np.nonzero(cross)):
-        t = a[i, j] / (a[i, j] - b[i, j])
-        pts.append((th[i], (yy[j] + t * h2) % g.lengths[1]))
-        signs.append(1 if b[i, j] > 0 else -1)
-        axes.append(1)
-    pts = np.asarray(pts, dtype=float).reshape(-1, 2)
-    fiber = pts[:, 0] if pts.size else np.empty(0)
+    wrap = g.kind != "interval"
+    coords = [g.axis(ax) for ax in range(v.ndim)]
+    zero = np.nonzero(v == 0.0)
+    if v.ndim == 1:
+        pad = np.pad(v, 1, mode="wrap" if wrap else "constant")
+        zero_dirs = np.sign(pad[zero[0] + 2] - pad[zero[0]]).astype(int)
+    else:
+        zero_dirs = np.zeros(zero[0].size, dtype=int)
+    blocks = [np.stack([c[i] for c, i in zip(coords, zero)], axis=-1)]
+    dirs, axes = [zero_dirs], [np.full(zero_dirs.size, -1)]
+    for axis, h in enumerate(g.spacings):
+        idx, t, d = _crossings(v, axis, wrap)
+        cols = [c[i] for c, i in zip(coords, idx)]
+        cols[axis] = cols[axis] + t * h
+        if wrap:
+            cols[axis] %= g.lengths[axis]
+        blocks.append(np.stack(cols, axis=-1))
+        dirs.append(d)
+        axes.append(np.full(d.size, axis))
+    points, direction = np.concatenate(blocks), np.concatenate(dirs)
+    if v.ndim == 1:
+        order = np.argsort(points[:, 0])
+        return NodalSet(g.kind, points[order, 0], direction[order], g.lengths)
     return NodalSet(
-        "torus",
-        np.sort(fiber),
-        np.zeros(fiber.size, dtype=int),
+        g.kind,
+        np.sort(points[:, 0]),
+        np.zeros(points.shape[0], dtype=int),
         g.lengths,
-        points=pts,
-        point_signs=np.asarray(signs, dtype=int),
-        point_axes=np.asarray(axes, dtype=int),
+        points=points,
+        point_signs=direction,
+        point_axes=np.concatenate(axes),
     )
 
 
@@ -292,6 +281,14 @@ class DecayFit:
         return self.pointwise_factor <= 1.0 + slack
 
 
+def nodal_distance(f: Field, ns: NodalSet) -> np.ndarray:
+    """Distance from each point of a 1-D grid to the nearest nodal point."""
+    coords = f.grid.axis(0)
+    if f.grid.kind == "circle":
+        return circle_distance(coords[:, None], ns.angles[None, :], f.grid.lengths[0]).min(axis=1)
+    return np.abs(coords[:, None] - ns.angles[None, :]).min(axis=1)
+
+
 NOISE_FLOOR = 1e-13  # |u^2 - 1| below this is double-precision rounding junk
 
 
@@ -309,11 +306,7 @@ def fit_decay(f: Field, ns: NodalSet) -> DecayFit:
     if ns.is_empty:
         raise ValueError("decay fit needs a nonempty nodal set")
     eps = f.epsilon
-    coords = f.grid.axis(0)
-    if f.grid.kind == "circle":
-        d = circle_distance(coords[:, None], ns.angles[None, :], f.grid.lengths[0]).min(axis=1)
-    else:
-        d = np.abs(coords[:, None] - ns.angles[None, :]).min(axis=1)
+    d = nodal_distance(f, ns)
     dist_max = float(d.max())
     if dist_max < 5.0 * eps:
         raise ValueError(f"field never gets 5*eps away from its nodal set (max {dist_max:.3g})")

@@ -48,6 +48,8 @@ __all__ = [
 
 ENERGY_SLACK = 1e-8
 TRIVIAL_MARGIN = 1e-8
+DAMPING = 0.5  # backtracking factor of Newton's fallback line search
+MAX_STEP = 0.15  # sup-norm cap per Newton step in the capped watchdog walk, direction kept
 
 
 class SolverError(RuntimeError):
@@ -76,9 +78,7 @@ class SolveConfig:
     max_newton: int = 50
     max_flow_steps: int = 100_000
     flow_dt: float | None = None  # default eps * h
-    damping: float = 0.5
     min_points_per_eps: float = 8.0
-    max_step: float = 0.15  # sup-norm cap per Newton step, direction kept
 
     def validate(self) -> None:
         if self.tol_grad < 1e-13:
@@ -87,9 +87,7 @@ class SolveConfig:
             "tol_grad",
             "max_newton",
             "max_flow_steps",
-            "damping",
             "min_points_per_eps",
-            "max_step",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -380,7 +378,7 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
         accepted = False
         first_step = None
         champion = None
-        for cap in (cfg.max_step, None):
+        for cap in (MAX_STEP, None):
             w_v, w_res, w_rn = v, res, rn
             for _ in range(12):
                 try:
@@ -416,7 +414,7 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
             v, res, rn = champion
             accepted = True
         if not accepted and first_step is not None:
-            alpha = cfg.damping
+            alpha = DAMPING
             for _ in range(40):
                 trial = v - alpha * first_step
                 tres = residual(trial)
@@ -425,7 +423,7 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
                     v, res, rn = trial, tres, trn
                     accepted = True
                     break
-                alpha *= cfg.damping
+                alpha *= DAMPING
         if not accepted:
             raise NewtonDivergenceError(
                 f"backtracking stalled at residual {rn:.3e}", history

@@ -118,12 +118,11 @@ def test_experiment_comparison_cli(tmp_path, capsys):
     assert csv.exists()
 
 
-def test_sweep_two_interface(tmp_path):
-    csv = tmp_path / "sweep.csv"
+def test_experiment_two_interface_csv(tmp_path):
+    csv = tmp_path / "census.csv"
     rc = main(
         [
-            "sweep",
-            "--experiment",
+            "experiment",
             "two-interface",
             "--eps",
             "0.25",

@@ -74,6 +74,19 @@ def test_circle_stencils_match_roll_formulas_exactly(n):
         assert energy(Field(g, v, eps), P) == e
 
 
+@pytest.mark.parametrize("shape", [(16, 16), (17, 24), (256, 64)])
+def test_torus_laplacian_matches_roll_formula_exactly(shape):
+    g = torus_grid(*shape, circumferences=(2 * np.pi, 3.0))
+    h1, h2 = g.spacings
+    rng = np.random.default_rng(shape[0])
+    for scale in (1e-3, 1.0, 1e3):
+        v = scale * rng.standard_normal(shape)
+        lap = (np.roll(v, -1, axis=0) - 2.0 * v + np.roll(v, 1, axis=0)) / h1**2 + (
+            np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)
+        ) / h2**2
+        assert np.array_equal(laplacian(g, v), lap)
+
+
 def test_gradient_vanishes_at_constant_states():
     g = circle_grid(128)
     for c in (1.0, 0.0, -1.0):

@@ -44,6 +44,49 @@ def test_snapshot_roundtrip_bit_exact(tmp_path, grid):
     assert meta["config_hash"] == "abc"
 
 
+@pytest.mark.parametrize(
+    "grid, line",
+    [
+        (interval_grid(33, 1.25), "grid: interval 33 0x1.4000000000000p+0 # half_length 1.25"),
+        (
+            circle_grid(64),
+            "grid: circle 64 0x1.921fb54442d18p+2 # circumference 6.283185307179586",
+        ),
+        (
+            torus_grid(16, 24, (2 * np.pi, 4.0)),
+            "grid: torus 16 24 0x1.921fb54442d18p+2 0x1.0000000000000p+2 "
+            "# circumferences 6.283185307179586 4.0",
+        ),
+    ],
+    ids=["interval", "circle", "torus"],
+)
+def test_snapshot_grid_line(tmp_path, grid, line):
+    path = tmp_path / "snap.txt"
+    save_snapshot(Field(grid, np.zeros(grid.shape), 0.5), path)
+    assert path.read_text().splitlines()[1] == line
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "grid: sphere 64 0x1.921fb54442d18p+2",
+        "grid: circle 64",
+        "grid: circle 8 0x1.921fb54442d18p+2",
+        "grid: torus 64 0x1.921fb54442d18p+2",
+        "grid: circle sixty-four 0x1.921fb54442d18p+2",
+        "grid:",
+    ],
+)
+def test_snapshot_bad_grid_line(tmp_path, line):
+    path = tmp_path / "snap.txt"
+    save_snapshot(Field(circle_grid(64), np.zeros(64), 0.5), path)
+    lines = path.read_text().splitlines()
+    lines[1] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptSnapshotError):
+        load_snapshot(path)
+
+
 def test_snapshot_wrong_count(tmp_path):
     f = Field(circle_grid(32), np.zeros(32), 0.5)
     path = tmp_path / "snap.txt"
@@ -121,6 +164,62 @@ def test_emit_nodal_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "position,direction"
     assert len(lines) == 3
+
+
+def _assert_cells_parse(path, skip_lines=1, columns=None):
+    """Every cell after the header lines is a float literal or empty."""
+    lines = path.read_text().splitlines()
+    header = lines[skip_lines - 1].split(",")
+    for line in lines[skip_lines:]:
+        for name, cell in zip(header, line.split(",")):
+            if columns is None or name in columns:
+                for item in cell.strip('"').split(";"):
+                    if item:
+                        float(item)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [interval_grid(33, 1.25), circle_grid(64), torus_grid(16, 24, (2 * np.pi, 4.0))],
+    ids=["interval", "circle", "torus"],
+)
+def test_emitted_csv_cells_are_plain_numbers(tmp_path, grid):
+    axes = np.meshgrid(*(grid.axis(i) for i in range(len(grid.shape))), indexing="ij")
+    f = Field(grid, np.sin(axes[0] - 0.3), 0.3)
+    emit_plotdata(f, tmp_path / "field.csv")
+    _assert_cells_parse(tmp_path / "field.csv")
+    if grid.kind != "interval":
+        emit_plotdata(extract_nodal_set(f), tmp_path / "nodal.csv")
+        _assert_cells_parse(tmp_path / "nodal.csv")
+        assert len((tmp_path / "nodal.csv").read_text().splitlines()) > 1
+
+
+def test_emitted_decay_trace_and_report_cells_are_plain_numbers(tmp_path):
+    sol = solve_dirichlet_model(np.pi / 2, 0.05, P, SolveConfig(tol_grad=1e-11), n=1025)
+    f = newton_refine(reflect_extend(sol, 2), P).field
+    ns = extract_nodal_set(f)
+    emit_plotdata((fit_decay(f, ns), f, ns), tmp_path / "decay.csv")
+    _assert_cells_parse(tmp_path / "decay.csv", skip_lines=2)
+    header = (tmp_path / "decay.csv").read_text().splitlines()[0]
+    for item in header[1:].split():
+        float(item.split("=")[1])
+
+    g = circle_grid(512)
+    seed = Field(g, np.sin(2 * g.axis(0)), 0.2)
+    trace = gradient_flow(seed, P, None, StopRule(max_steps=100, sample_every=50, track_nodal=True))
+    emit_plotdata(trace, tmp_path / "trace.csv")
+    _assert_cells_parse(tmp_path / "trace.csv")
+
+    rep = experiment_comparison()
+    emit_plotdata(rep, tmp_path / "report.csv")
+    numeric = {
+        k
+        for r in rep.runs
+        for k, v in r.items()
+        if isinstance(v, (float, int, np.number, list, tuple)) and not isinstance(v, bool)
+    }
+    assert numeric
+    _assert_cells_parse(tmp_path / "report.csv", columns=numeric)
 
 
 def test_emit_rejects_unknown(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phaselab.fields import Field
-from phaselab.grids import circle_grid, torus_grid
+from phaselab.grids import circle_grid, interval_grid, torus_grid
 from phaselab.nodal import (
     IndeterminateSignError,
     NodalSet,
@@ -71,6 +71,93 @@ class TestExtraction:
         assert ns.points.shape[0] == 2 * 32  # two fiber circles, one point per row
         centers = cluster_fiber_angles(ns, gap_threshold=4 * g.h)
         assert np.allclose(np.sort(centers), [0.0, np.pi], atol=1e-12)
+
+
+def _scan_line_reference(values, coords, spacing, wrap):
+    """Per-edge loop: exact grid zeros, then sign-change crossings along one line."""
+    v = values
+    n = v.size
+    pos, direction = [], []
+    for i in np.flatnonzero(v == 0.0):
+        left = v[(i - 1) % n] if (wrap or i > 0) else 0.0
+        right = v[(i + 1) % n] if (wrap or i < n - 1) else 0.0
+        pos.append(coords[i])
+        direction.append(int(np.sign(right - left)))
+    for i in range(n if wrap else n - 1):
+        a, b = v[i], v[(i + 1) % n]
+        if a * b < 0.0:
+            pos.append(coords[i] + (a / (a - b)) * spacing)
+            direction.append(1 if b > 0 else -1)
+    return np.asarray(pos, dtype=float), np.asarray(direction, dtype=int)
+
+
+def _torus_reference(g, v):
+    """Per-point loops: exact zeros, then crossings along axis 0, then axis 1."""
+    th, yy = g.axis(0), g.axis(1)
+    h1, h2 = g.spacings
+    pts, signs, axes = [], [], []
+    for i, j in zip(*np.nonzero(v == 0.0)):
+        pts.append((th[i], yy[j]))
+        signs.append(0)
+        axes.append(-1)
+    for axis in (0, 1):
+        b_all = np.roll(v, -1, axis=axis)
+        for i, j in zip(*np.nonzero(v * b_all < 0.0)):
+            a, b = v[i, j], b_all[i, j]
+            t = a / (a - b)
+            if axis == 0:
+                pts.append(((th[i] + t * h1) % g.lengths[0], yy[j]))
+            else:
+                pts.append((th[i], (yy[j] + t * h2) % g.lengths[1]))
+            signs.append(1 if b > 0 else -1)
+            axes.append(axis)
+    return np.asarray(pts, dtype=float).reshape(-1, 2), np.asarray(signs), np.asarray(axes)
+
+
+def _field_with_zeros(grid, rng, trial):
+    v = rng.standard_normal(grid.shape)
+    if trial % 2 == 0:
+        v = np.round(v)  # many exact zeros, some next to each other
+    v[rng.random(grid.shape) < 0.1] = 0.0
+    v.flat[0] = v.flat[-1] = 0.0  # interval ends; the wrap edge on periodic grids
+    return Field(grid, v, 0.3)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [interval_grid(33, 2.0), circle_grid(64, 3.0), circle_grid(17)],
+    ids=["interval", "circle64", "circle17"],
+)
+def test_line_extraction_matches_loop_reference(grid):
+    rng = np.random.default_rng(11)
+    wrap = grid.kind == "circle"
+    for trial in range(20):
+        f = _field_with_zeros(grid, rng, trial)
+        pos, direction = _scan_line_reference(f.values, grid.axis(0), grid.h, wrap)
+        if wrap:
+            pos = pos % grid.lengths[0]
+        order = np.argsort(pos)
+        ns = extract_nodal_set(f)
+        assert ns.kind == grid.kind and ns.points is None
+        assert np.array_equal(ns.angles, pos[order])
+        assert np.array_equal(ns.directions, direction[order])
+        assert ns.directions.dtype == direction.dtype
+
+
+@pytest.mark.parametrize(
+    "grid", [torus_grid(32, 16, (5.0, 2.5)), torus_grid(17, 20)], ids=["32x16", "17x20"]
+)
+def test_torus_extraction_matches_loop_reference(grid):
+    rng = np.random.default_rng(12)
+    for trial in range(10):
+        f = _field_with_zeros(grid, rng, trial)
+        pts, signs, axes = _torus_reference(grid, f.values)
+        ns = extract_nodal_set(f)
+        assert np.array_equal(ns.points, pts)
+        assert np.array_equal(ns.point_signs, signs)
+        assert np.array_equal(ns.point_axes, axes)
+        assert np.array_equal(ns.angles, np.sort(pts[:, 0]))
+        assert np.array_equal(ns.directions, np.zeros(pts.shape[0], dtype=int))
 
 
 class TestHausdorff:

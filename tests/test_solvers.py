@@ -246,8 +246,6 @@ def test_multi_interface_seed_structure():
 def test_solve_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(tol_grad=1e-14).validate()
-    with pytest.raises(ValueError):
-        SolveConfig(damping=-0.5).validate()
     SolveConfig().validate()
 
 
