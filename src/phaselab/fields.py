@@ -88,7 +88,7 @@ def energy(f: Field, p: Potential) -> float:
     v, eps = f.values, f.epsilon
     g = f.grid
     if g.kind == "interval":
-        du = np.diff(v)
+        du = v[1:] - v[:-1]
         grad_term = 0.5 * eps / g.h * float(np.dot(du, du))
         well_term = float(np.sum(g.weights() * p.w(v))) / eps
         return grad_term + well_term

@@ -74,12 +74,21 @@ class Grid:
         return (self.lengths[i] / n) * np.arange(n)
 
     def weights(self) -> np.ndarray:
-        """Quadrature weights, one per grid point (trapezoid on intervals)."""
+        """Quadrature weights, one per grid point (trapezoid on intervals).
+
+        The same read-only array on every call.
+        """
+        return self._weights
+
+    @functools.cached_property
+    def _weights(self) -> np.ndarray:
         if self.kind == "interval":
             w = np.full(self.shape[0], self.h)
             w[0] = w[-1] = 0.5 * self.h
-            return w
-        return np.full(self.shape, math.prod(self.spacings))
+        else:
+            w = np.full(self.shape, math.prod(self.spacings))
+        w.flags.writeable = False
+        return w
 
     def resolution_ratio(self, epsilon: float) -> float:
         return epsilon / self.h

@@ -5,10 +5,12 @@ well force explicitly,
 
     (I + dt/eps * (-eps^2 Lap_h)) u_new = u - dt/eps * W'(u),
 
-so every step is one banded (interval), prefactored sparse LU (circle) or
-FFT-diagonalized (torus) solve and the monitored energy is non-increasing for
-the default step dt = eps * h.  Newton solves -eps Lap_h(u) + W'(u)/eps = 0
-with residual-max-norm backtracking.  Its Jacobian -eps Lap_h + W''(u)/eps is
+so every step is one tridiagonal LU solve (interval; the LAPACK factors are
+computed once per step size), one prefactored sparse LU solve (circle) or one
+FFT-diagonalized solve (torus), and the monitored energy is non-increasing for
+the default step dt = eps * h; a non-finite energy stops the flow with a
+SolverError.  Newton solves -eps Lap_h(u) + W'(u)/eps = 0 with
+residual-max-norm backtracking.  Its Jacobian -eps Lap_h + W''(u)/eps is
 solved banded on the interval; on the circle by one cyclic banded solve (the
 tridiagonal part, two right-hand sides) and a Sherman-Morrison correction for
 the two periodic corner entries; on the torus by MINRES preconditioned with
@@ -17,12 +19,14 @@ the FFT inverse of the constant-coefficient operator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .fields import Field, energy, gradient, laplacian, sup_norm
 from .grids import Grid, circle_grid, interval_grid, require_resolution
@@ -154,15 +158,16 @@ class _FlowStepper:
         self.grid, self.eps, self.dt = grid, eps, dt
         c = dt * eps
         if grid.kind == "interval":
-            n = grid.shape[0]
-            m = n - 2
-            h2 = grid.h**2
-            self._c = c / h2
-            ab = np.zeros((3, m))
-            ab[0, 1:] = -self._c
-            ab[1, :] = 1.0 + 2.0 * self._c
-            ab[2, :-1] = -self._c
-            self._ab = ab
+            # interior rows only; without pivoting (the operator is strictly
+            # diagonally dominant) dgttrf + dgttrs do the same floating-point
+            # operations as the dgtsv behind solve_banded((1, 1), ...)
+            m = grid.shape[0] - 2
+            self._c = c / grid.h**2
+            off = np.full(m - 1, -self._c)
+            dl, d, du, du2, ipiv, info = dgttrf(off, np.full(m, 1.0 + 2.0 * self._c), off)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dgttrf failed with info={info}")
+            self._tri = (dl, d, du, du2, ipiv)
         elif grid.kind == "circle":
             n = grid.shape[0]
             cc = c / grid.h**2
@@ -186,8 +191,11 @@ class _FlowStepper:
             r = rhs[1:-1].copy()
             r[0] += self._c * v[0]
             r[-1] += self._c * v[-1]
+            x, info = dgttrs(*self._tri, r, overwrite_b=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"dgttrs failed with info={info}")
             out = v.copy()
-            out[1:-1] = scipy.linalg.solve_banded((1, 1), self._ab, r)
+            out[1:-1] = x
             return out
         if g.kind == "circle":
             return self._lu.solve(rhs)
@@ -336,7 +344,8 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
     rate.  Plain backtracking damping is the fallback.  After the tolerance
     is met a few extra steps are taken while they keep halving the residual,
     which resolves the nearly flat translation modes of multi-interface
-    solutions well below the nominal tolerance.
+    solutions well below the nominal tolerance.  A non-finite starting
+    residual raises NewtonDivergenceError.
     """
     cfg = cfg or SolveConfig()
     cfg.validate()
@@ -352,6 +361,9 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
     rn = sup_norm(res)
     history = [rn]
     iterations = 0
+    if not math.isfinite(rn):
+        # a NaN residual would fail the loop test below and read as converged
+        raise NewtonDivergenceError(f"non-finite starting residual {rn!r}", history)
 
     while rn > cfg.tol_grad:
         if iterations >= cfg.max_newton:
@@ -463,8 +475,9 @@ def gradient_flow(
     """Semi-implicit energy descent; energy is monitored every step.
 
     An energy increase beyond the slack (after the 10-step transient) halves
-    the step and retries; collapse below 1e-14 aborts.  Nodal angles are
-    sampled into the trace when the stop rule asks for them.
+    the step and retries; collapse below 1e-14 aborts, and so does a
+    non-finite energy at any step.  Nodal angles are sampled into the trace
+    when the stop rule asks for them.
     """
     cfg = cfg or SolveConfig()
     cfg.validate()
@@ -495,6 +508,9 @@ def gradient_flow(
             if _project is not None:
                 v_new = _project(v_new)
             e_new = energy(Field(f.grid, v_new, eps), p)
+            # math.isfinite: np.isfinite costs about 1 us per step on a Python float
+            if not math.isfinite(e_new):
+                raise SolverError(f"non-finite energy {e_new!r} at flow step {step_i}")
             if step_i > 10 and e_new > energies[-1] + ENERGY_SLACK:
                 dt *= 0.5
                 if dt < 1e-14:

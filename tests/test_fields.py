@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -85,6 +87,37 @@ def test_torus_laplacian_matches_roll_formula_exactly(shape):
             np.roll(v, -1, axis=1) - 2.0 * v + np.roll(v, 1, axis=1)
         ) / h2**2
         assert np.array_equal(laplacian(g, v), lap)
+
+
+def _fresh_interval_weights(g):
+    w = np.full(g.shape[0], g.h)
+    w[0] = w[-1] = 0.5 * g.h
+    return w
+
+
+@pytest.mark.parametrize("n", [17, 129, 1025])
+def test_interval_energy_matches_diff_formula_exactly(n):
+    g = interval_grid(n, 1.3)
+    v = np.random.default_rng(n).uniform(-1.2, 1.2, n)
+    eps = 0.3
+    du = np.diff(v)
+    ref = 0.5 * eps / g.h * float(np.dot(du, du)) + float(
+        np.sum(_fresh_interval_weights(g) * P.w(v))
+    ) / eps
+    assert energy(Field(g, v, eps), P) == ref
+
+
+@pytest.mark.parametrize(
+    "g", [interval_grid(65, 1.0), circle_grid(256), torus_grid(32, 16)], ids=lambda g: g.kind
+)
+def test_inner_matches_fresh_weights_exactly(g):
+    rng = np.random.default_rng(3)
+    a, b = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+    if g.kind == "interval":
+        w = _fresh_interval_weights(g)
+    else:
+        w = np.full(g.shape, math.prod(g.spacings))
+    assert inner(g, a, b) == float(np.sum(w * a * b))
 
 
 def test_gradient_vanishes_at_constant_states():

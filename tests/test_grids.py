@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,24 @@ def test_interval_trapezoid_weights():
     g = interval_grid(65, 1.0)
     assert float(g.weights().sum()) == pytest.approx(2.0, abs=1e-13)
     assert g.weights()[0] == pytest.approx(0.5 * g.h)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [interval_grid(65, 1.0), circle_grid(256), torus_grid(64, 16, (2 * np.pi, 3.0))],
+    ids=lambda g: g.kind,
+)
+def test_weights_are_one_read_only_array(grid):
+    w = grid.weights()
+    assert w is grid.weights()
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    if grid.kind == "interval":
+        expected = np.full(grid.shape[0], grid.h)
+        expected[0] = expected[-1] = 0.5 * grid.h
+    else:
+        expected = np.full(grid.shape, math.prod(grid.spacings))
+    assert np.array_equal(w, expected)
 
 
 def test_resolution_rule():

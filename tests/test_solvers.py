@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -7,12 +8,13 @@ from scipy.optimize import brentq
 
 import phaselab as pl
 from phaselab.fields import Field, energy, gradient, hessian_apply, sup_norm
-from phaselab.grids import circle_grid
+from phaselab.grids import circle_grid, interval_grid, torus_grid
 from phaselab.potentials import quartic
 from phaselab.solvers import (
     NewtonDivergenceError,
     SingularJacobianError,
     SolveConfig,
+    SolverError,
     StopRule,
     existence_threshold,
     gradient_flow,
@@ -20,6 +22,7 @@ from phaselab.solvers import (
     newton_refine,
     reflect_extend,
     solve_dirichlet_model,
+    _FlowStepper,
     _make_jacobian_solver,
     _solve_cyclic_tridiagonal,
 )
@@ -312,3 +315,71 @@ class TestCircleJacobianSolve:
         f = Field(g, np.full(256, 1.0 / np.sqrt(3.0)), 0.2)
         with pytest.raises(SingularJacobianError):
             newton_refine(f, P)
+
+
+def _banded_flow_step(grid, eps, dt, v, p):
+    """The interval flow step as one solve_banded call per step, kept as an oracle."""
+    c = dt * eps / grid.h**2
+    m = grid.shape[0] - 2
+    ab = np.zeros((3, m))
+    ab[0, 1:] = -c
+    ab[1, :] = 1.0 + 2.0 * c
+    ab[2, :-1] = -c
+    rhs = v - (dt / eps) * p.dw(v)
+    r = rhs[1:-1].copy()
+    r[0] += c * v[0]
+    r[-1] += c * v[-1]
+    out = v.copy()
+    out[1:-1] = scipy.linalg.solve_banded((1, 1), ab, r)
+    return out
+
+
+class TestIntervalFlowStep:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(16, 1025),
+        eps=st.sampled_from([0.025, 0.05, 0.1, 0.2, 0.5]),
+        halvings=st.integers(0, 8),
+        grow=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_prefactored_step_is_bit_identical_to_banded_solve(self, n, eps, halvings, grow, seed):
+        g = interval_grid(n, 1.0 + seed % 7)
+        # the default step eps * h, halved as after energy rises, or grown
+        # by the adaptive factor 1.4
+        dt = eps * g.h * 0.5**halvings * (1.4 if grow else 1.0)
+        rng = np.random.default_rng(seed)
+        stepper = _FlowStepper(g, eps, dt)
+        for _ in range(3):  # one factorization, several right-hand sides
+            v = rng.uniform(-1.2, 1.2, n)
+            got = stepper.step(v, P)
+            ref = _banded_flow_step(g, eps, dt, v, P)
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_singular_operator_raises(self):
+        # dt = -h^2 / (2 eps) makes the operator tridiag(1/2, 0, 1/2) on 15
+        # interior points: singular, so dgttrf reports an exact zero pivot
+        g = interval_grid(17, 1.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            _FlowStepper(g, 0.5, -0.5 * g.h**2 / 0.5)
+
+
+NON_FINITE_GRIDS = [interval_grid(129, 1.0), circle_grid(256), torus_grid(256, 16)]
+
+
+def _with_one_nan(grid):
+    v = np.zeros(grid.shape)
+    v.flat[7] = np.nan
+    return Field(grid, v, 0.2)
+
+
+@pytest.mark.parametrize("grid", NON_FINITE_GRIDS, ids=lambda g: g.kind)
+def test_newton_rejects_non_finite_field(grid):
+    with pytest.raises(NewtonDivergenceError, match="non-finite"):
+        newton_refine(_with_one_nan(grid), P)
+
+
+@pytest.mark.parametrize("grid", NON_FINITE_GRIDS, ids=lambda g: g.kind)
+def test_flow_stops_on_non_finite_energy(grid):
+    with pytest.raises(SolverError, match="non-finite energy"):
+        gradient_flow(_with_one_nan(grid), P, stop=StopRule(max_steps=20))
