@@ -90,8 +90,16 @@ def energy(f: Field, p: Potential) -> float:
     if g.kind == "interval":
         du = v[1:] - v[:-1]
         grad_term = 0.5 * eps / g.h * float(np.dot(du, du))
-        well_term = float(np.sum(g.weights() * p.w(v))) / eps
+        well_term = float((g.weights() * p.w(v)).sum()) / eps
         return grad_term + well_term
+    if v.ndim == 1:
+        # the circle: the periodic sum below for one axis (cell == h, so
+        # cell / h == 1.0), without its per-axis views; the same operations
+        h = g.h
+        du = np.empty_like(v)
+        np.subtract(v[1:], v[:-1], out=du[:-1])
+        du[-1] = v[0] - v[-1]
+        return 0.5 * eps / h * float(np.dot(du, du)) + h / eps * float(p.w(v).sum())
     # periodic: forward differences along each wrapped axis
     cell = math.prod(g.spacings)
     grad_term = 0.0
@@ -102,7 +110,7 @@ def energy(f: Field, p: Potential) -> float:
         d[-1] = w[0] - w[-1]
         du = du.ravel()
         grad_term += 0.5 * eps * (cell / h) / h * float(np.dot(du, du))
-    well_term = cell / eps * float(np.sum(p.w(v)))
+    well_term = cell / eps * float(p.w(v).sum())
     return grad_term + well_term
 
 
@@ -132,11 +140,11 @@ def hessian_apply(f: Field, direction: Field, p: Potential) -> Field:
 
 def inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
     """Quadrature-weighted inner product."""
-    return float(np.sum(grid.weights() * a * b))
+    return float((grid.weights() * a * b).sum())
 
 
 def sup_norm(v: np.ndarray) -> float:
-    return float(np.max(np.abs(v)))
+    return float(np.abs(v).max())
 
 
 def truncate_to_unit(v: np.ndarray) -> np.ndarray:

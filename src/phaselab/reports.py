@@ -81,11 +81,35 @@ class ExperimentReport:
     def census(self) -> dict:
         return dict(Counter(r.get("outcome", "n/a") for r in self.runs))
 
+    def convergence(self) -> dict:
+        """Relaxation runs per group: label -> (reached a critical point, runs).
+
+        A group is a row's surface, eps and kind, where present.  A run
+        reached a critical point when its row has a ``residual``; rows that
+        are neither that nor ``non_converged`` (fits, comparisons, slides)
+        are no relaxations and are left out.
+        """
+        groups = {}
+        for r in self.runs:
+            reached = "residual" in r
+            if not reached and r.get("outcome") != "non_converged":
+                continue
+            label = " ".join(
+                f"eps={r[k]:g}" if k == "eps" else str(r[k])
+                for k in ("surface", "eps", "kind")
+                if k in r
+            )
+            hits, total = groups.get(label, (0, 0))
+            groups[label] = (hits + reached, total + 1)
+        return groups
+
     def summary_lines(self) -> list[str]:
         lines = [f"experiment: {self.experiment}"]
         census = self.census()
         if census:
             lines.append("outcomes: " + ", ".join(f"{k}={v}" for k, v in sorted(census.items())))
+        for label, (hits, total) in self.convergence().items():
+            lines.append(f"{label}: {hits}/{total} reached a critical point")
         for a in self.assertions:
             status = "PASS" if a["passed"] else "FAIL"
             extra = ""

@@ -9,12 +9,14 @@ so every step is one tridiagonal LU solve (interval; the LAPACK factors are
 computed once per step size), one prefactored sparse LU solve (circle) or one
 FFT-diagonalized solve (torus), and the monitored energy is non-increasing for
 the default step dt = eps * h; a non-finite energy stops the flow with a
-SolverError.  Newton solves -eps Lap_h(u) + W'(u)/eps = 0 with
+SolverError.  The circle operator is assembled in CSC form and factored by
+splu once per step size.  Newton solves -eps Lap_h(u) + W'(u)/eps = 0 with
 residual-max-norm backtracking.  Its Jacobian -eps Lap_h + W''(u)/eps is
-solved banded on the interval; on the circle by one cyclic banded solve (the
-tridiagonal part, two right-hand sides) and a Sherman-Morrison correction for
-the two periodic corner entries; on the torus by MINRES preconditioned with
-the FFT inverse of the constant-coefficient operator.
+solved by LAPACK dgtsv, called directly, on the interval; on the circle by
+one dgtsv solve (the tridiagonal part, two right-hand sides) and a
+Sherman-Morrison correction for the two periodic corner entries; on the torus
+by MINRES preconditioned with the FFT inverse of the constant-coefficient
+operator, whose nonzero info (no convergence) raises SingularJacobianError.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .fields import Field, energy, gradient, laplacian, sup_norm
 from .grids import Grid, circle_grid, interval_grid, require_resolution
@@ -151,6 +153,23 @@ def _fd_eigenvalues(n: int, h: float) -> np.ndarray:
     return (2.0 - 2.0 * np.cos(2.0 * np.pi * k / n)) / h**2
 
 
+def _periodic_chain_csc(n: int, cc: float) -> sp.csc_matrix:
+    """I + cc * (-Lap) on a periodic chain of n points, h = 1: the diagonal
+    1 + 2 cc, the off-diagonals and the corners A[0, n-1] = A[n-1, 0] all -cc.
+
+    Assembled in CSC form directly, with the entries and the sorted row
+    order that building it as a LIL matrix and converting gives.
+    """
+    rows = np.arange(-1, n - 1, dtype=np.int32)[:, None] + np.arange(3, dtype=np.int32)
+    rows[0] = (0, 1, n - 1)
+    rows[-1] = (0, n - 2, n - 1)
+    data = np.full((n, 3), -cc)
+    data[1:-1, 1] = 1.0 + 2.0 * cc
+    data[0, 0] = data[-1, 2] = 1.0 + 2.0 * cc
+    indptr = np.arange(0, 3 * n + 1, 3, dtype=np.int32)
+    return sp.csc_matrix((data.ravel(), rows.ravel(), indptr), shape=(n, n))
+
+
 class _FlowStepper:
     """Prefactored implicit solve for (I + dt*eps*(-Lap_h)) u = rhs."""
 
@@ -169,14 +188,7 @@ class _FlowStepper:
                 raise np.linalg.LinAlgError(f"dgttrf failed with info={info}")
             self._tri = (dl, d, du, du2, ipiv)
         elif grid.kind == "circle":
-            n = grid.shape[0]
-            cc = c / grid.h**2
-            main = np.full(n, 1.0 + 2.0 * cc)
-            off = np.full(n - 1, -cc)
-            A = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-            A[0, n - 1] = -cc
-            A[n - 1, 0] = -cc
-            self._lu = spla.splu(A.tocsc())
+            self._lu = spla.splu(_periodic_chain_csc(grid.shape[0], c / grid.h**2))
         else:
             n1, n2 = grid.shape
             h1, h2 = grid.spacings
@@ -225,33 +237,52 @@ def _smallest_eigenvalue_estimate(grid, v, eps, p):
     return None
 
 
+def _solve_tridiagonal(
+    off: np.ndarray, d: np.ndarray, b: np.ndarray, overwrite_b: bool = False
+) -> np.ndarray:
+    """Solve tridiag(off, d, off) x = b with LAPACK dgtsv; ``d`` is overwritten,
+    and so is ``b`` with ``overwrite_b`` (when it is Fortran-ordered).
+
+    The LAPACK call behind scipy.linalg.solve_banded((1, 1), ...), with its
+    checks and error messages (census rows quote them) but without its
+    per-call wrappers: non-finite input raises ValueError, an exact zero
+    pivot LinAlgError.
+    """
+    if not (np.isfinite(d).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    _, _, _, x, info = dgtsv(off, d, off, b, overwrite_d=1, overwrite_b=overwrite_b)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+    return x
+
+
 def _solve_cyclic_tridiagonal(diag: np.ndarray, off: float, rhs: np.ndarray) -> np.ndarray:
     """Solve the periodic chain A x = rhs, A = tridiag(off, diag, off) plus
     the corners A[0, n-1] = A[n-1, 0] = off.
 
     Sherman-Morrison: A = B + u w^T with u = (g, 0, ..., 0, off) and
     w = (1, 0, ..., 0, off/g), where B is A without its corners and with
-    B[0, 0] = diag[0] - g, B[n-1, n-1] = diag[n-1] - off^2/g.  One banded
+    B[0, 0] = diag[0] - g, B[n-1, n-1] = diag[n-1] - off^2/g.  One tridiagonal
     solve with two right-hand sides (rhs and u) then a rank-1 correction.
     The shift g = -diag[0] keeps B[0, 0] away from zero; it falls back to
     -|off| when diag[0] is small against the coupling.
     """
     n = diag.size
     g = -diag[0] if abs(diag[0]) >= abs(off) else -abs(off)
-    ab = np.empty((3, n))
-    ab[0] = ab[2] = off  # ab[0, 0] and ab[2, -1] lie outside the band
-    ab[1] = diag
-    ab[1, 0] -= g
-    ab[1, -1] -= off * off / g
-    b = np.zeros((n, 2))
+    d = diag.copy()
+    d[0] -= g
+    d[-1] -= off * off / g
+    b = np.zeros((n, 2), order="F")  # LAPACK's layout: no copy in dgtsv
     b[:, 0] = rhs
     b[0, 1] = g
     b[-1, 1] = off
-    yz = scipy.linalg.solve_banded((1, 1), ab, b)
+    yz = _solve_tridiagonal(np.full(n - 1, off), d, b, overwrite_b=True)
     y, z = yz[:, 0], yz[:, 1]
     ratio = off / g
     denom = 1.0 + z[0] + ratio * z[-1]
-    if denom == 0.0 or not np.isfinite(denom):
+    if denom == 0.0 or not math.isfinite(denom):
         raise np.linalg.LinAlgError(f"Sherman-Morrison denominator is {denom!r}")
     return y - ((y[0] + ratio * y[-1]) / denom) * z
 
@@ -262,16 +293,12 @@ def _make_jacobian_solver(grid: Grid, eps: float, p: Potential):
         n = grid.shape[0]
         h2 = grid.h**2
         c = eps / h2
+        off = np.full(n - 3, -c)  # dgtsv copies it (no overwrite flag)
 
         def solve(v, res):
-            m = n - 2
-            ab = np.zeros((3, m))
-            ab[0, 1:] = -c
-            ab[1, :] = 2.0 * c + p.d2w(v[1:-1]) / eps
-            ab[2, :-1] = -c
             try:
-                s_int = scipy.linalg.solve_banded((1, 1), ab, res[1:-1])
-            except scipy.linalg.LinAlgError as exc:
+                s_int = _solve_tridiagonal(off, 2.0 * c + p.d2w(v[1:-1]) / eps, res[1:-1])
+            except (np.linalg.LinAlgError, ValueError) as exc:
                 raise SingularJacobianError(
                     f"banded Jacobian solve failed: {exc}",
                     _smallest_eigenvalue_estimate(grid, v, eps, p),
@@ -324,6 +351,9 @@ def _make_jacobian_solver(grid: Grid, eps: float, p: Potential):
         A = spla.LinearOperator((size, size), matvec=matvec, dtype=float)
         M = spla.LinearOperator((size, size), matvec=precond, dtype=float)
         x, info = spla.minres(A, res.ravel(), M=M, rtol=1e-12, maxiter=4000)
+        if info != 0:
+            # scipy reports maxiter reached without meeting rtol as info > 0
+            raise SingularJacobianError(f"torus MINRES solve failed with info={info}", None)
         if not np.all(np.isfinite(x)):
             raise SingularJacobianError("torus Jacobian solve produced non-finite step", None)
         return x.reshape(n1, n2)

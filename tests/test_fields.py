@@ -107,6 +107,46 @@ def test_interval_energy_matches_diff_formula_exactly(n):
     assert energy(Field(g, v, eps), P) == ref
 
 
+def _loop_energy(f, p):
+    """The energy as one loop over axes for every periodic grid (swapped axes,
+    raveled differences, np.sum), kept as an oracle for the leaner code."""
+    v, eps, g = f.values, f.epsilon, f.grid
+    if g.kind == "interval":
+        du = v[1:] - v[:-1]
+        return 0.5 * eps / g.h * float(np.dot(du, du)) + float(np.sum(g.weights() * p.w(v))) / eps
+    cell = math.prod(g.spacings)
+    grad_term = 0.0
+    for axis, h in enumerate(g.spacings):
+        du = np.empty_like(v)
+        w, d = v.swapaxes(0, axis), du.swapaxes(0, axis)
+        np.subtract(w[1:], w[:-1], out=d[:-1])
+        d[-1] = w[0] - w[-1]
+        du = du.ravel()
+        grad_term += 0.5 * eps * (cell / h) / h * float(np.dot(du, du))
+    return grad_term + cell / eps * float(np.sum(p.w(v)))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        interval_grid(17, 1.3),
+        interval_grid(1025, 0.7),
+        circle_grid(16),
+        circle_grid(257, 3.0),
+        circle_grid(2048),
+        torus_grid(17, 24, (2 * np.pi, 3.0)),
+        torus_grid(256, 64),
+    ],
+    ids=lambda g: f"{g.kind}-{'x'.join(map(str, g.shape))}",
+)
+def test_energy_matches_axis_loop_exactly(g):
+    rng = np.random.default_rng(g.npoints)
+    for scale in (1e-3, 1.0, 1.2, 1e3):
+        for eps in (0.05, 0.3, 1.7):
+            f = Field(g, scale * rng.uniform(-1.0, 1.0, g.shape), eps)
+            assert energy(f, P) == _loop_energy(f, P)
+
+
 @pytest.mark.parametrize(
     "g", [interval_grid(65, 1.0), circle_grid(256), torus_grid(32, 16)], ids=lambda g: g.kind
 )

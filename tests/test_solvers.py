@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import phaselab as pl
+import phaselab.solvers as solvers
 from phaselab.fields import Field, energy, gradient, hessian_apply, sup_norm
 from phaselab.grids import circle_grid, interval_grid, torus_grid
-from phaselab.potentials import quartic
+from phaselab.potentials import from_callables, quartic
 from phaselab.solvers import (
     NewtonDivergenceError,
     SingularJacobianError,
@@ -24,7 +27,9 @@ from phaselab.solvers import (
     solve_dirichlet_model,
     _FlowStepper,
     _make_jacobian_solver,
+    _periodic_chain_csc,
     _solve_cyclic_tridiagonal,
+    _solve_tridiagonal,
 )
 
 P = quartic()
@@ -383,3 +388,176 @@ def test_newton_rejects_non_finite_field(grid):
 def test_flow_stops_on_non_finite_energy(grid):
     with pytest.raises(SolverError, match="non-finite energy"):
         gradient_flow(_with_one_nan(grid), P, stop=StopRule(max_steps=20))
+
+
+# ---------------------------------------------------------------------------
+# the direct dgtsv Jacobian solves against the solve_banded code they replace
+
+
+def _banded_interval_jacobian(grid, eps, p):
+    """The interval Jacobian solve as one solve_banded call, kept as an oracle."""
+    c = eps / grid.h**2
+
+    def solve(v, res):
+        m = grid.shape[0] - 2
+        ab = np.zeros((3, m))
+        ab[0, 1:] = -c
+        ab[1, :] = 2.0 * c + p.d2w(v[1:-1]) / eps
+        ab[2, :-1] = -c
+        s = np.zeros_like(v)
+        s[1:-1] = scipy.linalg.solve_banded((1, 1), ab, res[1:-1])
+        return s
+
+    return solve
+
+
+def _banded_cyclic(diag, off, rhs):
+    """The Sherman-Morrison cyclic solve through solve_banded, kept as an oracle."""
+    n = diag.size
+    g = -diag[0] if abs(diag[0]) >= abs(off) else -abs(off)
+    ab = np.empty((3, n))
+    ab[0] = ab[2] = off
+    ab[1] = diag
+    ab[1, 0] -= g
+    ab[1, -1] -= off * off / g
+    b = np.zeros((n, 2))
+    b[:, 0] = rhs
+    b[0, 1] = g
+    b[-1, 1] = off
+    yz = scipy.linalg.solve_banded((1, 1), ab, b)
+    y, z = yz[:, 0], yz[:, 1]
+    ratio = off / g
+    denom = 1.0 + z[0] + ratio * z[-1]
+    if denom == 0.0 or not np.isfinite(denom):
+        raise np.linalg.LinAlgError(f"Sherman-Morrison denominator is {denom!r}")
+    return y - ((y[0] + ratio * y[-1]) / denom) * z
+
+
+def _banded_circle_jacobian(grid, eps, p):
+    cc = eps / grid.h**2
+    return lambda v, res: _banded_cyclic(2.0 * cc + p.d2w(v) / eps, -cc, res)
+
+
+def _outcome(solve, *args):
+    """The solution's bits, or the type of the error the solve raised."""
+    try:
+        return solve(*args).view(np.int64)
+    except (np.linalg.LinAlgError, SolverError) as exc:
+        return type(exc)
+
+
+BANDED_ORACLES = {
+    "interval": (interval_grid, _banded_interval_jacobian),
+    "circle": (circle_grid, _banded_circle_jacobian),
+}
+
+
+class TestDirectTridiagonalSolves:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(sorted(BANDED_ORACLES)),
+        n=st.integers(16, 2048),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_jacobian_solves_are_bit_identical_to_solve_banded(self, kind, n, seed):
+        make_grid, oracle = BANDED_ORACLES[kind]
+        rng = np.random.default_rng(seed)
+        g = make_grid(n, 10.0 ** rng.uniform(-0.5, 1.5))
+        # eps / h from 0.2 to 30: at small ratios W''(u)/eps < 0 outweighs
+        # 2 eps/h^2 wherever |u| < 1/sqrt(3), so the diagonal is indefinite
+        eps = g.h * 10.0 ** rng.uniform(-0.7, 1.5)
+        v = rng.uniform(-1.2, 1.2, n)
+        res = rng.standard_normal(n)
+        solve = _make_jacobian_solver(g, eps, P)
+        for _ in range(2):  # the interval solver reuses its off-diagonal array
+            got = _outcome(solve, v, res)
+            ref = _outcome(oracle(g, eps, P), v, res)
+            if isinstance(ref, np.ndarray):
+                assert isinstance(got, np.ndarray) and np.array_equal(got, ref)
+            else:
+                assert got is SingularJacobianError
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(16, 2048), seed=st.integers(0, 2**32 - 1), zero_corner=st.booleans())
+    def test_cyclic_solve_is_bit_identical_on_indefinite_diagonals(self, n, seed, zero_corner):
+        rng = np.random.default_rng(seed)
+        cc = 10.0 ** rng.uniform(0.0, 4.0)
+        diag = rng.uniform(-4.0, 4.0, n) * cc
+        if zero_corner:
+            diag[0] = 0.0
+        rhs = rng.standard_normal(n)
+        got = _outcome(_solve_cyclic_tridiagonal, diag, -cc, rhs)
+        ref = _outcome(_banded_cyclic, diag, -cc, rhs)
+        if isinstance(ref, np.ndarray):
+            assert isinstance(got, np.ndarray) and np.array_equal(got, ref)
+        else:
+            assert got is ref
+
+    def test_exact_zero_pivot_raises_linalg_error(self):
+        # tridiag(1/2, 0, 1/2) on 15 points is singular: dgtsv meets a zero pivot
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+            _solve_tridiagonal(np.full(14, 0.5), np.zeros(15), np.ones(15))
+
+    def test_interval_zero_pivot_raises_singular_jacobian(self):
+        # W'' = -eps/h^2 with eps = 1/2 makes the diagonal 2 eps/h^2 + W''/eps
+        # exactly zero: tridiag(-c, 0, -c) on 15 interior points
+        g = interval_grid(17, 1.0)
+        eps = 0.5
+        c = eps / g.h**2
+        p = from_callables(P.w, P.dw, lambda x: np.full_like(x, -c))
+        with pytest.raises(SingularJacobianError, match="singular matrix") as info:
+            _make_jacobian_solver(g, eps, p)(np.zeros(17), np.ones(17))
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_interval_non_finite_iterate_raises_singular_jacobian(self):
+        g = interval_grid(129, 1.0)
+        v = np.zeros(129)
+        v[7] = np.nan
+        with pytest.raises(SingularJacobianError, match="infs or NaNs"):
+            _make_jacobian_solver(g, 0.2, P)(v, np.ones(129))
+
+    def test_non_finite_right_hand_side_raises_value_error(self):
+        b = np.ones(15)
+        b[3] = np.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _solve_tridiagonal(np.full(14, -1.0), np.full(15, 3.0), b)
+
+
+def _lil_periodic_chain(n, cc):
+    """The circle flow operator as it was assembled before: LIL plus corners."""
+    main = np.full(n, 1.0 + 2.0 * cc)
+    off = np.full(n - 1, -cc)
+    A = sp.diags([off, main, off], [-1, 0, 1], format="lil")
+    A[0, n - 1] = -cc
+    A[n - 1, 0] = -cc
+    return A.tocsc()
+
+
+@pytest.mark.parametrize("n", [16, 17, 256, 2048])
+def test_csc_flow_operator_matches_lil_assembly(n):
+    rng = np.random.default_rng(n)
+    for cc in (1e-3, 0.37, 41.0, 5e3):
+        new, old = _periodic_chain_csc(n, cc), _lil_periodic_chain(n, cc)
+        assert new.format == "csc" and new.shape == old.shape
+        assert np.array_equal(new.indptr, old.indptr) and new.indptr.dtype == old.indptr.dtype
+        assert np.array_equal(new.indices, old.indices) and new.indices.dtype == old.indices.dtype
+        assert np.array_equal(new.data.view(np.int64), old.data.view(np.int64))
+        lu_new, lu_old = spla.splu(new), spla.splu(old)
+        for _ in range(3):
+            rhs = rng.uniform(-1.2, 1.2, n)
+            assert np.array_equal(lu_new.solve(rhs).view(np.int64), lu_old.solve(rhs).view(np.int64))
+
+
+def test_torus_minres_failure_raises_singular_jacobian(monkeypatch):
+    g = torus_grid(32, 16)
+    f = multi_interface_seed(g, 0.5, [0.0, np.pi])
+    solve = _make_jacobian_solver(g, 0.5, P)
+    rhs = gradient(f, P).values
+    assert np.all(np.isfinite(solve(f.values, rhs)))
+
+    def no_convergence(A, b, **kwargs):
+        return np.zeros_like(b), 1
+
+    monkeypatch.setattr(solvers.spla, "minres", no_convergence)
+    with pytest.raises(SingularJacobianError, match="info=1"):
+        solve(f.values, rhs)
