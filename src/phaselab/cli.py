@@ -7,6 +7,7 @@ flags, invalid parameters).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -36,15 +37,44 @@ from .solvers import (
     solve_dirichlet_model,
 )
 
-TWO_PI = 2.0 * np.pi
+# flags shared by several commands; each command adds the ones it reads
+COMMON = {
+    "grid_n": ("--grid-n", {"type": int, "help": "grid points"}),
+    "out": ("--out", {"type": str, "help": "output path"}),
+    "tol": ("--tol", {"type": float, "help": "Newton residual tolerance"}),
+    "json": ("--json", {"action": "store_true", "help": "print a JSON report to stdout"}),
+}
+
+EXPERIMENTS = {
+    "two-interface": xp.experiment_two_interface,
+    "m-rigidity": xp.experiment_m_rigidity,
+    "decay": xp.experiment_decay,
+    "comparison": xp.experiment_comparison,
+    "slide": xp.experiment_slide,
+}
+
+# driver argument -> the option that sets it.  An experiment takes the options
+# of the arguments in its driver's signature, plus --seed with --seeds and the
+# common --tol (cfg), --out and --json; an option not given leaves the
+# driver's default in force.
+DRIVER_OPTIONS = {
+    "m": ("--m", {"type": int, "help": "interface count"}),
+    "eps_list": ("--eps", {"type": float, "nargs": "+", "metavar": "EPS", "help": "widths"}),
+    "eps": ("--eps", {"type": float, "help": "width"}),
+    "seeds": ("--seeds", {"type": int, "help": "number of seeds, counted from --seed"}),
+    "n": ("--grid-n", {"type": int, "metavar": "N", "help": "grid points"}),
+    "circle_n": ("--grid-n", {"type": int, "metavar": "N", "help": "circle grid points"}),
+    "perturbation": ("--perturbation", {"type": float, "help": "displacement of one seed angle"}),
+    "surfaces": ("--surfaces", {"nargs": "+", "choices": ["circle", "torus"]}),
+    "circumference": ("--circumference", {"type": float}),
+    "delta_fractions": ("--delta-fractions", {"type": float, "nargs": "+"}),
+}
 
 
-def _common(sub):
-    sub.add_argument("--grid-n", type=int, default=None, help="grid points (fiber axis)")
-    sub.add_argument("--out", type=str, default=None, help="output path")
-    sub.add_argument("--seed", type=int, default=0, help="base random seed")
-    sub.add_argument("--tol", type=float, default=None, help="Newton residual tolerance")
-    sub.add_argument("--json", action="store_true", help="print a JSON report to stdout")
+def _common(sub, *names):
+    for name in names:
+        flag, options = COMMON[name]
+        sub.add_argument(flag, **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,29 +85,29 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--kind", choices=["quartic", "table"], default="quartic")
     s.add_argument("--table-file", type=str, help="JSON file with [[x, W(x)], ...]")
     s.add_argument("--samples", type=int, default=10_000)
-    _common(s)
+    _common(s, "json")
     s.set_defaults(func=cmd_check_potential)
 
     s = sp.add_parser("solve-model", help="positive profile on an interval, or the zero state")
     s.add_argument("--l", type=float, required=True, help="interval half-length")
     s.add_argument("--eps", type=float, required=True)
-    _common(s)
+    _common(s, "grid_n", "tol", "out", "json")
     s.set_defaults(func=cmd_solve_model)
 
     s = sp.add_parser("threshold", help="bisection estimate of the existence threshold")
     s.add_argument("--l", type=float, required=True)
-    _common(s)
+    _common(s, "tol", "json")
     s.set_defaults(func=cmd_threshold)
 
     s = sp.add_parser("build-circle", help="glue a profile into an m-interface circle solution")
     s.add_argument("--m", type=int, required=True)
     s.add_argument("--eps", type=float, required=True)
-    _common(s)
+    _common(s, "grid_n", "tol", "out", "json")
     s.set_defaults(func=cmd_build_circle)
 
     s = sp.add_parser("refine", help="Newton-refine a snapshot")
     s.add_argument("--snapshot", type=str, required=True)
-    _common(s)
+    _common(s, "tol", "out", "json")
     s.set_defaults(func=cmd_refine)
 
     s = sp.add_parser("flow", help="run the semi-implicit gradient flow on a snapshot")
@@ -86,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dt", type=float, default=None)
     s.add_argument("--trace", type=str, default=None, help="CSV path for the energy/angle trace")
     s.add_argument("--track-nodal", action="store_true")
-    _common(s)
+    _common(s, "tol", "out", "json")
     s.set_defaults(func=cmd_flow)
 
     s = sp.add_parser("analyze", help="nodal/congruence/alternation/symmetry/decay on a snapshot")
@@ -99,31 +129,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--m", type=int, default=None, help="interface count for the symmetry check")
     s.add_argument("--csv", type=str, default=None)
-    _common(s)
+    _common(s, "json")
     s.set_defaults(func=cmd_analyze)
 
     s = sp.add_parser("experiment", help="run a named experiment")
-    s.add_argument(
-        "name",
-        choices=["two-interface", "m-rigidity", "decay", "comparison", "slide"],
-    )
-    s.add_argument("--m", type=int, default=4)
-    s.add_argument("--eps", type=float, nargs="+", default=None)
-    s.add_argument("--seeds", type=int, default=None, help="number of seeds")
-    s.add_argument("--perturbation", type=float, default=0.3)
-    s.add_argument("--surfaces", nargs="+", default=["circle", "torus"])
-    s.add_argument("--circumference", type=float, default=8.0 * np.pi)
-    s.add_argument("--delta-fractions", type=float, nargs="+", default=[0.5, 0.25])
-    s.add_argument("--csv", type=str, default=None, help="census CSV path")
-    _common(s)
-    s.set_defaults(func=cmd_experiment)
+    names = s.add_subparsers(dest="name", required=True, metavar="name")
+    for name, driver in EXPERIMENTS.items():
+        e = names.add_parser(name, help=inspect.getdoc(driver).splitlines()[0])
+        params = inspect.signature(driver).parameters
+        for arg, (flag, options) in DRIVER_OPTIONS.items():
+            if arg in params:
+                e.add_argument(flag, dest=arg, default=argparse.SUPPRESS, **options)
+        if "seeds" in params:
+            e.add_argument("--seed", type=int, default=0, help="first seed")
+        e.add_argument("--csv", type=str, default=None, help="census CSV path")
+        _common(e, "tol", "out", "json")
+        e.set_defaults(func=cmd_experiment)
 
     return ap
 
 
 def _cfg(args) -> SolveConfig:
     cfg = SolveConfig()
-    if getattr(args, "tol", None):
+    if args.tol is not None:
         cfg.tol_grad = args.tol
     return cfg
 
@@ -227,7 +255,7 @@ def cmd_flow(args) -> int:
     field, meta = load_snapshot_with_meta(args.snapshot)
     p = make_potential(meta["potential"]) if meta["potential"] else quartic()
     cfg = _cfg(args)
-    if args.dt:
+    if args.dt is not None:
         cfg.flow_dt = args.dt
     trace = gradient_flow(
         field, p, cfg, StopRule(max_steps=args.steps, track_nodal=args.track_nodal)
@@ -293,56 +321,12 @@ def cmd_analyze(args) -> int:
 
 
 def _experiment_report(args):
-    cfg = SolveConfig(tol_grad=args.tol) if args.tol else None
-    seeds = None
-    if args.seeds is not None:
-        seeds = list(range(args.seed, args.seed + args.seeds))
-    if args.name == "two-interface":
-        kw = {}
-        if args.eps:
-            kw["eps_list"] = args.eps
-        if seeds:
-            kw["seeds"] = seeds
-        if args.grid_n:
-            kw["n"] = args.grid_n
-        if cfg:
-            kw["cfg"] = cfg
-        return xp.experiment_two_interface(**kw)
-    if args.name == "m-rigidity":
-        kw = {"m": args.m, "perturbation": args.perturbation, "surfaces": tuple(args.surfaces)}
-        if args.eps:
-            kw["eps_list"] = args.eps
-        if seeds:
-            kw["seeds"] = seeds
-        if args.grid_n:
-            kw["circle_n"] = args.grid_n
-        if cfg:
-            kw["cfg"] = cfg
-        return xp.experiment_m_rigidity(**kw)
-    if args.name == "decay":
-        kw = {}
-        if args.eps:
-            kw["eps_list"] = args.eps
-        if args.grid_n:
-            kw["n"] = args.grid_n
-        if cfg:
-            kw["cfg"] = cfg
-        return xp.experiment_decay(**kw)
-    if args.name == "comparison":
-        kw = {}
-        if args.eps:
-            kw["eps"] = args.eps[0]
-        if cfg:
-            kw["cfg"] = cfg
-        return xp.experiment_comparison(**kw)
-    kw = {"m": args.m, "circumference": args.circumference, "delta_fractions": tuple(args.delta_fractions)}
-    if args.eps:
-        kw["eps"] = args.eps[0]
-    if args.grid_n:
-        kw["n"] = args.grid_n
-    if cfg:
-        kw["cfg"] = cfg
-    return xp.experiment_slide(**kw)
+    kw = {arg: getattr(args, arg) for arg in DRIVER_OPTIONS if hasattr(args, arg)}
+    if "seeds" in kw:
+        kw["seeds"] = range(args.seed, args.seed + kw["seeds"])
+    if args.tol is not None:
+        kw["cfg"] = SolveConfig(tol_grad=args.tol)
+    return EXPERIMENTS[args.name](**kw)
 
 
 def cmd_experiment(args) -> int:

@@ -8,24 +8,25 @@ violates congruence, alternation, or the rotation symmetry.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .fields import Field, gradient
 from .grids import Grid, circle_grid, require_resolution, torus_grid
 from .nodal import (
-    NodalSet,
     check_alternation,
     check_congruent_intervals,
     check_rotation_symmetry,
-    cluster_fiber_angles,
     extract_nodal_set,
+    fiber_nodal_set,
     fit_decay,
 )
 from .potentials import Potential, quartic
-from .reports import ExperimentReport, assertion
+from .reports import ExperimentReport, assertion, canonicalize
 from .solvers import (
     DAMPING,
     SolveConfig,
@@ -386,27 +387,54 @@ def _relax(seed: Field, p: Potential, cfg: SolveConfig, flow_steps: int):
         return None, str(exc)
 
 
-def _config_echo(p: Potential, cfg: SolveConfig, **extra) -> dict:
-    echo = {
-        "potential": p.describe(),
-        "solver": {
-            "tol_grad": cfg.tol_grad,
-            "max_newton": cfg.max_newton,
-            "max_flow_steps": cfg.max_flow_steps,
-            "flow_dt": cfg.flow_dt,
-            "damping": DAMPING,
-            "min_points_per_eps": cfg.min_points_per_eps,
-        },
-        "residual_form": RESIDUAL_FORM,
-    }
-    echo.update(extra)
-    return echo
+def _experiment(name: str, tol_grad: float | None = None):
+    """Make a driver that returns ``(runs, assertions[, derived])`` return an
+    ExperimentReport whose config echoes every argument of the call.
+
+    ``p`` defaults to the quartic and ``cfg`` to ``SolveConfig`` (with
+    ``tol_grad`` when given); both are echoed as ``potential`` and ``solver``.
+    ``n`` is echoed as ``grid_points``, a range as a list, and ``derived``
+    (values the driver computes from its arguments) is added as it is.
+    """
+
+    def decorate(driver):
+        signature = inspect.signature(driver)
+
+        @functools.wraps(driver)
+        def run(*args, **kwargs):
+            t0 = time.perf_counter()
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            kw = bound.arguments
+            kw["p"] = kw["p"] or quartic()
+            if kw["cfg"] is None:
+                kw["cfg"] = SolveConfig() if tol_grad is None else SolveConfig(tol_grad=tol_grad)
+            config = {
+                "potential": kw["p"].describe(),
+                "solver": {**asdict(kw["cfg"]), "damping": DAMPING},
+                "residual_form": RESIDUAL_FORM,
+            }
+            for key, value in kw.items():
+                if key not in ("p", "cfg"):
+                    config["grid_points" if key == "n" else key] = (
+                        list(value) if isinstance(value, range) else value
+                    )
+            runs, assertions, *derived = driver(**kw)
+            config.update(*derived)
+            report = ExperimentReport(name, canonicalize(config), runs, assertions)
+            report.runtime_seconds = time.perf_counter() - t0
+            return report
+
+        return run
+
+    return decorate
 
 
 # ---------------------------------------------------------------------------
 # two-interface census
 
 
+@_experiment("two_interface_antipodality", tol_grad=1e-12)
 def experiment_two_interface(
     eps_list=(0.2, 0.25),
     seeds=tuple(range(12)),
@@ -416,7 +444,7 @@ def experiment_two_interface(
     cfg: SolveConfig | None = None,
     flow_steps: int = 400,
     angle_tol: float = 1e-4,
-) -> ExperimentReport:
+):
     """Relax random two-interface seeds and check converged pairs are antipodal.
 
     Each seed draws a second interface angle phi in ``phi_range``; the first
@@ -425,9 +453,6 @@ def experiment_two_interface(
     Non-converged runs and runs that escape to a different interface count
     are recorded separately, never counted as counterexamples.
     """
-    p = p or quartic()
-    cfg = cfg or SolveConfig(tol_grad=1e-12)
-    t0 = time.perf_counter()
     grid = circle_grid(n)
     runs = []
     for eps in eps_list:
@@ -478,31 +503,16 @@ def experiment_two_interface(
             detail="at least one run must converge with two nodal points",
         ),
     ]
-    report = ExperimentReport(
-        "two_interface_antipodality",
-        _config_echo(
-            p,
-            cfg,
-            eps_list=list(eps_list),
-            seeds=[int(s) for s in seeds],
-            grid_points=n,
-            phi_range=list(phi_range),
-            angle_tol=angle_tol,
-            flow_steps=flow_steps,
-        ),
-        runs,
-        assertions,
-    )
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
+    return runs, assertions
 
 
 # ---------------------------------------------------------------------------
 # m-interface rigidity census
 
 
+@_experiment("m_interface_rigidity", tol_grad=1e-12)
 def experiment_m_rigidity(
-    m: int,
+    m: int = 4,
     eps_list=(0.1, 0.15),
     seeds=tuple(range(10)),
     perturbation: float = 0.3,
@@ -516,7 +526,7 @@ def experiment_m_rigidity(
     congruence_tol: float = 1e-4,
     symmetry_tol: float = 1e-7,
     flow_steps: int = 500,
-) -> ExperimentReport:
+):
     """Seed m interfaces with one displaced angle and census the relaxed runs.
 
     Converged critical points carrying exactly m interfaces (m nodal angles on
@@ -533,9 +543,6 @@ def experiment_m_rigidity(
         )
     if circle_n % m != 0 or torus_n[0] % m != 0:
         raise ValueError("grid point counts must be divisible by m")
-    p = p or quartic()
-    cfg = cfg or SolveConfig(tol_grad=1e-12)
-    t0 = time.perf_counter()
     runs = []
     for surface in surfaces:
         if surface == "circle":
@@ -575,15 +582,8 @@ def experiment_m_rigidity(
                     continue
                 run["residual"] = nr.residuals[-1]
                 ns = extract_nodal_set(nr.field)
-                if surface == "torus":
-                    centers = cluster_fiber_angles(ns, gap_threshold=4.0 * grid.h)
-                    count = centers.size
-                    ns_fiber = NodalSet(
-                        "circle", centers, np.zeros(count, dtype=int), (grid.lengths[0],)
-                    )
-                else:
-                    count = ns.count
-                    ns_fiber = ns
+                ns_fiber = fiber_nodal_set(ns, grid.h) if surface == "torus" else ns
+                count = ns_fiber.count
                 run["interfaces"] = int(count)
                 if count != m:
                     # still a converged critical point: its own structure must
@@ -643,35 +643,14 @@ def experiment_m_rigidity(
                     detail="the equal-spacing control seed must relax to the symmetric solution",
                 )
             )
-    report = ExperimentReport(
-        "m_interface_rigidity",
-        _config_echo(
-            p,
-            cfg,
-            m=m,
-            eps_list=list(eps_list),
-            seeds=[int(s) for s in seeds],
-            perturbation=perturbation,
-            surfaces=list(surfaces),
-            circle_n=circle_n,
-            torus_n=list(torus_n),
-            noise_amplitude=noise_amplitude,
-            torus_points_per_eps=torus_points_per_eps,
-            congruence_tol=congruence_tol,
-            symmetry_tol=symmetry_tol,
-            flow_steps=flow_steps,
-        ),
-        runs,
-        assertions,
-    )
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
+    return runs, assertions
 
 
 # ---------------------------------------------------------------------------
 # exponential decay away from the nodal set
 
 
+@_experiment("nodal_distance_decay")
 def experiment_decay(
     eps_list=(0.05, 0.025),
     n: int = 2048,
@@ -679,7 +658,7 @@ def experiment_decay(
     cfg: SolveConfig | None = None,
     rate_window: float = 0.25,
     pointwise_slack: float = 2e-2,
-) -> ExperimentReport:
+):
     """Fit the decay of |u^2 - 1| on two-interface solutions across widths.
 
     The fitted rate is compared against the linearization rate
@@ -690,9 +669,6 @@ def experiment_decay(
     leaves a deterministic ~1% shortfall from the subleading profile term,
     so the default slack is 2%).
     """
-    p = p or quartic()
-    cfg = cfg or SolveConfig()
-    t0 = time.perf_counter()
     rate_coeff = float(np.sqrt(p.d2w(1.0)))
     runs = []
     fits = {}
@@ -752,36 +728,27 @@ def experiment_decay(
                 detail=f"kappa({b:g}) / kappa({a:g}) vs width ratio {expected:g}",
             )
         )
-    report = ExperimentReport(
-        "nodal_distance_decay",
-        _config_echo(p, cfg, eps_list=list(eps_list), grid_points=n),
-        runs,
-        assertions,
-    )
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
+    return runs, assertions
 
 
 # ---------------------------------------------------------------------------
 # comparison scenario
 
 
+@_experiment("comparison_principle")
 def experiment_comparison(
     eps: float = 0.1,
     half_length: float = np.pi / 2.0,
     n: int = 257,
     p: Potential | None = None,
     cfg: SolveConfig | None = None,
-) -> ExperimentReport:
+):
     """Documented ordering scenario plus a deliberate precondition violation.
 
     The full-interval positive profile must strictly dominate the half-width
     profile extended by zero; feeding the test a sub-field that does not
     vanish on the domain boundary must classify as inapplicable.
     """
-    p = p or quartic()
-    cfg = cfg or SolveConfig()
-    t0 = time.perf_counter()
     if (n - 1) % 4 != 0:
         raise ValueError("n - 1 must be divisible by 4 so the half-width endpoints sit on the grid")
 
@@ -833,14 +800,7 @@ def experiment_comparison(
             detail=inapplicable_case.reason,
         ),
     ]
-    report = ExperimentReport(
-        "comparison_principle",
-        _config_echo(p, cfg, eps=eps, half_length=half_length, grid_points=n),
-        runs,
-        assertions,
-    )
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
+    return runs, assertions
 
 
 # ---------------------------------------------------------------------------
@@ -888,6 +848,7 @@ def _counterfactual_field(
     return Field(grid, u, eps)
 
 
+@_experiment("sliding_barrier")
 def experiment_slide(
     eps: float = 0.1,
     m: int = 4,
@@ -896,7 +857,7 @@ def experiment_slide(
     delta_fractions=(0.5, 0.25),
     p: Potential | None = None,
     cfg: SolveConfig | None = None,
-) -> ExperimentReport:
+):
     """Sliding-barrier mechanics on the non-alternating counterfactual.
 
     For each fraction of the maximal localization radius (one sixth of the
@@ -907,9 +868,6 @@ def experiment_slide(
     profile is nontrivial at every tested radius: positive profiles need a
     half-length above pi*eps/2, the existence threshold.
     """
-    p = p or quartic()
-    cfg = cfg or SolveConfig()
-    t0 = time.perf_counter()
     grid = circle_grid(n, circumference)
     require_resolution(grid, eps, cfg.min_points_per_eps)
     h = grid.h
@@ -968,20 +926,4 @@ def experiment_slide(
             )
         )
 
-    report = ExperimentReport(
-        "sliding_barrier",
-        _config_echo(
-            p,
-            cfg,
-            eps=eps,
-            m=m,
-            circumference=circumference,
-            grid_points=n,
-            delta_fractions=list(delta_fractions),
-            delta_max=delta_max,
-        ),
-        runs,
-        assertions,
-    )
-    report.runtime_seconds = time.perf_counter() - t0
-    return report
+    return runs, assertions, {"delta_max": delta_max}

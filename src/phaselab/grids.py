@@ -27,7 +27,7 @@ class ResolutionError(ValueError):
     """Grid too coarse for the requested transition width."""
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Grid:
     """Uniform discretization of an interval, circle, or flat torus.
 
@@ -39,17 +39,6 @@ class Grid:
     kind: str  # "interval" | "circle" | "torus"
     shape: tuple[int, ...]
     lengths: tuple[float, ...]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Grid)
-            and self.kind == other.kind
-            and self.shape == other.shape
-            and self.lengths == other.lengths
-        )
-
-    def __hash__(self):
-        return hash((self.kind, self.shape, self.lengths))
 
     @property
     def npoints(self) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Field
-from .grids import circle_distance
+from .grids import circle_distance, circle_grid
 
 __all__ = [
     "NodalSet",
@@ -27,6 +27,7 @@ __all__ = [
     "check_alternation",
     "check_rotation_symmetry",
     "cluster_fiber_angles",
+    "fiber_nodal_set",
     "fit_decay",
     "nodal_distance",
 ]
@@ -177,12 +178,10 @@ def check_alternation(f: Field, ns: NodalSet, indeterminate_tol: float = 1e-8) -
     if ns.is_empty:
         raise ValueError("alternation needs a nonempty nodal set")
     if f.grid.kind == "torus":
-        angles = cluster_fiber_angles(ns, gap_threshold=4.0 * f.grid.h)
         profile = Field(
-            _fiber_profile_grid(f), f.values.mean(axis=1), f.epsilon
+            circle_grid(f.grid.shape[0], f.grid.lengths[0]), f.values.mean(axis=1), f.epsilon
         )
-        ns1 = NodalSet("circle", angles, np.zeros(angles.size, dtype=int), (f.grid.lengths[0],))
-        return check_alternation(profile, ns1, indeterminate_tol)
+        return check_alternation(profile, fiber_nodal_set(ns, f.grid.h), indeterminate_tol)
     L = f.grid.lengths[0]
     angles = np.sort(ns.angles)
     spacings = _circle_spacings(angles, L)
@@ -197,12 +196,6 @@ def check_alternation(f: Field, ns: NodalSet, indeterminate_tol: float = 1e-8) -
         signs.append(1 if val > 0 else -1)
     m = len(signs)
     return all(signs[i] != signs[(i + 1) % m] for i in range(m))
-
-
-def _fiber_profile_grid(f: Field):
-    from .grids import circle_grid
-
-    return circle_grid(f.grid.shape[0], f.grid.lengths[0])
 
 
 @dataclass(frozen=True)
@@ -233,6 +226,13 @@ def check_rotation_symmetry(f: Field, m: int, tol: float = 1e-7) -> SymmetryRepo
     flip = float(np.max(np.abs(np.roll(v, -k, axis=0) + v)))
     plain = float(np.max(np.abs(np.roll(v, -2 * k, axis=0) - v)))
     return SymmetryReport(m, k, flip, plain, tol, flip <= tol)
+
+
+def fiber_nodal_set(ns: NodalSet, h: float) -> NodalSet:
+    """The circle nodal set of a torus cloud's fibers: one angle per cluster
+    of points with gaps under 4h (h the spacing along axis 0)."""
+    angles = cluster_fiber_angles(ns, gap_threshold=4.0 * h)
+    return NodalSet("circle", angles, np.zeros(angles.size, dtype=int), (ns.lengths[0],))
 
 
 def cluster_fiber_angles(ns: NodalSet, gap_threshold: float) -> np.ndarray:

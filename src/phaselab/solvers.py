@@ -22,7 +22,7 @@ operator, whose nonzero info (no convergence) raises SingularJacobianError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -147,10 +147,12 @@ class ModelSolution:
 # linear solves
 
 
-def _fd_eigenvalues(n: int, h: float) -> np.ndarray:
-    """Eigenvalues of -Lap_h on a periodic chain, FFT ordering."""
-    k = np.arange(n)
-    return (2.0 - 2.0 * np.cos(2.0 * np.pi * k / n)) / h**2
+def _torus_symbol(grid: Grid) -> np.ndarray:
+    """Eigenvalues of -Lap_h on a torus grid, in rfft2 layout."""
+    (n1, n2), (h1, h2) = grid.shape, grid.spacings
+    lam1 = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n1) / n1)) / h1**2
+    lam2 = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n2 // 2 + 1) / n2)) / h2**2
+    return lam1[:, None] + lam2[None, :]
 
 
 def _periodic_chain_csc(n: int, cc: float) -> sp.csc_matrix:
@@ -190,11 +192,7 @@ class _FlowStepper:
         elif grid.kind == "circle":
             self._lu = spla.splu(_periodic_chain_csc(grid.shape[0], c / grid.h**2))
         else:
-            n1, n2 = grid.shape
-            h1, h2 = grid.spacings
-            lam1 = _fd_eigenvalues(n1, h1)
-            lam2 = _fd_eigenvalues(n2, h2)[: n2 // 2 + 1]
-            self._denom = 1.0 + c * (lam1[:, None] + lam2[None, :])
+            self._denom = 1.0 + c * _torus_symbol(grid)
 
     def step(self, v: np.ndarray, p: Potential) -> np.ndarray:
         rhs = v - (self.dt / self.eps) * p.dw(v)
@@ -327,17 +325,14 @@ def _make_jacobian_solver(grid: Grid, eps: float, p: Potential):
     # torus: matrix-free symmetric solve, preconditioned by the constant
     # coefficient operator (-eps Lap_h + c0/eps) inverted with FFTs
     n1, n2 = grid.shape
-    h1, h2 = grid.spacings
-    lam1 = _fd_eigenvalues(n1, h1)
-    lam2 = _fd_eigenvalues(n2, h2)[: n2 // 2 + 1]
     c0 = float(p.d2w(1.0))
     if c0 <= 0:
         c0 = 1.0
+    denom = eps * _torus_symbol(grid) + c0 / eps
     size = n1 * n2
 
     def solve(v, res):
         d2 = p.d2w(v) / eps
-        denom = eps * (lam1[:, None] + lam2[None, :]) + c0 / eps
 
         def matvec(x):
             X = x.reshape(n1, n2)
@@ -637,12 +632,11 @@ def solve_dirichlet_model(
     chunk = 400
     steps_used = 0
     newton_attempts = 0
-    flow_cfg = replace(cfg)
 
     while steps_used < cfg.max_flow_steps:
         this_chunk = min(chunk, cfg.max_flow_steps - steps_used)
         trace = gradient_flow(
-            u, p, flow_cfg, StopRule(max_steps=this_chunk, adapt_dt=True), _project=project
+            u, p, cfg, StopRule(max_steps=this_chunk, adapt_dt=True), _project=project
         )
         u = trace.field
         steps_used += trace.steps

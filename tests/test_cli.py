@@ -1,7 +1,9 @@
 import json
 
 import numpy as np
+import pytest
 
+import phaselab as pl
 from phaselab.cli import main
 
 
@@ -138,3 +140,62 @@ def test_experiment_two_interface_csv(tmp_path):
     lines = csv.read_text().splitlines()
     assert len(lines) == 3
     assert "outcome" in lines[0].split(",")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["threshold", "--l", "0.785", "--out", "x.json", "--seed", "3", "--grid-n", "99"],
+        ["threshold", "--l", "0.785", "--out", "x.json"],
+        ["experiment", "decay", "--seeds", "3", "--m", "9", "--surfaces", "klein"],
+        ["experiment", "decay", "--seeds", "3"],
+        ["experiment", "decay", "--m", "9"],
+        ["experiment", "comparison", "--eps", "0.1", "0.05"],
+        ["experiment", "comparison", "--seed", "3"],
+        ["experiment", "m-rigidity", "--surfaces", "klein"],
+        ["experiment", "--eps", "0.1", "comparison"],
+        ["analyze", "--snapshot", "x.snap", "--tol", "1e-9"],
+    ],
+    ids=" ".join,
+)
+def test_option_the_command_does_not_read_exits_two(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert "usage:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["threshold", "--l", "0.785", "--tol", "0"], ["experiment", "comparison", "--tol", "0"]],
+    ids=" ".join,
+)
+def test_zero_tolerance_is_rejected_not_ignored(argv, capsys):
+    assert main(argv) == 2
+    assert "tol_grad" in capsys.readouterr().err
+
+
+def test_experiment_options_reach_the_driver(capsys):
+    rc = main(
+        [
+            "experiment", "two-interface", "--eps", "0.25", "--seeds", "2", "--seed", "5",
+            "--grid-n", "256", "--tol", "1e-11", "--json",
+        ]
+    )
+    assert rc == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert config["eps_list"] == [0.25]
+    assert config["seeds"] == [5, 6]
+    assert config["grid_points"] == 256
+    assert config["solver"]["tol_grad"] == 1e-11
+
+
+def test_experiment_without_options_uses_the_library_defaults(capsys):
+    assert main(["experiment", "comparison", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["config"] == json.loads(pl.experiment_comparison().to_json_bytes())["config"]
+
+
+def test_m_rigidity_grid_n_sets_the_circle_grid(capsys):
+    assert main(["experiment", "m-rigidity", "--grid-n", "510"]) == 2
+    assert "divisible" in capsys.readouterr().err

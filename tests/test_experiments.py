@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,8 @@ from phaselab.experiments import (
 )
 from phaselab.fields import Field
 from phaselab.grids import circle_grid, interval_grid, torus_grid
-from phaselab.potentials import quartic
+from phaselab.potentials import make_potential, quartic
+from phaselab.reports import canonicalize
 from phaselab.solvers import SolveConfig, multi_interface_seed, solve_dirichlet_model
 
 P = quartic()
@@ -276,3 +279,52 @@ class TestReportDeterminism:
         rep = experiment_comparison()
         census = rep.census()
         assert sum(census.values()) == len(rep.runs)
+
+
+# every driver at a small size, with the config keys its report adds beyond
+# its own parameters
+ECHO_CASES = [
+    (experiment_two_interface, {"eps_list": (0.25,), "seeds": range(1), "n": 256}, set()),
+    (experiment_m_rigidity, {"eps_list": (0.15,), "seeds": (), "surfaces": ("circle",)}, set()),
+    (experiment_decay, {"eps_list": (0.05,), "n": 2048}, set()),
+    (experiment_comparison, {}, set()),
+    (experiment_slide, {"delta_fractions": (0.25,)}, {"delta_max"}),
+]
+
+
+class TestConfigEcho:
+    @pytest.mark.parametrize(
+        "driver, kwargs, derived", ECHO_CASES, ids=[c[0].__name__ for c in ECHO_CASES]
+    )
+    def test_config_echoes_every_parameter_and_replays(self, driver, kwargs, derived):
+        rep = driver(**kwargs)
+        params = [k for k in inspect.signature(driver).parameters if k not in ("p", "cfg")]
+        echoed = {"grid_points" if k == "n" else k: k for k in params}
+        assert set(rep.config) == set(echoed) | {"potential", "solver", "residual_form"} | derived
+        for key, value in kwargs.items():
+            expected = list(value) if isinstance(value, range) else value
+            assert rep.config["grid_points" if key == "n" else key] == canonicalize(expected)
+        # the echoed config alone reproduces the report's bytes
+        solver = {k: v for k, v in rep.config["solver"].items() if k != "damping"}
+        replay = driver(
+            **{arg: rep.config[key] for key, arg in echoed.items()},
+            p=make_potential(rep.config["potential"]),
+            cfg=SolveConfig(**solver),
+        )
+        assert replay.to_json_bytes() == rep.to_json_bytes()
+
+    def test_solver_echo_holds_every_solve_config_field(self):
+        rep = experiment_comparison(cfg=SolveConfig(tol_grad=1e-11, max_newton=40))
+        assert rep.config["solver"] == {
+            "tol_grad": 1e-11,
+            "max_newton": 40,
+            "max_flow_steps": 100_000,
+            "flow_dt": None,
+            "min_points_per_eps": 8.0,
+            "damping": 0.5,
+        }
+
+    def test_census_drivers_default_to_tight_tolerance(self):
+        rigidity = experiment_m_rigidity(eps_list=(0.15,), seeds=(), surfaces=("circle",))
+        assert rigidity.config["solver"]["tol_grad"] == 1e-12
+        assert experiment_comparison().config["solver"]["tol_grad"] == 1e-10

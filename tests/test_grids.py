@@ -99,3 +99,5 @@ def test_grid_equality_is_metadata():
     assert circle_grid(64) == circle_grid(64)
     assert circle_grid(64) != circle_grid(128)
     assert circle_grid(64) != interval_grid(64, np.pi)
+    assert hash(torus_grid(32, 16)) == hash(torus_grid(32, 16))
+    assert len({circle_grid(64), circle_grid(64), circle_grid(128)}) == 2

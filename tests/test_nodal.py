@@ -11,6 +11,7 @@ from phaselab.nodal import (
     check_rotation_symmetry,
     cluster_fiber_angles,
     extract_nodal_set,
+    fiber_nodal_set,
     fit_decay,
     hausdorff_distance,
 )
@@ -315,6 +316,25 @@ class TestClusterFiberAngles:
         assert centers.size == 2
         assert min(abs(centers - 0.0).min(), abs(centers - 2 * np.pi).min()) <= 0.01
         assert abs(centers - 2.5).min() <= 0.01
+
+    def test_fiber_nodal_set_of_a_fibered_torus_field(self):
+        g = torus_grid(128, 16)
+        theta = g.axis(0)[:, None] + 0.0 * g.axis(1)[None, :]
+        ns = extract_nodal_set(Field(g, np.cos(2.0 * theta + 0.1), 0.2))
+        fibers = fiber_nodal_set(ns, g.h)
+        expected = (np.array([np.pi / 2, 3 * np.pi / 2, 5 * np.pi / 2, 7 * np.pi / 2]) - 0.1) / 2
+        assert fibers.kind == "circle" and fibers.lengths == (g.lengths[0],)
+        assert np.array_equal(fibers.angles, cluster_fiber_angles(ns, gap_threshold=4.0 * g.h))
+        assert np.allclose(fibers.angles, expected, atol=1e-3)
+        assert fibers.count == 4 and not fibers.directions.any()
+
+    def test_fiber_nodal_set_joins_gaps_under_four_steps(self):
+        h = 0.01
+        theta = np.array([1.0, 1.0 + 3.5 * h, 1.0 + 7.0 * h, 4.0])
+        pts = np.column_stack([theta, np.linspace(0.0, 6.0, theta.size)])
+        zeros = np.zeros(theta.size, dtype=int)
+        ns = NodalSet("torus", theta, zeros, (2 * np.pi, 2 * np.pi), pts, zeros, zeros)
+        assert np.allclose(fiber_nodal_set(ns, h).angles, [1.0 + 3.5 * h, 4.0])
 
 
 @pytest.fixture(scope="module")

@@ -561,3 +561,17 @@ def test_torus_minres_failure_raises_singular_jacobian(monkeypatch):
     monkeypatch.setattr(solvers.spla, "minres", no_convergence)
     with pytest.raises(SingularJacobianError, match="info=1"):
         solve(f.values, rhs)
+
+
+@pytest.mark.parametrize("shape", [(16, 16), (17, 20), (256, 64)])
+def test_torus_symbol_matches_per_axis_eigenvalues_exactly(shape):
+    g = torus_grid(*shape)
+    (n1, n2), (h1, h2) = g.shape, g.spacings
+
+    def chain(n, h):  # eigenvalues of -Lap_h on a periodic chain, FFT order
+        return (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)) / h**2
+
+    expected = chain(n1, h1)[:, None] + chain(n2, h2)[: n2 // 2 + 1][None, :]
+    symbol = solvers._torus_symbol(g)
+    assert symbol.shape == np.fft.rfft2(np.zeros(shape)).shape
+    assert np.array_equal(symbol.view(np.int64), expected.view(np.int64))
