@@ -1,7 +1,7 @@
 """Command-line surface: solves, analyses, experiments.
 
 Exit codes: 0 success, 1 failed assertion/check, 2 usage error (unknown
-flags, invalid parameters).
+flags, invalid parameters, files that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from . import experiments as xp
-from .grids import ResolutionError
 from .io import emit_plotdata, load_snapshot_with_meta, save_snapshot
 from .nodal import (
     check_alternation,
@@ -116,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--dt", type=float, default=None)
     s.add_argument("--trace", type=str, default=None, help="CSV path for the energy/angle trace")
     s.add_argument("--track-nodal", action="store_true")
-    _common(s, "tol", "out", "json")
+    _common(s, "out", "json")
     s.set_defaults(func=cmd_flow)
 
     s = sp.add_parser("analyze", help="nodal/congruence/alternation/symmetry/decay on a snapshot")
@@ -254,21 +253,17 @@ def cmd_refine(args) -> int:
 def cmd_flow(args) -> int:
     field, meta = load_snapshot_with_meta(args.snapshot)
     p = make_potential(meta["potential"]) if meta["potential"] else quartic()
-    cfg = _cfg(args)
-    if args.dt is not None:
-        cfg.flow_dt = args.dt
-    trace = gradient_flow(
-        field, p, cfg, StopRule(max_steps=args.steps, track_nodal=args.track_nodal)
-    )
+    stop = StopRule(max_steps=args.steps, track_nodal=args.track_nodal)
+    trace = gradient_flow(field, p, SolveConfig(flow_dt=args.dt), stop)
     out = args.out or args.snapshot
     save_snapshot(trace.field, out, potential=p.describe())
     _say(
         args,
-        f"flowed {trace.steps} steps ({trace.reason}); energy {trace.energies[-1]:.6g}; wrote {out}",
+        f"flowed {trace.steps} steps; energy {trace.energies[-1]:.6g}; wrote {out}",
     )
     if args.trace:
         emit_plotdata(trace, args.trace)
-    _emit_json(args, {"steps": trace.steps, "reason": trace.reason, "final_energy": float(trace.energies[-1])})
+    _emit_json(args, {"steps": trace.steps, "final_energy": float(trace.energies[-1])})
     return 0
 
 
@@ -352,7 +347,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, ResolutionError) as exc:
+    except (ValueError, OSError) as exc:  # ResolutionError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

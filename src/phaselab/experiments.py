@@ -100,16 +100,14 @@ def comparison_test(
     v: Field,
     domain_mask: np.ndarray,
     p: Potential,
-    residual_tol: float = 1e-8,
-    boundary_tol: float = 1e-10,
 ) -> ComparisonReport:
     """Check the strict ordering u > v inside a sub-domain.
 
     Preconditions (violations classify the pair as inapplicable, not failed):
     both fields solve the criticality equation on the domain interior at the
-    same width, u is strictly positive on the domain, and v vanishes on the
-    domain boundary.  A genuine failure on applicable inputs indicates a
-    solver or discretization bug.
+    same width (residual at most 1e-8), u is strictly positive on the domain,
+    and v vanishes on the domain boundary (|v| at most 1e-10).  A genuine
+    failure on applicable inputs indicates a solver or discretization bug.
     """
     mask = np.asarray(domain_mask, dtype=bool)
     if u.grid != v.grid:
@@ -129,7 +127,7 @@ def comparison_test(
     if float(np.min(u.values[mask])) <= 0.0:
         return ComparisonReport("inapplicable", "u is not strictly positive on the domain")
     vb = float(np.max(np.abs(v.values[boundary])))
-    if vb > boundary_tol:
+    if vb > 1e-10:
         return ComparisonReport(
             "inapplicable", f"v is not zero on the domain boundary (max |v| = {vb:.3e})"
         )
@@ -137,7 +135,7 @@ def comparison_test(
     for name, fld in (("u", u), ("v", v)):
         res = gradient(fld, p).values
         rn = float(np.max(np.abs(res[interior])))
-        if rn > residual_tol:
+        if rn > 1e-8:
             return ComparisonReport(
                 "inapplicable",
                 f"{name} is not a critical point on the domain interior (residual {rn:.3e})",
@@ -171,13 +169,13 @@ class BarrierConstructionError(ValueError):
 
 @dataclass
 class Barrier:
-    """A compactly supported comparison profile on a circle or torus grid."""
+    """A three-lobe comparison profile, compactly supported on a circle or
+    torus grid."""
 
     field: Field
     mask: np.ndarray
-    kind: str  # "three_lobe" | "two_lobe"
     center: float  # snapped to the grid
-    width: float  # snapped: core half-width (three_lobe) or lobe width (two_lobe)
+    width: float  # core half-width, snapped to the grid
     center_index: int
     half_steps: int  # support reaches center_index +- half_steps
     zeros: tuple
@@ -193,7 +191,6 @@ class Barrier:
 
 
 def build_barrier(
-    kind: str,
     center: float,
     width: float,
     epsilon: float,
@@ -201,13 +198,11 @@ def build_barrier(
     grid: Grid,
     cfg: SolveConfig | None = None,
 ) -> Barrier:
-    """Assemble a sliding barrier from a positive interval profile.
+    """Assemble a three-lobe sliding barrier from a positive interval profile.
 
-    ``three_lobe``: a positive core of half-width ``width`` flanked by odd
-    reflections (negative lobes); support is six half-widths.  ``two_lobe``:
-    a positive lobe of full width ``width`` to the right of the center and
-    its odd mirror image to the left; support is two widths.  Center and
-    width are snapped to grid points so the odd symmetries are exact.
+    A positive core of half-width ``width`` is flanked by its odd reflections
+    (negative lobes); the support is six half-widths.  Center and width are
+    snapped to grid points so the odd symmetries are exact.
     """
     if grid.kind not in ("circle", "torus"):
         raise ValueError("barriers live on circle or torus grids")
@@ -217,55 +212,33 @@ def build_barrier(
     h = L / n
 
     center_index = int(round((center % L) / h)) % n
-    if kind == "three_lobe":
-        steps = int(round(width / h))
-        if steps < 4:
-            raise BarrierConstructionError(f"core half-width {width:.3g} spans under 4 grid steps")
-        half_steps = 3 * steps
-        model_half = steps * h
-        n_model = 2 * steps + 1
-    elif kind == "two_lobe":
-        steps = int(round(width / h))
-        if steps < 8:
-            raise BarrierConstructionError(f"lobe width {width:.3g} spans under 8 grid steps")
-        if steps % 2 != 0:
-            steps += 1  # keep the lobe's own midpoint on the grid
-        half_steps = steps
-        model_half = steps * h / 2.0
-        n_model = steps + 1
-    else:
-        raise ValueError(f"unknown barrier kind: {kind!r}")
+    steps = int(round(width / h))
+    if steps < 4:
+        raise BarrierConstructionError(f"core half-width {width:.3g} spans under 4 grid steps")
+    half_steps = 3 * steps
 
     if 2 * half_steps + 1 > n:
         raise BarrierConstructionError(
             f"barrier support ({2 * half_steps + 1} points) overlaps itself on the circle ({n} points)"
         )
 
-    model = solve_dirichlet_model(model_half, epsilon, p, cfg, n=n_model)
+    model = solve_dirichlet_model(steps * h, epsilon, p, cfg, n=2 * steps + 1)
     if model.status != "positive":
         raise BarrierConstructionError(
-            f"no positive profile at width {epsilon:g} on a half-length {model_half:.4g} piece; "
+            f"no positive profile at width {epsilon:g} on a half-length {steps * h:.4g} piece; "
             "the barrier would vanish identically"
         )
     v = model.field.values
 
     offsets = np.arange(-half_steps, half_steps + 1)
-    if kind == "three_lobe":
-        vals = np.empty(offsets.size)
-        for j, s in enumerate(offsets):
-            a = abs(int(s))
-            if a <= steps:
-                vals[j] = v[steps + s]
-            else:
-                vals[j] = -v[3 * steps - a]
-        zeros = tuple(
-            (center_index + d * steps) * h % L for d in (-3, -1, 1, 3)
-        )
-    else:
-        vals = np.empty(offsets.size)
-        for j, s in enumerate(offsets):
-            vals[j] = v[s] if s >= 0 else -v[-s]
-        zeros = tuple((center_index + d * steps) * h % L for d in (-1, 0, 1))
+    vals = np.empty(offsets.size)
+    for j, s in enumerate(offsets):
+        a = abs(int(s))
+        if a <= steps:
+            vals[j] = v[steps + s]
+        else:
+            vals[j] = -v[3 * steps - a]
+    zeros = tuple((center_index + d * steps) * h % L for d in (-3, -1, 1, 3))
 
     circle_vals = np.zeros(n)
     idx = (center_index + offsets) % n
@@ -283,7 +256,6 @@ def build_barrier(
     return Barrier(
         Field(grid, values, epsilon),
         mask,
-        kind,
         (center_index * h) % L,
         steps * h,
         center_index,
@@ -301,7 +273,6 @@ class SlideReport:
     interior: bool | None
     min_gap_history: np.ndarray
     max_offset: float
-    orientation: str
 
     def as_dict(self) -> dict:
         return {
@@ -311,30 +282,19 @@ class SlideReport:
             "location": list(self.location) if self.location else None,
             "interior": self.interior,
             "max_offset": self.max_offset,
-            "orientation": self.orientation,
         }
 
 
-def slide_to_touch(
-    u: Field,
-    barrier: Barrier,
-    direction: int = -1,
-    max_offset: float = None,
-    orientation: str = "barrier_above",
-) -> SlideReport:
-    """Slide the barrier in whole grid steps until the ordering first fails.
+def slide_to_touch(u: Field, barrier: Barrier, max_offset: float) -> SlideReport:
+    """Slide the barrier toward smaller angles, in whole grid steps up to
+    ``max_offset``, until the ordering barrier > u first fails.
 
-    ``direction = -1`` slides toward smaller angles.  With orientation
-    ``barrier_above`` the monitored quantity is min(barrier - u) over the
-    slid support; the first nonpositive minimum is the touching event.  The
-    touch is interior when it does not occur at a support endpoint.
+    The monitored quantity is min(barrier - u) over the slid support; the
+    first nonpositive minimum is the touching event.  The touch is interior
+    when it does not occur at a support endpoint.
     """
     if u.grid != barrier.field.grid:
         raise ValueError("field and barrier live on different grids")
-    if direction not in (-1, 1):
-        raise ValueError("direction must be +1 or -1")
-    if max_offset is None:
-        raise ValueError("max_offset is required")
     g = u.grid
     h = g.h
     L = g.lengths[0]
@@ -342,17 +302,15 @@ def slide_to_touch(
     b0 = barrier.field.values
     m0 = barrier.mask
 
-    sign = 1.0 if orientation == "barrier_above" else -1.0
-    gaps0 = sign * (b0 - u.values)[m0]
+    gaps0 = (b0 - u.values)[m0]
     if float(np.min(gaps0)) <= 0.0:
         raise ValueError("ordering already violated at offset 0; sliding setup inapplicable")
 
     history = [float(np.min(gaps0))]
     for k in range(1, k_max + 1):
-        shift = direction * k
-        b = np.roll(b0, shift, axis=0)
-        m = np.roll(m0, shift, axis=0)
-        gaps = sign * (b - u.values)
+        b = np.roll(b0, -k, axis=0)
+        m = np.roll(m0, -k, axis=0)
+        gaps = b - u.values
         masked = np.where(m, gaps, np.inf)
         idx_flat = int(np.argmin(masked))
         loc = np.unravel_index(idx_flat, g.shape)
@@ -369,9 +327,8 @@ def slide_to_touch(
                 interior,
                 np.asarray(history),
                 max_offset,
-                orientation,
             )
-    return SlideReport(False, None, None, None, None, np.asarray(history), max_offset, orientation)
+    return SlideReport(False, None, None, None, None, np.asarray(history), max_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +666,7 @@ def experiment_decay(
         assertions.append(
             assertion(
                 f"pointwise_bound_eps_{eps:g}",
-                fits[eps].pointwise_factor <= 1.0 + pointwise_slack,
+                fits[eps].pointwise_bound_holds(pointwise_slack),
                 measured=fits[eps].pointwise_factor,
                 tolerance=1.0 + pointwise_slack,
                 detail="envelope/least-squares amplitude ratio; the envelope bounds every resolvable grid point",
@@ -887,7 +844,7 @@ def experiment_slide(
 
         run = {"delta_fraction": frac, "delta": delta, "sigma": list(sigma)}
         try:
-            barrier = build_barrier("three_lobe", center, delta, eps, p, grid, cfg)
+            barrier = build_barrier(center, delta, eps, p, grid, cfg)
         except BarrierConstructionError as exc:
             run.update(outcome="barrier_trivial", error=str(exc))
             runs.append(run)
@@ -901,7 +858,7 @@ def experiment_slide(
             continue
         vmax = float(np.max(barrier.field.values))
         u = _counterfactual_field(grid, eps, sigma, delta, vmax, 0.2 * delta, p)
-        slide = slide_to_touch(u, barrier, direction=-1, max_offset=3.0 * delta)
+        slide = slide_to_touch(u, barrier, max_offset=3.0 * delta)
         run.update(
             outcome="touched" if slide.touched else "no_touch",
             barrier_max=vmax,

@@ -61,12 +61,8 @@ class Field:
 
 def laplacian(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Second-order stencil Laplacian; zero on Dirichlet boundary rows."""
-    if grid.kind == "interval":
-        h2 = grid.h ** 2
-        out = np.zeros_like(v)
-        out[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
-        return out
-    # periodic: (v[i+1] - 2 v[i]) + v[i-1] along each wrapped axis, axes summed in order
+    # (v[i+1] - 2 v[i]) + v[i-1] along each wrapped axis, axes summed in order;
+    # the interval's two wrapped rows are its boundary rows, zeroed below
     out = None
     for axis, h in enumerate(grid.spacings):
         w = v.swapaxes(0, axis)
@@ -81,6 +77,8 @@ def laplacian(grid: Grid, v: np.ndarray) -> np.ndarray:
             out = d
         else:
             out += d
+    if grid.kind == "interval":
+        out[0] = out[-1] = 0.0
     return out
 
 

@@ -79,9 +79,6 @@ class Grid:
         w.flags.writeable = False
         return w
 
-    def resolution_ratio(self, epsilon: float) -> float:
-        return epsilon / self.h
-
 
 def interval_grid(n: int, half_length: float) -> Grid:
     _validate(n, half_length)
@@ -127,7 +124,7 @@ def circle_distance(a, b, circumference: float = TWO_PI):
 
 def require_resolution(grid: Grid, epsilon: float, points_per_eps: float = 8.0) -> None:
     """Enforce the layer-resolution rule epsilon / h >= points_per_eps."""
-    ratio = grid.resolution_ratio(epsilon)
+    ratio = epsilon / grid.h
     if ratio < points_per_eps - 1e-9:
         raise ResolutionError(
             f"epsilon/h = {ratio:.3g} < {points_per_eps:g}: grid too coarse for "

@@ -49,7 +49,12 @@ class CorruptSnapshotError(SnapshotError):
     pass
 
 
-def save_snapshot(f: Field, path, potential: dict | None = None, config_hash: str | None = None) -> None:
+def save_snapshot(f: Field, path, potential: dict | None = None) -> None:
+    """Write ``f`` and the potential's description as a snapshot file.
+
+    The header's ``config:`` line is always ``-``; the reader still parses
+    it and returns it as ``meta["config_hash"]``.
+    """
     g = f.grid
     lines = [f"{SNAPSHOT_NAME} {SNAPSHOT_VERSION}"]
     lines.append(
@@ -58,7 +63,7 @@ def save_snapshot(f: Field, path, potential: dict | None = None, config_hash: st
     )
     lines.append(f"epsilon: {float(f.epsilon).hex()} # {float(f.epsilon)!r}")
     lines.append("potential: " + json.dumps(canonicalize(potential) if potential else None, sort_keys=True))
-    lines.append(f"config: {config_hash or '-'}")
+    lines.append("config: -")
     flat = f.values.ravel()
     lines.append(f"values: {flat.size}")
     for x in flat:

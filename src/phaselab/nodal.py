@@ -173,15 +173,19 @@ def _interpolate_circle(f: Field, theta: float) -> float:
     return float((1.0 - t) * v[i] + t * v[(i + 1) % g.shape[0]])
 
 
-def check_alternation(f: Field, ns: NodalSet, indeterminate_tol: float = 1e-8) -> bool:
-    """True iff the field sign alternates across consecutive nodal arcs."""
+def check_alternation(f: Field, ns: NodalSet) -> bool:
+    """True iff the field sign alternates across consecutive nodal arcs.
+
+    An arc whose midpoint value is below 1e-8 in size raises
+    IndeterminateSignError.
+    """
     if ns.is_empty:
         raise ValueError("alternation needs a nonempty nodal set")
     if f.grid.kind == "torus":
         profile = Field(
             circle_grid(f.grid.shape[0], f.grid.lengths[0]), f.values.mean(axis=1), f.epsilon
         )
-        return check_alternation(profile, fiber_nodal_set(ns, f.grid.h), indeterminate_tol)
+        return check_alternation(profile, fiber_nodal_set(ns, f.grid.h))
     L = f.grid.lengths[0]
     angles = np.sort(ns.angles)
     spacings = _circle_spacings(angles, L)
@@ -189,7 +193,7 @@ def check_alternation(f: Field, ns: NodalSet, indeterminate_tol: float = 1e-8) -
     for z, s in zip(angles, spacings):
         mid = (z + 0.5 * s) % L
         val = _interpolate_circle(f, mid)
-        if abs(val) < indeterminate_tol:
+        if abs(val) < 1e-8:
             raise IndeterminateSignError(
                 f"arc midpoint {mid:.6g} has |u| = {abs(val):.2e}; sign indeterminate"
             )
@@ -277,7 +281,7 @@ class DecayFit:
         """Smallest constant whose exponential bounds every resolvable point."""
         return self.amplitude * self.pointwise_factor
 
-    def pointwise_bound_holds(self, slack: float = 1e-2) -> bool:
+    def pointwise_bound_holds(self, slack: float) -> bool:
         return self.pointwise_factor <= 1.0 + slack
 
 

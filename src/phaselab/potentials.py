@@ -50,8 +50,6 @@ class Potential:
     def describe(self) -> dict:
         if self.kind == "table":
             return {"kind": "table", "points": [[float(a), float(b)] for a, b in self.params]}
-        if self.kind == "quartic":
-            return {"kind": "quartic"}
         return {"kind": self.kind}
 
 

@@ -104,8 +104,6 @@ class SolveConfig:
 @dataclass
 class StopRule:
     max_steps: int | None = None
-    grad_tol: float | None = None
-    grad_check_every: int = 25
     sample_every: int = 50
     track_nodal: bool = False
     adapt_dt: bool = False
@@ -117,7 +115,6 @@ class FlowTrace:
     energies: np.ndarray
     steps: int
     angle_samples: list
-    reason: str
     dt_final: float
 
 
@@ -497,12 +494,14 @@ def gradient_flow(
     stop: StopRule | None = None,
     _project=None,
 ) -> FlowTrace:
-    """Semi-implicit energy descent; energy is monitored every step.
+    """Semi-implicit energy descent for a fixed number of steps; energy is
+    monitored every step.
 
-    An energy increase beyond the slack (after the 10-step transient) halves
-    the step and retries; collapse below 1e-14 aborts, and so does a
-    non-finite energy at any step.  Nodal angles are sampled into the trace
-    when the stop rule asks for them.
+    The flow runs ``stop.max_steps`` steps (``cfg.max_flow_steps`` when
+    unset).  An energy increase beyond the slack (after the 10-step
+    transient) halves the step and retries; collapse below 1e-14 aborts, and
+    so does a non-finite energy at any step.  Nodal angles are sampled into
+    the trace when the stop rule asks for them.
     """
     cfg = cfg or SolveConfig()
     cfg.validate()
@@ -520,13 +519,11 @@ def gradient_flow(
     max_steps = stop.max_steps if stop.max_steps is not None else cfg.max_flow_steps
     energies = [energy(Field(f.grid, v, eps), p)]
     angle_samples = []
-    reason = "max_steps"
     # adaptive growth cap from explicit-term stability on the well force
     if stop.adapt_dt:
         curv = float(np.max(np.abs(p.d2w(np.linspace(-1.2, 1.2, 101)))))
         dt_cap = 0.5 * eps / max(curv, 1e-6)
 
-    steps_done = 0
     for step_i in range(1, max_steps + 1):
         while True:
             v_new = stepper.step(v, p)
@@ -547,25 +544,17 @@ def gradient_flow(
             break
         v = v_new
         energies.append(e_new)
-        steps_done = step_i
 
         if stop.track_nodal and step_i % stop.sample_every == 0:
             from .nodal import extract_nodal_set
 
             ns = extract_nodal_set(Field(f.grid, v, eps))
             angle_samples.append((step_i, ns.angles.copy()))
-        if stop.grad_tol is not None and step_i % stop.grad_check_every == 0:
-            gn = sup_norm(gradient(Field(f.grid, v, eps), p).values)
-            if gn <= stop.grad_tol:
-                reason = "grad_tol"
-                break
         if stop.adapt_dt and step_i % 64 == 0 and dt < dt_cap:
             dt = min(dt * 1.4, dt_cap)
             stepper = _FlowStepper(f.grid, eps, dt)
 
-    return FlowTrace(
-        Field(f.grid, v, eps), np.asarray(energies), steps_done, angle_samples, reason, dt
-    )
+    return FlowTrace(Field(f.grid, v, eps), np.asarray(energies), max_steps, angle_samples, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -685,9 +674,9 @@ def existence_threshold(
     half_length: float,
     p: Potential,
     cfg: SolveConfig | None = None,
-    rel_width: float = 1e-3,
 ) -> float:
-    """Bisection estimate of the width below which a positive profile exists."""
+    """Bisection estimate, to 1e-3 relative, of the width below which a
+    positive profile exists."""
     if not (half_length > 0.0):
         raise ValueError("half_length must be positive")
     cfg = cfg or SolveConfig()
@@ -712,7 +701,7 @@ def existence_threshold(
         if tries > 12:
             raise SolverError("could not bracket the existence threshold from above")
 
-    while (hi - lo) > rel_width * 0.5 * (hi + lo):
+    while (hi - lo) > 1e-3 * 0.5 * (hi + lo):
         mid = 0.5 * (lo + hi)
         if positive(mid):
             lo = mid
@@ -745,13 +734,13 @@ def reflect_extend(model: ModelSolution, copies: int) -> Field:
     return Field(circle_grid(n, circumference), values, model.field.epsilon)
 
 
-def multi_interface_seed(grid: Grid, epsilon: float, angles, first_sign: float = 1.0) -> Field:
+def multi_interface_seed(grid: Grid, epsilon: float, angles) -> Field:
     """Smooth saturated seed with one sign change at each requested angle."""
     if grid.kind not in ("circle", "torus"):
         raise ValueError("seed construction needs a periodic grid")
     L = grid.lengths[0]
     theta = grid.axis(0)
-    u = np.full(theta.shape, float(first_sign))
+    u = np.ones(theta.shape)
     for z in np.atleast_1d(angles):
         s = (L / np.pi) * np.sin(np.pi * (theta - z) / L)
         u = u * np.tanh(s / (np.sqrt(2.0) * epsilon))

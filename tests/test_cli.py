@@ -155,6 +155,7 @@ def test_experiment_two_interface_csv(tmp_path):
         ["experiment", "m-rigidity", "--surfaces", "klein"],
         ["experiment", "--eps", "0.1", "comparison"],
         ["analyze", "--snapshot", "x.snap", "--tol", "1e-9"],
+        ["flow", "--snapshot", "x.snap", "--tol", "1e-9"],
     ],
     ids=" ".join,
 )
@@ -162,6 +163,24 @@ def test_option_the_command_does_not_read_exits_two(argv, tmp_path, monkeypatch,
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert "usage:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--snapshot", "missing.snap"],
+        ["refine", "--snapshot", "missing.snap"],
+        ["flow", "--snapshot", "missing.snap"],
+        ["check-potential", "--kind", "table", "--table-file", "missing.json"],
+    ],
+    ids=" ".join,
+)
+def test_missing_input_file_exits_two_without_traceback(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing." in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -109,7 +109,7 @@ class TestBarrier:
     def test_three_lobe_geometry(self):
         g = circle_grid(2048, 8 * np.pi)
         delta = 42 * g.h
-        b = build_barrier("three_lobe", np.pi, delta, 0.1, P, g)
+        b = build_barrier(np.pi, delta, 0.1, P, g)
         c = b.center_index
         n = g.shape[0]
         steps = round(b.width / g.h)
@@ -125,35 +125,21 @@ class TestBarrier:
             asym = np.abs(v[(j0 + idx) % n] + v[(j0 - idx) % n])
             assert np.max(asym) <= 1e-10
 
-    def test_two_lobe_geometry(self):
-        g = circle_grid(2048, 8 * np.pi)
-        width = 64 * g.h
-        b = build_barrier("two_lobe", np.pi, width, 0.1, P, g)
-        c = b.center_index
-        n = g.shape[0]
-        steps = round(b.width / g.h)
-        v = b.field.values
-        assert v[c] == 0.0
-        assert v[(c + steps // 2) % n] > 0 and v[(c - steps // 2) % n] < 0
-        idx = np.arange(1, steps)
-        assert np.max(np.abs(v[(c + idx) % n] + v[(c - idx) % n])) <= 1e-10
-        assert int(b.mask.sum()) == 2 * steps + 1
-
     def test_trivial_profile_rejected(self):
         g = circle_grid(2048)
         # half-width below pi*eps/2: no positive profile exists there
         with pytest.raises(BarrierConstructionError, match="vanish"):
-            build_barrier("three_lobe", np.pi, 0.12, 0.1, P, g)
+            build_barrier(np.pi, 0.12, 0.1, P, g)
 
     def test_overlap_rejected(self):
         g = circle_grid(256)
         with pytest.raises(BarrierConstructionError, match="overlap"):
-            build_barrier("three_lobe", np.pi, 1.5, 0.3, P, g)
+            build_barrier(np.pi, 1.5, 0.3, P, g)
 
-    def test_unknown_kind(self):
-        g = circle_grid(2048)
-        with pytest.raises(ValueError):
-            build_barrier("five_lobe", np.pi, 0.5, 0.1, P, g)
+    def test_interval_grid_rejected(self):
+        g = interval_grid(257, np.pi)
+        with pytest.raises(ValueError, match="circle or torus"):
+            build_barrier(0.0, 0.5, 0.1, P, g)
 
 
 class TestSlide:
@@ -165,7 +151,7 @@ class TestSlide:
         L = 8 * np.pi
         delta = round(0.35 / g.h) * g.h
         center = round(np.pi / g.h) * g.h
-        b = build_barrier("three_lobe", center, delta, eps, P, g)
+        b = build_barrier(center, delta, eps, P, g)
         vmax = float(np.max(b.field.values))
         theta = g.axis(0)
         bump_width = round(0.25 / g.h) * g.h
@@ -175,7 +161,7 @@ class TestSlide:
         peak = 0.25 * vmax
         t_star = (2 * bump_width / np.pi) * np.arccos(np.sqrt(1.0 / (1.0 + peak)))
         expected = delta - t_star
-        rep = slide_to_touch(u, b, direction=-1, max_offset=3 * delta)
+        rep = slide_to_touch(u, b, max_offset=3 * delta)
         assert rep.touched and rep.interior
         assert abs(rep.offset - expected) <= 0.05
 
@@ -184,19 +170,19 @@ class TestSlide:
         # state stays below its negative lobes forever
         g = circle_grid(2048, 8 * np.pi)
         delta = round(0.25 / g.h) * g.h
-        b = build_barrier("three_lobe", np.pi, delta, 0.1, P, g)
+        b = build_barrier(np.pi, delta, 0.1, P, g)
         assert float(np.max(b.field.values)) < 0.95
         u = Field(g, np.full(g.shape, -0.97), 0.1)
-        rep = slide_to_touch(u, b, direction=-1, max_offset=2 * delta)
+        rep = slide_to_touch(u, b, max_offset=2 * delta)
         assert not rep.touched
 
     def test_order_violation_at_start_rejected(self):
         g = circle_grid(2048, 8 * np.pi)
         delta = round(0.5 / g.h) * g.h
-        b = build_barrier("three_lobe", np.pi, delta, 0.1, P, g)
+        b = build_barrier(np.pi, delta, 0.1, P, g)
         u = Field(g, np.full(g.shape, 2.0), 0.1)
         with pytest.raises(ValueError, match="offset 0"):
-            slide_to_touch(u, b, direction=-1, max_offset=delta)
+            slide_to_touch(u, b, max_offset=delta)
 
 
 class TestExperimentDrivers:
@@ -217,7 +203,8 @@ class TestExperimentDrivers:
         cfg = SolveConfig(tol_grad=1e-12)
         out = {}
         for sign in (1.0, -1.0):
-            f0 = multi_interface_seed(g, 0.25, [0.0, 0.9 * np.pi], first_sign=sign)
+            f0 = multi_interface_seed(g, 0.25, [0.0, 0.9 * np.pi])
+            f0 = f0.with_values(sign * f0.values)
             tr = gradient_flow(f0, P, cfg, StopRule(max_steps=400))
             nr = newton_refine(tr.field, P, cfg)
             ns = pl.extract_nodal_set(nr.field)
