@@ -210,7 +210,9 @@ def cmd_threshold(args) -> int:
 
 def cmd_build_circle(args) -> int:
     p = quartic()
-    n = args.grid_n or 1536
+    n = 1536 if args.grid_n is None else args.grid_n
+    if n <= 0:
+        raise ValueError(f"--grid-n must be positive, got {n}")
     if args.m < 2 or args.m % 2 != 0:
         raise ValueError(
             f"m = {args.m} rejected: the interface count must be even "
@@ -268,8 +270,7 @@ def cmd_flow(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    field, meta = load_snapshot_with_meta(args.snapshot)
-    p = make_potential(meta["potential"]) if meta["potential"] else quartic()
+    field, _ = load_snapshot_with_meta(args.snapshot)
     ns = extract_nodal_set(field)
     payload: dict = {"nodal_count": ns.count, "angles": list(ns.angles)}
     ok = True

@@ -70,15 +70,6 @@ class ComparisonReport:
     min_gap_location: tuple | None = None
     interior_points: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "reason": self.reason,
-            "min_gap": self.min_gap,
-            "min_gap_location": list(self.min_gap_location) if self.min_gap_location else None,
-            "interior_points": self.interior_points,
-        }
-
 
 def _mask_boundary(grid: Grid, mask: np.ndarray) -> np.ndarray:
     """Points of the mask with a neighbor outside it (or beyond an interval end)."""
@@ -178,16 +169,6 @@ class Barrier:
     width: float  # core half-width, snapped to the grid
     center_index: int
     half_steps: int  # support reaches center_index +- half_steps
-    zeros: tuple
-
-    @property
-    def domain_angles(self) -> tuple:
-        L = self.field.grid.lengths[0]
-        h = self.field.grid.h
-        return (
-            (self.center - self.half_steps * h) % L,
-            (self.center + self.half_steps * h) % L,
-        )
 
 
 def build_barrier(
@@ -238,7 +219,6 @@ def build_barrier(
             vals[j] = v[steps + s]
         else:
             vals[j] = -v[3 * steps - a]
-    zeros = tuple((center_index + d * steps) * h % L for d in (-3, -1, 1, 3))
 
     circle_vals = np.zeros(n)
     idx = (center_index + offsets) % n
@@ -260,7 +240,6 @@ def build_barrier(
         steps * h,
         center_index,
         half_steps,
-        zeros,
     )
 
 
@@ -271,18 +250,7 @@ class SlideReport:
     offset_steps: int | None
     location: tuple | None
     interior: bool | None
-    min_gap_history: np.ndarray
     max_offset: float
-
-    def as_dict(self) -> dict:
-        return {
-            "touched": self.touched,
-            "offset": self.offset,
-            "offset_steps": self.offset_steps,
-            "location": list(self.location) if self.location else None,
-            "interior": self.interior,
-            "max_offset": self.max_offset,
-        }
 
 
 def slide_to_touch(u: Field, barrier: Barrier, max_offset: float) -> SlideReport:
@@ -297,7 +265,6 @@ def slide_to_touch(u: Field, barrier: Barrier, max_offset: float) -> SlideReport
         raise ValueError("field and barrier live on different grids")
     g = u.grid
     h = g.h
-    L = g.lengths[0]
     k_max = int(np.floor(max_offset / h + 1e-9))
     b0 = barrier.field.values
     m0 = barrier.mask
@@ -306,7 +273,6 @@ def slide_to_touch(u: Field, barrier: Barrier, max_offset: float) -> SlideReport
     if float(np.min(gaps0)) <= 0.0:
         raise ValueError("ordering already violated at offset 0; sliding setup inapplicable")
 
-    history = [float(np.min(gaps0))]
     for k in range(1, k_max + 1):
         b = np.roll(b0, -k, axis=0)
         m = np.roll(m0, -k, axis=0)
@@ -314,21 +280,10 @@ def slide_to_touch(u: Field, barrier: Barrier, max_offset: float) -> SlideReport
         masked = np.where(m, gaps, np.inf)
         idx_flat = int(np.argmin(masked))
         loc = np.unravel_index(idx_flat, g.shape)
-        mn = float(gaps[loc])
-        history.append(mn)
-        if mn <= 0.0:
-            boundary = _mask_boundary(g, m)
-            interior = not bool(boundary[loc])
-            return SlideReport(
-                True,
-                k * h,
-                k,
-                _point_coordinates(g, loc),
-                interior,
-                np.asarray(history),
-                max_offset,
-            )
-    return SlideReport(False, None, None, None, None, np.asarray(history), max_offset)
+        if float(gaps[loc]) <= 0.0:
+            interior = not bool(_mask_boundary(g, m)[loc])
+            return SlideReport(True, k * h, k, _point_coordinates(g, loc), interior, max_offset)
+    return SlideReport(False, None, None, None, None, max_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -732,9 +687,9 @@ def experiment_comparison(
     inapplicable_case = comparison_test(big.field, bad_v, mask, p)
 
     runs = [
-        {"case": "nested_profiles", **main.as_dict(), "outcome": main.status},
-        {"case": "constant_one_vs_profile", **const_case.as_dict(), "outcome": const_case.status},
-        {"case": "nonzero_boundary_sub_field", **inapplicable_case.as_dict(), "outcome": inapplicable_case.status},
+        {"case": "nested_profiles", **asdict(main), "outcome": main.status},
+        {"case": "constant_one_vs_profile", **asdict(const_case), "outcome": const_case.status},
+        {"case": "nonzero_boundary_sub_field", **asdict(inapplicable_case), "outcome": inapplicable_case.status},
     ]
     assertions = [
         assertion(
@@ -862,7 +817,7 @@ def experiment_slide(
         run.update(
             outcome="touched" if slide.touched else "no_touch",
             barrier_max=vmax,
-            **slide.as_dict(),
+            **asdict(slide),
         )
         runs.append(run)
         ok = slide.touched and slide.offset < 2.0 * delta and slide.interior

@@ -72,11 +72,17 @@ def save_snapshot(f: Field, path, potential: dict | None = None) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_header_line(lines, i, key):
+def _parse_header_line(lines, i, key, parse=str, comment=True):
+    """The body of header line ``i``, which must start ``key:``, passed through
+    ``parse``; a missing line or a body ``parse`` rejects is corrupt."""
     if i >= len(lines) or not lines[i].startswith(key + ":"):
         raise CorruptSnapshotError(f"missing '{key}:' line in snapshot header")
-    body = lines[i][len(key) + 1 :].split("#", 1)[0].strip()
-    return body
+    body = lines[i][len(key) + 1 :]
+    body = (body.split("#", 1)[0] if comment else body).strip()
+    try:
+        return parse(body)
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
+        raise CorruptSnapshotError(f"bad '{key}:' line {body!r}: {exc}") from None
 
 
 def load_snapshot_with_meta(path):
@@ -87,6 +93,8 @@ def load_snapshot_with_meta(path):
     head = lines[0].split()
     if len(head) != 2 or head[0] != SNAPSHOT_NAME:
         raise CorruptSnapshotError(f"not a {SNAPSHOT_NAME} file: {lines[0]!r}")
+    if not head[1].isdigit():
+        raise CorruptSnapshotError(f"bad snapshot version {head[1]!r}")
     version = int(head[1])
     if version != SNAPSHOT_VERSION:
         raise UnsupportedSnapshotVersion(
@@ -105,21 +113,21 @@ def load_snapshot_with_meta(path):
     except (ValueError, TypeError) as exc:
         raise CorruptSnapshotError(f"bad grid line {grid_line!r}: {exc}") from None
 
-    epsilon = float.fromhex(_parse_header_line(lines, 2, "epsilon"))
-    pot_line = lines[3]
-    if not pot_line.startswith("potential:"):
-        raise CorruptSnapshotError("missing 'potential:' line")
-    potential = json.loads(pot_line[len("potential:") :].strip())
+    epsilon = _parse_header_line(lines, 2, "epsilon", float.fromhex)
+    # the potential's JSON may hold a '#', so the line has no comment to strip
+    potential = _parse_header_line(lines, 3, "potential", json.loads, comment=False)
     config_hash = _parse_header_line(lines, 4, "config")
 
-    count_body = _parse_header_line(lines, 5, "values")
-    expected = int(count_body)
+    expected = _parse_header_line(lines, 5, "values", int)
     value_lines = lines[6:]
     if len(value_lines) != expected:
         raise CorruptSnapshotError(
             f"value count mismatch: expected {expected} values, found {len(value_lines)}"
         )
-    vals = np.array([float.fromhex(ln.split()[0]) for ln in value_lines])
+    try:
+        vals = np.array([float.fromhex(ln.split()[0]) for ln in value_lines])
+    except ValueError as exc:
+        raise CorruptSnapshotError(f"bad value line: {exc}") from None
     if expected != grid.npoints:
         raise CorruptSnapshotError(
             f"value count {expected} does not match grid size {grid.npoints}"

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg  # unused here; perfbench's tracer wraps solvers.scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
@@ -69,9 +69,7 @@ class NewtonDivergenceError(SolverError):
 
 
 class SingularJacobianError(SolverError):
-    def __init__(self, message, eigenvalue_estimate=None):
-        super().__init__(message)
-        self.eigenvalue_estimate = eigenvalue_estimate
+    pass
 
 
 class StepCollapseError(SolverError):
@@ -169,67 +167,40 @@ def _periodic_chain_csc(n: int, cc: float) -> sp.csc_matrix:
     return sp.csc_matrix((data.ravel(), rows.ravel(), indptr), shape=(n, n))
 
 
-class _FlowStepper:
-    """Prefactored implicit solve for (I + dt*eps*(-Lap_h)) u = rhs."""
+def _make_flow_solver(grid: Grid, eps: float, dt: float):
+    """Prefactored implicit solve of (I + dt*eps*(-Lap_h)) u = rhs, as
+    ``step(v, rhs)``; on the interval ``v`` supplies the end values."""
+    c = dt * eps
+    if grid.kind == "interval":
+        # interior rows only; without pivoting (the operator is strictly
+        # diagonally dominant) dgttrf + dgttrs do the same floating-point
+        # operations as the dgtsv behind solve_banded((1, 1), ...)
+        m = grid.shape[0] - 2
+        cc = c / grid.h**2
+        off = np.full(m - 1, -cc)
+        *tri, info = dgttrf(off, np.full(m, 1.0 + 2.0 * cc), off)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dgttrf failed with info={info}")
 
-    def __init__(self, grid: Grid, eps: float, dt: float):
-        self.grid, self.eps, self.dt = grid, eps, dt
-        c = dt * eps
-        if grid.kind == "interval":
-            # interior rows only; without pivoting (the operator is strictly
-            # diagonally dominant) dgttrf + dgttrs do the same floating-point
-            # operations as the dgtsv behind solve_banded((1, 1), ...)
-            m = grid.shape[0] - 2
-            self._c = c / grid.h**2
-            off = np.full(m - 1, -self._c)
-            dl, d, du, du2, ipiv, info = dgttrf(off, np.full(m, 1.0 + 2.0 * self._c), off)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"dgttrf failed with info={info}")
-            self._tri = (dl, d, du, du2, ipiv)
-        elif grid.kind == "circle":
-            self._lu = spla.splu(_periodic_chain_csc(grid.shape[0], c / grid.h**2))
-        else:
-            self._denom = 1.0 + c * _torus_symbol(grid)
-
-    def step(self, v: np.ndarray, p: Potential) -> np.ndarray:
-        rhs = v - (self.dt / self.eps) * p.dw(v)
-        g = self.grid
-        if g.kind == "interval":
+        def step(v, rhs):
             r = rhs[1:-1].copy()
-            r[0] += self._c * v[0]
-            r[-1] += self._c * v[-1]
-            x, info = dgttrs(*self._tri, r, overwrite_b=1)
+            r[0] += cc * v[0]
+            r[-1] += cc * v[-1]
+            x, info = dgttrs(*tri, r, overwrite_b=1)
             if info != 0:
                 raise np.linalg.LinAlgError(f"dgttrs failed with info={info}")
             out = v.copy()
             out[1:-1] = x
             return out
-        if g.kind == "circle":
-            return self._lu.solve(rhs)
-        vhat = np.fft.rfft2(rhs)
-        return np.fft.irfft2(vhat / self._denom, s=g.shape)
 
+        return step
 
-def _smallest_eigenvalue_estimate(grid, v, eps, p):
-    try:
-        if grid.kind == "interval":
-            h2 = grid.h**2
-            d = 2.0 * eps / h2 + p.d2w(v[1:-1]) / eps
-            e = np.full(d.size - 1, -eps / h2)
-            vals = scipy.linalg.eigvalsh_tridiagonal(d, e)
-            return float(vals[np.argmin(np.abs(vals))])
-        if grid.kind == "circle" and grid.shape[0] <= 3000:
-            n = grid.shape[0]
-            cc = eps / grid.h**2
-            A = np.diag(2.0 * cc + p.d2w(v) / eps)
-            idx = np.arange(n)
-            A[idx, (idx + 1) % n] = -cc
-            A[idx, (idx - 1) % n] = -cc
-            vals = np.linalg.eigvalsh(A)
-            return float(vals[np.argmin(np.abs(vals))])
-    except (np.linalg.LinAlgError, ValueError):  # scipy.linalg raises numpy's LinAlgError
-        return None
-    return None
+    if grid.kind == "circle":
+        lu = spla.splu(_periodic_chain_csc(grid.shape[0], c / grid.h**2))
+        return lambda v, rhs: lu.solve(rhs)
+
+    denom = 1.0 + c * _torus_symbol(grid)
+    return lambda v, rhs: np.fft.irfft2(np.fft.rfft2(rhs) / denom, s=grid.shape)
 
 
 def _solve_tridiagonal(
@@ -294,10 +265,7 @@ def _make_jacobian_solver(grid: Grid, eps: float, p: Potential):
             try:
                 s_int = _solve_tridiagonal(off, 2.0 * c + p.d2w(v[1:-1]) / eps, res[1:-1])
             except (np.linalg.LinAlgError, ValueError) as exc:
-                raise SingularJacobianError(
-                    f"banded Jacobian solve failed: {exc}",
-                    _smallest_eigenvalue_estimate(grid, v, eps, p),
-                ) from exc
+                raise SingularJacobianError(f"banded Jacobian solve failed: {exc}") from exc
             s = np.zeros_like(v)
             s[1:-1] = s_int
             return s
@@ -312,10 +280,7 @@ def _make_jacobian_solver(grid: Grid, eps: float, p: Potential):
             try:
                 return _solve_cyclic_tridiagonal(diag, -cc, res)
             except (np.linalg.LinAlgError, ValueError) as exc:
-                raise SingularJacobianError(
-                    f"cyclic Jacobian solve failed: {exc}",
-                    _smallest_eigenvalue_estimate(grid, v, eps, p),
-                ) from exc
+                raise SingularJacobianError(f"cyclic Jacobian solve failed: {exc}") from exc
 
         return solve
 
@@ -345,9 +310,9 @@ def _make_jacobian_solver(grid: Grid, eps: float, p: Potential):
         x, info = spla.minres(A, res.ravel(), M=M, rtol=1e-12, maxiter=4000)
         if info != 0:
             # scipy reports maxiter reached without meeting rtol as info > 0
-            raise SingularJacobianError(f"torus MINRES solve failed with info={info}", None)
+            raise SingularJacobianError(f"torus MINRES solve failed with info={info}")
         if not np.all(np.isfinite(x)):
-            raise SingularJacobianError("torus Jacobian solve produced non-finite step", None)
+            raise SingularJacobianError("torus Jacobian solve produced non-finite step")
         return x.reshape(n1, n2)
 
     return solve
@@ -423,10 +388,7 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
                     break
                 if not np.all(np.isfinite(step)) or sup_norm(step) > 1e8 * (1.0 + sup_norm(w_v)):
                     if first_step is None:
-                        raise SingularJacobianError(
-                            "Newton step blew up (nearly singular Jacobian)",
-                            _smallest_eigenvalue_estimate(f.grid, v, eps, p),
-                        )
+                        raise SingularJacobianError("Newton step blew up (nearly singular Jacobian)")
                     break
                 size = sup_norm(step)
                 if cap is not None and size > cap:
@@ -511,7 +473,7 @@ def gradient_flow(
     eps = f.epsilon
     dt0 = cfg.flow_dt if cfg.flow_dt is not None else eps * f.grid.h
     dt = dt0
-    stepper = _FlowStepper(f.grid, eps, dt)
+    solve = _make_flow_solver(f.grid, eps, dt)
     v = f.values.copy()
     if _project is not None:
         v = _project(v)
@@ -526,7 +488,7 @@ def gradient_flow(
 
     for step_i in range(1, max_steps + 1):
         while True:
-            v_new = stepper.step(v, p)
+            v_new = solve(v, v - (dt / eps) * p.dw(v))
             if _project is not None:
                 v_new = _project(v_new)
             e_new = energy(Field(f.grid, v_new, eps), p)
@@ -539,7 +501,7 @@ def gradient_flow(
                     raise StepCollapseError(
                         f"flow step collapsed below 1e-14 at step {step_i}"
                     )
-                stepper = _FlowStepper(f.grid, eps, dt)
+                solve = _make_flow_solver(f.grid, eps, dt)
                 continue
             break
         v = v_new
@@ -552,7 +514,7 @@ def gradient_flow(
             angle_samples.append((step_i, ns.angles.copy()))
         if stop.adapt_dt and step_i % 64 == 0 and dt < dt_cap:
             dt = min(dt * 1.4, dt_cap)
-            stepper = _FlowStepper(f.grid, eps, dt)
+            solve = _make_flow_solver(f.grid, eps, dt)
 
     return FlowTrace(Field(f.grid, v, eps), np.asarray(energies), max_steps, angle_samples, dt)
 

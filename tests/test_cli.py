@@ -218,3 +218,28 @@ def test_experiment_without_options_uses_the_library_defaults(capsys):
 def test_m_rigidity_grid_n_sets_the_circle_grid(capsys):
     assert main(["experiment", "m-rigidity", "--grid-n", "510"]) == 2
     assert "divisible" in capsys.readouterr().err
+
+
+def test_analyze_truncated_snapshot_exits_two(tmp_path, capsys):
+    path = tmp_path / "cut.snap"
+    pl.save_snapshot(pl.Field(pl.circle_grid(32), np.zeros(32), 0.5), path)
+    path.write_text("\n".join(path.read_text().splitlines()[:3]) + "\n")
+    assert main(["analyze", "--snapshot", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: missing 'potential:' line")
+
+
+def test_analyze_reads_a_snapshot_of_a_callable_potential(tmp_path, capsys):
+    q = pl.quartic()
+    p = pl.from_callables(q.w, q.dw, q.d2w, name="mine")
+    f = pl.multi_interface_seed(pl.circle_grid(256), 0.2, [1.0, 4.0])
+    path = tmp_path / "mine.snap"
+    pl.save_snapshot(f, path, potential=p.describe())
+    assert main(["analyze", "--snapshot", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["nodal_count"] == 2
+
+
+def test_build_circle_zero_grid_points_is_rejected(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["build-circle", "--m", "4", "--eps", "0.1", "--grid-n", "0"]) == 2
+    assert "--grid-n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

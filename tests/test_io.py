@@ -114,6 +114,31 @@ def test_snapshot_not_a_snapshot(tmp_path):
         load_snapshot(path)
 
 
+MALFORMED = {  # case -> (line index, its replacement); None cuts the file there
+    "truncated_after_epsilon": (3, None),
+    "non_integer_version": (0, "phaselab-snapshot one"),
+    "bad_epsilon_hex": (2, "epsilon: 0xzz # 0.5"),
+    "bad_potential_json": (3, 'potential: {"kind": '),
+    "non_integer_value_count": (5, "values: many"),
+    "bad_value_line": (10, "0xnope 0.0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_snapshot_is_corrupt(tmp_path, case):
+    i, text = MALFORMED[case]
+    path = tmp_path / "snap.txt"
+    save_snapshot(Field(circle_grid(32), np.zeros(32), 0.5), path, potential=P.describe())
+    lines = path.read_text().splitlines()
+    if text is None:
+        del lines[i:]
+    else:
+        lines[i] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptSnapshotError):
+        load_snapshot(path)
+
+
 def test_emit_field_csv(tmp_path):
     g = circle_grid(32)
     f = Field(g, np.sin(g.axis(0)), 0.3)

@@ -25,7 +25,7 @@ from phaselab.solvers import (
     newton_refine,
     reflect_extend,
     solve_dirichlet_model,
-    _FlowStepper,
+    _make_flow_solver,
     _make_jacobian_solver,
     _periodic_chain_csc,
     _solve_cyclic_tridiagonal,
@@ -348,10 +348,10 @@ class TestIntervalFlowStep:
         # by the adaptive factor 1.4
         dt = eps * g.h * 0.5**halvings * (1.4 if grow else 1.0)
         rng = np.random.default_rng(seed)
-        stepper = _FlowStepper(g, eps, dt)
+        step = _make_flow_solver(g, eps, dt)
         for _ in range(3):  # one factorization, several right-hand sides
             v = rng.uniform(-1.2, 1.2, n)
-            got = stepper.step(v, P)
+            got = step(v, v - (dt / eps) * P.dw(v))
             ref = _banded_flow_step(g, eps, dt, v, P)
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
@@ -360,7 +360,7 @@ class TestIntervalFlowStep:
         # interior points: singular, so dgttrf reports an exact zero pivot
         g = interval_grid(17, 1.0)
         with pytest.raises(np.linalg.LinAlgError):
-            _FlowStepper(g, 0.5, -0.5 * g.h**2 / 0.5)
+            _make_flow_solver(g, 0.5, -0.5 * g.h**2 / 0.5)
 
 
 NON_FINITE_GRIDS = [interval_grid(129, 1.0), circle_grid(256), torus_grid(256, 16)]
@@ -540,6 +540,42 @@ def test_csc_flow_operator_matches_lil_assembly(n):
         for _ in range(3):
             rhs = rng.uniform(-1.2, 1.2, n)
             assert np.array_equal(lu_new.solve(rhs).view(np.int64), lu_old.solve(rhs).view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# the circle and torus flow solves against the formulas they were written as
+
+
+def _flow_rhs(rng, shape, eps, dt):
+    v = rng.uniform(-1.2, 1.2, shape)
+    return v, v - (dt / eps) * P.dw(v)
+
+
+@pytest.mark.parametrize("n", [16, 17, 256, 2048])
+def test_circle_flow_solve_is_bit_identical_to_splu(n):
+    rng = np.random.default_rng(n)
+    g = circle_grid(n)
+    for eps, halvings in ((0.05, 0), (0.2, 3), (1.0, 0)):
+        dt = eps * g.h * 0.5**halvings
+        step = _make_flow_solver(g, eps, dt)
+        lu = spla.splu(_periodic_chain_csc(n, dt * eps / g.h**2))
+        for _ in range(3):
+            v, rhs = _flow_rhs(rng, n, eps, dt)
+            assert np.array_equal(step(v, rhs).view(np.int64), lu.solve(rhs).view(np.int64))
+
+
+@pytest.mark.parametrize("shape", [(17, 20), (256, 64)])
+def test_torus_flow_solve_is_bit_identical_to_fft_formula(shape):
+    rng = np.random.default_rng(shape[0])
+    g = torus_grid(*shape)
+    for eps, halvings in ((0.1, 0), (0.5, 2)):
+        dt = eps * g.h * 0.5**halvings
+        step = _make_flow_solver(g, eps, dt)
+        denom = 1.0 + dt * eps * solvers._torus_symbol(g)
+        for _ in range(3):
+            v, rhs = _flow_rhs(rng, shape, eps, dt)
+            ref = np.fft.irfft2(np.fft.rfft2(rhs) / denom, s=g.shape)
+            assert np.array_equal(step(v, rhs).view(np.int64), ref.view(np.int64))
 
 
 def test_torus_minres_failure_raises_singular_jacobian(monkeypatch):
