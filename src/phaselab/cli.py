@@ -253,6 +253,8 @@ def cmd_refine(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     field, meta = load_snapshot_with_meta(args.snapshot)
     p = make_potential(meta["potential"]) if meta["potential"] else quartic()
     stop = StopRule(max_steps=args.steps, track_nodal=args.track_nodal)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "Potential",
@@ -72,6 +71,10 @@ def quartic() -> Potential:
 
 def from_table(points) -> Potential:
     """Cubic-spline potential from [[x, W(x)], ...] sample pairs."""
+    # imported here: scipy.interpolate (with scipy.special, scipy.optimize,
+    # ...) is a quarter of the package's import time, and only tables use it
+    from scipy.interpolate import CubicSpline
+
     pts = sorted((float(x), float(y)) for x, y in points)
     xs = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])

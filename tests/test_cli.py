@@ -243,3 +243,16 @@ def test_build_circle_zero_grid_points_is_rejected(tmp_path, monkeypatch, capsys
     assert main(["build-circle", "--m", "4", "--eps", "0.1", "--grid-n", "0"]) == 2
     assert "--grid-n" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("steps", ["-5", "0"])
+def test_flow_steps_below_one_exit_two_without_writing(tmp_path, capsys, steps):
+    snap = tmp_path / "m2.snap"
+    pl.save_snapshot(pl.multi_interface_seed(pl.circle_grid(256), 0.2, [0.0, np.pi]), snap)
+    before = snap.read_bytes()
+    out = tmp_path / "flowed.snap"
+    rc = main(["flow", "--snapshot", str(snap), "--steps", steps, "--out", str(out)])
+    assert rc == 2
+    assert "--steps" in capsys.readouterr().err
+    assert not out.exists()
+    assert snap.read_bytes() == before

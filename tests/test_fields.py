@@ -7,15 +7,17 @@ from scipy.integrate import quad
 from phaselab.fields import (
     Field,
     energy,
+    energy_kernel,
     gradient,
     hessian_apply,
     inner,
     laplacian,
+    residual_kernel,
     sup_norm,
     truncate_to_unit,
 )
 from phaselab.grids import circle_grid, interval_grid, torus_grid
-from phaselab.potentials import quartic
+from phaselab.potentials import from_callables, quartic
 
 P = quartic()
 
@@ -278,3 +280,138 @@ def test_field_validation():
         Field(g, np.zeros(65), 0.1)
     with pytest.raises(ValueError):
         Field(g, np.zeros(64), -0.1)
+
+
+# --- the per-geometry kernels, pinned bit for bit ---------------------------
+
+
+def _frozen_laplacian(grid, v):
+    """The generic axis-loop Laplacian the kernels replaced, frozen here."""
+    out = None
+    for axis, h in enumerate(grid.spacings):
+        w = v.swapaxes(0, axis)
+        d = -2.0 * w
+        d[:-1] += w[1:]
+        d[-1] += w[0]
+        d[1:] += w[:-1]
+        d[0] += w[-1]
+        d /= h ** 2
+        d = d.swapaxes(0, axis)
+        if out is None:
+            out = d
+        else:
+            out += d
+    if grid.kind == "interval":
+        out[0] = out[-1] = 0.0
+    return out
+
+
+def _frozen_energy(grid, v, eps, p):
+    """The per-call energy the kernels replaced, frozen here."""
+    g = grid
+    if g.kind == "interval":
+        du = v[1:] - v[:-1]
+        grad_term = 0.5 * eps / g.h * float(np.dot(du, du))
+        well_term = float((g.weights() * p.w(v)).sum()) / eps
+        return grad_term + well_term
+    if v.ndim == 1:
+        h = g.h
+        du = np.empty_like(v)
+        np.subtract(v[1:], v[:-1], out=du[:-1])
+        du[-1] = v[0] - v[-1]
+        return 0.5 * eps / h * float(np.dot(du, du)) + h / eps * float(p.w(v).sum())
+    cell = math.prod(g.spacings)
+    grad_term = 0.0
+    for axis, h in enumerate(g.spacings):
+        du = np.empty_like(v)
+        w, d = v.swapaxes(0, axis), du.swapaxes(0, axis)
+        np.subtract(w[1:], w[:-1], out=d[:-1])
+        d[-1] = w[0] - w[-1]
+        du = du.ravel()
+        grad_term += 0.5 * eps * (cell / h) / h * float(np.dot(du, du))
+    well_term = cell / eps * float(p.w(v).sum())
+    return grad_term + well_term
+
+
+def _frozen_gradient(grid, v, eps, p):
+    out = -eps * _frozen_laplacian(grid, v) + p.dw(v) / eps
+    if grid.kind == "interval":
+        out[0] = out[-1] = 0.0
+    return out
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+KERNEL_GRIDS = [
+    interval_grid(65, 1.0),
+    interval_grid(257, 2.3),
+    circle_grid(16),
+    circle_grid(17, 3.0),
+    circle_grid(256),
+    circle_grid(512),
+    torus_grid(17, 20, (2 * np.pi, 3.0)),
+    torus_grid(256, 64),
+]
+
+
+def _kernel_inputs(g):
+    """Uniform noise at several scales, and a smooth two-interface field."""
+    rng = np.random.default_rng(g.npoints)
+    fields = [scale * rng.uniform(-1.0, 1.0, g.shape) for scale in (1e-3, 1.0, 1.2, 1e3)]
+    x = g.axis(0) if g.kind != "interval" else g.axis(0) + g.lengths[0]
+    profile = np.tanh(np.sin(x) / 0.2)
+    fields.append(profile if len(g.shape) == 1 else np.repeat(profile[:, None], g.shape[1], 1))
+    return fields
+
+
+@pytest.mark.parametrize("g", KERNEL_GRIDS, ids=lambda g: f"{g.kind}-{'x'.join(map(str, g.shape))}")
+def test_kernels_match_the_frozen_formulas_bit_for_bit(g):
+    for eps in (0.05, 0.3, 1.7):
+        energy_of = energy_kernel(g, eps, P)
+        residual = residual_kernel(g, eps, P)
+        for v in _kernel_inputs(g):  # each kernel reuses its buffers across calls
+            before = v.copy()
+            assert _bits(energy_of(v)) == _bits(_frozen_energy(g, v, eps, P))
+            assert np.array_equal(_bits(residual(v)), _bits(_frozen_gradient(g, v, eps, P)))
+            assert np.array_equal(_bits(laplacian(g, v)), _bits(_frozen_laplacian(g, v)))
+            f = Field(g, v, eps)
+            assert _bits(energy(f, P)) == _bits(_frozen_energy(g, v, eps, P))
+            assert np.array_equal(_bits(gradient(f, P).values), _bits(residual(v)))
+            assert np.array_equal(_bits(v), _bits(before))
+
+
+def test_residuals_are_new_arrays():
+    g = circle_grid(64)
+    residual = residual_kernel(g, 0.3, P)
+    v = np.random.default_rng(0).uniform(-1.0, 1.0, 64)
+    first = residual(v)
+    kept = first.copy()
+    second = residual(0.5 * v)
+    assert first is not second
+    assert np.array_equal(first, kept)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [interval_grid(65, 1.0), circle_grid(17, 3.0), torus_grid(17, 20)],
+    ids=lambda g: g.kind,
+)
+@pytest.mark.parametrize("returns", ["input", "view"])
+def test_kernels_never_write_into_what_a_potential_returns(g, returns):
+    # a callable potential may hand back its argument, or a view of it; the
+    # kernels must treat that array as read-only, since it is the field
+    ident = (lambda x: x) if returns == "input" else (lambda x: x[...])
+    p = from_callables(ident, ident, lambda x: np.ones_like(x), "identity")
+    v = np.random.default_rng(5).uniform(-1.0, 1.0, g.shape)
+    before = v.copy()
+    e = energy_kernel(g, 0.3, p)(v)
+    r = residual_kernel(g, 0.3, p)(v)
+    assert np.array_equal(_bits(v), _bits(before))
+    assert _bits(e) == _bits(_frozen_energy(g, before, 0.3, p))
+    assert np.array_equal(_bits(r), _bits(_frozen_gradient(g, before.copy(), 0.3, p)))
+    f = Field(g, v, 0.3)
+    energy(f, p)
+    gradient(f, p)
+    assert np.array_equal(_bits(f.values), _bits(before))

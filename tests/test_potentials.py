@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -109,3 +114,11 @@ def test_sample_count_validation(quartic):
 def test_interface_energy_constant(quartic):
     # independent closed form for the quartic: integral of (1-u^2)/sqrt(2)
     assert potentials.interface_energy(quartic) == pytest.approx(2.0 * np.sqrt(2.0) / 3.0, abs=1e-9)
+
+
+def test_import_does_not_load_scipy_interpolate():
+    # only table potentials use it; from_table imports it on first use
+    src = Path(potentials.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, phaselab; sys.exit(int('scipy.interpolate' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -231,6 +231,51 @@ class TestGradientFlow:
         assert np.all(steps <= 0) or np.all(steps >= 0)
         assert start.size == 4
 
+    @pytest.mark.parametrize(
+        "g",
+        [interval_grid(129, 1.0), circle_grid(256), torus_grid(64, 16)],
+        ids=lambda g: g.kind,
+    )
+    @pytest.mark.parametrize("potential", ["quartic", "returns_input"])
+    def test_energies_match_the_step_loop_bit_for_bit(self, g, potential):
+        """The flow against its step written out: one implicit solve of
+        v - (dt/eps) W'(v), then the energy of a new Field (which the kernel
+        tests in test_fields pin to the frozen formulas)."""
+        # W = x^2/2, whose W' hands back its argument: the flow's own array
+        p = P if potential == "quartic" else from_callables(
+            lambda x: 0.5 * x * x, lambda x: x, np.ones_like
+        )
+        eps = 10.0 * g.h
+        rng = np.random.default_rng(g.npoints)
+        f = Field(g, rng.uniform(-1.0, 1.0, g.shape), eps)
+        before = f.values.copy()
+        trace = gradient_flow(f, p, None, StopRule(max_steps=40))
+        dt = eps * g.h
+        solve = _make_flow_solver(g, eps, dt)
+        v = f.values.copy()
+        ref = [energy(Field(g, v, eps), p)]
+        for _ in range(40):
+            v = solve(v, v - (dt / eps) * p.dw(v))
+            ref.append(energy(Field(g, v, eps), p))
+        assert np.array_equal(trace.energies.view(np.int64), np.array(ref).view(np.int64))
+        assert np.array_equal(trace.field.values, v)
+        assert np.array_equal(f.values, before)
+
+    def test_step_counts_below_zero_are_rejected(self):
+        f = multi_interface_seed(circle_grid(256), 0.2, [0.0, np.pi])
+        with pytest.raises(ValueError, match="max_steps"):
+            gradient_flow(f, P, None, StopRule(max_steps=-5))
+        trace = gradient_flow(f, P, None, StopRule(max_steps=0))
+        assert trace.steps == 0 and len(trace.energies) == 1
+        assert np.array_equal(trace.field.values, f.values)
+
+    def test_sample_every_below_one_is_rejected_when_tracking(self):
+        f = multi_interface_seed(circle_grid(256), 0.2, [0.0, np.pi])
+        with pytest.raises(ValueError, match="sample_every"):
+            gradient_flow(f, P, None, StopRule(max_steps=10, track_nodal=True, sample_every=0))
+        # without nodal tracking the sampling interval is never read
+        gradient_flow(f, P, None, StopRule(max_steps=10, sample_every=0))
+
 
 
 def test_multi_interface_seed_structure():
