@@ -66,9 +66,7 @@ def save_snapshot(f: Field, path, potential: dict | None = None) -> None:
     lines.append("config: -")
     flat = f.values.ravel()
     lines.append(f"values: {flat.size}")
-    for x in flat:
-        xf = float(x)
-        lines.append(f"{xf.hex()} {xf!r}")
+    lines += [f"{x.hex()} {x!r}" for x in flat.tolist()]  # Python floats, not numpy scalars
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -125,7 +123,7 @@ def load_snapshot_with_meta(path):
             f"value count mismatch: expected {expected} values, found {len(value_lines)}"
         )
     try:
-        vals = np.array([float.fromhex(ln.split()[0]) for ln in value_lines])
+        vals = np.array([float.fromhex(ln.split(None, 1)[0]) for ln in value_lines])
     except ValueError as exc:
         raise CorruptSnapshotError(f"bad value line: {exc}") from None
     if expected != grid.npoints:

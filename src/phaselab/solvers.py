@@ -9,9 +9,13 @@ so every step is one tridiagonal LU solve (interval; the LAPACK factors are
 computed once per step size), one prefactored sparse LU solve (circle) or one
 FFT-diagonalized solve (torus), and the monitored energy is non-increasing for
 the default step dt = eps * h; a non-finite energy stops the flow with a
-SolverError.  The circle operator is assembled in CSC form and factored by
-splu once per step size.  A flow builds one fields.energy_kernel and forms
-each right-hand side in a buffer it owns; a Newton solve builds one
+SolverError.  An adaptive flow (StopRule.adapt_dt, set by the interval model
+solve) runs at the explicit-stability cap dt = 0.5 eps / max|W''| from its
+first step, halving on an energy rise and growing back afterwards; the
+scheme's energy stays stable up to that cap (Shen & Yang, DCDS-A 28, 2010).
+The circle operator is assembled in CSC form and factored by splu once per
+step size.  A flow builds one fields.energy_kernel and forms each right-hand
+side in a buffer it owns; a Newton solve and a model solve each build one
 fields.residual_kernel.  Newton solves -eps Lap_h(u) + W'(u)/eps = 0 with
 residual-max-norm backtracking.  Its Jacobian -eps Lap_h + W''(u)/eps is
 solved by LAPACK dgtsv, called directly, on the interval; on the circle by
@@ -91,7 +95,7 @@ class SolveConfig:
     tol_grad: float = 1e-10
     max_newton: int = 50
     max_flow_steps: int = 100_000
-    flow_dt: float | None = None  # default eps * h
+    flow_dt: float | None = None  # default eps * h; an adapt_dt flow starts at its cap instead
     min_points_per_eps: float = 8.0
 
     def validate(self) -> None:
@@ -114,7 +118,7 @@ class StopRule:
     max_steps: int | None = None
     sample_every: int = 50
     track_nodal: bool = False
-    adapt_dt: bool = False
+    adapt_dt: bool = False  # start at 0.5*eps/max|W''|, regrow there (x1.4 per 64 steps) after a halving
 
 
 @dataclass
@@ -338,6 +342,13 @@ def _make_jacobian_solver(grid: Grid, eps: float, p: Potential):
 # Newton refinement
 
 
+def _blown_up(size: float, v: np.ndarray) -> bool:
+    """A Newton step of sup norm ``size`` at ``v`` is unusable: non-finite
+    (NaN or inf in the step) or above 1e8 * (1 + |v|_inf); ``v`` is scanned
+    only when ``size`` exceeds 1e8."""
+    return not math.isfinite(size) or (size > 1e8 and size > 1e8 * (1.0 + sup_norm(v)))
+
+
 def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> NewtonResult:
     """Newton solve of the criticality equation, with residual history.
 
@@ -387,28 +398,28 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
         # are capped in sup norm first (controlled travel along the valley);
         # when that walk makes no clear progress the unrestricted walk gets a
         # chance, which is what completes long journeys at gentle widths.
+        # Both walks start with the Jacobian step at (v, res), solved once.
         accepted = False
-        first_step = None
+        step0 = solver(v, res)
+        size0 = sup_norm(step0)
+        if _blown_up(size0, v):
+            raise SingularJacobianError("Newton step blew up (nearly singular Jacobian)")
+        first_step = step0 * (MAX_STEP / size0) if size0 > MAX_STEP else step0
         champion = None
         for cap in (MAX_STEP, None):
             w_v, w_res, w_rn = v, res, rn
-            for _ in range(12):
-                try:
-                    step = solver(w_v, w_res)
-                except SolverError:
-                    if first_step is None:
-                        raise
-                    break
-                # sup_norm is NaN or inf exactly when the step holds a NaN or an inf
-                size = sup_norm(step)
-                if not math.isfinite(size) or size > 1e8 * (1.0 + sup_norm(w_v)):
-                    if first_step is None:
-                        raise SingularJacobianError("Newton step blew up (nearly singular Jacobian)")
-                    break
-                if cap is not None and size > cap:
-                    step = step * (cap / size)
-                if first_step is None:
-                    first_step = step
+            step = step0 if cap is None else first_step
+            for k in range(12):
+                if k > 0:
+                    try:
+                        step = solver(w_v, w_res)
+                    except SolverError:
+                        break
+                    size = sup_norm(step)
+                    if _blown_up(size, w_v):
+                        break
+                    if cap is not None and size > cap:
+                        step = step * (cap / size)
                 w_v = w_v - step
                 w_res = residual(w_v)
                 w_rn = sup_norm(w_res)
@@ -423,7 +434,7 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
         if champion is not None and champion[2] < rn:
             v, res, rn = champion
             accepted = True
-        if not accepted and first_step is not None:
+        if not accepted:
             alpha = DAMPING
             for _ in range(40):
                 trial = v - alpha * first_step
@@ -490,8 +501,13 @@ def gradient_flow(
     require_resolution(f.grid, f.epsilon, cfg.min_points_per_eps)
 
     eps = f.epsilon
-    dt0 = cfg.flow_dt if cfg.flow_dt is not None else eps * f.grid.h
-    dt = dt0
+    if stop.adapt_dt:
+        # explicit-term stability cap on the well force: the run starts
+        # there, and after a halving grows back toward it
+        curv = float(np.max(np.abs(p.d2w(np.linspace(-1.2, 1.2, 101)))))
+        dt = dt_cap = 0.5 * eps / max(curv, 1e-6)
+    else:
+        dt = cfg.flow_dt if cfg.flow_dt is not None else eps * f.grid.h
     solve = _make_flow_solver(f.grid, eps, dt)
     energy_of = energy_kernel(f.grid, eps, p)
     rhs = np.empty(f.grid.shape)  # v - (dt/eps) W'(v); no solve returns it
@@ -501,10 +517,6 @@ def gradient_flow(
 
     energies = [energy_of(v)]
     angle_samples = []
-    # adaptive growth cap from explicit-term stability on the well force
-    if stop.adapt_dt:
-        curv = float(np.max(np.abs(p.d2w(np.linspace(-1.2, 1.2, 101)))))
-        dt_cap = 0.5 * eps / max(curv, 1e-6)
 
     for step_i in range(1, max_steps + 1):
         while True:
@@ -564,7 +576,12 @@ def solve_dirichlet_model(
     """Positive transition profile vanishing at both interval endpoints.
 
     Minimizes the energy over fields pinned to zero at +-half_length:
-    projected semi-implicit flow from a sine bump, then Newton refinement.
+    projected semi-implicit flow from a sine bump, at the adaptive flow's
+    stability cap, then Newton refinement.  The flow runs in chunks of 25,
+    50, 100, 200 and then 400 steps; after each chunk the Newton gate (the
+    energy beats the zero field's by the trivial margin, or the gradient
+    max-norm is below 1e-4) decides whether to try Newton, so a profile
+    that is already in Newton's basin costs 25 flow steps.
     The result is classified positive only when its energy beats the zero
     field's by more than the trivial margin; otherwise it is the zero
     solution.  A linear-stability shortcut returns the zero solution
@@ -602,7 +619,8 @@ def solve_dirichlet_model(
         v[0] = v[-1] = 0.0
         return v
 
-    chunk = 400
+    residual = residual_kernel(grid, epsilon, p)
+    chunk = 25
     steps_used = 0
     newton_attempts = 0
 
@@ -613,8 +631,9 @@ def solve_dirichlet_model(
         )
         u = trace.field
         steps_used += trace.steps
+        chunk = min(2 * chunk, 400)
         e_u = trace.energies[-1]
-        gn = sup_norm(gradient(u, p).values)
+        gn = sup_norm(residual(u.values))
 
         if e_u < e_zero - TRIVIAL_MARGIN or gn < 1e-4:
             newton_attempts += 1

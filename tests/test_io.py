@@ -44,6 +44,23 @@ def test_snapshot_roundtrip_bit_exact(tmp_path, grid):
     assert meta["config_hash"] == "-"
 
 
+def test_snapshot_value_lines_are_hex_then_shortest_decimal(tmp_path):
+    special = [0.1, -0.0, 5e-324, -1e300, 1.0 / 3.0]
+    f = Field(circle_grid(16), np.array(special + [0.0] * 11), 0.5)
+    path = tmp_path / "snap.txt"
+    save_snapshot(f, path)
+    lines = path.read_text().splitlines()
+    assert lines[5] == "values: 16"
+    assert lines[6:11] == [
+        "0x1.999999999999ap-4 0.1",
+        "-0x0.0p+0 -0.0",
+        "0x0.0000000000001p-1022 5e-324",
+        "-0x1.7e43c8800759cp+996 -1e+300",
+        "0x1.5555555555555p-2 0.3333333333333333",
+    ]
+    assert np.array_equal(load_snapshot(path).values.view(np.int64), f.values.view(np.int64))
+
+
 @pytest.mark.parametrize(
     "grid, line",
     [

@@ -138,6 +138,79 @@ class TestReflectExtend:
             reflect_extend(sol, 2)
 
 
+C05_CONFIGS = [(m, eps) for m in (2, 4, 6) for eps in (0.05, 0.1, 0.15)]
+
+
+def _model_chunks(monkeypatch, *args, **kwargs):
+    """solve_dirichlet_model(*args, **kwargs) and the trace of every flow chunk it ran."""
+    chunks = []
+    flow = solvers.gradient_flow
+
+    def recording(*a, **k):
+        chunks.append(flow(*a, **k))
+        return chunks[-1]
+
+    monkeypatch.setattr(solvers, "gradient_flow", recording)
+    return solve_dirichlet_model(*args, **kwargs), chunks
+
+
+class TestModelFlowAtTheCap:
+    """The model solve flows at the stability cap and tries Newton after
+    chunks of 25, 50, ... steps."""
+
+    def test_first_newton_attempt_after_25_steps(self):
+        sol = solve_dirichlet_model(np.pi / 4, 0.1, P, n=129)
+        assert sol.status == "positive"
+        assert sol.diagnostics["flow_steps"] <= 100
+
+    def test_chunks_double_up_to_400_steps(self, monkeypatch):
+        # just below the threshold (about 1.0002) the flow needs many chunks
+        sol, chunks = _model_chunks(monkeypatch, np.pi / 2, 0.9992, P)
+        sizes = [t.steps for t in chunks]
+        assert sizes[:5] == [25, 50, 100, 200, 400]
+        assert len(sizes) > 5 and set(sizes[5:]) == {400}
+        assert sol.diagnostics["flow_steps"] == sum(sizes)
+
+    @pytest.mark.parametrize(
+        "half_length, eps, cfg, n",
+        [(np.pi / m, eps, SolveConfig(tol_grad=1e-11), 1536 // m + 1) for m, eps in C05_CONFIGS]
+        + [(np.pi / 2, eps, None, None) for eps in (0.99, 0.9999)],
+        ids=[f"c05-m{m}-eps{eps}" for m, eps in C05_CONFIGS] + ["eps0.99", "eps0.9999"],
+    )
+    def test_energy_never_rises_across_chunks(self, monkeypatch, half_length, eps, cfg, n):
+        """Each chunk checks the energy only after its first 10 steps; at the
+        cap the unchecked steps must descend too."""
+        _, chunks = _model_chunks(monkeypatch, half_length, eps, P, cfg, n=n)
+        for before, after in zip(chunks, chunks[1:]):
+            assert after.energies[0] == before.energies[-1]
+        energies = np.concatenate([t.energies for t in chunks])
+        assert np.max(np.diff(energies)) <= 0.0
+
+    @pytest.mark.parametrize("m, eps", C05_CONFIGS)
+    def test_profile_matches_the_flow_from_eps_h(self, m, eps):
+        """Against the older recipe: 400 flow steps at dt = eps * h from the
+        same projected sine bump, then Newton."""
+        half_length, n = np.pi / m, 1536 // m + 1
+        cfg = SolveConfig(tol_grad=1e-11)
+        sol = solve_dirichlet_model(half_length, eps, P, cfg, n=n)
+
+        g = interval_grid(n, half_length)
+        x = g.axis()
+        seed = np.clip(np.sin(np.pi * (x + half_length) / (2.0 * half_length)), 0.0, 1.0)
+        seed[0] = seed[-1] = 0.0
+
+        def project(v):
+            v = np.clip(v, 0.0, 1.0)
+            v[0] = v[-1] = 0.0
+            return v
+
+        slow = SolveConfig(tol_grad=1e-11, flow_dt=eps * g.h)
+        trace = gradient_flow(Field(g, seed, eps), P, slow, StopRule(max_steps=400), _project=project)
+        ref = newton_refine(trace.field, P, cfg).field.values
+        assert sol.status == "positive"
+        assert np.max(np.abs(sol.field.values - ref)) <= 1e-12
+
+
 class TestNewtonRefine:
     def test_fixed_point_needs_no_iterations(self):
         sol = solve_dirichlet_model(np.pi / 4, 0.1, P, SolveConfig(tol_grad=1e-12), n=129)
@@ -145,6 +218,30 @@ class TestNewtonRefine:
         nr = newton_refine(f, P)
         assert nr.iterations <= 1
         assert nr.residuals[-1] <= 1e-10
+
+    @pytest.mark.parametrize("eps, shift", [(0.2, 0.2), (0.25, 0.3)])
+    def test_watchdog_walks_share_their_first_solve(self, monkeypatch, eps, shift):
+        """One iteration whose capped walk makes no clear progress, so the
+        uncapped walk runs too: both start at the same (v, res), and that
+        system is solved once."""
+        solved = []
+        make = solvers._make_jacobian_solver
+
+        def recording(grid, eps, p):
+            solve = make(grid, eps, p)
+
+            def solve_and_record(v, res):
+                solved.append(v.tobytes() + res.tobytes())
+                return solve(v, res)
+
+            return solve_and_record
+
+        monkeypatch.setattr(solvers, "_make_jacobian_solver", recording)
+        f = multi_interface_seed(circle_grid(256), eps, [0.0, np.pi / 2 + shift, np.pi, 3 * np.pi / 2])
+        with pytest.raises(NewtonDivergenceError, match="after 1 Newton"):
+            newton_refine(f, P, SolveConfig(max_newton=1))
+        assert len(solved) > 12  # more than one walk ran
+        assert len(set(solved)) == len(solved)
 
     def test_zero_state_is_sign_free_fixed_point(self):
         g = circle_grid(256)
@@ -260,6 +357,16 @@ class TestGradientFlow:
         assert np.array_equal(trace.energies.view(np.int64), np.array(ref).view(np.int64))
         assert np.array_equal(trace.field.values, v)
         assert np.array_equal(f.values, before)
+
+    def test_adaptive_flow_starts_at_the_stability_cap(self):
+        g = interval_grid(129, np.pi / 4)
+        eps = 0.1
+        x = g.axis()
+        f = Field(g, np.cos(2.0 * x), eps)  # zero at both ends
+        trace = gradient_flow(f, P, None, StopRule(max_steps=30, adapt_dt=True))
+        cap = 0.5 * eps / float(np.max(np.abs(P.d2w(np.linspace(-1.2, 1.2, 101)))))
+        assert trace.dt_final == cap
+        assert np.max(np.diff(trace.energies)) <= 0.0
 
     def test_step_counts_below_zero_are_rejected(self):
         f = multi_interface_seed(circle_grid(256), 0.2, [0.0, np.pi])
