@@ -9,15 +9,15 @@ so every step is one tridiagonal LU solve (interval; the LAPACK factors are
 computed once per step size), one prefactored sparse LU solve (circle) or one
 FFT-diagonalized solve (torus), and the monitored energy is non-increasing for
 the default step dt = eps * h; a non-finite energy stops the flow with a
-SolverError.  An adaptive flow (StopRule.adapt_dt, set by the interval model
-solve) runs at the explicit-stability cap dt = 0.5 eps / max|W''| from its
-first step, halving on an energy rise and growing back afterwards; the
-scheme's energy stays stable up to that cap (Shen & Yang, DCDS-A 28, 2010).
-The circle operator is assembled in CSC form and factored by splu once per
-step size.  A flow builds one fields.energy_kernel and forms each right-hand
-side in a buffer it owns; a Newton solve and a model solve each build one
-fields.residual_kernel.  Newton solves -eps Lap_h(u) + W'(u)/eps = 0 with
-residual-max-norm backtracking.  Its Jacobian -eps Lap_h + W''(u)/eps is
+SolverError.  No flow adapts its step: it halves on an energy rise only.  The
+interval model solve passes dt = 0.5 eps / max|W''| as flow_dt, up to which
+the energy stays stable (Shen & Yang, DCDS-A 28, 2010).  The circle operator
+is assembled in CSC form and factored by splu once per step size.  A flow
+builds one fields.energy_kernel and forms each right-hand side in a buffer it
+owns; a Newton solve and a model solve each build one fields.residual_kernel.
+Newton solves -eps Lap_h(u) + W'(u)/eps = 0 with residual-max-norm
+backtracking; the constants MAX_NEWTON and MAX_FLOW_STEPS cap its iterations
+and a model solve's flow steps.  Its Jacobian -eps Lap_h + W''(u)/eps is
 solved by LAPACK dgtsv, called directly, on the interval; on the circle by
 one dgtsv solve (the tridiagonal part, two right-hand sides) and a
 Sherman-Morrison correction for the two periodic corner entries; on the torus
@@ -28,7 +28,7 @@ operator, whose nonzero info (no convergence) raises SingularJacobianError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg  # unused here; perfbench's tracer wraps solvers.scipy.linalg
@@ -70,6 +70,8 @@ ENERGY_SLACK = 1e-8
 TRIVIAL_MARGIN = 1e-8
 DAMPING = 0.5  # backtracking factor of Newton's fallback line search
 MAX_STEP = 0.15  # sup-norm cap per Newton step in the capped watchdog walk, direction kept
+MAX_NEWTON = 50  # Newton iterations per solve
+MAX_FLOW_STEPS = 100_000  # flow steps per model solve, and per flow without StopRule.max_steps
 
 
 class SolverError(RuntimeError):
@@ -92,33 +94,26 @@ class StepCollapseError(SolverError):
 
 @dataclass
 class SolveConfig:
+    """Settable solver values; the iteration caps are MAX_NEWTON and MAX_FLOW_STEPS."""
     tol_grad: float = 1e-10
-    max_newton: int = 50
-    max_flow_steps: int = 100_000
-    flow_dt: float | None = None  # default eps * h; an adapt_dt flow starts at its cap instead
+    flow_dt: float | None = None  # default eps * h; the model solve passes its stability step
     min_points_per_eps: float = 8.0
 
     def validate(self) -> None:
         if self.tol_grad < 1e-13:
             raise ValueError("tol_grad must be at least 1e-13")
-        for name in (
-            "tol_grad",
-            "max_newton",
-            "max_flow_steps",
-            "min_points_per_eps",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.min_points_per_eps <= 0:
+            raise ValueError("min_points_per_eps must be positive")
         if self.flow_dt is not None and self.flow_dt <= 0:
             raise ValueError("flow_dt must be positive")
 
 
 @dataclass
 class StopRule:
+    """Flow length (MAX_FLOW_STEPS when unset) and nodal sampling; the step is cfg.flow_dt."""
     max_steps: int | None = None
     sample_every: int = 50
     track_nodal: bool = False
-    adapt_dt: bool = False  # start at 0.5*eps/max|W''|, regrow there (x1.4 per 64 steps) after a halving
 
 
 @dataclass
@@ -377,7 +372,7 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
         raise NewtonDivergenceError(f"non-finite starting residual {rn!r}", history)
 
     while rn > cfg.tol_grad:
-        if iterations >= cfg.max_newton:
+        if iterations >= MAX_NEWTON:
             raise NewtonDivergenceError(
                 f"no convergence after {iterations} Newton iterations "
                 f"(residual {rn:.3e} > {cfg.tol_grad:.1e})",
@@ -479,21 +474,21 @@ def gradient_flow(
     p: Potential,
     cfg: SolveConfig | None = None,
     stop: StopRule | None = None,
-    _project=None,
 ) -> FlowTrace:
     """Semi-implicit energy descent for a fixed number of steps; energy is
     monitored every step.
 
-    The flow runs ``stop.max_steps`` steps (``cfg.max_flow_steps`` when
-    unset).  An energy increase beyond the slack (after the 10-step
-    transient) halves the step and retries; collapse below 1e-14 aborts, and
-    so does a non-finite energy at any step.  Nodal angles are sampled into
-    the trace when the stop rule asks for them.
+    The flow runs ``stop.max_steps`` steps (MAX_FLOW_STEPS when unset) at
+    the fixed step ``cfg.flow_dt`` (eps * h when unset).  An energy increase
+    beyond the slack (after the 10-step transient) halves the step for the
+    rest of the run and retries; collapse below 1e-14 aborts, and so does a
+    non-finite energy at any step.  Nodal angles are sampled into the trace
+    when the stop rule asks for them.
     """
     cfg = cfg or SolveConfig()
     cfg.validate()
     stop = stop or StopRule()
-    max_steps = stop.max_steps if stop.max_steps is not None else cfg.max_flow_steps
+    max_steps = stop.max_steps if stop.max_steps is not None else MAX_FLOW_STEPS
     if max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
     if stop.track_nodal and stop.sample_every < 1:
@@ -501,19 +496,11 @@ def gradient_flow(
     require_resolution(f.grid, f.epsilon, cfg.min_points_per_eps)
 
     eps = f.epsilon
-    if stop.adapt_dt:
-        # explicit-term stability cap on the well force: the run starts
-        # there, and after a halving grows back toward it
-        curv = float(np.max(np.abs(p.d2w(np.linspace(-1.2, 1.2, 101)))))
-        dt = dt_cap = 0.5 * eps / max(curv, 1e-6)
-    else:
-        dt = cfg.flow_dt if cfg.flow_dt is not None else eps * f.grid.h
+    dt = cfg.flow_dt if cfg.flow_dt is not None else eps * f.grid.h
     solve = _make_flow_solver(f.grid, eps, dt)
     energy_of = energy_kernel(f.grid, eps, p)
     rhs = np.empty(f.grid.shape)  # v - (dt/eps) W'(v); no solve returns it
     v = f.values.copy()
-    if _project is not None:
-        v = _project(v)
 
     energies = [energy_of(v)]
     angle_samples = []
@@ -523,8 +510,6 @@ def gradient_flow(
             np.multiply(p.dw(v), dt / eps, out=rhs)
             np.subtract(v, rhs, out=rhs)
             v_new = solve(v, rhs)
-            if _project is not None:
-                v_new = _project(v_new)
             e_new = energy_of(v_new)
             # math.isfinite: np.isfinite costs about 1 us per step on a Python float
             if not math.isfinite(e_new):
@@ -546,9 +531,6 @@ def gradient_flow(
 
             ns = extract_nodal_set(Field(f.grid, v, eps))
             angle_samples.append((step_i, ns.angles.copy()))
-        if stop.adapt_dt and step_i % 64 == 0 and dt < dt_cap:
-            dt = min(dt * 1.4, dt_cap)
-            solve = _make_flow_solver(f.grid, eps, dt)
 
     return FlowTrace(Field(f.grid, v, eps), np.asarray(energies), max_steps, angle_samples, dt)
 
@@ -576,9 +558,10 @@ def solve_dirichlet_model(
     """Positive transition profile vanishing at both interval endpoints.
 
     Minimizes the energy over fields pinned to zero at +-half_length:
-    projected semi-implicit flow from a sine bump, at the adaptive flow's
-    stability cap, then Newton refinement.  The flow runs in chunks of 25,
-    50, 100, 200 and then 400 steps; after each chunk the Newton gate (the
+    semi-implicit flow from a sine bump at the stability step
+    dt = 0.5 eps / max|W''| (passed to gradient_flow as ``flow_dt``), then
+    Newton refinement.  The flow runs in chunks of 25, 50, 100, 200 and then
+    400 steps, MAX_FLOW_STEPS in all; after each chunk the Newton gate (the
     energy beats the zero field's by the trivial margin, or the gradient
     max-norm is below 1e-4) decides whether to try Newton, so a profile
     that is already in Newton's basin costs 25 flow steps.
@@ -587,6 +570,7 @@ def solve_dirichlet_model(
     solution.  A linear-stability shortcut returns the zero solution
     immediately when the zero state is strictly stable, which for potentials
     satisfying the monotonicity axiom is exactly the no-transition regime.
+    A stall raises SolverError with the last Newton failure, if any.
     """
     cfg = cfg or SolveConfig()
     cfg.validate()
@@ -614,21 +598,20 @@ def solve_dirichlet_model(
     seed[0] = seed[-1] = 0.0
     u = Field(grid, seed, epsilon)
 
-    def project(v):
-        v = np.clip(v, 0.0, 1.0)
-        v[0] = v[-1] = 0.0
-        return v
-
+    # No projection: the flow keeps u in [0, 1] with both ends 0, since at dt <= eps/max W''
+    # u - (dt/eps) W'(u) is nondecreasing on [0, 1] and fixes 0 and 1, the implicit
+    # Dirichlet solve is an inverse M-matrix, and the interval flow solver copies the ends.
+    curv = float(np.max(np.abs(p.d2w(np.linspace(-1.2, 1.2, 101)))))
+    flow_cfg = replace(cfg, flow_dt=0.5 * epsilon / max(curv, 1e-6))
     residual = residual_kernel(grid, epsilon, p)
     chunk = 25
     steps_used = 0
     newton_attempts = 0
+    newton_failure = ""
 
-    while steps_used < cfg.max_flow_steps:
-        this_chunk = min(chunk, cfg.max_flow_steps - steps_used)
-        trace = gradient_flow(
-            u, p, cfg, StopRule(max_steps=this_chunk, adapt_dt=True), _project=project
-        )
+    while steps_used < MAX_FLOW_STEPS:
+        this_chunk = min(chunk, MAX_FLOW_STEPS - steps_used)
+        trace = gradient_flow(u, p, flow_cfg, StopRule(max_steps=this_chunk))
         u = trace.field
         steps_used += trace.steps
         chunk = min(2 * chunk, 400)
@@ -639,7 +622,8 @@ def solve_dirichlet_model(
             newton_attempts += 1
             try:
                 nr = newton_refine(u, p, cfg)
-            except SolverError:
+            except SolverError as exc:
+                newton_failure = f"; last Newton failure: {exc}"
                 continue
             w = nr.field
             e_w = energy(w, p)
@@ -669,7 +653,7 @@ def solve_dirichlet_model(
 
     raise SolverError(
         f"model solve stalled after {steps_used} flow steps "
-        f"(energy {energy(u, p):.6g} vs zero-field {e_zero:.6g})"
+        f"(energy {energy(u, p):.6g} vs zero-field {e_zero:.6g}){newton_failure}"
     )
 
 
@@ -682,7 +666,6 @@ def existence_threshold(
     positive profile exists."""
     if not (half_length > 0.0):
         raise ValueError("half_length must be positive")
-    cfg = cfg or SolveConfig()
     if float(p.d2w(0.0)) >= 0.0:
         return 0.0  # zero state is stable at every width
 
@@ -729,12 +712,9 @@ def reflect_extend(model: ModelSolution, copies: int) -> Field:
     if copies % 2 != 0:
         raise ValueError("copies must be even: an odd number of sign-alternating pieces cannot close up on the circle")
     v = model.field.values
-    n_model = v.size
-    n = copies * (n_model - 1)
-    circumference = copies * 2.0 * model.half_length
-    pieces = [(1.0 if k % 2 == 0 else -1.0) * v[:-1] for k in range(copies)]
-    values = np.concatenate(pieces)
-    return Field(circle_grid(n, circumference), values, model.field.epsilon)
+    values = np.concatenate([(1.0 if k % 2 == 0 else -1.0) * v[:-1] for k in range(copies)])
+    grid = circle_grid(values.size, copies * 2.0 * model.half_length)
+    return Field(grid, values, model.field.epsilon)
 
 
 def multi_interface_seed(grid: Grid, epsilon: float, angles) -> Field:

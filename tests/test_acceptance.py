@@ -199,6 +199,7 @@ def test_c06_antipodality_census():
     assert elapsed < 300.0
 
 
+@pytest.mark.slow
 def test_c07_rigidity_census():
     t0 = time.perf_counter()
     report = pl.experiment_m_rigidity(

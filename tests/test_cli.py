@@ -256,3 +256,37 @@ def test_flow_steps_below_one_exit_two_without_writing(tmp_path, capsys, steps):
     assert "--steps" in capsys.readouterr().err
     assert not out.exists()
     assert snap.read_bytes() == before
+
+
+def test_analyze_judges_a_torus_by_its_fibers(tmp_path, capsys):
+    """Four parallel fibers: four interfaces, congruent and symmetric at the
+    default m = 4; the nodal csv still lists the whole point cloud."""
+    f = pl.multi_interface_seed(pl.torus_grid(256, 64), 0.15, np.arange(4) * np.pi / 2)
+    snap = tmp_path / "torus.snap"
+    pl.save_snapshot(f, snap)
+    what = ["nodal", "congruence", "alternation", "symmetry"]
+    assert main(["analyze", "--snapshot", str(snap), "--what", *what, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["nodal_count"] == 4
+    assert np.allclose(payload["angles"], np.arange(4) * np.pi / 2, atol=1e-12)
+    assert payload["congruence"]["passed"] and payload["alternation"]
+    assert payload["symmetry"]["passed"]
+    csv = tmp_path / "nodal.csv"
+    assert main(["analyze", "--snapshot", str(snap), "--csv", str(csv)]) == 0
+    assert "nodal points: 4" in capsys.readouterr().out
+    assert len(csv.read_text().splitlines()) == 1 + pl.extract_nodal_set(f).count
+
+
+def test_analyze_decay_fits_the_well_rate(tmp_path, capsys):
+    """A glued two-interface solution decays at kappa = sqrt(W''(1)) / eps."""
+    sol = pl.solve_dirichlet_model(np.pi / 2, 0.1, pl.quartic(), n=513)
+    snap = tmp_path / "m2.snap"
+    pl.save_snapshot(pl.reflect_extend(sol, 2), snap)
+    csv = tmp_path / "decay.csv"
+    argv = ["analyze", "--snapshot", str(snap), "--what", "decay", "--csv", str(csv), "--json"]
+    assert main(argv) == 0
+    kappa_eps = json.loads(capsys.readouterr().out)["decay"]["kappa_times_eps"]
+    assert abs(kappa_eps - np.sqrt(2.0)) <= 0.25 * np.sqrt(2.0)
+    lines = csv.read_text().splitlines()
+    assert lines[0].startswith("# amplitude=") and lines[1] == "distance,log_gap,fitted"
+    assert len(lines) == 2 + 1024

@@ -301,13 +301,11 @@ class TestConfigEcho:
         assert replay.to_json_bytes() == rep.to_json_bytes()
 
     def test_solver_echo_holds_every_solve_config_field(self):
-        rep = experiment_comparison(cfg=SolveConfig(tol_grad=1e-11, max_newton=40))
+        rep = experiment_comparison(cfg=SolveConfig(tol_grad=1e-11, min_points_per_eps=7.0))
         assert rep.config["solver"] == {
             "tol_grad": 1e-11,
-            "max_newton": 40,
-            "max_flow_steps": 100_000,
             "flow_dt": None,
-            "min_points_per_eps": 8.0,
+            "min_points_per_eps": 7.0,
             "damping": 0.5,
         }
 

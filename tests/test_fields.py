@@ -221,6 +221,27 @@ def test_hessian_is_gradient_linearization():
     assert errs[1] <= errs[0] * 0.2
 
 
+def test_interval_hessian_pins_the_boundary():
+    """On an interval the Hessian acts on the direction with its end values
+    zeroed and returns zero boundary rows, so it is symmetric under inner and
+    is the central difference of the gradient along the pinned direction."""
+    g = interval_grid(129, 1.0)
+    rng = np.random.default_rng(2)
+    u, phi, psi = (Field(g, rng.uniform(-1.0, 1.0, 129), 0.2) for _ in range(3))
+    h_phi = hessian_apply(u, phi, P).values
+    assert h_phi[0] == 0.0 and h_phi[-1] == 0.0
+    a = inner(g, h_phi, psi.values)
+    b = inner(g, hessian_apply(u, psi, P).values, phi.values)
+    assert abs(a - b) <= 1e-10 * (1 + abs(a))
+    pinned = phi.values.copy()
+    pinned[0] = pinned[-1] = 0.0
+    assert np.array_equal(hessian_apply(u, phi.with_values(pinned), P).values, h_phi)
+    t = 1e-4
+    plus = gradient(u.with_values(u.values + t * pinned), P).values
+    minus = gradient(u.with_values(u.values - t * pinned), P).values
+    assert sup_norm((plus - minus) / (2 * t) - h_phi) <= 1e-6 * sup_norm(h_phi)
+
+
 def test_hessian_grid_mismatch():
     u = Field(circle_grid(128), np.zeros(128), 0.3)
     phi = Field(circle_grid(64), np.zeros(64), 0.3)

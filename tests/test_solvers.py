@@ -12,7 +12,7 @@ import phaselab as pl
 import phaselab.solvers as solvers
 from phaselab.fields import Field, energy, gradient, hessian_apply
 from phaselab.grids import circle_grid, interval_grid, torus_grid
-from phaselab.potentials import from_callables, quartic
+from phaselab.potentials import from_callables, from_table, quartic
 from phaselab.solvers import (
     NewtonDivergenceError,
     SingularJacobianError,
@@ -139,6 +139,16 @@ class TestReflectExtend:
 
 
 C05_CONFIGS = [(m, eps) for m in (2, 4, 6) for eps in (0.05, 0.1, 0.15)]
+MODEL_CASES = [
+    (np.pi / m, eps, SolveConfig(tol_grad=1e-11), 1536 // m + 1) for m, eps in C05_CONFIGS
+] + [(np.pi / 2, eps, None, None) for eps in (0.99, 0.9999)]
+MODEL_IDS = [f"c05-m{m}-eps{eps}" for m, eps in C05_CONFIGS] + ["eps0.99", "eps0.9999"]
+# the quartic sampled on [-2, 2] and interpolated by a cubic spline
+TABLE = from_table([[float(x), float(P.w(x))] for x in np.linspace(-2.0, 2.0, 41)])
+
+
+def _stability_step(eps, p):
+    return 0.5 * eps / float(np.max(np.abs(p.d2w(np.linspace(-1.2, 1.2, 101)))))
 
 
 def _model_chunks(monkeypatch, *args, **kwargs):
@@ -171,12 +181,7 @@ class TestModelFlowAtTheCap:
         assert len(sizes) > 5 and set(sizes[5:]) == {400}
         assert sol.diagnostics["flow_steps"] == sum(sizes)
 
-    @pytest.mark.parametrize(
-        "half_length, eps, cfg, n",
-        [(np.pi / m, eps, SolveConfig(tol_grad=1e-11), 1536 // m + 1) for m, eps in C05_CONFIGS]
-        + [(np.pi / 2, eps, None, None) for eps in (0.99, 0.9999)],
-        ids=[f"c05-m{m}-eps{eps}" for m, eps in C05_CONFIGS] + ["eps0.99", "eps0.9999"],
-    )
+    @pytest.mark.parametrize("half_length, eps, cfg, n", MODEL_CASES, ids=MODEL_IDS)
     def test_energy_never_rises_across_chunks(self, monkeypatch, half_length, eps, cfg, n):
         """Each chunk checks the energy only after its first 10 steps; at the
         cap the unchecked steps must descend too."""
@@ -189,7 +194,8 @@ class TestModelFlowAtTheCap:
     @pytest.mark.parametrize("m, eps", C05_CONFIGS)
     def test_profile_matches_the_flow_from_eps_h(self, m, eps):
         """Against the older recipe: 400 flow steps at dt = eps * h from the
-        same projected sine bump, then Newton."""
+        same sine bump, then Newton; that flow stays in [0, 1] with both
+        ends 0 as well."""
         half_length, n = np.pi / m, 1536 // m + 1
         cfg = SolveConfig(tol_grad=1e-11)
         sol = solve_dirichlet_model(half_length, eps, P, cfg, n=n)
@@ -199,16 +205,63 @@ class TestModelFlowAtTheCap:
         seed = np.clip(np.sin(np.pi * (x + half_length) / (2.0 * half_length)), 0.0, 1.0)
         seed[0] = seed[-1] = 0.0
 
-        def project(v):
-            v = np.clip(v, 0.0, 1.0)
-            v[0] = v[-1] = 0.0
-            return v
-
         slow = SolveConfig(tol_grad=1e-11, flow_dt=eps * g.h)
-        trace = gradient_flow(Field(g, seed, eps), P, slow, StopRule(max_steps=400), _project=project)
+        trace = gradient_flow(Field(g, seed, eps), P, slow, StopRule(max_steps=400))
+        v = trace.field.values
+        assert v[0] == v[-1] == 0.0 and 0.0 <= v.min() and v.max() <= 1.0
         ref = newton_refine(trace.field, P, cfg).field.values
         assert sol.status == "positive"
         assert np.max(np.abs(sol.field.values - ref)) <= 1e-12
+
+
+class TestModelFlowNeedsNoProjection:
+    """The model flow is not clipped to [0, 1]: at dt <= eps / max W'' the
+    explicit map u - (dt/eps) W'(u) is nondecreasing on [0, 1] and fixes 0
+    and 1, the implicit Dirichlet solve is an inverse M-matrix, and the
+    interval flow solver copies the end values."""
+
+    @pytest.mark.parametrize(
+        "half_length, eps, p, cfg, n",
+        [(half_length, eps, P, cfg, n) for half_length, eps, cfg, n in MODEL_CASES]
+        + [(np.pi / 2, 0.3, TABLE, None, None), (np.pi / 4, 0.1, TABLE, None, None)],
+        ids=MODEL_IDS + ["table-eps0.3", "table-eps0.1"],
+    )
+    def test_every_step_runs_at_the_stability_step_inside_0_1(
+        self, monkeypatch, half_length, eps, p, cfg, n
+    ):
+        steps = []  # (dt, min, max, first, last) of every flow step's output
+        make = solvers._make_flow_solver
+
+        def recording(grid, eps, dt):
+            solve = make(grid, eps, dt)
+
+            def step(v, rhs):
+                out = solve(v, rhs)
+                steps.append((dt, out.min(), out.max(), out[0], out[-1]))
+                return out
+
+            return step
+
+        monkeypatch.setattr(solvers, "_make_flow_solver", recording)
+        sol, chunks = _model_chunks(monkeypatch, half_length, eps, p, cfg, n=n)
+        assert sol.status == "positive"
+        dt = _stability_step(eps, p)
+        assert chunks and all(t.dt_final == dt for t in chunks)
+        assert len(steps) == sum(t.steps for t in chunks)  # no step was retried
+        dts, lo, hi, first, last = np.array(steps).T
+        assert np.all(dts == dt)
+        assert lo.min() >= 0.0 and hi.max() <= 1.0
+        assert np.all(first == 0.0) and np.all(last == 0.0)
+
+
+def test_model_stall_names_the_last_newton_failure(monkeypatch):
+    """At tol_grad 1e-11 on 4097 points Newton stalls just above the target
+    every time, so the flow runs out of steps; the error says why."""
+    monkeypatch.setattr(solvers, "MAX_FLOW_STEPS", 400)
+    with pytest.raises(
+        SolverError, match="stalled after 400 flow steps.*last Newton failure: backtracking stalled"
+    ):
+        solve_dirichlet_model(np.pi / 2, 0.05, P, SolveConfig(tol_grad=1e-11), n=4097)
 
 
 class TestNewtonRefine:
@@ -237,9 +290,10 @@ class TestNewtonRefine:
             return solve_and_record
 
         monkeypatch.setattr(solvers, "_make_jacobian_solver", recording)
+        monkeypatch.setattr(solvers, "MAX_NEWTON", 1)
         f = multi_interface_seed(circle_grid(256), eps, [0.0, np.pi / 2 + shift, np.pi, 3 * np.pi / 2])
         with pytest.raises(NewtonDivergenceError, match="after 1 Newton"):
-            newton_refine(f, P, SolveConfig(max_newton=1))
+            newton_refine(f, P)
         assert len(solved) > 12  # more than one walk ran
         assert len(set(solved)) == len(solved)
 
@@ -260,12 +314,13 @@ class TestNewtonRefine:
         assert r[1] <= 1.0 * r[0] ** 2 * 100
         assert r[2] <= 1.0 * r[1] ** 2 * 100
 
-    def test_divergence_reports_trace(self):
+    def test_divergence_reports_trace(self, monkeypatch):
         sol = solve_dirichlet_model(np.pi / 4, 0.1, P, SolveConfig(tol_grad=1e-12), n=129)
         f = reflect_extend(sol, 4)
         f = f.with_values(f.values + 0.01 * np.sin(3 * f.grid.axis(0)))
+        monkeypatch.setattr(solvers, "MAX_NEWTON", 1)
         with pytest.raises(NewtonDivergenceError) as err:
-            newton_refine(f, P, SolveConfig(tol_grad=1e-13, max_newton=1))
+            newton_refine(f, P, SolveConfig(tol_grad=1e-13))
         assert len(err.value.residuals) >= 1
 
     def test_refined_solution_symmetries(self):
@@ -358,15 +413,23 @@ class TestGradientFlow:
         assert np.array_equal(trace.field.values, v)
         assert np.array_equal(f.values, before)
 
-    def test_adaptive_flow_starts_at_the_stability_cap(self):
+    def test_flow_keeps_the_stability_step(self):
         g = interval_grid(129, np.pi / 4)
         eps = 0.1
         x = g.axis()
         f = Field(g, np.cos(2.0 * x), eps)  # zero at both ends
-        trace = gradient_flow(f, P, None, StopRule(max_steps=30, adapt_dt=True))
-        cap = 0.5 * eps / float(np.max(np.abs(P.d2w(np.linspace(-1.2, 1.2, 101)))))
-        assert trace.dt_final == cap
+        dt = _stability_step(eps, P)
+        trace = gradient_flow(f, P, SolveConfig(flow_dt=dt), StopRule(max_steps=30))
+        assert trace.dt_final == dt
         assert np.max(np.diff(trace.energies)) <= 0.0
+
+    def test_energy_rise_halves_the_step(self):
+        """Above the stability step the energy rises and the step halves;
+        after the 10-step transient no accepted step raises the energy."""
+        f = multi_interface_seed(circle_grid(256), 0.2, [0.0, 2.0])
+        trace = gradient_flow(f, P, SolveConfig(flow_dt=0.3), StopRule(max_steps=200))
+        assert trace.dt_final == 0.15
+        assert np.max(np.diff(trace.energies[10:])) <= 0.0
 
     def test_step_counts_below_zero_are_rejected(self):
         f = multi_interface_seed(circle_grid(256), 0.2, [0.0, np.pi])
@@ -496,8 +559,8 @@ class TestIntervalFlowStep:
     )
     def test_prefactored_step_is_bit_identical_to_banded_solve(self, n, eps, halvings, grow, seed):
         g = interval_grid(n, 1.0 + seed % 7)
-        # the default step eps * h, halved as after energy rises, or grown
-        # by the adaptive factor 1.4
+        # the default step eps * h, halved as after energy rises, or 1.4
+        # times larger, as a caller's flow_dt may be
         dt = eps * g.h * 0.5**halvings * (1.4 if grow else 1.0)
         rng = np.random.default_rng(seed)
         step = _make_flow_solver(g, eps, dt)
