@@ -276,7 +276,7 @@ def cmd_analyze(args) -> int:
     field, _ = load_snapshot_with_meta(args.snapshot)
     ns = extract_nodal_set(field)
     # a torus is judged by its fibers' circle nodal set; the csv keeps the cloud
-    fibers = fiber_nodal_set(ns, field.grid.h) if field.grid.kind == "torus" else ns
+    fibers = fiber_nodal_set(ns, field.grid.h)
     payload: dict = {"nodal_count": fibers.count, "angles": list(fibers.angles)}
     ok = True
     if "congruence" in args.what:

@@ -73,7 +73,7 @@ class ComparisonReport:
 
 def _mask_boundary(grid: Grid, mask: np.ndarray) -> np.ndarray:
     """Points of the mask with a neighbor outside it (or beyond an interval end)."""
-    padded = np.pad(mask, 1, mode="constant" if grid.kind == "interval" else "wrap")
+    padded = np.pad(mask, 1, mode="wrap" if grid.periodic else "constant")
     core = [slice(1, -1)] * mask.ndim
     inside = np.ones_like(mask)
     for axis in range(mask.ndim):
@@ -185,7 +185,7 @@ def build_barrier(
     (negative lobes); the support is six half-widths.  Center and width are
     snapped to grid points so the odd symmetries are exact.
     """
-    if grid.kind not in ("circle", "torus"):
+    if not grid.periodic:
         raise ValueError("barriers live on circle or torus grids")
     cfg = cfg or SolveConfig()
     n = grid.shape[0]
@@ -223,19 +223,12 @@ def build_barrier(
     circle_vals = np.zeros(n)
     idx = (center_index + offsets) % n
     circle_vals[idx] = vals
-    mask1 = np.zeros(n, dtype=bool)
-    mask1[idx] = True
-
-    if grid.kind == "torus":
-        values = np.repeat(circle_vals[:, None], grid.shape[1], axis=1)
-        mask = np.repeat(mask1[:, None], grid.shape[1], axis=1)
-    else:
-        values = circle_vals
-        mask = mask1
+    mask = np.zeros(n, dtype=bool)
+    mask[idx] = True
 
     return Barrier(
-        Field(grid, values, epsilon),
-        mask,
+        Field(grid, grid.extrude(circle_vals), epsilon),
+        grid.extrude(mask),
         (center_index * h) % L,
         steps * h,
         center_index,
@@ -494,7 +487,7 @@ def experiment_m_rigidity(
                     continue
                 run["residual"] = nr.residuals[-1]
                 ns = extract_nodal_set(nr.field)
-                ns_fiber = fiber_nodal_set(ns, grid.h) if surface == "torus" else ns
+                ns_fiber = fiber_nodal_set(ns, grid.h)
                 count = ns_fiber.count
                 run["interfaces"] = int(count)
                 if count != m:

@@ -13,12 +13,14 @@ with boundary rows eliminated (pinned to zero) on Dirichlet intervals.  All
 inner products carry the grid's quadrature weights, which makes the discrete
 Hessian exactly self-adjoint up to rounding.
 
-The energy and its gradient (Newton's residual) are per-geometry kernels:
-``energy_kernel(grid, eps, p)`` and ``residual_kernel(grid, eps, p)`` pick the
-geometry, compute their constants and allocate their work buffers once, so a
-flow or a Newton solve builds one and calls it at every step.  ``energy`` and
-``gradient`` build one per call.  Every stencil is one wrapped second
-difference along axis 0; the torus' second axis goes through transposed views.
+The energy and its gradient (Newton's residual) are kernels:
+``energy_kernel(grid, eps, p)`` and ``residual_kernel(grid, eps, p)`` compute
+their constants and allocate their work buffers once, so a flow or a Newton
+solve builds one and calls it at every step.  ``energy`` and ``gradient``
+build one per call.  The kernels know two geometries: a periodic grid
+(``Grid.periodic``), whose one-axis case is the circle, and the Dirichlet
+interval.  Every stencil is one wrapped difference along axis 0; further
+axes go through transposed views.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ class Field:
         v = np.asarray(self.values, dtype=float)
         if v.shape != self.grid.shape:
             raise ValueError(f"values shape {v.shape} != grid shape {self.grid.shape}")
-        if not (self.epsilon > 0.0):
-            raise ValueError("epsilon must be positive")
+        if not (0.0 < self.epsilon < math.inf):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         object.__setattr__(self, "values", v)
 
     def with_values(self, values) -> "Field":
@@ -71,7 +73,7 @@ class Field:
 def _second_differences(v, out, h2):
     """((-2 v[i] + v[i+1]) + v[i-1]) / h2 along axis 0, wrapped, into ``out``.
 
-    Every stencil is this one; a torus' second axis passes transposed views.
+    Every stencil is this one; further axes pass transposed views.
     """
     np.multiply(v, -2.0, out=out)
     out[:-1] += v[1:]
@@ -89,28 +91,21 @@ def _forward_differences(v, out):
 
 
 def _laplacian_kernel(grid: Grid):
-    """The stencil Laplacian of one geometry, picked once: ``lap(v, out)``
-    writes Lap_h(v) into ``out`` (never ``v``) and returns it; the axes are
-    summed in order, and the interval's boundary rows are zero."""
-    h1sq = grid.h**2
-    if grid.kind == "interval":
-
-        def lap(v, out):
-            _second_differences(v, out, h1sq)
-            out[0] = out[-1] = 0.0
-            return out
-
-        return lap
-
-    if grid.kind == "circle":
-        return lambda v, out: _second_differences(v, out, h1sq)
-
-    h2sq = grid.spacings[1] ** 2
+    """The stencil Laplacian of a grid, set up once: ``lap(v, out)`` writes
+    Lap_h(v) into ``out`` (never ``v``) and returns it; the axes are summed
+    in order, and an interval's boundary rows are zero."""
+    hsq = [hk**2 for hk in grid.spacings]
+    further = range(1, len(grid.shape))
     col = np.empty(grid.shape)
+    pinned = not grid.periodic
 
     def lap(v, out):
-        _second_differences(v, out, h1sq)
-        out += _second_differences(v.T, col.T, h2sq).T
+        _second_differences(v, out, hsq[0])
+        for axis in further:
+            w, c = v.swapaxes(0, axis), col.swapaxes(0, axis)
+            out += _second_differences(w, c, hsq[axis]).swapaxes(0, axis)
+        if pinned:
+            out[0] = out[-1] = 0.0
         return out
 
     return lap
@@ -128,9 +123,8 @@ def energy_kernel(grid: Grid, eps: float, p: Potential):
     ``values`` is a float array of the grid's shape; it is read, never
     written.  The difference buffers belong to the kernel.
     """
-    h = grid.h
-    if grid.kind == "interval":
-        c_grad = 0.5 * eps / h
+    if not grid.periodic:
+        c_grad = 0.5 * eps / grid.h
         weights = grid.weights()
         du = np.empty(grid.shape[0] - 1)
         well = np.empty(grid.shape)
@@ -142,30 +136,22 @@ def energy_kernel(grid: Grid, eps: float, p: Potential):
 
         return energy_of
 
-    if grid.kind == "circle":
-        c_grad, c_well = 0.5 * eps / h, h / eps
-        du = np.empty(grid.shape)
-
-        def energy_of(v):
-            _forward_differences(v, du)
-            return c_grad * float(np.dot(du, du)) + c_well * float(p.w(v).sum())
-
-        return energy_of
-
-    # torus: each axis' squared differences summed over the raveled (C-order)
-    # buffer, axis 0 then axis 1
+    # periodic: each axis' squared differences summed over the raveled
+    # (C-order) buffer, axis 0 first; a circle is the one-axis case
     cell = math.prod(grid.spacings)
-    c_rows, c_cols = (0.5 * eps * (cell / hk) / hk for hk in grid.spacings)
+    c_axes = [0.5 * eps * (cell / hk) / hk for hk in grid.spacings]
+    further = range(1, len(grid.shape))
     c_well = cell / eps
     du = np.empty(grid.shape)
     flat = du.ravel()
 
     def energy_of(v):
         _forward_differences(v, du)
-        rows = c_rows * float(np.dot(flat, flat))
-        _forward_differences(v.T, du.T)
-        cols = c_cols * float(np.dot(flat, flat))
-        return (rows + cols) + c_well * float(p.w(v).sum())
+        grad = c_axes[0] * float(np.dot(flat, flat))
+        for axis in further:
+            _forward_differences(v.swapaxes(0, axis), du.swapaxes(0, axis))
+            grad += c_axes[axis] * float(np.dot(flat, flat))
+        return grad + c_well * float(p.w(v).sum())
 
     return energy_of
 
@@ -181,7 +167,7 @@ def residual_kernel(grid: Grid, eps: float, p: Potential):
     lap = _laplacian_kernel(grid)
     work = np.empty(grid.shape)
     neg_eps = -eps
-    pinned = grid.kind == "interval"
+    pinned = not grid.periodic
 
     def residual(v):
         lap(v, work)
@@ -211,12 +197,11 @@ def hessian_apply(f: Field, direction: Field, p: Potential) -> Field:
         raise ValueError("direction lives on a different grid")
     eps = f.epsilon
     phi = direction.values
-    if f.grid.kind == "interval":
+    if not f.grid.periodic:
+        # zero end values make the pinned rows zero as well
         phi = phi.copy()
         phi[0] = phi[-1] = 0.0
     out = -eps * laplacian(f.grid, phi) + p.d2w(f.values) / eps * phi
-    if f.grid.kind == "interval":
-        out[0] = out[-1] = 0.0
     return Field(f.grid, out, eps)
 
 

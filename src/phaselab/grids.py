@@ -1,4 +1,5 @@
-"""Uniform grids: Dirichlet interval, circle, and flat two-torus."""
+"""Uniform grids: Dirichlet interval, circle, and flat two-torus.  A grid says
+whether its axes wrap (``periodic``) and how an axis-0 profile fills it (``extrude``)."""
 
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 MIN_POINTS = 16
+PERIODIC_KINDS = frozenset({"circle", "torus"})  # kinds whose every axis wraps
 
 
 class ResolutionError(ValueError):
@@ -46,9 +48,19 @@ class Grid:
 
     @functools.cached_property
     def spacings(self) -> tuple[float, ...]:
-        if self.kind == "interval":
+        if not self.periodic:
             return (2.0 * self.lengths[0] / (self.shape[0] - 1),)
         return tuple(L / n for L, n in zip(self.lengths, self.shape))
+
+    @property
+    def periodic(self) -> bool:
+        """True when every axis wraps (circle, torus); an interval's does not."""
+        return self.kind in PERIODIC_KINDS
+
+    def extrude(self, profile) -> np.ndarray:
+        """The axis-0 ``profile`` repeated along the remaining axes, as a new
+        array of the grid's shape (a copy on 1-D grids)."""
+        return np.broadcast_to(profile, self.shape[::-1]).T.copy()
 
     @property
     def h(self) -> float:
@@ -56,11 +68,9 @@ class Grid:
         return self.spacings[0]
 
     def axis(self, i: int = 0) -> np.ndarray:
-        if self.kind == "interval":
-            ell = self.lengths[0]
-            return np.linspace(-ell, ell, self.shape[0])
-        n = self.shape[i]
-        return (self.lengths[i] / n) * np.arange(n)
+        if not self.periodic:
+            return np.linspace(-self.lengths[0], self.lengths[0], self.shape[0])
+        return self.spacings[i] * np.arange(self.shape[i])
 
     def weights(self) -> np.ndarray:
         """Quadrature weights, one per grid point (trapezoid on intervals).
@@ -71,11 +81,9 @@ class Grid:
 
     @functools.cached_property
     def _weights(self) -> np.ndarray:
-        if self.kind == "interval":
-            w = np.full(self.shape[0], self.h)
+        w = np.full(self.shape, math.prod(self.spacings))
+        if not self.periodic:
             w[0] = w[-1] = 0.5 * self.h
-        else:
-            w = np.full(self.shape, math.prod(self.spacings))
         w.flags.writeable = False
         return w
 
@@ -111,8 +119,8 @@ def make_grid(kind: str, n, lengths) -> Grid:
 def _validate(n, length) -> None:
     if int(n) < MIN_POINTS:
         raise ValueError(f"need at least {MIN_POINTS} points per axis, got {n}")
-    if not (float(length) > 0.0):
-        raise ValueError(f"grid length must be positive, got {length}")
+    if not (0.0 < float(length) < math.inf):
+        raise ValueError(f"grid length must be finite and positive, got {length}")
 
 
 def circle_distance(a, b, circumference: float = TWO_PI):

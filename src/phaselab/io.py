@@ -122,15 +122,15 @@ def load_snapshot_with_meta(path):
         raise CorruptSnapshotError(
             f"value count mismatch: expected {expected} values, found {len(value_lines)}"
         )
-    try:
-        vals = np.array([float.fromhex(ln.split(None, 1)[0]) for ln in value_lines])
-    except ValueError as exc:
-        raise CorruptSnapshotError(f"bad value line: {exc}") from None
     if expected != grid.npoints:
         raise CorruptSnapshotError(
             f"value count {expected} does not match grid size {grid.npoints}"
         )
-    field = Field(grid, vals.reshape(grid.shape), epsilon)
+    try:  # a bad value line, or an epsilon that Field rejects
+        vals = np.array([float.fromhex(ln.split(None, 1)[0]) for ln in value_lines])
+        field = Field(grid, vals.reshape(grid.shape), epsilon)
+    except ValueError as exc:
+        raise CorruptSnapshotError(f"bad values or epsilon: {exc}") from None
     meta = {"potential": potential, "config_hash": config_hash, "version": version}
     return field, meta
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Field
-from .grids import circle_distance, circle_grid
+from .grids import PERIODIC_KINDS, circle_distance, circle_grid
 
 __all__ = [
     "NodalSet",
@@ -40,7 +40,7 @@ class IndeterminateSignError(ValueError):
 @dataclass(frozen=True)
 class NodalSet:
     kind: str  # matches the grid kind it came from
-    angles: np.ndarray  # sorted positions (angles / interval coordinates)
+    angles: np.ndarray  # sorted positions along axis 0 (a torus cloud's too)
     directions: np.ndarray  # +1 rising, -1 falling, 0 touching
     lengths: tuple
     points: np.ndarray | None = None  # torus cloud, shape (N, 2)
@@ -49,8 +49,6 @@ class NodalSet:
 
     @property
     def count(self) -> int:
-        if self.kind == "torus":
-            return 0 if self.points is None else int(self.points.shape[0])
         return int(self.angles.size)
 
     @property
@@ -81,21 +79,20 @@ def extract_nodal_set(f: Field) -> NodalSet:
     """
     g = f.grid
     v = f.values
-    wrap = g.kind != "interval"
     coords = [g.axis(ax) for ax in range(v.ndim)]
     zero = np.nonzero(v == 0.0)
     if v.ndim == 1:
-        pad = np.pad(v, 1, mode="wrap" if wrap else "constant")
+        pad = np.pad(v, 1, mode="wrap" if g.periodic else "constant")
         zero_dirs = np.sign(pad[zero[0] + 2] - pad[zero[0]]).astype(int)
     else:
         zero_dirs = np.zeros(zero[0].size, dtype=int)
     blocks = [np.stack([c[i] for c, i in zip(coords, zero)], axis=-1)]
     dirs, axes = [zero_dirs], [np.full(zero_dirs.size, -1)]
     for axis, h in enumerate(g.spacings):
-        idx, t, d = _crossings(v, axis, wrap)
+        idx, t, d = _crossings(v, axis, g.periodic)
         cols = [c[i] for c, i in zip(coords, idx)]
         cols[axis] = cols[axis] + t * h
-        if wrap:
+        if g.periodic:
             cols[axis] %= g.lengths[axis]
         blocks.append(np.stack(cols, axis=-1))
         dirs.append(d)
@@ -128,11 +125,14 @@ def hausdorff_distance(a: NodalSet, b: NodalSet) -> float:
         d0 = circle_distance(pa[:, None, 0], pb[None, :, 0], a.lengths[0])
         d1 = circle_distance(pa[:, None, 1], pb[None, :, 1], a.lengths[1])
         dm = np.hypot(d0, d1)
-    elif a.kind == "circle":
-        dm = circle_distance(a.angles[:, None], b.angles[None, :], a.lengths[0])
     else:
-        dm = np.abs(a.angles[:, None] - b.angles[None, :])
+        dm = _distance(a.angles[:, None], b.angles[None, :], a.lengths[0], a.kind in PERIODIC_KINDS)
     return float(max(dm.min(axis=1).max(), dm.min(axis=0).max()))
+
+
+def _distance(a, b, length: float, periodic: bool):
+    """Distance along one axis: wrap-aware on a periodic axis of that length."""
+    return circle_distance(a, b, length) if periodic else np.abs(a - b)
 
 
 @dataclass(frozen=True)
@@ -234,7 +234,10 @@ def check_rotation_symmetry(f: Field, m: int, tol: float = 1e-7) -> SymmetryRepo
 
 def fiber_nodal_set(ns: NodalSet, h: float) -> NodalSet:
     """The circle nodal set of a torus cloud's fibers: one angle per cluster
-    of points with gaps under 4h (h the spacing along axis 0)."""
+    of points with gaps under 4h (h the spacing along axis 0).  A 1-D set is
+    its own fiber set and is returned as it is."""
+    if ns.kind != "torus":
+        return ns
     angles = cluster_fiber_angles(ns, gap_threshold=4.0 * h)
     return NodalSet("circle", angles, np.zeros(angles.size, dtype=int), (ns.lengths[0],))
 
@@ -243,11 +246,11 @@ def cluster_fiber_angles(ns: NodalSet, gap_threshold: float) -> np.ndarray:
     """Cluster a torus nodal cloud by fiber angle; returns cluster centers."""
     if ns.kind != "torus":
         raise ValueError("fiber clustering needs a torus nodal set")
-    if ns.points is None or ns.points.shape[0] == 0:
+    if ns.is_empty:
         return np.empty(0)
     L = ns.lengths[0]
     th = np.sort(ns.points[:, 0] % L)
-    gaps = np.diff(np.append(th, th[0] + L))  # gaps[i] follows th[i], wrap-aware
+    gaps = _circle_spacings(th, L)  # gaps[i] follows th[i], wrap-aware
     breaks = np.flatnonzero(gaps > gap_threshold)
     if breaks.size == 0:
         # single cluster wrapping the whole fiber
@@ -287,10 +290,8 @@ class DecayFit:
 
 def nodal_distance(f: Field, ns: NodalSet) -> np.ndarray:
     """Distance from each point of a 1-D grid to the nearest nodal point."""
-    coords = f.grid.axis(0)
-    if f.grid.kind == "circle":
-        return circle_distance(coords[:, None], ns.angles[None, :], f.grid.lengths[0]).min(axis=1)
-    return np.abs(coords[:, None] - ns.angles[None, :]).min(axis=1)
+    g = f.grid
+    return _distance(g.axis(0)[:, None], ns.angles[None, :], g.lengths[0], g.periodic).min(axis=1)
 
 
 NOISE_FLOOR = 1e-13  # |u^2 - 1| below this is double-precision rounding junk
@@ -305,7 +306,7 @@ def fit_decay(f: Field, ns: NodalSet) -> DecayFit:
     gap exceeds the rounding floor; beyond it |u^2 - 1| is pure floating
     noise (the true value has underflowed) and carries no decay information.
     """
-    if f.grid.kind not in ("circle", "interval"):
+    if f.values.ndim != 1:
         raise ValueError("decay fit supports 1-D fields")
     if ns.is_empty:
         raise ValueError("decay fit needs a nonempty nodal set")

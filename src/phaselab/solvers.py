@@ -371,7 +371,18 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
         # a NaN residual would fail the loop test below and read as converged
         raise NewtonDivergenceError(f"non-finite starting residual {rn!r}", history)
 
+    # Raw Newton steps of this iteration and the last, by the residual norm at
+    # their iterate: walks retrace earlier ones, and no system is solved twice.
+    steps, earlier = {}, {}
+
+    def newton_step(v, res, rn):
+        hit = steps.get(rn) or earlier.get(rn)
+        if hit is None or not np.array_equal(hit[0], v):
+            hit = steps[rn] = (v, solver(v, res))
+        return hit[1]
+
     while rn > cfg.tol_grad:
+        earlier, steps = steps, {}
         if iterations >= MAX_NEWTON:
             raise NewtonDivergenceError(
                 f"no convergence after {iterations} Newton iterations "
@@ -393,13 +404,14 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
         # are capped in sup norm first (controlled travel along the valley);
         # when that walk makes no clear progress the unrestricted walk gets a
         # chance, which is what completes long journeys at gentle widths.
-        # Both walks start with the Jacobian step at (v, res), solved once.
+        # A capped walk that capped no step would be replayed exactly.
         accepted = False
-        step0 = solver(v, res)
+        step0 = newton_step(v, res, rn)
         size0 = sup_norm(step0)
         if _blown_up(size0, v):
             raise SingularJacobianError("Newton step blew up (nearly singular Jacobian)")
-        first_step = step0 * (MAX_STEP / size0) if size0 > MAX_STEP else step0
+        capped = size0 > MAX_STEP
+        first_step = step0 * (MAX_STEP / size0) if capped else step0
         champion = None
         for cap in (MAX_STEP, None):
             w_v, w_res, w_rn = v, res, rn
@@ -407,7 +419,7 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
             for k in range(12):
                 if k > 0:
                     try:
-                        step = solver(w_v, w_res)
+                        step = newton_step(w_v, w_res, w_rn)
                     except SolverError:
                         break
                     size = sup_norm(step)
@@ -415,6 +427,7 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
                         break
                     if cap is not None and size > cap:
                         step = step * (cap / size)
+                        capped = True
                 w_v = w_v - step
                 w_res = residual(w_v)
                 w_rn = sup_norm(w_res)
@@ -424,8 +437,8 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
                     champion = (w_v, w_res, w_rn)
                 if w_rn < 0.3 * rn or w_rn <= cfg.tol_grad:
                     break
-            if champion is not None and champion[2] < 0.3 * rn:
-                break  # clear win, no need to retry with capped steps
+            if not capped or (champion is not None and champion[2] < 0.3 * rn):
+                break  # nothing to retry uncapped, or a clear win
         if champion is not None and champion[2] < rn:
             v, res, rn = champion
             accepted = True
@@ -719,7 +732,7 @@ def reflect_extend(model: ModelSolution, copies: int) -> Field:
 
 def multi_interface_seed(grid: Grid, epsilon: float, angles) -> Field:
     """Smooth saturated seed with one sign change at each requested angle."""
-    if grid.kind not in ("circle", "torus"):
+    if not grid.periodic:
         raise ValueError("seed construction needs a periodic grid")
     L = grid.lengths[0]
     theta = grid.axis(0)
@@ -727,6 +740,4 @@ def multi_interface_seed(grid: Grid, epsilon: float, angles) -> Field:
     for z in np.atleast_1d(angles):
         s = (L / np.pi) * np.sin(np.pi * (theta - z) / L)
         u = u * np.tanh(s / (np.sqrt(2.0) * epsilon))
-    if grid.kind == "torus":
-        u = np.repeat(u[:, None], grid.shape[1], axis=1)
-    return Field(grid, u, epsilon)
+    return Field(grid, grid.extrude(u), epsilon)

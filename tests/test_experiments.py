@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import phaselab as pl
+import phaselab.experiments as experiments
 from phaselab.experiments import (
     BarrierConstructionError,
     _bump,
@@ -21,7 +22,7 @@ from phaselab.fields import Field
 from phaselab.grids import circle_grid, interval_grid, torus_grid
 from phaselab.potentials import make_potential, quartic
 from phaselab.reports import canonicalize
-from phaselab.solvers import SolveConfig, multi_interface_seed, solve_dirichlet_model
+from phaselab.solvers import NewtonResult, SolveConfig, multi_interface_seed, solve_dirichlet_model
 
 P = quartic()
 
@@ -135,6 +136,18 @@ class TestBarrier:
         g = circle_grid(256)
         with pytest.raises(BarrierConstructionError, match="overlap"):
             build_barrier(np.pi, 1.5, 0.3, P, g)
+
+    def test_torus_barrier_is_the_circle_barrier_along_the_fiber(self):
+        gc, gt = circle_grid(256), torus_grid(256, 64)
+        bc = build_barrier(np.pi, 20 * gc.h, 0.2, P, gc)
+        bt = build_barrier(np.pi, 20 * gc.h, 0.2, P, gt)
+        values = np.repeat(bc.field.values[:, None], 64, axis=1)
+        assert np.array_equal(bt.field.values.view(np.int64), values.view(np.int64))
+        assert np.array_equal(bt.mask, np.repeat(bc.mask[:, None], 64, axis=1))
+        assert bt.mask.dtype == bool and bt.field.grid == gt
+        assert (bt.center, bt.width, bt.center_index, bt.half_steps) == (
+            bc.center, bc.width, bc.center_index, bc.half_steps,
+        )
 
     def test_interval_grid_rejected(self):
         g = interval_grid(257, np.pi)
@@ -250,6 +263,63 @@ class TestExperimentDrivers:
             assert r["outcome"] == "touched"
             assert r["offset"] < 2 * r["delta"]
             assert r["interior"]
+
+
+def _relax_to(monkeypatch, angles):
+    """Make every census relaxation converge, to a field on the seed's grid
+    with sign changes at ``angles``: the census outcomes no real run reaches."""
+
+    def relax(seed, p, cfg, flow_steps):
+        f = multi_interface_seed(seed.grid, seed.epsilon, angles)
+        return NewtonResult(f, [0.0], 0, True), None
+
+    monkeypatch.setattr(experiments, "_relax", relax)
+
+
+def _failed(report):
+    return {a["name"] for a in report.assertions if not a["passed"]}
+
+
+class TestCensusOutcomes:
+    """Each census assertion can fail, and each outcome can be reached."""
+
+    M4 = dict(eps_list=(0.1,), seeds=range(1))
+
+    @pytest.mark.parametrize("surface", ["circle", "torus"])
+    def test_unequal_spacing_is_a_rigidity_violation(self, monkeypatch, surface):
+        _relax_to(monkeypatch, [0.3, 1.5, 3.4, 4.6])
+        rep = experiment_m_rigidity(4, surfaces=(surface,), **self.M4)
+        assert [r["outcome"] for r in rep.runs] == ["rigidity_violation"] * 2
+        assert all(r["interfaces"] == 4 and r["alternating"] for r in rep.runs)
+        assert "no_converged_run_breaks_rigidity" in _failed(rep) and not rep.passed
+
+    @pytest.mark.parametrize("surface", ["circle", "torus"])
+    def test_antipodal_pair_escapes_the_four_interface_census(self, monkeypatch, surface):
+        _relax_to(monkeypatch, [1.0, 1.0 + np.pi])
+        rep = experiment_m_rigidity(4, surfaces=(surface,), **self.M4)
+        assert [r["outcome"] for r in rep.runs] == ["escaped_2_interfaces"] * 2
+        assert all(r["structure_ok"] and r["interfaces"] == 2 for r in rep.runs)
+        assert "no_converged_run_breaks_rigidity" not in _failed(rep)
+
+    def test_escaped_unequal_pair_is_a_rigidity_violation(self, monkeypatch):
+        _relax_to(monkeypatch, [1.0, 3.0])
+        rep = experiment_m_rigidity(4, surfaces=("circle",), **self.M4)
+        assert [r["outcome"] for r in rep.runs] == ["rigidity_violation"] * 2
+        assert not any(r["structure_ok"] for r in rep.runs)
+        assert "no_converged_run_breaks_rigidity" in _failed(rep)
+
+    def test_four_interfaces_escape_the_two_interface_census(self, monkeypatch):
+        _relax_to(monkeypatch, np.arange(4) * np.pi / 2)
+        rep = experiment_two_interface(eps_list=(0.25,), seeds=range(2))
+        assert [r["outcome"] for r in rep.runs] == ["escaped_4_nodal"] * 2
+        assert _failed(rep) == {"census_nonvacuous"}
+
+    def test_non_antipodal_pair_fails_the_two_interface_census(self, monkeypatch):
+        _relax_to(monkeypatch, [0.0, 2.5])
+        rep = experiment_two_interface(eps_list=(0.25,), seeds=range(2))
+        assert [r["outcome"] for r in rep.runs] == ["converged_pair"] * 2
+        assert not any(r["antipodal"] for r in rep.runs)
+        assert _failed(rep) == {"every_converged_pair_antipodal"}
 
 
 class TestReportDeterminism:

@@ -301,6 +301,9 @@ def test_field_validation():
         Field(g, np.zeros(65), 0.1)
     with pytest.raises(ValueError):
         Field(g, np.zeros(64), -0.1)
+    for eps in (np.inf, np.nan, 0.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            Field(g, np.zeros(64), eps)
 
 
 # --- the per-geometry kernels, pinned bit for bit ---------------------------

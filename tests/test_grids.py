@@ -44,6 +44,28 @@ def test_grid_validation():
         torus_grid(32, 8)
 
 
+def test_periodic_grids_and_extruded_profiles():
+    circle, torus = circle_grid(32), torus_grid(32, 16)
+    assert circle.periodic and torus.periodic and not interval_grid(33, 1.0).periodic
+    profile = np.linspace(-1.0, 1.0, 32)
+    column = torus.extrude(profile)
+    assert column.flags.c_contiguous and column.flags.writeable
+    assert np.array_equal(column, np.repeat(profile[:, None], 16, axis=1))
+    assert torus.extrude(profile > 0).dtype == bool
+    line = circle.extrude(profile)
+    assert np.array_equal(line, profile) and not np.shares_memory(line, profile)
+
+
+@pytest.mark.parametrize("length", [np.inf, -np.inf, np.nan, 0.0])
+def test_grid_lengths_must_be_finite_and_positive(length):
+    with pytest.raises(ValueError, match="finite and positive"):
+        circle_grid(64, length)
+    with pytest.raises(ValueError, match="finite and positive"):
+        interval_grid(65, length)
+    with pytest.raises(ValueError, match="finite and positive"):
+        torus_grid(32, 32, (2 * np.pi, length))
+
+
 @pytest.mark.parametrize(
     "a,b,expected",
     [(0.0, np.pi, np.pi), (0.1, 2 * np.pi - 0.1, 0.2), (1.234, 1.234, 0.0)],

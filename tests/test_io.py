@@ -91,6 +91,8 @@ def test_snapshot_grid_line(tmp_path, grid, line):
         "grid: circle 8 0x1.921fb54442d18p+2",
         "grid: torus 64 0x1.921fb54442d18p+2",
         "grid: circle sixty-four 0x1.921fb54442d18p+2",
+        "grid: circle 64 inf",
+        "grid: circle 64 nan",
         "grid:",
     ],
 )
@@ -135,6 +137,10 @@ MALFORMED = {  # case -> (line index, its replacement); None cuts the file there
     "truncated_after_epsilon": (3, None),
     "non_integer_version": (0, "phaselab-snapshot one"),
     "bad_epsilon_hex": (2, "epsilon: 0xzz # 0.5"),
+    "epsilon_inf": (2, "epsilon: inf"),
+    "epsilon_nan": (2, "epsilon: nan"),
+    "epsilon_zero": (2, "epsilon: 0x0.0p+0"),
+    "epsilon_negative": (2, "epsilon: -0x1.0000000000000p-1"),
     "bad_potential_json": (3, 'potential: {"kind": '),
     "non_integer_value_count": (5, "values: many"),
     "bad_value_line": (10, "0xnope 0.0"),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from phaselab.fields import Field
-from phaselab.grids import circle_grid, interval_grid, torus_grid
+from phaselab.grids import circle_distance, circle_grid, interval_grid, torus_grid
 from phaselab.nodal import (
     IndeterminateSignError,
     NodalSet,
@@ -14,6 +14,7 @@ from phaselab.nodal import (
     fiber_nodal_set,
     fit_decay,
     hausdorff_distance,
+    nodal_distance,
 )
 from phaselab.potentials import quartic
 from phaselab.solvers import SolveConfig, newton_refine, reflect_extend, solve_dirichlet_model
@@ -328,6 +329,10 @@ class TestClusterFiberAngles:
         assert np.allclose(fibers.angles, expected, atol=1e-3)
         assert fibers.count == 4 and not fibers.directions.any()
 
+    def test_fiber_nodal_set_of_a_circle_set_is_the_set(self):
+        ns = angles_set([0.5, 2.0])
+        assert fiber_nodal_set(ns, 0.01) is ns
+
     def test_fiber_nodal_set_joins_gaps_under_four_steps(self):
         h = 0.01
         theta = np.array([1.0, 1.0 + 3.5 * h, 1.0 + 7.0 * h, 4.0])
@@ -384,3 +389,94 @@ def test_crossing_directions_alternate_for_transversal_fields():
         assert np.all(d != 0)
         assert np.all(d[1:] != d[:-1])
         assert d[0] != d[-1] or ns.count == 1
+
+
+# --- the geometry paths, pinned to the per-kind formulas they replaced -------
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def _frozen_hausdorff(a, b):
+    """hausdorff_distance with one branch per grid kind, frozen here."""
+    if a.kind == "torus":
+        pa, pb = a.points, b.points
+        d0 = circle_distance(pa[:, None, 0], pb[None, :, 0], a.lengths[0])
+        d1 = circle_distance(pa[:, None, 1], pb[None, :, 1], a.lengths[1])
+        dm = np.hypot(d0, d1)
+    elif a.kind == "circle":
+        dm = circle_distance(a.angles[:, None], b.angles[None, :], a.lengths[0])
+    else:
+        dm = np.abs(a.angles[:, None] - b.angles[None, :])
+    return float(max(dm.min(axis=1).max(), dm.min(axis=0).max()))
+
+
+def _frozen_cluster_fiber_angles(ns, gap_threshold):
+    """cluster_fiber_angles with its inline wrap-aware gaps, frozen here."""
+    L = ns.lengths[0]
+    th = np.sort(ns.points[:, 0] % L)
+    gaps = np.diff(np.append(th, th[0] + L))
+    breaks = np.flatnonzero(gaps > gap_threshold)
+    if breaks.size == 0:
+        ang = float(np.angle(np.mean(np.exp(2j * np.pi * th / L))))
+        return np.array([(ang % (2.0 * np.pi)) * L / (2.0 * np.pi)])
+    start = (breaks[0] + 1) % th.size
+    ordered = np.roll(th, -start)
+    ends = np.flatnonzero(np.roll(gaps, -start) > gap_threshold)
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    centers = []
+    for s, e in zip(starts, ends):
+        block = ordered[s : e + 1]
+        rel = (block - block[0] + 0.5 * L) % L - 0.5 * L
+        centers.append((block[0] + float(rel.mean())) % L)
+    return np.sort(np.asarray(centers))
+
+
+def _random_nodal_sets(g, seed, count=3):
+    rng = np.random.default_rng(seed)
+    sets = []
+    for _ in range(count):
+        v = rng.standard_normal(g.shape) + 0.3 * rng.standard_normal()
+        sets.append(extract_nodal_set(Field(g, v, 0.5)))
+    return sets
+
+
+@pytest.mark.parametrize(
+    "g",
+    [interval_grid(65, 1.3), circle_grid(64, 3.0), torus_grid(24, 20, (2 * np.pi, 3.0))],
+    ids=["interval", "circle", "torus"],
+)
+def test_hausdorff_matches_the_per_kind_formulas_bit_for_bit(g):
+    for seed in range(3):
+        sets = _random_nodal_sets(g, seed)
+        for a in sets:
+            for b in sets:
+                assert not a.is_empty
+                assert _bits(hausdorff_distance(a, b)) == _bits(_frozen_hausdorff(a, b))
+
+
+def test_interval_nodal_distance_matches_the_abs_formula_bit_for_bit():
+    g = interval_grid(129, 1.3)
+    f = Field(g, np.sin(3.0 * g.axis(0)) + 0.2, 0.1)
+    ns = extract_nodal_set(f)
+    frozen = np.abs(g.axis(0)[:, None] - ns.angles[None, :]).min(axis=1)
+    assert ns.count == 3
+    assert np.array_equal(_bits(nodal_distance(f, ns)), _bits(frozen))
+
+
+def _torus_cloud(theta, L=(3.0, 2 * np.pi)):
+    pts = np.column_stack([theta, np.linspace(0.0, L[1], theta.size, endpoint=False)])
+    zeros = np.zeros(theta.size, dtype=int)
+    return NodalSet("torus", np.sort(theta), zeros, L, pts, zeros, zeros)
+
+
+@pytest.mark.parametrize("gap_threshold", [0.05, 3.0], ids=["clusters", "single_cluster"])
+def test_cluster_fiber_angles_matches_the_inline_gaps_bit_for_bit(gap_threshold):
+    rng = np.random.default_rng(5)
+    # four blobs on a fiber of length 3, one straddling the wrap point
+    theta = np.concatenate([c + 0.01 * rng.standard_normal(30) for c in (0.0, 0.8, 1.5, 2.2)])
+    ns = _torus_cloud(theta % 3.0)
+    got = cluster_fiber_angles(ns, gap_threshold)
+    assert got.size == (4 if gap_threshold < 0.1 else 1)
+    assert np.array_equal(_bits(got), _bits(_frozen_cluster_fiber_angles(ns, gap_threshold)))

@@ -264,6 +264,25 @@ def test_model_stall_names_the_last_newton_failure(monkeypatch):
         solve_dirichlet_model(np.pi / 2, 0.05, P, SolveConfig(tol_grad=1e-11), n=4097)
 
 
+def _record_jacobian_solves(monkeypatch):
+    """Wrap the Jacobian solvers newton_refine builds; the returned list
+    receives the bytes of every (v, res) a solve is called with."""
+    solved = []
+    make = solvers._make_jacobian_solver
+
+    def recording(grid, eps, p):
+        solve = make(grid, eps, p)
+
+        def solve_and_record(v, res):
+            solved.append(v.tobytes() + res.tobytes())
+            return solve(v, res)
+
+        return solve_and_record
+
+    monkeypatch.setattr(solvers, "_make_jacobian_solver", recording)
+    return solved
+
+
 class TestNewtonRefine:
     def test_fixed_point_needs_no_iterations(self):
         sol = solve_dirichlet_model(np.pi / 4, 0.1, P, SolveConfig(tol_grad=1e-12), n=129)
@@ -277,24 +296,27 @@ class TestNewtonRefine:
         """One iteration whose capped walk makes no clear progress, so the
         uncapped walk runs too: both start at the same (v, res), and that
         system is solved once."""
-        solved = []
-        make = solvers._make_jacobian_solver
-
-        def recording(grid, eps, p):
-            solve = make(grid, eps, p)
-
-            def solve_and_record(v, res):
-                solved.append(v.tobytes() + res.tobytes())
-                return solve(v, res)
-
-            return solve_and_record
-
-        monkeypatch.setattr(solvers, "_make_jacobian_solver", recording)
+        solved = _record_jacobian_solves(monkeypatch)
         monkeypatch.setattr(solvers, "MAX_NEWTON", 1)
         f = multi_interface_seed(circle_grid(256), eps, [0.0, np.pi / 2 + shift, np.pi, 3 * np.pi / 2])
         with pytest.raises(NewtonDivergenceError, match="after 1 Newton"):
             newton_refine(f, P)
         assert len(solved) > 12  # more than one walk ran
+        assert len(set(solved)) == len(solved)
+
+    @pytest.mark.parametrize("eps, seed", [(0.2, 7), (0.2, 34), (0.25, 10)])
+    def test_no_system_is_solved_twice(self, monkeypatch, eps, seed):
+        """Stagnating runs of the two-interface census: their walks retrace
+        earlier walks (the capped walk up to its first capped step, and the
+        walks on from an accepted champion), and every system is solved once."""
+        phi = np.random.default_rng(seed).uniform(0.6 * np.pi, 1.4 * np.pi)
+        cfg = SolveConfig(tol_grad=1e-12)
+        f = multi_interface_seed(circle_grid(256), eps, [0.0, phi])
+        f = gradient_flow(f, P, cfg, StopRule(max_steps=400)).field
+        solved = _record_jacobian_solves(monkeypatch)
+        with pytest.raises(NewtonDivergenceError, match="stagnated"):
+            newton_refine(f, P, cfg)
+        assert len(solved) > 50
         assert len(set(solved)) == len(solved)
 
     def test_zero_state_is_sign_free_fixed_point(self):

@@ -1,0 +1,33 @@
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import unexecuted  # noqa: E402
+
+MODULE = '''"""A module."""
+
+
+def f(x):
+    """A function."""
+    if x:
+        return 1
+    else:
+        return 2
+'''
+
+
+def test_unexecuted_lists_the_statements_the_trace_missed(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(MODULE)
+    hits, stop = unexecuted.trace_lines(tmp_path)
+    try:
+        namespace = {}
+        exec(compile(MODULE, str(path), "exec"), namespace)
+        namespace["f"](True)
+    finally:
+        stop()
+    assert unexecuted.statements(path) == {
+        1: '"""A module."""', 4: "def f(x):", 6: "if x:", 7: "return 1", 9: "return 2"
+    }
+    missed = [n for n in unexecuted.statements(path) if n not in hits[str(path)]]
+    assert missed == [9]

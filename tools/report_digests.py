@@ -26,16 +26,9 @@ from pathlib import Path
 WORKLOADS = ("circle-census", "construct")
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
-    )
-    ap.add_argument("root", type=Path, help="checkout whose src/ and perfbench/ to run")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[7, 101])
-    ap.add_argument("--dump", type=Path, default=None, help="directory for the raw blobs")
-    args = ap.parse_args(argv)
-
-    root = args.root.resolve()
+def passes(root: Path, seeds):
+    """Yield ``(workload, seed, PassResult)`` for each benchmark pass, run
+    in-process on the phaselab sources under ``root/src``."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import numpy as np
 
@@ -46,9 +39,6 @@ def main(argv=None) -> int:
 
     if Path(pl.__file__).resolve().parent != root / "src" / "phaselab":
         raise SystemExit(f"imported phaselab from {pl.__file__}, not {root / 'src'}")
-    if args.dump:
-        args.dump.mkdir(parents=True, exist_ok=True)
-
     original_seed = phaselab.experiments.multi_interface_seed
     with tempfile.TemporaryDirectory() as workdir:
         for name in WORKLOADS:
@@ -56,23 +46,38 @@ def main(argv=None) -> int:
             if name != "construct":  # a census marks each relaxation; construct marks its own
                 clock.install(phaselab.experiments)
             try:
-                for seed in args.seeds:
+                for seed in seeds:
                     rng = np.random.default_rng([seed, 0])
                     res = workloads.WORKLOADS[name](pl, clock, rng, workdir)
-                    for blob, data in sorted(res.blobs.items()):
-                        print(f"{name} {seed} {blob} {hashlib.sha256(data).hexdigest()}")
-                        if args.dump:
-                            out = args.dump / f"{name}-{seed}-{blob.replace(':', '-')}"
-                            out.write_bytes(data)
-                    for i, op in enumerate(res.ops):
-                        print(
-                            f"{name} {seed} op {i} {op.group}: "
-                            f"converged={bool(op.converged)} failures={op.failures}"
-                        )
+                    yield name, seed, res
                     for path in res.files:
                         path.unlink(missing_ok=True)
             finally:
                 phaselab.experiments.multi_interface_seed = original_seed
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    ap.add_argument("root", type=Path, help="checkout whose src/ and perfbench/ to run")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[7, 101])
+    ap.add_argument("--dump", type=Path, default=None, help="directory for the raw blobs")
+    args = ap.parse_args(argv)
+
+    if args.dump:
+        args.dump.mkdir(parents=True, exist_ok=True)
+    for name, seed, res in passes(args.root.resolve(), args.seeds):
+        for blob, data in sorted(res.blobs.items()):
+            print(f"{name} {seed} {blob} {hashlib.sha256(data).hexdigest()}")
+            if args.dump:
+                out = args.dump / f"{name}-{seed}-{blob.replace(':', '-')}"
+                out.write_bytes(data)
+        for i, op in enumerate(res.ops):
+            print(
+                f"{name} {seed} op {i} {op.group}: "
+                f"converged={bool(op.converged)} failures={op.failures}"
+            )
     return 0
 
 
