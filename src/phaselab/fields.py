@@ -19,8 +19,8 @@ their constants and allocate their work buffers once, so a flow or a Newton
 solve builds one and calls it at every step.  ``energy`` and ``gradient``
 build one per call.  The kernels know two geometries: a periodic grid
 (``Grid.periodic``), whose one-axis case is the circle, and the Dirichlet
-interval.  Every stencil is one wrapped difference along axis 0; further
-axes go through transposed views.
+interval.  Every stencil is one wrapped difference along axis 0; the torus
+fiber axis is the last axis, stenciled on the raveled array.
 """
 
 from __future__ import annotations
@@ -73,7 +73,8 @@ class Field:
 def _second_differences(v, out, h2):
     """((-2 v[i] + v[i+1]) + v[i-1]) / h2 along axis 0, wrapped, into ``out``.
 
-    Every stencil is this one; further axes pass transposed views.
+    The torus fiber axis is the last axis, stenciled on the raveled array
+    by ``_second_differences_last`` with the same per-element order.
     """
     np.multiply(v, -2.0, out=out)
     out[:-1] += v[1:]
@@ -84,10 +85,36 @@ def _second_differences(v, out, h2):
     return out
 
 
+def _second_differences_last(v, out, h2):
+    """``_second_differences`` along the last axis, into a C-contiguous ``out``.
+
+    The shifts run over the raveled arrays, where the neighbour of a row's
+    end is the next row's start; the two wrapped columns are then computed
+    again, in the same order.
+    """
+    flat, o = v.ravel(), out.ravel()
+    np.multiply(flat, -2.0, out=o)
+    o[:-1] += flat[1:]
+    o[1:] += flat[:-1]
+    out[..., -1] = (-2.0 * v[..., -1] + v[..., 0]) + v[..., -2]
+    out[..., 0] = (-2.0 * v[..., 0] + v[..., 1]) + v[..., -1]
+    out /= h2
+    return out
+
+
 def _forward_differences(v, out):
     """v[i+1] - v[i] along axis 0, wrapped, into ``out``."""
     np.subtract(v[1:], v[:-1], out=out[:-1])
     out[-1] = v[0] - v[-1]
+
+
+def _forward_differences_last(v, out):
+    """v[..., j+1] - v[..., j] along the last axis, wrapped, into a
+    C-contiguous ``out``: one subtraction over the raveled arrays, then the
+    wrapped column."""
+    flat = v.ravel()
+    np.subtract(flat[1:], flat[:-1], out=out.ravel()[:-1])
+    out[..., -1] = v[..., 0] - v[..., -1]
 
 
 def _laplacian_kernel(grid: Grid):
@@ -95,15 +122,14 @@ def _laplacian_kernel(grid: Grid):
     Lap_h(v) into ``out`` (never ``v``) and returns it; the axes are summed
     in order, and an interval's boundary rows are zero."""
     hsq = [hk**2 for hk in grid.spacings]
-    further = range(1, len(grid.shape))
+    fiber = len(grid.shape) == 2
     col = np.empty(grid.shape)
     pinned = not grid.periodic
 
     def lap(v, out):
         _second_differences(v, out, hsq[0])
-        for axis in further:
-            w, c = v.swapaxes(0, axis), col.swapaxes(0, axis)
-            out += _second_differences(w, c, hsq[axis]).swapaxes(0, axis)
+        if fiber:
+            out += _second_differences_last(v, col, hsq[1])
         if pinned:
             out[0] = out[-1] = 0.0
         return out
@@ -140,7 +166,7 @@ def energy_kernel(grid: Grid, eps: float, p: Potential):
     # (C-order) buffer, axis 0 first; a circle is the one-axis case
     cell = math.prod(grid.spacings)
     c_axes = [0.5 * eps * (cell / hk) / hk for hk in grid.spacings]
-    further = range(1, len(grid.shape))
+    fiber = len(grid.shape) == 2
     c_well = cell / eps
     du = np.empty(grid.shape)
     flat = du.ravel()
@@ -148,9 +174,9 @@ def energy_kernel(grid: Grid, eps: float, p: Potential):
     def energy_of(v):
         _forward_differences(v, du)
         grad = c_axes[0] * float(np.dot(flat, flat))
-        for axis in further:
-            _forward_differences(v.swapaxes(0, axis), du.swapaxes(0, axis))
-            grad += c_axes[axis] * float(np.dot(flat, flat))
+        if fiber:
+            _forward_differences_last(v, du)
+            grad += c_axes[1] * float(np.dot(flat, flat))
         return grad + c_well * float(p.w(v).sum())
 
     return energy_of

@@ -23,6 +23,9 @@ one dgtsv solve (the tridiagonal part, two right-hand sides) and a
 Sherman-Morrison correction for the two periodic corner entries; on the torus
 by MINRES preconditioned with the FFT inverse of the constant-coefficient
 operator, whose nonzero info (no convergence) raises SingularJacobianError.
+The torus flow step and that preconditioner are each one _fft_solver: the
+1-D transforms of rfft2/irfft2, in their order, through a spectrum buffer
+the solve owns.
 """
 
 from __future__ import annotations
@@ -159,6 +162,28 @@ def _torus_symbol(grid: Grid) -> np.ndarray:
     return lam1[:, None] + lam2[None, :]
 
 
+def _fft_solver(grid: Grid, denom: np.ndarray):
+    """``solve(x)``: irfft2(rfft2(x) / denom, s=grid.shape) on a torus grid,
+    as a new real array.
+
+    The same 1-D transforms, in the same order, as rfft2 and irfft2 (so
+    every bit is kept), without their per-call n-d set-up: the forward
+    transforms and the division run in place in one spectrum buffer of the
+    rfft layout that the solve owns.
+    """
+    n2 = grid.shape[1]
+    spec = np.empty(denom.shape, dtype=complex)
+
+    def solve(x):
+        np.fft.rfft(x, axis=1, out=spec)
+        np.fft.fft(spec, axis=0, out=spec)
+        np.divide(spec, denom, out=spec)
+        np.fft.ifft(spec, axis=0, out=spec)
+        return np.fft.irfft(spec, n=n2, axis=1)
+
+    return solve
+
+
 def _periodic_chain_csc(n: int, cc: float) -> sp.csc_matrix:
     """I + cc * (-Lap) on a periodic chain of n points, h = 1: the diagonal
     1 + 2 cc, the off-diagonals and the corners A[0, n-1] = A[n-1, 0] all -cc.
@@ -208,8 +233,8 @@ def _make_flow_solver(grid: Grid, eps: float, dt: float):
         lu = spla.splu(_periodic_chain_csc(grid.shape[0], c / grid.h**2))
         return lambda v, rhs: lu.solve(rhs)
 
-    denom = 1.0 + c * _torus_symbol(grid)
-    return lambda v, rhs: np.fft.irfft2(np.fft.rfft2(rhs) / denom, s=grid.shape)
+    solve = _fft_solver(grid, 1.0 + c * _torus_symbol(grid))
+    return lambda v, rhs: solve(rhs)
 
 
 def _solve_tridiagonal(
@@ -305,23 +330,30 @@ def _make_jacobian_solver(grid: Grid, eps: float, p: Potential):
     c0 = float(p.d2w(1.0))
     if c0 <= 0:
         c0 = 1.0
-    denom = eps * _torus_symbol(grid) + c0 / eps
+    inverse = _fft_solver(grid, eps * _torus_symbol(grid) + c0 / eps)
     size = n1 * n2
+    neg_eps = -eps
+    well = np.empty(grid.shape)
+
+    def precond(x):
+        return inverse(x.reshape(n1, n2)).ravel()
+
+    M = spla.LinearOperator((size, size), matvec=precond, dtype=float)
 
     def solve(v, res):
         d2 = p.d2w(v) / eps
 
         def matvec(x):
+            # -eps Lap_h(X) + d2 X, in place in the array laplacian returns;
+            # laplacian is looked up here so that a tracer wrapping it counts
+            # every Krylov iteration
             X = x.reshape(n1, n2)
-            out = -eps * laplacian(grid, X) + d2 * X
+            out = laplacian(grid, X)
+            np.multiply(out, neg_eps, out=out)
+            out += np.multiply(d2, X, out=well)
             return out.ravel()
 
-        def precond(x):
-            X = x.reshape(n1, n2)
-            return np.fft.irfft2(np.fft.rfft2(X) / denom, s=(n1, n2)).ravel()
-
         A = spla.LinearOperator((size, size), matvec=matvec, dtype=float)
-        M = spla.LinearOperator((size, size), matvec=precond, dtype=float)
         x, info = spla.minres(A, res.ravel(), M=M, rtol=1e-12, maxiter=4000)
         if info != 0:
             # scipy reports maxiter reached without meeting rtol as info > 0

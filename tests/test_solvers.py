@@ -801,7 +801,19 @@ def test_circle_flow_solve_is_bit_identical_to_splu(n):
             assert np.array_equal(step(v, rhs).view(np.int64), lu.solve(rhs).view(np.int64))
 
 
-@pytest.mark.parametrize("shape", [(17, 20), (256, 64)])
+# the census torus, the 16-point minimum fiber and odd sizes on both axes
+TORUS_SHAPES = [(17, 20), (256, 64), (24, 16), (33, 17)]
+
+
+def _layouts(a):
+    """The values of ``a`` as a C-ordered and a Fortran-ordered array, a
+    transposed view and a strided view."""
+    strided = np.empty((a.shape[0], 2 * a.shape[1]))[:, ::2]
+    strided[...] = a
+    return [a, np.asfortranarray(a), np.ascontiguousarray(a.T).T, strided]
+
+
+@pytest.mark.parametrize("shape", TORUS_SHAPES)
 def test_torus_flow_solve_is_bit_identical_to_fft_formula(shape):
     rng = np.random.default_rng(shape[0])
     g = torus_grid(*shape)
@@ -812,7 +824,88 @@ def test_torus_flow_solve_is_bit_identical_to_fft_formula(shape):
         for _ in range(3):
             v, rhs = _flow_rhs(rng, shape, eps, dt)
             ref = np.fft.irfft2(np.fft.rfft2(rhs) / denom, s=g.shape)
-            assert np.array_equal(step(v, rhs).view(np.int64), ref.view(np.int64))
+            for x in _layouts(rhs):
+                assert np.array_equal(step(v, x).view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("shape", TORUS_SHAPES)
+def test_torus_preconditioner_is_bit_identical_to_fft_formula(shape):
+    rng = np.random.default_rng(shape[1])
+    g = torus_grid(*shape, circumferences=(2 * np.pi, 3.0))
+    c0 = float(P.d2w(1.0))
+    for eps in (0.05, 0.1, 0.5):
+        denom = eps * solvers._torus_symbol(g) + c0 / eps
+        inverse = solvers._fft_solver(g, denom)
+        for _ in range(3):
+            x = rng.uniform(-1.2, 1.2, shape)
+            ref = np.fft.irfft2(np.fft.rfft2(x) / denom, s=g.shape)
+            for y in _layouts(x):
+                assert np.array_equal(inverse(y).view(np.int64), ref.view(np.int64))
+
+
+def _frozen_torus_jacobian_solve(g, eps, v, res):
+    """The torus Newton step as written before its FFT solve and matvec were
+    made lean, frozen here (the roll Laplacian is the stencil's, bit for bit)."""
+    (n1, n2), (h1, h2) = g.shape, g.spacings
+    denom = eps * solvers._torus_symbol(g) + float(P.d2w(1.0)) / eps
+    d2 = P.d2w(v) / eps
+
+    def lap(X):
+        out = (np.roll(X, -1, axis=0) - 2.0 * X + np.roll(X, 1, axis=0)) / h1**2
+        return out + (np.roll(X, -1, axis=1) - 2.0 * X + np.roll(X, 1, axis=1)) / h2**2
+
+    def matvec(x):
+        X = x.reshape(n1, n2)
+        return (-eps * lap(X) + d2 * X).ravel()
+
+    def precond(x):
+        X = x.reshape(n1, n2)
+        return np.fft.irfft2(np.fft.rfft2(X) / denom, s=(n1, n2)).ravel()
+
+    A = spla.LinearOperator((n1 * n2,) * 2, matvec=matvec, dtype=float)
+    M = spla.LinearOperator((n1 * n2,) * 2, matvec=precond, dtype=float)
+    x, info = spla.minres(A, res.ravel(), M=M, rtol=1e-12, maxiter=4000)
+    assert info == 0
+    return x.reshape(n1, n2)
+
+
+@pytest.mark.parametrize("shape", [(32, 16), (33, 17)])
+@pytest.mark.parametrize("eps", [0.3, 0.5])
+def test_torus_jacobian_solve_is_bit_identical_to_frozen_minres(shape, eps):
+    g = torus_grid(*shape)
+    rng = np.random.default_rng(shape[0])
+    f = multi_interface_seed(g, eps, [0.0, np.pi])
+    v = f.values + 0.05 * rng.uniform(-1.0, 1.0, shape)
+    res = gradient(f.with_values(v), P).values
+    step = _make_jacobian_solver(g, eps, P)(v, res)
+    ref = _frozen_torus_jacobian_solve(g, eps, v, res)
+    assert np.array_equal(step.view(np.int64), ref.view(np.int64))
+
+
+def test_every_torus_krylov_iteration_calls_the_traced_laplacian(monkeypatch):
+    # perfbench's tracer counts Krylov matvecs by wrapping solvers.laplacian
+    # and Krylov iterations by a MINRES callback; the two must agree
+    g = torus_grid(32, 16)
+    f = multi_interface_seed(g, 0.5, [0.0, np.pi])
+    counts = {"laplacian": 0, "iters": 0}
+    laplacian, minres = solvers.laplacian, solvers.spla.minres
+
+    def counted_laplacian(*args):
+        counts["laplacian"] += 1
+        return laplacian(*args)
+
+    def counted_minres(*args, **kwargs):
+        def callback(xk):
+            counts["iters"] += 1
+
+        return minres(*args, **kwargs, callback=callback)
+
+    monkeypatch.setattr(solvers, "laplacian", counted_laplacian)
+    monkeypatch.setattr(solvers.spla, "minres", counted_minres)
+    solve = _make_jacobian_solver(g, 0.5, P)
+    solve(f.values, gradient(f, P).values)
+    assert counts["iters"] > 0
+    assert counts["laplacian"] == counts["iters"]
 
 
 def test_torus_minres_failure_raises_singular_jacobian(monkeypatch):
