@@ -25,7 +25,11 @@ by MINRES preconditioned with the FFT inverse of the constant-coefficient
 operator, whose nonzero info (no convergence) raises SingularJacobianError.
 The torus flow step and that preconditioner are each one _fft_solver: the
 1-D transforms of rfft2/irfft2, in their order, through a spectrum buffer
-the solve owns.
+the solve owns, with the division by the real symbol done as a multiply by
+its reciprocals with imaginary part -0.0.  Short of an underflow, that
+multiply keeps every bit of numpy's complex division, zero signs included:
+for a real d, Smith's formula (CACM 5, 1962) reduces to
+((re + im*0) * (1/d), (im - re*0) * (1/d)).
 """
 
 from __future__ import annotations
@@ -164,20 +168,29 @@ def _torus_symbol(grid: Grid) -> np.ndarray:
 
 def _fft_solver(grid: Grid, denom: np.ndarray):
     """``solve(x)``: irfft2(rfft2(x) / denom, s=grid.shape) on a torus grid,
-    as a new real array.
+    as a new real array; ``denom`` is positive and finite.
 
-    The same 1-D transforms, in the same order, as rfft2 and irfft2 (so
-    every bit is kept), without their per-call n-d set-up: the forward
-    transforms and the division run in place in one spectrum buffer of the
-    rfft layout that the solve owns.
+    The same 1-D transforms, in the same order, as rfft2 and irfft2, without
+    their per-call n-d set-up: they run in place in one spectrum buffer of
+    the rfft layout that the solve owns.  The division is a multiply by the
+    reciprocals ``1/denom`` with imaginary part -0.0, built once.  numpy
+    divides a complex by a real d by Smith's formula with a zero imaginary
+    part, ((re + im*0) * (1/d), (im - re*0) * (1/d)); the multiply computes
+    (re * (1/d) + im*0, im * (1/d) + re*(-0.0)), the same bits, signs of
+    zero included, unless a product underflows (a spectrum entry below
+    d * 2**-1074), up to NaN payloads.  A multiply of the real floats alone
+    would drop the zero terms, whose signs reach the result of a field of
+    -0.0.
     """
     n2 = grid.shape[1]
     spec = np.empty(denom.shape, dtype=complex)
+    recip = np.empty(denom.shape, dtype=complex)
+    recip.real, recip.imag = 1.0 / denom, -0.0
 
     def solve(x):
         np.fft.rfft(x, axis=1, out=spec)
         np.fft.fft(spec, axis=0, out=spec)
-        np.divide(spec, denom, out=spec)
+        np.multiply(spec, recip, out=spec)
         np.fft.ifft(spec, axis=0, out=spec)
         return np.fft.irfft(spec, n=n2, axis=1)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import phaselab.fields as fields
 from phaselab.fields import (
     Field,
     energy,
@@ -421,19 +422,36 @@ def _layouts(v):
 )
 def test_torus_kernels_match_the_frozen_formulas_on_every_layout(g):
     # the fiber-axis stencils run on raveled arrays, which copies a
-    # non-contiguous field; the stencils must not see the layout
+    # non-contiguous field, and the well term is summed in C order; no
+    # kernel may see the layout
     for eps in (0.05, 0.3):
         energy_of = energy_kernel(g, eps, P)
         residual = residual_kernel(g, eps, P)
         for v in _kernel_inputs(g):
+            e = _frozen_energy(g, v, eps, P)
             lap = _frozen_laplacian(g, v)
             r = _frozen_gradient(g, v, eps, P)
             for w in _layouts(v):
-                # the well sum runs in memory order, in the frozen formula too
-                assert _bits(energy_of(w)) == _bits(_frozen_energy(g, w, eps, P))
+                assert _bits(energy_of(w)) == _bits(e)
+                assert _bits(energy(Field(g, w, eps), P)) == _bits(e)
                 assert np.array_equal(_bits(residual(w)), _bits(r))
                 assert np.array_equal(_bits(laplacian(g, w)), _bits(lap))
                 assert np.array_equal(_bits(w), _bits(v))
+
+
+def test_laplacian_reuses_one_kernel_per_grid_and_returns_new_arrays():
+    # the torus MINRES matvec calls laplacian at every Krylov iteration and
+    # keeps the array it returns
+    fields._shared_laplacian_kernel.cache_clear()
+    g = torus_grid(17, 20)
+    v = np.random.default_rng(3).uniform(-1.0, 1.0, g.shape)
+    first = laplacian(g, v)
+    kept = first.copy()
+    second = laplacian(torus_grid(17, 20), 2.0 * v)
+    assert fields._shared_laplacian_kernel.cache_info().misses == 1
+    assert first is not second
+    assert np.array_equal(_bits(first), _bits(kept))
+    assert np.array_equal(_bits(second), _bits(_frozen_laplacian(g, 2.0 * v)))
 
 
 def test_residuals_are_new_arrays():

@@ -813,6 +813,32 @@ def _layouts(a):
     return [a, np.asfortranarray(a), np.ascontiguousarray(a.T).T, strided]
 
 
+def _zero_sign_inputs(g):
+    """Fields whose spectra hold exact zeros, of either sign: a fibered
+    profile, a constant, all zeros and all -0.0."""
+    profile = np.tanh(np.sin(g.axis(0)) / 0.2)
+    return [g.extrude(profile), np.full(g.shape, 0.7), np.zeros(g.shape), np.full(g.shape, -0.0)]
+
+
+def _non_finite_input(rng, shape):
+    x = rng.uniform(-1.2, 1.2, shape)
+    x[1, 2] = np.inf
+    x[-1, 0] = np.nan
+    return x
+
+
+def _assert_solves_like_the_formula(solve, x, denom):
+    """``solve(x)`` against irfft2(rfft2(x) / denom): bit for bit when the
+    formula's result is finite, NaN at the same entries when it is not."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        ref = np.fft.irfft2(np.fft.rfft2(x) / denom, s=x.shape)
+        out = solve(x)
+    if np.all(np.isfinite(ref)):
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+    else:
+        assert np.array_equal(np.isnan(out), np.isnan(ref))
+
+
 @pytest.mark.parametrize("shape", TORUS_SHAPES)
 def test_torus_flow_solve_is_bit_identical_to_fft_formula(shape):
     rng = np.random.default_rng(shape[0])
@@ -821,11 +847,15 @@ def test_torus_flow_solve_is_bit_identical_to_fft_formula(shape):
         dt = eps * g.h * 0.5**halvings
         step = _make_flow_solver(g, eps, dt)
         denom = 1.0 + dt * eps * solvers._torus_symbol(g)
+        solve = lambda x: step(None, x)  # the torus step does not read v
         for _ in range(3):
             v, rhs = _flow_rhs(rng, shape, eps, dt)
             ref = np.fft.irfft2(np.fft.rfft2(rhs) / denom, s=g.shape)
             for x in _layouts(rhs):
                 assert np.array_equal(step(v, x).view(np.int64), ref.view(np.int64))
+        for x in _zero_sign_inputs(g):
+            _assert_solves_like_the_formula(solve, x, denom)
+        _assert_solves_like_the_formula(solve, _non_finite_input(rng, shape), denom)
 
 
 @pytest.mark.parametrize("shape", TORUS_SHAPES)
@@ -841,6 +871,55 @@ def test_torus_preconditioner_is_bit_identical_to_fft_formula(shape):
             ref = np.fft.irfft2(np.fft.rfft2(x) / denom, s=g.shape)
             for y in _layouts(x):
                 assert np.array_equal(inverse(y).view(np.int64), ref.view(np.int64))
+        for x in _zero_sign_inputs(g):
+            _assert_solves_like_the_formula(inverse, x, denom)
+        _assert_solves_like_the_formula(inverse, _non_finite_input(rng, shape), denom)
+
+
+def test_signed_zero_reciprocal_multiply_is_numpy_complex_division():
+    # the premise of solvers._fft_solver: a complex times (1/d - 0j) has the
+    # bits of the complex divided by d, zero signs included, for every
+    # finite or infinite part that does not underflow (NaN payloads aside)
+    parts = [0.0, -0.0, 1.5, -2.5, 1e300, -1e-300, np.inf, -np.inf, np.nan]
+    z = np.array([complex(a, b) for a in parts for b in parts])
+    for d in (1.0, 3.7, 0.3, 1e5):
+        recip = np.full(z.shape, complex(1.0 / d, -0.0))
+        with np.errstate(invalid="ignore"):
+            ref, out = (z / np.full(z.shape, d)).view(float), (z * recip).view(float)
+        same = out.view(np.int64) == ref.view(np.int64)
+        assert np.all(same | (np.isnan(out) & np.isnan(ref)))
+
+
+def _frozen_torus_flow(g, eps, dt, v, steps):
+    """gradient_flow's loop with the torus step written as the division
+    formula it replaced: the field, the energies and the final step."""
+    symbol = solvers._torus_symbol(g)
+    energies = [energy(Field(g, v, eps), P)]
+    for step_i in range(1, steps + 1):
+        while True:
+            rhs = v - (dt / eps) * P.dw(v)
+            v_new = np.fft.irfft2(np.fft.rfft2(rhs) / (1.0 + dt * eps * symbol), s=g.shape)
+            e_new = energy(Field(g, v_new, eps), P)
+            if step_i > 10 and e_new > energies[-1] + solvers.ENERGY_SLACK:
+                dt *= 0.5
+                continue
+            break
+        v = v_new
+        energies.append(e_new)
+    return v, np.array(energies), dt
+
+
+@pytest.mark.parametrize("shape", [(24, 16), (33, 17)])
+def test_torus_flow_with_a_halving_matches_the_frozen_division_loop(shape):
+    g = torus_grid(*shape)
+    eps = 10.0 * g.h
+    dt = 7.0 * eps * g.h  # the energy rises once after the transient
+    f = Field(g, np.random.default_rng(shape[0]).uniform(-1.0, 1.0, shape), eps)
+    trace = gradient_flow(f, P, SolveConfig(flow_dt=dt), StopRule(max_steps=40))
+    v, energies, dt_final = _frozen_torus_flow(g, eps, dt, f.values, 40)
+    assert dt_final == trace.dt_final == dt / 2
+    assert np.array_equal(trace.energies.view(np.int64), energies.view(np.int64))
+    assert np.array_equal(trace.field.values.view(np.int64), v.view(np.int64))
 
 
 def _frozen_torus_jacobian_solve(g, eps, v, res):
