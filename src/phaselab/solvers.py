@@ -12,15 +12,18 @@ the default step dt = eps * h; a non-finite energy stops the flow with a
 SolverError.  No flow adapts its step: it halves on an energy rise only.  The
 interval model solve passes dt = 0.5 eps / max|W''| as flow_dt, up to which
 the energy stays stable (Shen & Yang, DCDS-A 28, 2010).  The circle operator
-is assembled in CSC form and factored by splu once per step size.  A flow
-builds one fields.energy_kernel and forms each right-hand side in a buffer it
-owns; a Newton solve and a model solve each build one fields.residual_kernel.
+is assembled in CSC form and factored by splu once per operator (grid size
+and dt * eps / h^2): every flow and step size that needs those factors shares
+them, from a small LRU cache.  A flow builds one fields.energy_kernel and
+forms each right-hand side in a buffer it owns; a Newton solve and a model
+solve each build one fields.residual_kernel.
 Newton solves -eps Lap_h(u) + W'(u)/eps = 0 with residual-max-norm
 backtracking; the constants MAX_NEWTON and MAX_FLOW_STEPS cap its iterations
 and a model solve's flow steps.  Its Jacobian -eps Lap_h + W''(u)/eps is
 solved by LAPACK dgtsv, called directly, on the interval; on the circle by
-one dgtsv solve (the tridiagonal part, two right-hand sides) and a
-Sherman-Morrison correction for the two periodic corner entries; on the torus
+one dgtsv solve (the tridiagonal part, two right-hand sides, in a work array
+the solver owns) and a Sherman-Morrison correction for the two periodic
+corner entries, its scalars in Python floats; on the torus
 by MINRES preconditioned with the FFT inverse of the constant-coefficient
 operator, whose nonzero info (no convergence) raises SingularJacobianError.
 The torus flow step and that preconditioner are each one _fft_solver: the
@@ -34,6 +37,7 @@ for a real d, Smith's formula (CACM 5, 1962) reduces to
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -214,9 +218,20 @@ def _periodic_chain_csc(n: int, cc: float) -> sp.csc_matrix:
     return sp.csc_matrix((data.ravel(), rows.ravel(), indptr), shape=(n, n))
 
 
+@functools.lru_cache(maxsize=8)
+def _periodic_chain_lu(n: int, cc: float):
+    """The SuperLU factors of ``_periodic_chain_csc(n, cc)``, computed once
+    per operator and shared by every circle flow (and step size) that needs
+    them; their ``solve`` returns a new array and leaves the factors as
+    they are.  ``spla.splu`` is looked up at each call, so a tracer that
+    wraps that name counts the factorizations."""
+    return spla.splu(_periodic_chain_csc(n, cc))
+
+
 def _make_flow_solver(grid: Grid, eps: float, dt: float):
     """Prefactored implicit solve of (I + dt*eps*(-Lap_h)) u = rhs, as
-    ``step(v, rhs)``; on the interval ``v`` supplies the end values."""
+    ``step(v, rhs)``, into a new array; on the interval ``v`` supplies the
+    end values and the interior of ``rhs`` is overwritten."""
     c = dt * eps
     if grid.kind == "interval":
         # interior rows only; without pivoting (the operator is strictly
@@ -230,7 +245,7 @@ def _make_flow_solver(grid: Grid, eps: float, dt: float):
             raise np.linalg.LinAlgError(f"dgttrf failed with info={info}")
 
         def step(v, rhs):
-            r = rhs[1:-1].copy()
+            r = rhs[1:-1]  # contiguous: dgttrs solves in place in it
             r[0] += cc * v[0]
             r[-1] += cc * v[-1]
             x, info = dgttrs(*tri, r, overwrite_b=1)
@@ -243,7 +258,7 @@ def _make_flow_solver(grid: Grid, eps: float, dt: float):
         return step
 
     if grid.kind == "circle":
-        lu = spla.splu(_periodic_chain_csc(grid.shape[0], c / grid.h**2))
+        lu = _periodic_chain_lu(grid.shape[0], c / grid.h**2)
         return lambda v, rhs: lu.solve(rhs)
 
     solve = _fft_solver(grid, 1.0 + c * _torus_symbol(grid))
@@ -259,10 +274,13 @@ def _solve_tridiagonal(
     The LAPACK call behind scipy.linalg.solve_banded((1, 1), ...), with its
     checks and error messages (census rows quote them) but without its
     per-call wrappers: non-finite input raises ValueError, an exact zero
-    pivot LinAlgError.
+    pivot LinAlgError.  A finite sum of the entries proves them all finite;
+    only a sum that is not (a non-finite entry, or an overflow) is checked
+    entry by entry.
     """
-    if not (np.isfinite(d).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
+    if not math.isfinite(float(np.add.reduce(d)) + float(np.add.reduce(b, axis=None))):
+        if not (np.isfinite(d).all() and np.isfinite(b).all()):
+            raise ValueError("array must not contain infs or NaNs")
     _, _, _, x, info = dgtsv(off, d, off, b, overwrite_d=1, overwrite_b=overwrite_b)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
@@ -272,37 +290,50 @@ def _solve_tridiagonal(
 
 
 def _solve_cyclic_tridiagonal(
-    diag: np.ndarray, off: float, rhs: np.ndarray, offs: np.ndarray | None = None
+    diag: np.ndarray,
+    off: float,
+    rhs: np.ndarray,
+    offs: np.ndarray | None = None,
+    b: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve the periodic chain A x = rhs, A = tridiag(off, diag, off) plus
-    the corners A[0, n-1] = A[n-1, 0] = off.  ``offs``, when given, is
-    ``np.full(n - 1, off)`` built once by the caller (dgtsv copies it).
+    the corners A[0, n-1] = A[n-1, 0] = off, into a new array; ``off`` is
+    nonzero and ``diag`` is overwritten.  ``offs``, when given, is
+    ``np.full(n - 1, off)`` built once by the caller (dgtsv copies it), and
+    ``b`` a Fortran-ordered (n, 2) work array that dgtsv overwrites.
 
     Sherman-Morrison: A = B + u w^T with u = (g, 0, ..., 0, off) and
     w = (1, 0, ..., 0, off/g), where B is A without its corners and with
     B[0, 0] = diag[0] - g, B[n-1, n-1] = diag[n-1] - off^2/g.  One tridiagonal
     solve with two right-hand sides (rhs and u) then a rank-1 correction.
     The shift g = -diag[0] keeps B[0, 0] away from zero; it falls back to
-    -|off| when diag[0] is small against the coupling.
+    -|off| when diag[0] is small against the coupling.  The scalar work is
+    done in Python floats, the same IEEE double arithmetic at less cost per
+    operation than numpy scalars.
     """
     n = diag.size
-    g = -diag[0] if abs(diag[0]) >= abs(off) else -abs(off)
-    d = diag.copy()
-    d[0] -= g
-    d[-1] -= off * off / g
-    b = np.zeros((n, 2), order="F")  # LAPACK's layout: no copy in dgtsv
+    off = float(off)
+    d0 = float(diag[0])
+    g = -d0 if abs(d0) >= abs(off) else -abs(off)
+    diag[0] = d0 - g
+    diag[-1] -= off * off / g
+    if b is None:
+        b = np.empty((n, 2), order="F")  # LAPACK's layout: no copy in dgtsv
     b[:, 0] = rhs
+    b[:, 1] = 0.0
     b[0, 1] = g
     b[-1, 1] = off
     if offs is None:
         offs = np.full(n - 1, off)
-    yz = _solve_tridiagonal(offs, d, b, overwrite_b=True)
+    yz = _solve_tridiagonal(offs, diag, b, overwrite_b=True)
     y, z = yz[:, 0], yz[:, 1]
     ratio = off / g
-    denom = 1.0 + z[0] + ratio * z[-1]
+    denom = 1.0 + float(z[0]) + ratio * float(z[-1])
     if denom == 0.0 or not math.isfinite(denom):
-        raise np.linalg.LinAlgError(f"Sherman-Morrison denominator is {denom!r}")
-    return y - ((y[0] + ratio * y[-1]) / denom) * z
+        # census rows quote the message, which shows denom as a numpy scalar
+        raise np.linalg.LinAlgError(f"Sherman-Morrison denominator is {np.float64(denom)!r}")
+    x = np.multiply(z, (float(y[0]) + ratio * float(y[-1])) / denom)
+    return np.subtract(y, x, out=x)
 
 
 def _make_jacobian_solver(grid: Grid, eps: float, p: Potential):
@@ -327,11 +358,14 @@ def _make_jacobian_solver(grid: Grid, eps: float, p: Potential):
     if grid.kind == "circle":
         cc = eps / grid.h**2
         offs = np.full(grid.shape[0] - 1, -cc)
+        b = np.empty((grid.shape[0], 2), order="F")
+        two_cc = 2.0 * cc
 
         def solve(v, res):
-            diag = 2.0 * cc + p.d2w(v) / eps
+            diag = p.d2w(v) / eps  # a new array: the solve overwrites it
+            diag += two_cc  # 2 cc + W''/eps, bit for bit
             try:
-                return _solve_cyclic_tridiagonal(diag, -cc, res, offs)
+                return _solve_cyclic_tridiagonal(diag, -cc, res, offs, b)
             except (np.linalg.LinAlgError, ValueError) as exc:
                 raise SingularJacobianError(f"cyclic Jacobian solve failed: {exc}") from exc
 
@@ -418,13 +452,31 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
 
     # Raw Newton steps of this iteration and the last, by the residual norm at
     # their iterate: walks retrace earlier ones, and no system is solved twice.
+    # An entry is [v, step, |step|_inf, successor, capped successor], where a
+    # successor is the point (w, its residual, its norm) that v minus the
+    # step, raw or capped at MAX_STEP, reaches; it is kept once a walk takes
+    # that step from this very array v, so no residual is evaluated twice.
     steps, earlier = {}, {}
 
     def newton_step(v, res, rn):
         hit = steps.get(rn) or earlier.get(rn)
         if hit is None or not np.array_equal(hit[0], v):
-            hit = steps[rn] = (v, solver(v, res))
-        return hit[1]
+            step = solver(v, res)
+            hit = steps[rn] = [v, step, sup_norm(step), None, None]
+        return hit
+
+    def advance(entry, w_v, scaled):
+        # array_equal lets -0.0 stand for 0.0, which w_v - step would not
+        slot = 4 if scaled else 3
+        if entry[0] is w_v and entry[slot] is not None:
+            return entry[slot]
+        step = entry[1] * (MAX_STEP / entry[2]) if scaled else entry[1]
+        w_next = w_v - step
+        w_res = residual(w_next)
+        point = (w_next, w_res, sup_norm(w_res))
+        if entry[0] is w_v:
+            entry[slot] = point
+        return point
 
     while rn > cfg.tol_grad:
         earlier, steps = steps, {}
@@ -451,32 +503,26 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
         # chance, which is what completes long journeys at gentle widths.
         # A capped walk that capped no step would be replayed exactly.
         accepted = False
-        step0 = newton_step(v, res, rn)
-        size0 = sup_norm(step0)
-        if _blown_up(size0, v):
+        entry0 = newton_step(v, res, rn)
+        if _blown_up(entry0[2], v):
             raise SingularJacobianError("Newton step blew up (nearly singular Jacobian)")
-        capped = size0 > MAX_STEP
-        first_step = step0 * (MAX_STEP / size0) if capped else step0
+        capped = entry0[2] > MAX_STEP
         champion = None
         for cap in (MAX_STEP, None):
             w_v, w_res, w_rn = v, res, rn
-            step = step0 if cap is None else first_step
+            entry = entry0
             for k in range(12):
                 if k > 0:
                     try:
-                        step = newton_step(w_v, w_res, w_rn)
+                        entry = newton_step(w_v, w_res, w_rn)
                     except SolverError:
                         break
-                    size = sup_norm(step)
-                    if _blown_up(size, w_v):
+                    if _blown_up(entry[2], w_v):
                         break
-                    if cap is not None and size > cap:
-                        step = step * (cap / size)
-                        capped = True
-                w_v = w_v - step
-                w_res = residual(w_v)
-                w_rn = sup_norm(w_res)
-                if not np.isfinite(w_rn) or w_rn > 1e3 * (1.0 + rn):
+                scaled = cap is not None and entry[2] > cap
+                capped = capped or scaled
+                w_v, w_res, w_rn = advance(entry, w_v, scaled)
+                if not math.isfinite(w_rn) or w_rn > 1e3 * (1.0 + rn):
                     break
                 if champion is None or w_rn < champion[2]:
                     champion = (w_v, w_res, w_rn)
@@ -488,12 +534,14 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
             v, res, rn = champion
             accepted = True
         if not accepted:
+            step0, size0 = entry0[1], entry0[2]
+            first_step = step0 * (MAX_STEP / size0) if size0 > MAX_STEP else step0
             alpha = DAMPING
             for _ in range(40):
                 trial = v - alpha * first_step
                 tres = residual(trial)
                 trn = sup_norm(tres)
-                if np.isfinite(trn) and trn < rn:
+                if math.isfinite(trn) and trn < rn:
                     v, res, rn = trial, tres, trn
                     accepted = True
                     break
@@ -514,7 +562,7 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
             trial = v - step
             tres = residual(trial)
             trn = sup_norm(tres)
-            if np.isfinite(trn) and trn < 0.5 * rn:
+            if math.isfinite(trn) and trn < 0.5 * rn:
                 v, res, rn = trial, tres, trn
                 history.append(rn)
             else:
@@ -556,8 +604,9 @@ def gradient_flow(
     eps = f.epsilon
     dt = cfg.flow_dt if cfg.flow_dt is not None else eps * f.grid.h
     solve = _make_flow_solver(f.grid, eps, dt)
+    rate = dt / eps
     energy_of = energy_kernel(f.grid, eps, p)
-    rhs = np.empty(f.grid.shape)  # v - (dt/eps) W'(v); no solve returns it
+    rhs = np.empty(f.grid.shape)  # v - (dt/eps) W'(v); the interval solve overwrites it
     v = f.values.copy()
 
     energies = [energy_of(v)]
@@ -565,7 +614,7 @@ def gradient_flow(
 
     for step_i in range(1, max_steps + 1):
         while True:
-            np.multiply(p.dw(v), dt / eps, out=rhs)
+            np.multiply(p.dw(v), rate, out=rhs)
             np.subtract(v, rhs, out=rhs)
             v_new = solve(v, rhs)
             e_new = energy_of(v_new)
@@ -579,6 +628,7 @@ def gradient_flow(
                         f"flow step collapsed below 1e-14 at step {step_i}"
                     )
                 solve = _make_flow_solver(f.grid, eps, dt)
+                rate = dt / eps
                 continue
             break
         v = v_new

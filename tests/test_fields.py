@@ -439,6 +439,45 @@ def test_torus_kernels_match_the_frozen_formulas_on_every_layout(g):
                 assert np.array_equal(_bits(w), _bits(v))
 
 
+def _frozen_periodic_energy(grid, eps, p, v):
+    """The periodic energy kernel's sums as the circle ran them before it
+    got its own closure, frozen here: one wrapped difference into a buffer,
+    the dot product of the raveled buffer, the well term summed in C order."""
+    cell = math.prod(grid.spacings)
+    du = np.empty(grid.shape)
+    np.subtract(v[1:], v[:-1], out=du[:-1])
+    du[-1] = v[0] - v[-1]
+    flat = du.ravel()
+    grad = 0.5 * eps * (cell / grid.h) / grid.h * float(np.dot(flat, flat))
+    well = p.w(v)
+    if not well.flags.c_contiguous:
+        well = np.ascontiguousarray(well)
+    return grad + cell / eps * float(well.sum())
+
+
+@pytest.mark.parametrize("n", [16, 17, 256, 2048, 10007])
+def test_circle_energy_kernel_matches_the_frozen_sums_bit_for_bit(n):
+    g = circle_grid(n, 3.0)
+    rng = np.random.default_rng(n)
+    strided = np.empty(2 * n)[::2]
+    strided[...] = rng.uniform(-1.2, 1.2, n)
+    with_inf, with_nan = rng.uniform(-1.2, 1.2, (2, n))
+    with_inf[5] = np.inf
+    with_nan[-1] = np.nan
+    inputs = [
+        rng.uniform(-1.2, 1.2, n), 1e3 * rng.uniform(-1.0, 1.0, n), np.full(n, 0.7),
+        np.zeros(n), np.full(n, -0.0), with_inf, with_nan, strided,
+    ]
+    for eps in (0.05, 0.3):
+        energy_of = energy_kernel(g, eps, P)
+        for v in inputs:
+            before = v.copy()
+            with np.errstate(invalid="ignore"):
+                got, ref = energy_of(v), _frozen_periodic_energy(g, eps, P, v)
+            assert _bits(got) == _bits(ref)
+            assert np.array_equal(_bits(v), _bits(before))
+
+
 def test_laplacian_reuses_one_kernel_per_grid_and_returns_new_arrays():
     # the torus MINRES matvec calls laplacian at every Krylov iteration and
     # keeps the array it returns

@@ -1,9 +1,12 @@
+import hashlib
+import types
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -283,6 +286,36 @@ def _record_jacobian_solves(monkeypatch):
     return solved
 
 
+def _record_residual_inputs(monkeypatch):
+    """Wrap the residual kernels the solvers build; the returned list
+    receives the SHA-256 of every field a residual is evaluated at."""
+    evaluated = []
+    make = solvers.residual_kernel
+
+    def recording(grid, eps, p):
+        residual = make(grid, eps, p)
+
+        def residual_and_record(v):
+            evaluated.append(hashlib.sha256(v.tobytes()).digest())
+            return residual(v)
+
+        return residual_and_record
+
+    monkeypatch.setattr(solvers, "residual_kernel", recording)
+    return evaluated
+
+
+STAGNATING_RUNS = [(0.2, 7), (0.2, 34), (0.25, 10)]
+
+
+def _stagnating_field(eps, seed, cfg):
+    """A two-interface census start, flowed as the census flows it, from
+    which Newton stagnates."""
+    phi = np.random.default_rng(seed).uniform(0.6 * np.pi, 1.4 * np.pi)
+    f = multi_interface_seed(circle_grid(256), eps, [0.0, phi])
+    return gradient_flow(f, P, cfg, StopRule(max_steps=400)).field
+
+
 class TestNewtonRefine:
     def test_fixed_point_needs_no_iterations(self):
         sol = solve_dirichlet_model(np.pi / 4, 0.1, P, SolveConfig(tol_grad=1e-12), n=129)
@@ -304,20 +337,31 @@ class TestNewtonRefine:
         assert len(solved) > 12  # more than one walk ran
         assert len(set(solved)) == len(solved)
 
-    @pytest.mark.parametrize("eps, seed", [(0.2, 7), (0.2, 34), (0.25, 10)])
+    @pytest.mark.parametrize("eps, seed", STAGNATING_RUNS)
     def test_no_system_is_solved_twice(self, monkeypatch, eps, seed):
         """Stagnating runs of the two-interface census: their walks retrace
         earlier walks (the capped walk up to its first capped step, and the
         walks on from an accepted champion), and every system is solved once."""
-        phi = np.random.default_rng(seed).uniform(0.6 * np.pi, 1.4 * np.pi)
         cfg = SolveConfig(tol_grad=1e-12)
-        f = multi_interface_seed(circle_grid(256), eps, [0.0, phi])
-        f = gradient_flow(f, P, cfg, StopRule(max_steps=400)).field
+        f = _stagnating_field(eps, seed, cfg)
         solved = _record_jacobian_solves(monkeypatch)
         with pytest.raises(NewtonDivergenceError, match="stagnated"):
             newton_refine(f, P, cfg)
         assert len(solved) > 50
         assert len(set(solved)) == len(solved)
+
+    @pytest.mark.parametrize("eps, seed", STAGNATING_RUNS)
+    def test_no_residual_is_evaluated_twice(self, monkeypatch, eps, seed):
+        """The same runs: a retraced step, raw or capped, reuses the point
+        it led to, with its residual, so no field's residual is evaluated
+        twice."""
+        cfg = SolveConfig(tol_grad=1e-12)
+        f = _stagnating_field(eps, seed, cfg)
+        evaluated = _record_residual_inputs(monkeypatch)
+        with pytest.raises(NewtonDivergenceError, match="stagnated"):
+            newton_refine(f, P, cfg)
+        assert len(evaluated) > 100
+        assert len(set(evaluated)) == len(evaluated)
 
     def test_zero_state_is_sign_free_fixed_point(self):
         g = circle_grid(256)
@@ -515,7 +559,7 @@ class TestCircleJacobianSolve:
         if zero_corner:
             diag[0] = 0.0  # the Sherman-Morrison shift falls back to the coupling
         rhs = rng.standard_normal(n)
-        x = _solve_cyclic_tridiagonal(diag, -cc, rhs)
+        x = _solve_cyclic_tridiagonal(diag.copy(), -cc, rhs)  # the solve overwrites diag
         ref = np.linalg.solve(_dense_cyclic(diag, -cc), rhs)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
@@ -579,6 +623,8 @@ class TestIntervalFlowStep:
         grow=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(n=17, eps=0.05, halvings=0, grow=False, seed=3)  # 15 interior rows
+    @example(n=1025, eps=0.5, halvings=8, grow=True, seed=11)
     def test_prefactored_step_is_bit_identical_to_banded_solve(self, n, eps, halvings, grow, seed):
         g = interval_grid(n, 1.0 + seed % 7)
         # the default step eps * h, halved as after energy rises, or 1.4
@@ -586,9 +632,10 @@ class TestIntervalFlowStep:
         dt = eps * g.h * 0.5**halvings * (1.4 if grow else 1.0)
         rng = np.random.default_rng(seed)
         step = _make_flow_solver(g, eps, dt)
-        for _ in range(3):  # one factorization, several right-hand sides
-            v = rng.uniform(-1.2, 1.2, n)
-            got = step(v, v - (dt / eps) * P.dw(v))
+        # one factorization, several right-hand sides, the last all -0.0
+        fields = [rng.uniform(-1.2, 1.2, n) for _ in range(3)] + [np.full(n, -0.0)]
+        for v in fields:
+            got = step(v, v - (dt / eps) * P.dw(v))  # the step solves in place in rhs
             ref = _banded_flow_step(g, eps, dt, v, P)
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
@@ -683,6 +730,97 @@ BANDED_ORACLES = {
 }
 
 
+def _frozen_cyclic(diag, off, rhs):
+    """_solve_cyclic_tridiagonal as it was before it took a work array, kept
+    its scalars in numpy and copied ``diag``, frozen here."""
+    n = diag.size
+    g = -diag[0] if abs(diag[0]) >= abs(off) else -abs(off)
+    d = diag.copy()
+    d[0] -= g
+    d[-1] -= off * off / g
+    b = np.zeros((n, 2), order="F")
+    b[:, 0] = rhs
+    b[0, 1] = g
+    b[-1, 1] = off
+    yz = _solve_tridiagonal(np.full(n - 1, off), d, b, overwrite_b=True)
+    y, z = yz[:, 0], yz[:, 1]
+    ratio = off / g
+    denom = 1.0 + z[0] + ratio * z[-1]
+    if denom == 0.0 or not np.isfinite(denom):
+        raise np.linalg.LinAlgError(f"Sherman-Morrison denominator is {denom!r}")
+    return y - ((y[0] + ratio * y[-1]) / denom) * z
+
+
+def _outcome_and_message(solve, *args):
+    """The solution's bits, or the type and message of the error raised."""
+    try:
+        return solve(*args).view(np.int64)
+    except (np.linalg.LinAlgError, ValueError, SolverError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_outcome(got, ref):
+    if isinstance(ref, np.ndarray):
+        assert isinstance(got, np.ndarray) and np.array_equal(got, ref)
+    else:
+        assert got == ref
+
+
+# the three errors: the Sherman-Morrison denominator of the singular
+# circulant tridiag(-1.5, 3, -1.5) on 16 points is exactly zero; diag[0] = 0
+# makes B the Neumann chain, an exact zero pivot; and a non-finite entry
+CYCLIC_ERRORS = [
+    (np.full(16, 3.0), -1.5, np.ones(16), "Sherman-Morrison denominator is np.float64(0.0)"),
+    (np.r_[0.0, np.full(14, 2.0), 0.0], -1.0, np.ones(16), "singular matrix"),
+    (np.r_[np.nan, np.full(15, 3.0)], -1.0, np.ones(16), "array must not contain infs or NaNs"),
+    (np.full(16, 3.0), -1.0, np.r_[np.inf, np.ones(15)], "array must not contain infs or NaNs"),
+]
+
+
+class TestLeanCyclicSolve:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(16, 2048),
+        seed=st.integers(0, 2**32 - 1),
+        definite=st.booleans(),
+        zero_corner=st.booleans(),
+        work=st.booleans(),
+    )
+    def test_matches_the_frozen_solve_bit_for_bit(self, n, seed, definite, zero_corner, work):
+        rng = np.random.default_rng(seed)
+        cc = 10.0 ** rng.uniform(0.0, 4.0)
+        # definite: the Jacobian away from the interfaces, 2 cc + W''/eps > 2 cc;
+        # indefinite: W''/eps outweighing 2 cc, as at the saddles Newton refines
+        diag = 2.0 * cc + rng.uniform(0.0, 3.0, n) if definite else rng.uniform(-4.0, 4.0, n) * cc
+        if zero_corner:
+            diag[0] = 0.0
+        rhs = rng.standard_normal(n)
+        offs = np.full(n - 1, -cc)
+        b = np.empty((n, 2), order="F") if work else None
+        ref = _outcome_and_message(_frozen_cyclic, diag, -cc, rhs)
+        for _ in range(2):  # a reused work array is overwritten, not read
+            got = _outcome_and_message(_solve_cyclic_tridiagonal, diag.copy(), -cc, rhs, offs, b)
+            _assert_same_outcome(got, ref)
+
+    @pytest.mark.parametrize("diag, off, rhs, message", CYCLIC_ERRORS)
+    def test_errors_keep_their_messages(self, diag, off, rhs, message):
+        ref = _outcome_and_message(_frozen_cyclic, diag, off, rhs)
+        assert ref[1] == message
+        got = _outcome_and_message(_solve_cyclic_tridiagonal, diag.copy(), off, rhs)
+        assert got == ref
+
+    def test_circle_jacobian_error_message_is_unchanged(self):
+        # census rows quote it; h = eps = 1 and W'' = 0 make the Jacobian
+        # the singular circulant tridiag(-1, 2, -1) on 18 points
+        p = from_callables(P.w, P.dw, np.zeros_like)
+        solve = _make_jacobian_solver(circle_grid(18, 18.0), 1.0, p)
+        with pytest.raises(SingularJacobianError) as info:
+            solve(np.zeros(18), np.ones(18))
+        assert str(info.value) == (
+            "cyclic Jacobian solve failed: Sherman-Morrison denominator is np.float64(0.0)"
+        )
+
+
 class TestDirectTridiagonalSolves:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -717,7 +855,7 @@ class TestDirectTridiagonalSolves:
         if zero_corner:
             diag[0] = 0.0
         rhs = rng.standard_normal(n)
-        got = _outcome(_solve_cyclic_tridiagonal, diag, -cc, rhs)
+        got = _outcome(_solve_cyclic_tridiagonal, diag.copy(), -cc, rhs)
         ref = _outcome(_banded_cyclic, diag, -cc, rhs)
         if isinstance(ref, np.ndarray):
             assert isinstance(got, np.ndarray) and np.array_equal(got, ref)
@@ -799,6 +937,78 @@ def test_circle_flow_solve_is_bit_identical_to_splu(n):
         for _ in range(3):
             v, rhs = _flow_rhs(rng, n, eps, dt)
             assert np.array_equal(step(v, rhs).view(np.int64), lu.solve(rhs).view(np.int64))
+
+
+def _frozen_circle_flow(g, eps, dt, v, steps):
+    """gradient_flow's loop on the circle as it was before the factors were
+    shared: splu once per flow and step size, the energy's periodic formula;
+    the field, the energies and the final step."""
+    h = g.h
+
+    def energy_of(v):
+        du = np.empty_like(v)
+        np.subtract(v[1:], v[:-1], out=du[:-1])
+        du[-1] = v[0] - v[-1]
+        return 0.5 * eps * (h / h) / h * float(np.dot(du, du)) + h / eps * float(P.w(v).sum())
+
+    lu = spla.splu(_periodic_chain_csc(g.shape[0], dt * eps / h**2))
+    energies = [energy_of(v)]
+    for step_i in range(1, steps + 1):
+        while True:
+            v_new = lu.solve(v - P.dw(v) * (dt / eps))
+            e_new = energy_of(v_new)
+            if step_i > 10 and e_new > energies[-1] + solvers.ENERGY_SLACK:
+                dt *= 0.5
+                lu = spla.splu(_periodic_chain_csc(g.shape[0], dt * eps / h**2))
+                continue
+            break
+        v = v_new
+        energies.append(e_new)
+    return v, np.array(energies), dt
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_circle_flow_with_a_halving_matches_the_frozen_splu_loop(n):
+    g = circle_grid(n)
+    eps = 0.2
+    f = multi_interface_seed(g, eps, [0.0, 2.0])
+    for _ in range(2):  # the second flow reuses the first one's factors
+        trace = gradient_flow(f, P, SolveConfig(flow_dt=0.3), StopRule(max_steps=40))
+        v, energies, dt_final = _frozen_circle_flow(g, eps, 0.3, f.values, 40)
+        assert dt_final == trace.dt_final == 0.15
+        assert np.array_equal(trace.energies.view(np.int64), energies.view(np.int64))
+        assert np.array_equal(trace.field.values.view(np.int64), v.view(np.int64))
+
+
+def test_circle_flows_share_one_factorization_per_operator(monkeypatch):
+    """Two flows on one (n, eps, dt) factor once, a halving once more, and
+    each solve returns a new array; splu is looked up at each
+    factorization, as by a tracer that wraps the name."""
+    factored = []
+
+    def splu(A):
+        factored.append(A.shape)
+        return spla.splu(A)
+
+    monkeypatch.setattr(solvers, "spla", types.SimpleNamespace(splu=splu))
+    solvers._periodic_chain_lu.cache_clear()
+    g = circle_grid(263)
+    f = multi_interface_seed(g, 0.2, [0.0, 2.0])
+    for _ in range(2):
+        gradient_flow(f, P, stop=StopRule(max_steps=5))
+    assert factored == [(263, 263)]
+    gradient_flow(f, P, SolveConfig(flow_dt=0.3), StopRule(max_steps=40))  # halves once
+    assert factored == [(263, 263)] * 3  # at dt = 0.3 and at dt = 0.15
+    gradient_flow(f, P, SolveConfig(flow_dt=0.3), StopRule(max_steps=40))
+    assert len(factored) == 3
+    step = _make_flow_solver(g, 0.2, 0.2 * g.h)
+    rhs = f.values.copy()
+    first = step(None, rhs)
+    kept = first.copy()
+    second = step(None, rhs)
+    assert first is not second and first is not rhs
+    assert np.array_equal(first.view(np.int64), kept.view(np.int64))
+    assert np.array_equal(rhs.view(np.int64), f.values.view(np.int64))
 
 
 # the census torus, the 16-point minimum fiber and odd sizes on both axes

@@ -2,6 +2,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import report_digests  # noqa: E402
 import unexecuted  # noqa: E402
 
 MODULE = '''"""A module."""
@@ -31,3 +32,21 @@ def test_unexecuted_lists_the_statements_the_trace_missed(tmp_path):
     }
     missed = [n for n in unexecuted.statements(path) if n not in hits[str(path)]]
     assert missed == [9]
+
+
+def test_report_digests_prints_only_the_lines_that_differ():
+    same = "c 7 op 0 g: converged=True failures=[]"
+    ours = ["c 7 report aa", same, "c 7 op 1 g: x", "c 101 op 0 g: y"]
+    theirs = ["c 7 report bb", same, "c 7 op 1 g: x", "c 101 op 1 g: z"]
+    assert report_digests.differing_lines(ours, ours) == []
+    assert report_digests.differing_lines(ours, theirs) == [
+        "- c 7 report aa",
+        "+ c 7 report bb",
+        "- c 101 op 0 g: y",
+        "+ c 101 op 1 g: z",
+    ]
+    # a line only one checkout printed shows on its own
+    assert report_digests.differing_lines(ours[:2], ours) == [
+        "+ c 7 op 1 g: x",
+        "+ c 101 op 0 g: y",
+    ]

@@ -1,7 +1,7 @@
 """Print the digests that show two checkouts compute the same results.
 
     python3 tools/report_digests.py ROOT [--seeds 7 101] [--dump DIR]
-        [--workloads circle-census construct]
+        [--workloads circle-census construct] [--against OTHER]
 
 Runs the perfbench ``circle-census`` and ``construct`` passes (or the
 workloads named by ``--workloads``; ``torus-census`` covers the torus
@@ -11,7 +11,10 @@ and prints one line per report or snapshot blob (its SHA-256) and one per
 operation (its group, converged flag and correctness-gate failures).
 Diffing the output of two checkouts shows every result that changed.
 ``--dump DIR`` also writes each blob to ``DIR/<workload>-<seed>-<name>``,
-so that a changed report can be diffed.
+so that a changed report can be diffed.  ``--against OTHER`` runs both
+checkouts, each in its own process, prints only the lines that differ
+(``-`` for ROOT's, ``+`` for OTHER's) and a count of the identical ones,
+and exits 1 when any line differs.
 
 The workloads and the operation clock are imported from ``ROOT/perfbench``
 and used as they are.
@@ -20,7 +23,9 @@ and used as they are.
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -60,6 +65,26 @@ def passes(root: Path, seeds, names=DEFAULT_WORKLOADS):
                 phaselab.experiments.multi_interface_seed = original_seed
 
 
+def differing_lines(ours, theirs) -> list[str]:
+    """The lines of two digest listings that differ, in listing order: each
+    of ``ours`` that ``theirs`` lacks prefixed ``- ``, each of ``theirs``
+    that ``ours`` lacks prefixed ``+ ``."""
+    out = []
+    matcher = difflib.SequenceMatcher(a=ours, b=theirs, autojunk=False)
+    for tag, i1, i2, j1, j2 in matcher.get_opcodes():
+        if tag != "equal":
+            out += [f"- {line}" for line in ours[i1:i2]]
+            out += [f"+ {line}" for line in theirs[j1:j2]]
+    return out
+
+
+def _listing(root: Path, seeds, names) -> list[str]:
+    """This script's output on ``root``, run in a fresh interpreter (one
+    process imports one phaselab)."""
+    cmd = [sys.executable, __file__, str(root), "--seeds", *map(str, seeds), "--workloads", *names]
+    return subprocess.run(cmd, stdout=subprocess.PIPE, text=True, check=True).stdout.splitlines()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -71,8 +96,23 @@ def main(argv=None) -> int:
         "--workloads", nargs="+", choices=WORKLOADS, default=DEFAULT_WORKLOADS,
         help="perfbench workloads to run, in this order",
     )
+    ap.add_argument(
+        "--against", type=Path, default=None, metavar="OTHER",
+        help="a second checkout: print only the lines that differ, exit 1 if any",
+    )
     args = ap.parse_args(argv)
 
+    if args.against:
+        if args.dump:
+            ap.error("--dump does not combine with --against")
+        ours = _listing(args.root.resolve(), args.seeds, args.workloads)
+        theirs = _listing(args.against.resolve(), args.seeds, args.workloads)
+        diff = differing_lines(ours, theirs)
+        for line in diff:
+            print(line)
+        same = len(ours) - sum(line.startswith("- ") for line in diff)
+        print(f"{same} of {len(ours)} lines of ROOT identical in OTHER ({len(theirs)} lines)")
+        return 1 if diff else 0
     if args.dump:
         args.dump.mkdir(parents=True, exist_ok=True)
     for name, seed, res in passes(args.root.resolve(), args.seeds, args.workloads):
