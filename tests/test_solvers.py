@@ -1,14 +1,14 @@
 import hashlib
-import types
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg.blas import daxpy
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.optimize import brentq
 
 import phaselab as pl
@@ -30,7 +30,6 @@ from phaselab.solvers import (
     solve_dirichlet_model,
     _make_flow_solver,
     _make_jacobian_solver,
-    _periodic_chain_csc,
     _solve_cyclic_tridiagonal,
     _solve_tridiagonal,
 )
@@ -892,31 +891,6 @@ class TestDirectTridiagonalSolves:
             _solve_tridiagonal(np.full(14, -1.0), np.full(15, 3.0), b)
 
 
-def _lil_periodic_chain(n, cc):
-    """The circle flow operator as it was assembled before: LIL plus corners."""
-    main = np.full(n, 1.0 + 2.0 * cc)
-    off = np.full(n - 1, -cc)
-    A = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-    A[0, n - 1] = -cc
-    A[n - 1, 0] = -cc
-    return A.tocsc()
-
-
-@pytest.mark.parametrize("n", [16, 17, 256, 2048])
-def test_csc_flow_operator_matches_lil_assembly(n):
-    rng = np.random.default_rng(n)
-    for cc in (1e-3, 0.37, 41.0, 5e3):
-        new, old = _periodic_chain_csc(n, cc), _lil_periodic_chain(n, cc)
-        assert new.format == "csc" and new.shape == old.shape
-        assert np.array_equal(new.indptr, old.indptr) and new.indptr.dtype == old.indptr.dtype
-        assert np.array_equal(new.indices, old.indices) and new.indices.dtype == old.indices.dtype
-        assert np.array_equal(new.data.view(np.int64), old.data.view(np.int64))
-        lu_new, lu_old = spla.splu(new), spla.splu(old)
-        for _ in range(3):
-            rhs = rng.uniform(-1.2, 1.2, n)
-            assert np.array_equal(lu_new.solve(rhs).view(np.int64), lu_old.solve(rhs).view(np.int64))
-
-
 # ---------------------------------------------------------------------------
 # the circle and torus flow solves against the formulas they were written as
 
@@ -926,24 +900,41 @@ def _flow_rhs(rng, shape, eps, dt):
     return v, v - (dt / eps) * P.dw(v)
 
 
+def _dense_periodic_chain(n, cc):
+    """I + cc * (-Lap) on a periodic chain of n points, h = 1, as a dense
+    matrix: the diagonal 1 + 2 cc, the off-diagonals and the corners -cc."""
+    ring = np.eye(n, k=1) + np.eye(n, k=-1) + np.eye(n, k=n - 1) + np.eye(n, k=1 - n)
+    return (1.0 + 2.0 * cc) * np.eye(n) - cc * ring
+
+
 @pytest.mark.parametrize("n", [16, 17, 256, 2048])
-def test_circle_flow_solve_is_bit_identical_to_splu(n):
+def test_circle_flow_solve_matches_dense_solve(n):
+    """A = I + cc (-Lap) is an M-matrix with unit row sums, so
+    |A^-1|_inf <= 1 and cond_inf(A) <= 1 + 4 cc; the bound grants both
+    solves 64 ulps of backward error.  Dropping the rank-1 correction or
+    flipping the sign of the corners fails it at every n and cc."""
     rng = np.random.default_rng(n)
     g = circle_grid(n)
-    for eps, halvings in ((0.05, 0), (0.2, 3), (1.0, 0)):
-        dt = eps * g.h * 0.5**halvings
+    eps = 0.2
+    for cc in (1e-3, 0.37, 41.0, 5e3):
+        dt = cc * g.h**2 / eps
+        cc = dt * eps / g.h**2  # the operator the step factors, to the last bit
         step = _make_flow_solver(g, eps, dt)
-        lu = spla.splu(_periodic_chain_csc(n, dt * eps / g.h**2))
-        for _ in range(3):
-            v, rhs = _flow_rhs(rng, n, eps, dt)
-            assert np.array_equal(step(v, rhs).view(np.int64), lu.solve(rhs).view(np.int64))
+        rhs = rng.uniform(-1.2, 1.2, (3, n))
+        dense = np.linalg.solve(_dense_periodic_chain(n, cc), rhs.T).T
+        for b, x_dense in zip(rhs, dense):
+            x = step(None, b)
+            bound = 64 * np.finfo(float).eps * (1.0 + 4.0 * cc) * np.abs(x).max()
+            assert np.abs(x - x_dense).max() <= bound
 
 
 def _frozen_circle_flow(g, eps, dt, v, steps):
-    """gradient_flow's loop on the circle as it was before the factors were
-    shared: splu once per flow and step size, the energy's periodic formula;
-    the field, the energies and the final step."""
-    h = g.h
+    """gradient_flow's loop on the circle, frozen: per step size, dpttrf of
+    the chain without its corners, shifted by g = -(1 + 2 cc) at its ends,
+    and B^-1 u; per step, one dpttrs and the Sherman-Morrison correction by
+    daxpy; the energy's periodic formula.  The field, the energies and the
+    final step."""
+    n, h = g.shape[0], g.h
 
     def energy_of(v):
         du = np.empty_like(v)
@@ -951,15 +942,34 @@ def _frozen_circle_flow(g, eps, dt, v, steps):
         du[-1] = v[0] - v[-1]
         return 0.5 * eps * (h / h) / h * float(np.dot(du, du)) + h / eps * float(P.w(v).sum())
 
-    lu = spla.splu(_periodic_chain_csc(g.shape[0], dt * eps / h**2))
+    def solver(dt):
+        cc = dt * eps / h**2
+        d0 = 1.0 + 2.0 * cc
+        diag = np.full(n, d0)
+        diag[0], diag[-1] = 2.0 * d0, d0 + cc * cc / d0
+        d, e, info = dpttrf(diag, np.full(n - 1, -cc))
+        assert info == 0
+        u = np.zeros(n)
+        u[0], u[-1] = -d0, -cc
+        z = dpttrs(d, e, u)[0]
+        ratio = cc / d0
+        denom = 1.0 + z[0] + ratio * z[-1]
+
+        def solve(rhs):
+            y = dpttrs(d, e, rhs)[0]
+            return daxpy(z, y, a=-(y[0] + ratio * y[-1]) / denom)
+
+        return solve
+
+    solve = solver(dt)
     energies = [energy_of(v)]
     for step_i in range(1, steps + 1):
         while True:
-            v_new = lu.solve(v - P.dw(v) * (dt / eps))
+            v_new = solve(v - P.dw(v) * (dt / eps))
             e_new = energy_of(v_new)
             if step_i > 10 and e_new > energies[-1] + solvers.ENERGY_SLACK:
                 dt *= 0.5
-                lu = spla.splu(_periodic_chain_csc(g.shape[0], dt * eps / h**2))
+                solve = solver(dt)
                 continue
             break
         v = v_new
@@ -968,47 +978,46 @@ def _frozen_circle_flow(g, eps, dt, v, steps):
 
 
 @pytest.mark.parametrize("n", [256, 257])
-def test_circle_flow_with_a_halving_matches_the_frozen_splu_loop(n):
+def test_circle_flow_with_a_halving_matches_the_frozen_dpttrs_loop(n):
     g = circle_grid(n)
     eps = 0.2
     f = multi_interface_seed(g, eps, [0.0, 2.0])
-    for _ in range(2):  # the second flow reuses the first one's factors
-        trace = gradient_flow(f, P, SolveConfig(flow_dt=0.3), StopRule(max_steps=40))
-        v, energies, dt_final = _frozen_circle_flow(g, eps, 0.3, f.values, 40)
-        assert dt_final == trace.dt_final == 0.15
-        assert np.array_equal(trace.energies.view(np.int64), energies.view(np.int64))
-        assert np.array_equal(trace.field.values.view(np.int64), v.view(np.int64))
+    trace = gradient_flow(f, P, SolveConfig(flow_dt=0.3), StopRule(max_steps=40))
+    v, energies, dt_final = _frozen_circle_flow(g, eps, 0.3, f.values, 40)
+    assert dt_final == trace.dt_final == 0.15
+    assert np.array_equal(trace.energies.view(np.int64), energies.view(np.int64))
+    assert np.array_equal(trace.field.values.view(np.int64), v.view(np.int64))
 
 
-def test_circle_flows_share_one_factorization_per_operator(monkeypatch):
-    """Two flows on one (n, eps, dt) factor once, a halving once more, and
-    each solve returns a new array; splu is looked up at each
-    factorization, as by a tracer that wraps the name."""
-    factored = []
+@pytest.mark.parametrize("g", [circle_grid(263), torus_grid(33, 17)], ids=["circle", "torus"])
+def test_flow_solve_returns_a_new_array_and_leaves_its_inputs(g):
+    rng = np.random.default_rng(263)
+    eps = 0.2
+    step = _make_flow_solver(g, eps, eps * g.h)
+    v, rhs = _flow_rhs(rng, g.shape, eps, eps * g.h)
+    v_kept, rhs_kept = v.copy(), rhs.copy()
+    first = step(v, rhs)
+    kept = first.copy()
+    second = step(v, rhs)
+    assert first is not second
+    assert all(x is not rhs and x is not v for x in (first, second))
+    assert np.array_equal(first.view(np.int64), kept.view(np.int64))
+    assert np.array_equal(second.view(np.int64), kept.view(np.int64))
+    assert np.array_equal(v.view(np.int64), v_kept.view(np.int64))
+    assert np.array_equal(rhs.view(np.int64), rhs_kept.view(np.int64))
 
-    def splu(A):
-        factored.append(A.shape)
-        return spla.splu(A)
 
-    monkeypatch.setattr(solvers, "spla", types.SimpleNamespace(splu=splu))
-    solvers._periodic_chain_lu.cache_clear()
+def test_no_circle_flow_reaches_splu(monkeypatch):
+    def splu(*args, **kwargs):
+        raise AssertionError("a circle flow called splu")
+
+    monkeypatch.setattr(spla, "splu", splu)
     g = circle_grid(263)
     f = multi_interface_seed(g, 0.2, [0.0, 2.0])
-    for _ in range(2):
-        gradient_flow(f, P, stop=StopRule(max_steps=5))
-    assert factored == [(263, 263)]
-    gradient_flow(f, P, SolveConfig(flow_dt=0.3), StopRule(max_steps=40))  # halves once
-    assert factored == [(263, 263)] * 3  # at dt = 0.3 and at dt = 0.15
-    gradient_flow(f, P, SolveConfig(flow_dt=0.3), StopRule(max_steps=40))
-    assert len(factored) == 3
-    step = _make_flow_solver(g, 0.2, 0.2 * g.h)
-    rhs = f.values.copy()
-    first = step(None, rhs)
-    kept = first.copy()
-    second = step(None, rhs)
-    assert first is not second and first is not rhs
-    assert np.array_equal(first.view(np.int64), kept.view(np.int64))
-    assert np.array_equal(rhs.view(np.int64), f.values.view(np.int64))
+    gradient_flow(f, P, stop=StopRule(max_steps=5))
+    assert gradient_flow(f, P, SolveConfig(flow_dt=0.3), StopRule(max_steps=40)).dt_final == 0.15
+    report = pl.experiment_two_interface(eps_list=(0.25,), seeds=range(2), n=256)
+    assert len(report.runs) == 2
 
 
 # the census torus, the 16-point minimum fiber and odd sizes on both axes

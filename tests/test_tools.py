@@ -50,3 +50,44 @@ def test_report_digests_prints_only_the_lines_that_differ():
         "+ c 7 op 1 g: x",
         "+ c 101 op 0 g: y",
     ]
+
+
+def test_outcome_table_counts_converged_runs_and_flips_per_group():
+    two = "experiment_two_interface circle eps=0.2 random"
+    rig = "experiment_m_rigidity circle eps=0.1 control"
+
+    def op(seed, i, group, converged, workload="circle-census"):
+        return f"{workload} {seed} op {i} {group}: converged={converged} failures=[]"
+
+    ours = [
+        "circle-census 7 two_interface aa",
+        op(7, 0, two, True),
+        op(7, 1, two, True),
+        op(7, 2, two, False),
+        op(7, 3, rig, False),
+        op(101, 0, two, False),
+        op(101, 1, rig, True),
+        op(7, 0, "threshold", True, workload="construct"),
+    ]
+    theirs = [
+        "circle-census 7 two_interface bb",
+        op(7, 0, two, True),
+        op(7, 1, two, False),  # lost
+        op(7, 2, two, True),  # gained
+        op(7, 3, rig, False),
+        op(101, 0, two, True),  # gained
+        op(101, 1, rig, True),
+        op(101, 2, rig, True),  # a run only OTHER has
+        op(7, 0, "threshold", True, workload="construct"),
+    ]
+    assert report_digests.outcome_table(ours, theirs) == [
+        ("circle-census", two, 4, 2, 3, 1, 2),
+        ("circle-census", rig, 3, 1, 2, 0, 0),
+        ("construct", "threshold", 1, 1, 1, 0, 0),
+    ]
+    assert report_digests.outcome_table(ours, ours) == [
+        ("circle-census", two, 4, 2, 2, 0, 0),
+        ("circle-census", rig, 2, 1, 1, 0, 0),
+        ("construct", "threshold", 1, 1, 1, 0, 0),
+    ]
+    assert report_digests.outcome_table(["circle-census 7 m_rigidity cc"], []) == []

@@ -14,7 +14,10 @@ Diffing the output of two checkouts shows every result that changed.
 so that a changed report can be diffed.  ``--against OTHER`` runs both
 checkouts, each in its own process, prints only the lines that differ
 (``-`` for ROOT's, ``+`` for OTHER's) and a count of the identical ones,
-and exits 1 when any line differs.
+and exits 1 when any line differs.  After the differing lines it prints
+an outcome table, one row per workload and operation group: the runs, the
+converged count in ROOT and in OTHER, and the runs that flipped each way
+(``lost``: converged in ROOT only; ``gained``: converged in OTHER only).
 
 The workloads and the operation clock are imported from ``ROOT/perfbench``
 and used as they are.
@@ -25,6 +28,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import hashlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -78,6 +82,36 @@ def differing_lines(ours, theirs) -> list[str]:
     return out
 
 
+OP_LINE = re.compile(r"(\S+) (\d+) op (\d+) (.+): converged=(True|False) ")
+
+
+def outcome_table(ours, theirs) -> list[tuple]:
+    """One row ``(workload, group, runs, converged in ours, converged in
+    theirs, lost, gained)`` per workload and operation group of two digest
+    listings, in order of first appearance.  A run is an op line, matched
+    across the listings by workload, seed and op index; ``lost`` counts the
+    runs that converged in ``ours`` only, ``gained`` those that converged in
+    ``theirs`` only, and a run in one listing alone counts for that side's
+    converged count and for ``runs``."""
+    outcomes = ({}, {})
+    for side, listing in zip(outcomes, (ours, theirs)):
+        for line in listing:
+            m = OP_LINE.match(line)
+            if m:
+                workload, seed, index, group, converged = m.groups()
+                side[workload, seed, index] = (workload, group), converged == "True"
+    rows = {}
+    for key in {**outcomes[0], **outcomes[1]}:
+        a, b = (side.get(key, (None, None)) for side in outcomes)
+        row = rows.setdefault(a[0] or b[0], [0, 0, 0, 0, 0])
+        row[0] += 1
+        row[1] += bool(a[1])
+        row[2] += bool(b[1])
+        row[3] += a[1] is True and b[1] is False
+        row[4] += a[1] is False and b[1] is True
+    return [(*group, *counts) for group, counts in rows.items()]
+
+
 def _listing(root: Path, seeds, names) -> list[str]:
     """This script's output on ``root``, run in a fresh interpreter (one
     process imports one phaselab)."""
@@ -110,6 +144,14 @@ def main(argv=None) -> int:
         diff = differing_lines(ours, theirs)
         for line in diff:
             print(line)
+        print("workload       runs  ROOT OTHER  lost gained  group")
+        for workload, group, runs, conv_ours, conv_theirs, lost, gained in outcome_table(
+            ours, theirs
+        ):
+            print(
+                f"{workload:13s} {runs:5d} {conv_ours:5d} {conv_theirs:5d} "
+                f"{lost:5d} {gained:6d}  {group}"
+            )
         same = len(ours) - sum(line.startswith("- ") for line in diff)
         print(f"{same} of {len(ours)} lines of ROOT identical in OTHER ({len(theirs)} lines)")
         return 1 if diff else 0
