@@ -1007,6 +1007,34 @@ def test_flow_solve_returns_a_new_array_and_leaves_its_inputs(g):
     assert np.array_equal(rhs.view(np.int64), rhs_kept.view(np.int64))
 
 
+def test_circle_flow_factors_once_per_step_size(monkeypatch):
+    """A circle flow calls dpttrf once per step size, and dpttrs once for
+    B^-1 u per factorization plus once per step; a second flow on the same
+    operator factors again, as nothing is cached between flows."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(solvers, "dpttrf", counted("dpttrf", solvers.dpttrf))
+    monkeypatch.setattr(solvers, "dpttrs", counted("dpttrs", solvers.dpttrs))
+    g = circle_grid(263)
+    f = multi_interface_seed(g, 0.2, [0.0, 2.0])
+    for _ in range(2):
+        calls.clear()
+        gradient_flow(f, P, stop=StopRule(max_steps=5))
+        assert calls == ["dpttrf", "dpttrs"] + ["dpttrs"] * 5
+    calls.clear()
+    trace = gradient_flow(f, P, SolveConfig(flow_dt=0.3), StopRule(max_steps=40))
+    assert trace.dt_final == 0.15  # one halving: one more factorization
+    assert calls.count("dpttrf") == 2
+    assert calls.count("dpttrs") == 2 + 40 + 1  # the rejected step solved too
+
+
 def test_no_circle_flow_reaches_splu(monkeypatch):
     def splu(*args, **kwargs):
         raise AssertionError("a circle flow called splu")
