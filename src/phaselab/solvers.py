@@ -5,26 +5,27 @@ well force explicitly,
 
     (I + dt/eps * (-eps^2 Lap_h)) u_new = u - dt/eps * W'(u),
 
-so every step is one prefactored tridiagonal solve (interval: LAPACK
-dgttrf/dgttrs; circle: below) or one FFT-diagonalized solve (torus), each
-set up once per flow and step size, and the monitored energy is
-non-increasing for the default step dt = eps * h; a non-finite energy stops
-the flow with a SolverError.  No flow adapts its step: it halves on an
-energy rise only.  The interval model solve passes dt = 0.5 eps / max|W''|
-as flow_dt, up to which the energy stays stable (Shen & Yang, DCDS-A 28,
-2010).  The circle step splits A = I + cc (-Lap), cc = dt eps / h^2, by
-Sherman-Morrison as the cyclic Jacobian solve does: A without its periodic
-corners, shifted by g = -(1 + 2 cc) at its ends, is SPD, so LAPACK dpttrf
-factors it once and a step is one dpttrs solve and one daxpy of the
-precomputed correction (dpttrs: about 8 ns per point against 16 for
-dgttrs, whose division sits on the back substitution's dependency chain;
-a step costs about a third of the SuperLU solve it replaced and under half
-of an FFT step, ROADMAP F9).  A flow builds one
+so every step is one prefactored tridiagonal solve (interval, circle) or
+one FFT-diagonalized solve (torus), each set up once per flow and step size,
+and the monitored energy is non-increasing for the default step
+dt = eps * h; a non-finite energy stops the flow with a SolverError.  No
+flow adapts its step: it halves on an energy rise only.  The interval model
+solve passes dt = 0.5 eps / max|W''| as flow_dt, up to which the energy
+stays stable (Shen & Yang, DCDS-A 28, 2010).  With cc = dt eps / h^2, both
+1-D steps factor an SPD tridiagonal matrix with LAPACK dpttrf: the
+interval's interior rows tridiag(-cc, 1 + 2 cc, -cc), a step being one
+dpttrs solve in place in its right-hand side; the circle's A = I + cc (-Lap)
+without its periodic corners, shifted by g = -(1 + 2 cc) at its ends as the
+cyclic Jacobian solve does, a step being one dpttrs solve and one daxpy of
+the precomputed Sherman-Morrison correction (about a third of the cost of a
+SuperLU solve and under half of an FFT step, ROADMAP F9).  A flow builds one
 fields.energy_kernel and forms each right-hand side in a buffer it owns; a
 Newton solve and a model solve each build one fields.residual_kernel.
 Newton solves -eps Lap_h(u) + W'(u)/eps = 0 with residual-max-norm
 backtracking; the constants MAX_NEWTON and MAX_FLOW_STEPS cap its iterations
-and a model solve's flow steps.  Its Jacobian -eps Lap_h + W''(u)/eps is
+and a model solve's flow steps.  Its watchdog walks link each point to the
+step solved there and the points that step leads to, so a retraced step
+costs no solve and no residual.  Its Jacobian -eps Lap_h + W''(u)/eps is
 solved by LAPACK dgtsv, called directly, on the interval; on the circle by
 one dgtsv solve (the tridiagonal part, two right-hand sides, in a work array
 the solver owns) and a Sherman-Morrison correction for the two periodic
@@ -49,7 +50,7 @@ import numpy as np
 import scipy.linalg  # unused here; perfbench's tracer wraps solvers.scipy.linalg
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import daxpy
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs, dpttrf, dpttrs
+from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 
 from .fields import (  # energy, gradient, laplacian: perfbench's tracer wraps these names
     Field,
@@ -115,12 +116,13 @@ class SolveConfig:
     min_points_per_eps: float = 8.0
 
     def validate(self) -> None:
-        if self.tol_grad < 1e-13:
-            raise ValueError("tol_grad must be at least 1e-13")
-        if self.min_points_per_eps <= 0:
-            raise ValueError("min_points_per_eps must be positive")
-        if self.flow_dt is not None and self.flow_dt <= 0:
-            raise ValueError("flow_dt must be positive")
+        # written so that a NaN, which fails every comparison, fails each test
+        if not 1e-13 <= self.tol_grad < math.inf:
+            raise ValueError(f"tol_grad must be finite and at least 1e-13, got {self.tol_grad!r}")
+        if not 0 < self.min_points_per_eps < math.inf:
+            raise ValueError(f"min_points_per_eps must be finite and positive, got {self.min_points_per_eps!r}")
+        if self.flow_dt is not None and not 0 < self.flow_dt < math.inf:
+            raise ValueError(f"flow_dt must be finite and positive, got {self.flow_dt!r}")
 
 
 @dataclass
@@ -211,60 +213,56 @@ def _make_flow_solver(grid: Grid, eps: float, dt: float):
     end values and the interior of ``rhs`` is overwritten, elsewhere both
     are left as they are."""
     c = dt * eps
-    if grid.kind == "interval":
-        # interior rows only; without pivoting (the operator is strictly
-        # diagonally dominant) dgttrf + dgttrs do the same floating-point
-        # operations as the dgtsv behind solve_banded((1, 1), ...)
-        m = grid.shape[0] - 2
-        cc = c / grid.h**2
-        off = np.full(m - 1, -cc)
-        *tri, info = dgttrf(off, np.full(m, 1.0 + 2.0 * cc), off)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dgttrf failed with info={info}")
+    if grid.kind == "torus":
+        solve = _fft_solver(grid, 1.0 + c * _torus_symbol(grid))
+        return lambda v, rhs: solve(rhs)
+
+    # tridiag(-cc, 1 + 2 cc, -cc) on the interval's interior rows, and B, the
+    # circle's operator without its corners in the split of
+    # _solve_cyclic_tridiagonal with g = -(1 + 2 cc), are symmetric and
+    # strictly diagonally dominant with a positive diagonal, so SPD for every
+    # cc > 0, and dpttrf needs no pivoting
+    n = grid.shape[0] if grid.periodic else grid.shape[0] - 2
+    cc = c / grid.h**2
+    d0 = 1.0 + 2.0 * cc
+    off = -cc
+    diag = np.full(n, d0)
+    if grid.periodic:
+        g = -d0
+        diag[0] = d0 - g
+        diag[-1] = d0 - off * off / g
+    d, e, info = dpttrf(diag, np.full(n - 1, off))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dpttrf failed with info={info}")
+
+    if not grid.periodic:
 
         def step(v, rhs):
-            r = rhs[1:-1]  # contiguous: dgttrs solves in place in it
+            r = rhs[1:-1]  # contiguous: dpttrs solves in place in it
             r[0] += cc * v[0]
             r[-1] += cc * v[-1]
-            x, info = dgttrs(*tri, r, overwrite_b=1)
+            x, info = dpttrs(d, e, r, overwrite_b=1)
             if info != 0:
-                raise np.linalg.LinAlgError(f"dgttrs failed with info={info}")
+                raise np.linalg.LinAlgError(f"dpttrs failed with info={info}")
             out = v.copy()
             out[1:-1] = x
             return out
 
         return step
 
-    if grid.kind == "circle":
-        # the split of _solve_cyclic_tridiagonal with g = -(1 + 2 cc): B is
-        # symmetric and strictly diagonally dominant with a positive
-        # diagonal, so SPD for every cc > 0, and dpttrf needs no pivoting
-        n = grid.shape[0]
-        cc = c / grid.h**2
-        d0 = 1.0 + 2.0 * cc
-        g, off = -d0, -cc
-        diag = np.full(n, d0)
-        diag[0] = d0 - g
-        diag[-1] = d0 - off * off / g
-        d, e, info = dpttrf(diag, np.full(n - 1, off))
+    u = np.zeros(n)
+    u[0], u[-1] = g, off
+    z, _ = dpttrs(d, e, u)  # B^-1 u
+    ratio = off / g
+    denom = 1.0 + float(z[0]) + ratio * float(z[-1])  # 1 + w^T B^-1 u > 0: A is SPD
+
+    def step(v, rhs):
+        y, info = dpttrs(d, e, rhs)  # B^-1 rhs, in a copy of rhs
         if info != 0:
-            raise np.linalg.LinAlgError(f"dpttrf failed with info={info}")
-        u = np.zeros(n)
-        u[0], u[-1] = g, off
-        z, _ = dpttrs(d, e, u)  # B^-1 u
-        ratio = off / g
-        denom = 1.0 + float(z[0]) + ratio * float(z[-1])  # 1 + w^T B^-1 u > 0: A is SPD
+            raise np.linalg.LinAlgError(f"dpttrs failed with info={info}")
+        return daxpy(z, y, a=-(float(y[0]) + ratio * float(y[-1])) / denom)
 
-        def step(v, rhs):
-            y, info = dpttrs(d, e, rhs)  # B^-1 rhs, in a copy of rhs
-            if info != 0:
-                raise np.linalg.LinAlgError(f"dpttrs failed with info={info}")
-            return daxpy(z, y, a=-(float(y[0]) + ratio * float(y[-1])) / denom)
-
-        return step
-
-    solve = _fft_solver(grid, 1.0 + c * _torus_symbol(grid))
-    return lambda v, rhs: solve(rhs)
+    return step
 
 
 def _solve_tridiagonal(
@@ -452,36 +450,31 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
         # a NaN residual would fail the loop test below and read as converged
         raise NewtonDivergenceError(f"non-finite starting residual {rn!r}", history)
 
-    # Raw Newton steps of this iteration and the last, by the residual norm at
-    # their iterate: walks retrace earlier ones, and no system is solved twice.
-    # An entry is [v, step, |step|_inf, successor, capped successor], where a
-    # successor is the point (w, its residual, its norm) that v minus the
-    # step, raw or capped at MAX_STEP, reaches; it is kept once a walk takes
-    # that step from this very array v, so no residual is evaluated twice.
-    steps, earlier = {}, {}
+    # A point is [v, res, |res|_inf, out]; out is set the first time a walk
+    # solves at the point, to (step, |step|_inf, {scaled: successor}), the
+    # successor being the point v minus the step, raw or capped at MAX_STEP.
+    # Walks that retrace a step (the uncapped walk up to the capped walk's
+    # first capped step, the next iteration's walks on from the accepted
+    # point) follow these links, so no system is solved twice and no residual
+    # is evaluated twice; only what the accepted point reaches stays alive.
+    point = [v, res, rn, None]
 
-    def newton_step(v, res, rn):
-        hit = steps.get(rn) or earlier.get(rn)
-        if hit is None or not np.array_equal(hit[0], v):
-            step = solver(v, res)
-            hit = steps[rn] = [v, step, sup_norm(step), None, None]
-        return hit
+    def solve_at(point):
+        if point[3] is None:
+            step = solver(point[0], point[1])
+            point[3] = (step, sup_norm(step), {})
+        return point[3]
 
-    def advance(entry, w_v, scaled):
-        # array_equal lets -0.0 stand for 0.0, which w_v - step would not
-        slot = 4 if scaled else 3
-        if entry[0] is w_v and entry[slot] is not None:
-            return entry[slot]
-        step = entry[1] * (MAX_STEP / entry[2]) if scaled else entry[1]
-        w_next = w_v - step
-        w_res = residual(w_next)
-        point = (w_next, w_res, sup_norm(w_res))
-        if entry[0] is w_v:
-            entry[slot] = point
-        return point
+    def advance(point, scaled):
+        step, size, successors = point[3]
+        nxt = successors.get(scaled)
+        if nxt is None:
+            w = point[0] - (step * (MAX_STEP / size) if scaled else step)
+            w_res = residual(w)
+            nxt = successors[scaled] = [w, w_res, sup_norm(w_res), None]
+        return nxt
 
     while rn > cfg.tol_grad:
-        earlier, steps = steps, {}
         if iterations >= MAX_NEWTON:
             raise NewtonDivergenceError(
                 f"no convergence after {iterations} Newton iterations "
@@ -504,73 +497,67 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
         # when that walk makes no clear progress the unrestricted walk gets a
         # chance, which is what completes long journeys at gentle widths.
         # A capped walk that capped no step would be replayed exactly.
-        accepted = False
-        entry0 = newton_step(v, res, rn)
-        if _blown_up(entry0[2], v):
+        step0, size0, _ = solve_at(point)
+        if _blown_up(size0, point[0]):
             raise SingularJacobianError("Newton step blew up (nearly singular Jacobian)")
-        capped = entry0[2] > MAX_STEP
+        capped = size0 > MAX_STEP
         champion = None
         for cap in (MAX_STEP, None):
-            w_v, w_res, w_rn = v, res, rn
-            entry = entry0
+            w = point
             for k in range(12):
                 if k > 0:
                     try:
-                        entry = newton_step(w_v, w_res, w_rn)
+                        solve_at(w)
                     except SolverError:
                         break
-                    if _blown_up(entry[2], w_v):
+                    if _blown_up(w[3][1], w[0]):
                         break
-                scaled = cap is not None and entry[2] > cap
+                scaled = cap is not None and w[3][1] > cap
                 capped = capped or scaled
-                w_v, w_res, w_rn = advance(entry, w_v, scaled)
-                if not math.isfinite(w_rn) or w_rn > 1e3 * (1.0 + rn):
+                w = advance(w, scaled)
+                if not math.isfinite(w[2]) or w[2] > 1e3 * (1.0 + rn):
                     break
-                if champion is None or w_rn < champion[2]:
-                    champion = (w_v, w_res, w_rn)
-                if w_rn < 0.3 * rn or w_rn <= cfg.tol_grad:
+                if champion is None or w[2] < champion[2]:
+                    champion = w
+                if w[2] < 0.3 * rn or w[2] <= cfg.tol_grad:
                     break
             if not capped or (champion is not None and champion[2] < 0.3 * rn):
                 break  # nothing to retry uncapped, or a clear win
         if champion is not None and champion[2] < rn:
-            v, res, rn = champion
-            accepted = True
-        if not accepted:
-            step0, size0 = entry0[1], entry0[2]
+            point = champion
+        else:
             first_step = step0 * (MAX_STEP / size0) if size0 > MAX_STEP else step0
             alpha = DAMPING
             for _ in range(40):
-                trial = v - alpha * first_step
+                trial = point[0] - alpha * first_step
                 tres = residual(trial)
                 trn = sup_norm(tres)
                 if math.isfinite(trn) and trn < rn:
-                    v, res, rn = trial, tres, trn
-                    accepted = True
+                    point = [trial, tres, trn, None]
                     break
                 alpha *= DAMPING
-        if not accepted:
-            raise NewtonDivergenceError(
-                f"backtracking stalled at residual {rn:.3e}", history
-            )
+            else:
+                raise NewtonDivergenceError(
+                    f"backtracking stalled at residual {rn:.3e}", history
+                )
+        rn = point[2]
         iterations += 1
         history.append(rn)
 
     if iterations > 0:
         for _ in range(4):
             try:
-                step = solver(v, res)
+                solve_at(point)
             except SolverError:
                 break
-            trial = v - step
-            tres = residual(trial)
-            trn = sup_norm(tres)
-            if math.isfinite(trn) and trn < 0.5 * rn:
-                v, res, rn = trial, tres, trn
-                history.append(rn)
+            trial = advance(point, False)
+            if math.isfinite(trial[2]) and trial[2] < 0.5 * point[2]:
+                point = trial
+                history.append(point[2])
             else:
                 break
 
-    return NewtonResult(Field(f.grid, v, eps), history, iterations, True)
+    return NewtonResult(Field(f.grid, point[0], eps), history, iterations, True)
 
 
 # ---------------------------------------------------------------------------

@@ -186,7 +186,11 @@ def test_missing_input_file_exits_two_without_traceback(argv, tmp_path, monkeypa
 
 @pytest.mark.parametrize(
     "argv",
-    [["threshold", "--l", "0.785", "--tol", "0"], ["experiment", "comparison", "--tol", "0"]],
+    [
+        ["threshold", "--l", "0.785", "--tol", "0"],
+        ["experiment", "comparison", "--tol", "0"],
+        ["threshold", "--l", "1", "--tol", "nan"],
+    ],
     ids=" ".join,
 )
 def test_zero_tolerance_is_rejected_not_ignored(argv, capsys):

@@ -525,9 +525,24 @@ def test_multi_interface_seed_structure():
     assert pl.check_alternation(f, ns)
 
 
-def test_solve_config_validation():
-    with pytest.raises(ValueError):
-        SolveConfig(tol_grad=1e-14).validate()
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"tol_grad": 1e-14},
+        {"tol_grad": np.nan},
+        {"tol_grad": np.inf},
+        {"min_points_per_eps": 0.0},
+        {"min_points_per_eps": np.nan},
+        {"min_points_per_eps": np.inf},
+        {"flow_dt": 0.0},
+        {"flow_dt": np.nan},
+        {"flow_dt": np.inf},
+    ],
+    ids=lambda kw: "=".join(map(str, *kw.items())),
+)
+def test_solve_config_validation(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        SolveConfig(**kwargs).validate()
     SolveConfig().validate()
 
 
@@ -624,11 +639,17 @@ class TestIntervalFlowStep:
     )
     @example(n=17, eps=0.05, halvings=0, grow=False, seed=3)  # 15 interior rows
     @example(n=1025, eps=0.5, halvings=8, grow=True, seed=11)
-    def test_prefactored_step_is_bit_identical_to_banded_solve(self, n, eps, halvings, grow, seed):
+    def test_prefactored_step_matches_banded_solve(self, n, eps, halvings, grow, seed):
+        """The interior operator tridiag(-cc, 1 + 2 cc, -cc) is an M-matrix
+        with row sums at least 1, so |A^-1|_inf <= 1 and cond_inf(A) <=
+        1 + 4 cc; the bound grants both solves 64 ulps of backward error.
+        Dropping the boundary terms cc * v[0], cc * v[-1] or flipping the sign
+        of the off-diagonal fails it."""
         g = interval_grid(n, 1.0 + seed % 7)
         # the default step eps * h, halved as after energy rises, or 1.4
         # times larger, as a caller's flow_dt may be
         dt = eps * g.h * 0.5**halvings * (1.4 if grow else 1.0)
+        cc = dt * eps / g.h**2
         rng = np.random.default_rng(seed)
         step = _make_flow_solver(g, eps, dt)
         # one factorization, several right-hand sides, the last all -0.0
@@ -636,11 +657,14 @@ class TestIntervalFlowStep:
         for v in fields:
             got = step(v, v - (dt / eps) * P.dw(v))  # the step solves in place in rhs
             ref = _banded_flow_step(g, eps, dt, v, P)
-            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+            assert np.array_equal(got[[0, -1]], v[[0, -1]])
+            bound = 64 * np.finfo(float).eps * (1.0 + 4.0 * cc) * np.abs(got).max()
+            assert np.abs(got - ref).max() <= bound
 
     def test_singular_operator_raises(self):
         # dt = -h^2 / (2 eps) makes the operator tridiag(1/2, 0, 1/2) on 15
-        # interior points: singular, so dgttrf reports an exact zero pivot
+        # interior points: not positive definite, so dpttrf stops at its
+        # first pivot, 0
         g = interval_grid(17, 1.0)
         with pytest.raises(np.linalg.LinAlgError):
             _make_flow_solver(g, 0.5, -0.5 * g.h**2 / 0.5)
@@ -1007,10 +1031,22 @@ def test_flow_solve_returns_a_new_array_and_leaves_its_inputs(g):
     assert np.array_equal(rhs.view(np.int64), rhs_kept.view(np.int64))
 
 
-def test_circle_flow_factors_once_per_step_size(monkeypatch):
-    """A circle flow calls dpttrf once per step size, and dpttrs once for
-    B^-1 u per factorization plus once per step; a second flow on the same
-    operator factors again, as nothing is cached between flows."""
+def _interval_wave(n):
+    g = interval_grid(n, 1.0)
+    v = np.cos(3 * np.pi * g.axis())
+    v[0] = v[-1] = 0.0
+    return Field(g, v, 0.2)
+
+
+@pytest.mark.parametrize(
+    "f, per_factorization",
+    [(multi_interface_seed(circle_grid(263), 0.2, [0.0, 2.0]), 1), (_interval_wave(263), 0)],
+    ids=["circle", "interval"],
+)
+def test_flow_factors_once_per_step_size(monkeypatch, f, per_factorization):
+    """A 1-D flow calls dpttrf once per step size and dpttrs once per step,
+    plus, on the circle, once for B^-1 u per factorization; a second flow on
+    the same operator factors again, as nothing is cached between flows."""
     calls = []
 
     def counted(name, fn):
@@ -1022,17 +1058,15 @@ def test_circle_flow_factors_once_per_step_size(monkeypatch):
 
     monkeypatch.setattr(solvers, "dpttrf", counted("dpttrf", solvers.dpttrf))
     monkeypatch.setattr(solvers, "dpttrs", counted("dpttrs", solvers.dpttrs))
-    g = circle_grid(263)
-    f = multi_interface_seed(g, 0.2, [0.0, 2.0])
     for _ in range(2):
         calls.clear()
         gradient_flow(f, P, stop=StopRule(max_steps=5))
-        assert calls == ["dpttrf", "dpttrs"] + ["dpttrs"] * 5
+        assert calls == ["dpttrf"] + ["dpttrs"] * (per_factorization + 5)
     calls.clear()
     trace = gradient_flow(f, P, SolveConfig(flow_dt=0.3), StopRule(max_steps=40))
     assert trace.dt_final == 0.15  # one halving: one more factorization
     assert calls.count("dpttrf") == 2
-    assert calls.count("dpttrs") == 2 + 40 + 1  # the rejected step solved too
+    assert calls.count("dpttrs") == 2 * per_factorization + 40 + 1  # the rejected step solved too
 
 
 def test_no_circle_flow_reaches_splu(monkeypatch):
