@@ -21,7 +21,6 @@ from .nodal import (
     check_congruent_intervals,
     check_rotation_symmetry,
     extract_nodal_set,
-    fiber_nodal_set,
     fit_decay,
 )
 from .potentials import check_double_well, make_potential, quartic
@@ -275,12 +274,10 @@ def cmd_flow(args) -> int:
 def cmd_analyze(args) -> int:
     field, _ = load_snapshot_with_meta(args.snapshot)
     ns = extract_nodal_set(field)
-    # a torus is judged by its fibers' circle nodal set; the csv keeps the cloud
-    fibers = fiber_nodal_set(ns, field.grid.h)
-    payload: dict = {"nodal_count": fibers.count, "angles": list(fibers.angles)}
+    payload: dict = {"nodal_count": ns.count, "angles": list(ns.angles)}
     ok = True
     if "congruence" in args.what:
-        rep = check_congruent_intervals(fibers)
+        rep = check_congruent_intervals(ns)
         payload["congruence"] = {
             "max_rel_deviation": rep.max_rel_deviation,
             "passed": rep.passed,
@@ -293,7 +290,7 @@ def cmd_analyze(args) -> int:
         ok &= alt
         _say(args, f"alternation: {'PASS' if alt else 'FAIL'}")
     if "symmetry" in args.what:
-        m = args.m or fibers.count
+        m = args.m or ns.count
         rep = check_rotation_symmetry(field, m)
         payload["symmetry"] = {
             "sign_flip_residual": rep.sign_flip_residual,
@@ -314,7 +311,7 @@ def cmd_analyze(args) -> int:
         if args.csv:
             emit_plotdata((fit, field, ns), args.csv)
     if "nodal" in args.what:
-        _say(args, f"nodal points: {fibers.count}")
+        _say(args, f"nodal points: {ns.count}")
         if args.csv and "decay" not in args.what:
             emit_plotdata(ns, args.csv)
     _emit_json(args, payload)

@@ -22,7 +22,6 @@ from .nodal import (
     check_congruent_intervals,
     check_rotation_symmetry,
     extract_nodal_set,
-    fiber_nodal_set,
     fit_decay,
 )
 from .potentials import Potential, quartic
@@ -280,7 +279,7 @@ def slide_to_touch(u: Field, barrier: Barrier, max_offset: float) -> SlideReport
 
 
 # ---------------------------------------------------------------------------
-# relaxation helper shared by the census experiments
+# relaxation helpers shared by the census experiments
 
 
 def _relax(seed: Field, p: Potential, cfg: SolveConfig, flow_steps: int):
@@ -290,6 +289,19 @@ def _relax(seed: Field, p: Potential, cfg: SolveConfig, flow_steps: int):
         return nr, None
     except SolverError as exc:
         return None, str(exc)
+
+
+def _census_run(run: dict, seed: Field, p: Potential, cfg: SolveConfig, flow_steps: int, judge):
+    """Relax ``seed`` and fill the census row ``run``: a failed relaxation is
+    ``non_converged`` with its error; a converged one records its final
+    residual and the entries ``judge(field, nodal_set)`` returns."""
+    nr, err = _relax(seed, p, cfg, flow_steps)
+    if nr is None:
+        run.update(outcome="non_converged", error=err)
+    else:
+        run["residual"] = nr.residuals[-1]
+        run.update(judge(nr.field, extract_nodal_set(nr.field)))
+    return run
 
 
 def _experiment(name: str, tol_grad: float | None = None):
@@ -325,6 +337,8 @@ def _experiment(name: str, tol_grad: float | None = None):
                         list(value) if isinstance(value, range) else value
                     )
             runs, assertions, *derived = driver(**kw)
+            if not runs:
+                raise ValueError(f"{name}: the call produced no run")
             config.update(*derived)
             report = ExperimentReport(name, canonicalize(config), runs, assertions)
             report.runtime_seconds = time.perf_counter() - t0
@@ -358,6 +372,19 @@ def experiment_two_interface(
     Non-converged runs and runs that escape to a different interface count
     are recorded separately, never counted as counterexamples.
     """
+
+    def judge(field, ns):
+        if ns.count != 2:
+            return dict(outcome=f"escaped_{ns.count}_nodal")
+        gap = float(np.abs(ns.angles[1] - ns.angles[0]))
+        dev = abs(min(gap, TWO_PI - gap) - np.pi)
+        return dict(
+            outcome="converged_pair",
+            angles=list(ns.angles),
+            antipodal_deviation=dev,
+            antipodal=dev <= angle_tol,
+        )
+
     grid = circle_grid(n)
     runs = []
     for eps in eps_list:
@@ -367,27 +394,7 @@ def experiment_two_interface(
             phi = float(rng.uniform(*phi_range))
             field0 = multi_interface_seed(grid, eps, [0.0, phi])
             run = {"eps": eps, "seed": int(seed), "phi": phi}
-            nr, err = _relax(field0, p, cfg, flow_steps)
-            if nr is None:
-                run.update(outcome="non_converged", error=err)
-            else:
-                ns = extract_nodal_set(nr.field)
-                run["residual"] = nr.residuals[-1]
-                if ns.count == 2:
-                    gap = float(
-                        np.abs(ns.angles[1] - ns.angles[0])
-                    )
-                    dev = abs(min(gap, TWO_PI - gap) - np.pi)
-                    antipodal = dev <= angle_tol
-                    run.update(
-                        outcome="converged_pair",
-                        angles=list(ns.angles),
-                        antipodal_deviation=dev,
-                        antipodal=antipodal,
-                    )
-                else:
-                    run.update(outcome=f"escaped_{ns.count}_nodal")
-            runs.append(run)
+            runs.append(_census_run(run, field0, p, cfg, flow_steps, judge))
 
     pairs = [r for r in runs if r.get("outcome") == "converged_pair"]
     bad = [r for r in pairs if not r["antipodal"]]
@@ -448,6 +455,33 @@ def experiment_m_rigidity(
         )
     if circle_n % m != 0 or torus_n[0] % m != 0:
         raise ValueError("grid point counts must be divisible by m")
+
+    def judge(field, ns):
+        count = ns.count
+        if count != m:
+            # still a converged critical point: its own structure must hold
+            # (even count, alternation, congruent spacings)
+            ok = count == 0 or (
+                count % 2 == 0
+                and check_alternation(field, ns)
+                and check_congruent_intervals(ns, rel_tol=congruence_tol).passed
+            )
+            outcome = f"escaped_{count}_interfaces" if ok else "rigidity_violation"
+            return dict(interfaces=count, outcome=outcome, structure_ok=bool(ok))
+        cong = check_congruent_intervals(ns, rel_tol=congruence_tol)
+        sym = check_rotation_symmetry(field, m, tol=symmetry_tol)
+        alternating = check_alternation(field, ns)
+        ok = cong.passed and sym.passed and alternating
+        return dict(
+            interfaces=count,
+            outcome="converged_symmetric" if ok else "rigidity_violation",
+            spacing_rel_deviation=cong.max_rel_deviation,
+            sign_flip_residual=sym.sign_flip_residual,
+            plain_rotation_residual=sym.plain_residual,
+            alternating=bool(alternating),
+            nodal_angles=list(ns.angles),
+        )
+
     runs = []
     for surface in surfaces:
         if surface == "circle":
@@ -480,45 +514,7 @@ def experiment_m_rigidity(
                     "kind": label,
                     "seed_angles": list(angles),
                 }
-                nr, err = _relax(field0, p, run_cfg, flow_steps)
-                if nr is None:
-                    run.update(outcome="non_converged", error=err)
-                    runs.append(run)
-                    continue
-                run["residual"] = nr.residuals[-1]
-                ns = extract_nodal_set(nr.field)
-                ns_fiber = fiber_nodal_set(ns, grid.h)
-                count = ns_fiber.count
-                run["interfaces"] = int(count)
-                if count != m:
-                    # still a converged critical point: its own structure must
-                    # hold (even count, alternation, congruent spacings)
-                    ok = True
-                    if count > 0:
-                        ok = count % 2 == 0 and check_alternation(nr.field, ns)
-                        if ok and count >= 2:
-                            ok = check_congruent_intervals(
-                                ns_fiber, rel_tol=congruence_tol
-                            ).passed
-                    run.update(
-                        outcome=f"escaped_{count}_interfaces" if ok else "rigidity_violation",
-                        structure_ok=bool(ok),
-                    )
-                    runs.append(run)
-                    continue
-                cong = check_congruent_intervals(ns_fiber, rel_tol=congruence_tol)
-                sym = check_rotation_symmetry(nr.field, m, tol=symmetry_tol)
-                alternating = check_alternation(nr.field, ns)
-                ok = cong.passed and sym.passed and alternating
-                run.update(
-                    outcome="converged_symmetric" if ok else "rigidity_violation",
-                    spacing_rel_deviation=cong.max_rel_deviation,
-                    sign_flip_residual=sym.sign_flip_residual,
-                    plain_rotation_residual=sym.plain_residual,
-                    alternating=bool(alternating),
-                    nodal_angles=list(ns_fiber.angles),
-                )
-                runs.append(run)
+                runs.append(_census_run(run, field0, p, run_cfg, flow_steps, judge))
 
     violations = [r for r in runs if r.get("outcome") == "rigidity_violation"]
     symmetric = [r for r in runs if r.get("outcome") == "converged_symmetric"]

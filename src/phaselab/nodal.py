@@ -1,19 +1,21 @@
 """Nodal-set extraction and the structural checks on zero loci.
 
 Zero crossings are located by linear interpolation along grid edges, which is
-second-order accurate and preserves sign-change bracketing.  Circle nodal
-sets are sorted angle lists with crossing directions; torus nodal sets are
-point clouds in the product metric.
+second-order accurate and preserves sign-change bracketing.  A nodal set's
+``angles`` are its interfaces along axis 0: the sorted crossings of a 1-D
+field (with their directions), the fiber circles of a torus field (the
+crossing cloud clustered once at gaps over 4h).  A torus set also keeps the
+cloud itself, in the product metric, for Hausdorff distances and CSV output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .fields import Field
-from .grids import PERIODIC_KINDS, circle_distance, circle_grid
+from .grids import PERIODIC_KINDS, circle_distance
 
 __all__ = [
     "NodalSet",
@@ -27,7 +29,6 @@ __all__ = [
     "check_alternation",
     "check_rotation_symmetry",
     "cluster_fiber_angles",
-    "fiber_nodal_set",
     "fit_decay",
     "nodal_distance",
 ]
@@ -40,10 +41,10 @@ class IndeterminateSignError(ValueError):
 @dataclass(frozen=True)
 class NodalSet:
     kind: str  # matches the grid kind it came from
-    angles: np.ndarray  # sorted positions along axis 0 (a torus cloud's too)
-    directions: np.ndarray  # +1 rising, -1 falling, 0 touching
+    angles: np.ndarray  # sorted interface positions along axis 0 (a torus' fiber angles)
+    directions: np.ndarray  # +1 rising, -1 falling, 0 touching (always 0 on a torus)
     lengths: tuple
-    points: np.ndarray | None = None  # torus cloud, shape (N, 2)
+    points: np.ndarray | None = None  # torus crossing cloud, shape (N, 2)
     point_signs: np.ndarray | None = None
     point_axes: np.ndarray | None = None
 
@@ -75,7 +76,8 @@ def extract_nodal_set(f: Field) -> NodalSet:
     """Exact grid zeros first, then interpolated crossings along each axis.
 
     In 1-D an exact zero's direction is the sign of (right - left), with 0
-    beyond the interval ends; torus zeros carry sign 0 and axis -1.
+    beyond the interval ends; torus zeros carry sign 0 and axis -1.  A torus
+    set's angles are the cloud's fiber angles at a gap of 4h.
     """
     g = f.grid
     v = f.values
@@ -101,15 +103,12 @@ def extract_nodal_set(f: Field) -> NodalSet:
     if v.ndim == 1:
         order = np.argsort(points[:, 0])
         return NodalSet(g.kind, points[order, 0], direction[order], g.lengths)
-    return NodalSet(
-        g.kind,
-        np.sort(points[:, 0]),
-        np.zeros(points.shape[0], dtype=int),
-        g.lengths,
-        points=points,
-        point_signs=direction,
-        point_axes=np.concatenate(axes),
+    cloud = NodalSet(
+        g.kind, np.empty(0), np.empty(0, dtype=int), g.lengths,
+        points=points, point_signs=direction, point_axes=np.concatenate(axes),
     )
+    angles = cluster_fiber_angles(cloud, gap_threshold=4.0 * g.h)
+    return replace(cloud, angles=angles, directions=np.zeros(angles.size, dtype=int))
 
 
 def hausdorff_distance(a: NodalSet, b: NodalSet) -> float:
@@ -151,9 +150,9 @@ def _circle_spacings(angles: np.ndarray, circumference: float) -> np.ndarray:
 
 
 def check_congruent_intervals(ns: NodalSet, rel_tol: float = 1e-5) -> CongruenceReport:
-    """Compare consecutive nodal spacings on the circle against their mean."""
-    if ns.kind != "circle":
-        raise ValueError("congruence check needs a circle nodal set")
+    """Compare consecutive interface spacings on a circle or torus against their mean."""
+    if ns.kind not in PERIODIC_KINDS:
+        raise ValueError("congruence check needs a periodic nodal set")
     if ns.count < 2:
         raise ValueError("need at least two nodal points")
     spacings = _circle_spacings(ns.angles, ns.lengths[0])
@@ -163,36 +162,27 @@ def check_congruent_intervals(ns: NodalSet, rel_tol: float = 1e-5) -> Congruence
     return CongruenceReport(spacings, mean, max_abs, max_rel, rel_tol, max_rel <= rel_tol)
 
 
-def _interpolate_circle(f: Field, theta: float) -> float:
-    g = f.grid
-    L, h = g.lengths[0], g.h
-    x = (theta % L) / h
-    i = int(np.floor(x)) % g.shape[0]
-    t = x - np.floor(x)
-    v = f.values
-    return float((1.0 - t) * v[i] + t * v[(i + 1) % g.shape[0]])
-
-
 def check_alternation(f: Field, ns: NodalSet) -> bool:
-    """True iff the field sign alternates across consecutive nodal arcs.
+    """True iff the field's axis-0 profile (its fiber means on a torus)
+    changes sign across consecutive interfaces of ``ns``.
 
     An arc whose midpoint value is below 1e-8 in size raises
     IndeterminateSignError.
     """
     if ns.is_empty:
         raise ValueError("alternation needs a nonempty nodal set")
-    if f.grid.kind == "torus":
-        profile = Field(
-            circle_grid(f.grid.shape[0], f.grid.lengths[0]), f.values.mean(axis=1), f.epsilon
-        )
-        return check_alternation(profile, fiber_nodal_set(ns, f.grid.h))
-    L = f.grid.lengths[0]
+    n = f.grid.shape[0]
+    profile = f.values.reshape(n, -1).mean(axis=1)  # exact on a 1-D field
+    L, h = f.grid.lengths[0], f.grid.h
     angles = np.sort(ns.angles)
     spacings = _circle_spacings(angles, L)
     signs = []
     for z, s in zip(angles, spacings):
         mid = (z + 0.5 * s) % L
-        val = _interpolate_circle(f, mid)
+        x = mid / h
+        i = int(np.floor(x)) % n
+        t = x - np.floor(x)
+        val = float((1.0 - t) * profile[i] + t * profile[(i + 1) % n])
         if abs(val) < 1e-8:
             raise IndeterminateSignError(
                 f"arc midpoint {mid:.6g} has |u| = {abs(val):.2e}; sign indeterminate"
@@ -232,21 +222,11 @@ def check_rotation_symmetry(f: Field, m: int, tol: float = 1e-7) -> SymmetryRepo
     return SymmetryReport(m, k, flip, plain, tol, flip <= tol)
 
 
-def fiber_nodal_set(ns: NodalSet, h: float) -> NodalSet:
-    """The circle nodal set of a torus cloud's fibers: one angle per cluster
-    of points with gaps under 4h (h the spacing along axis 0).  A 1-D set is
-    its own fiber set and is returned as it is."""
-    if ns.kind != "torus":
-        return ns
-    angles = cluster_fiber_angles(ns, gap_threshold=4.0 * h)
-    return NodalSet("circle", angles, np.zeros(angles.size, dtype=int), (ns.lengths[0],))
-
-
 def cluster_fiber_angles(ns: NodalSet, gap_threshold: float) -> np.ndarray:
     """Cluster a torus nodal cloud by fiber angle; returns cluster centers."""
     if ns.kind != "torus":
         raise ValueError("fiber clustering needs a torus nodal set")
-    if ns.is_empty:
+    if ns.points.shape[0] == 0:
         return np.empty(0)
     L = ns.lengths[0]
     th = np.sort(ns.points[:, 0] % L)

@@ -138,7 +138,7 @@ class FlowTrace:
     field: Field
     energies: np.ndarray
     steps: int
-    angle_samples: list
+    angle_samples: list  # (step, interface angles) pairs
     dt_final: float
 
 
@@ -577,8 +577,8 @@ def gradient_flow(
     the fixed step ``cfg.flow_dt`` (eps * h when unset).  An energy increase
     beyond the slack (after the 10-step transient) halves the step for the
     rest of the run and retries; collapse below 1e-14 aborts, and so does a
-    non-finite energy at any step.  Nodal angles are sampled into the trace
-    when the stop rule asks for them.
+    non-finite energy at any step.  When the stop rule asks for them, the
+    trace samples the nodal set's interface angles (a torus' fiber angles).
     """
     cfg = cfg or SolveConfig()
     cfg.validate()
@@ -627,7 +627,7 @@ def gradient_flow(
             from .nodal import extract_nodal_set
 
             ns = extract_nodal_set(Field(f.grid, v, eps))
-            angle_samples.append((step_i, ns.angles.copy()))
+            angle_samples.append((step_i, ns.angles))
 
     return FlowTrace(Field(f.grid, v, eps), np.asarray(energies), max_steps, angle_samples, dt)
 

@@ -278,7 +278,20 @@ def test_analyze_judges_a_torus_by_its_fibers(tmp_path, capsys):
     csv = tmp_path / "nodal.csv"
     assert main(["analyze", "--snapshot", str(snap), "--csv", str(csv)]) == 0
     assert "nodal points: 4" in capsys.readouterr().out
-    assert len(csv.read_text().splitlines()) == 1 + pl.extract_nodal_set(f).count
+    assert len(csv.read_text().splitlines()) == 1 + pl.extract_nodal_set(f).points.shape[0]
+
+
+def test_flow_trace_of_a_torus_lists_its_interfaces(tmp_path):
+    snap = tmp_path / "torus.snap"
+    f = pl.multi_interface_seed(pl.torus_grid(256, 32), 0.2, np.arange(4) * np.pi / 2 + 0.2)
+    pl.save_snapshot(f, snap)
+    trace = tmp_path / "trace.csv"
+    argv = ["flow", "--snapshot", str(snap), "--steps", "100", "--track-nodal", "--trace", str(trace)]
+    assert main(argv) == 0
+    lines = trace.read_text().splitlines()
+    assert lines[0] == "step,energy,angle0,angle1,angle2,angle3"
+    assert [line.split(",")[0] for line in lines[1:]] == ["50", "100"]
+    assert all(len(line.split(",")) == 6 for line in lines[1:])
 
 
 def test_analyze_decay_fits_the_well_rate(tmp_path, capsys):

@@ -256,6 +256,21 @@ class TestExperimentDrivers:
         assert outcomes["nested_profiles"] == "holds"
         assert outcomes["nonzero_boundary_sub_field"] == "inapplicable"
 
+    @pytest.mark.parametrize(
+        "driver, kwargs",
+        [
+            (experiment_m_rigidity, {"eps_list": ()}),
+            (experiment_decay, {"eps_list": ()}),
+            (experiment_slide, {"delta_fractions": ()}),
+            (experiment_two_interface, {"seeds": ()}),
+        ],
+        ids=["m_rigidity", "decay", "slide", "two_interface"],
+    )
+    def test_a_call_that_runs_nothing_is_rejected(self, driver, kwargs):
+        # an empty sweep would otherwise report on zero runs
+        with pytest.raises(ValueError, match="produced no run"):
+            driver(**kwargs)
+
     def test_slide_experiment(self):
         rep = experiment_slide()
         assert rep.passed

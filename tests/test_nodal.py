@@ -11,7 +11,6 @@ from phaselab.nodal import (
     check_rotation_symmetry,
     cluster_fiber_angles,
     extract_nodal_set,
-    fiber_nodal_set,
     fit_decay,
     hausdorff_distance,
     nodal_distance,
@@ -43,6 +42,8 @@ class TestExtraction:
     def test_constant_sign_gives_empty_set(self):
         ns = extract_nodal_set(circle_field(np.ones(64)))
         assert ns.is_empty
+        torus = extract_nodal_set(Field(torus_grid(32, 16), np.ones((32, 16)), 0.5))
+        assert torus.is_empty and torus.points.shape == (0, 2)
 
     def test_negation_preserves_set_and_flips_directions(self):
         g = circle_grid(256)
@@ -158,8 +159,11 @@ def test_torus_extraction_matches_loop_reference(grid):
         assert np.array_equal(ns.points, pts)
         assert np.array_equal(ns.point_signs, signs)
         assert np.array_equal(ns.point_axes, axes)
-        assert np.array_equal(ns.angles, np.sort(pts[:, 0]))
-        assert np.array_equal(ns.directions, np.zeros(pts.shape[0], dtype=int))
+        # the interfaces: the reference cloud's fiber angles at a gap of 4h
+        zeros = np.zeros(pts.shape[0], dtype=int)
+        cloud = NodalSet("torus", np.empty(0), zeros, grid.lengths, pts, zeros, zeros)
+        assert np.array_equal(ns.angles, cluster_fiber_angles(cloud, gap_threshold=4.0 * grid.h))
+        assert np.array_equal(ns.directions, np.zeros(ns.count, dtype=int))
 
 
 class TestHausdorff:
@@ -262,6 +266,26 @@ class TestAlternation:
         with pytest.raises(ValueError):
             check_alternation(f, extract_nodal_set(f))
 
+    @pytest.mark.parametrize("noisy", [False, True], ids=["fibered", "noisy"])
+    def test_torus_is_the_circle_check_on_its_fiber_means(self, noisy):
+        g = torus_grid(128, 16)
+        theta, phi = g.axis(0), g.axis(1)
+        prof = np.cos(2.0 * theta + 0.1)
+        ns = extract_nodal_set(Field(g, g.extrude(prof), 0.2))
+        v = g.extrude(prof)
+        if noisy:
+            # cos(phi) averages out over a fiber but flips the sign of one
+            # positive lobe on the fiber phi = 0
+            lobe = np.maximum(prof, 0.0) * (np.abs(theta - (np.pi - 0.05)) < np.pi / 2)
+            v = v - 3.0 * lobe[:, None] * np.cos(phi)[None, :]
+        f = Field(g, v, 0.2)
+        fibers = angles_set(ns.angles)
+        on_means = check_alternation(Field(circle_grid(128), v.mean(axis=1), 0.2), fibers)
+        assert ns.count == 4 and on_means
+        assert check_alternation(f, ns) == on_means
+        if noisy:  # a single fiber's profile would not alternate
+            assert not check_alternation(Field(circle_grid(128), v[:, 0].copy(), 0.2), fibers)
+
 
 @pytest.fixture(scope="module")
 def refined_four():
@@ -318,28 +342,38 @@ class TestClusterFiberAngles:
         assert min(abs(centers - 0.0).min(), abs(centers - 2 * np.pi).min()) <= 0.01
         assert abs(centers - 2.5).min() <= 0.01
 
-    def test_fiber_nodal_set_of_a_fibered_torus_field(self):
+    def test_torus_extraction_counts_fibers(self):
         g = torus_grid(128, 16)
         theta = g.axis(0)[:, None] + 0.0 * g.axis(1)[None, :]
         ns = extract_nodal_set(Field(g, np.cos(2.0 * theta + 0.1), 0.2))
-        fibers = fiber_nodal_set(ns, g.h)
         expected = (np.array([np.pi / 2, 3 * np.pi / 2, 5 * np.pi / 2, 7 * np.pi / 2]) - 0.1) / 2
-        assert fibers.kind == "circle" and fibers.lengths == (g.lengths[0],)
-        assert np.array_equal(fibers.angles, cluster_fiber_angles(ns, gap_threshold=4.0 * g.h))
-        assert np.allclose(fibers.angles, expected, atol=1e-3)
-        assert fibers.count == 4 and not fibers.directions.any()
+        assert ns.kind == "torus" and ns.lengths == g.lengths
+        assert np.array_equal(ns.angles, cluster_fiber_angles(ns, gap_threshold=4.0 * g.h))
+        assert np.allclose(ns.angles, expected, atol=1e-3)
+        assert ns.count == 4 and not ns.directions.any()
+        assert ns.points.shape[0] == 4 * 16  # the cloud: one crossing per fiber row
 
-    def test_fiber_nodal_set_of_a_circle_set_is_the_set(self):
+    def test_extraction_joins_fibers_under_four_steps_apart(self):
+        # zeros at a, a + pi, b, b + pi with b - a = 3.1h: two interfaces
+        g = torus_grid(128, 16)
+        a, b = 1.0, 1.0 + 3.1 * g.h
+        prof = np.sin(g.axis(0) - a) * np.sin(g.axis(0) - b)
+        ns = extract_nodal_set(Field(g, g.extrude(prof), 0.2))
+        assert np.allclose(ns.angles, [0.5 * (a + b), 0.5 * (a + b) + np.pi], atol=1e-3)
+
+    def test_a_circle_set_is_read_as_it_is(self):
         ns = angles_set([0.5, 2.0])
-        assert fiber_nodal_set(ns, 0.01) is ns
+        assert np.array_equal(check_congruent_intervals(ns).spacings, [1.5, 2 * np.pi - 1.5])
+        with pytest.raises(ValueError, match="torus"):
+            cluster_fiber_angles(ns, gap_threshold=4.0 * 0.01)
 
-    def test_fiber_nodal_set_joins_gaps_under_four_steps(self):
+    def test_clustering_joins_gaps_under_four_steps(self):
         h = 0.01
         theta = np.array([1.0, 1.0 + 3.5 * h, 1.0 + 7.0 * h, 4.0])
         pts = np.column_stack([theta, np.linspace(0.0, 6.0, theta.size)])
         zeros = np.zeros(theta.size, dtype=int)
         ns = NodalSet("torus", theta, zeros, (2 * np.pi, 2 * np.pi), pts, zeros, zeros)
-        assert np.allclose(fiber_nodal_set(ns, h).angles, [1.0 + 3.5 * h, 4.0])
+        assert np.allclose(cluster_fiber_angles(ns, gap_threshold=4.0 * h), [1.0 + 3.5 * h, 4.0])
 
 
 @pytest.fixture(scope="module")

@@ -511,6 +511,20 @@ class TestGradientFlow:
         # without nodal tracking the sampling interval is never read
         gradient_flow(f, P, None, StopRule(max_steps=10, sample_every=0))
 
+    def test_torus_samples_hold_the_interfaces(self):
+        # the perturbed four-interface torus flow of the benchmark's construct pass
+        g = torus_grid(256, 64)
+        cfg = SolveConfig(min_points_per_eps=4.0)
+        angles = np.arange(4) * np.pi / 2 + 0.2
+        angles[1] += 0.3
+        f = multi_interface_seed(g, 0.15, angles)
+        trace = gradient_flow(f, P, cfg, StopRule(max_steps=50, sample_every=25, track_nodal=True))
+        assert [step for step, _ in trace.angle_samples] == [25, 50]
+        for step, sampled in trace.angle_samples:
+            at_step = gradient_flow(f, P, cfg, StopRule(max_steps=step)).field
+            assert sampled.size == 4
+            assert np.array_equal(sampled, pl.extract_nodal_set(at_step).angles)
+
 
 
 def test_multi_interface_seed_structure():
