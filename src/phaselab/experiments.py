@@ -18,6 +18,7 @@ import numpy as np
 from .fields import Field, gradient
 from .grids import Grid, circle_grid, require_resolution, torus_grid
 from .nodal import (
+    SYMMETRY_TOL,
     check_alternation,
     check_congruent_intervals,
     check_rotation_symmetry,
@@ -55,6 +56,15 @@ __all__ = [
 
 RESIDUAL_FORM = "-eps*lap(u) + W'(u)/eps"
 TWO_PI = 2.0 * np.pi
+
+# fixed values of the drivers; a report's config echoes each under its lower-case name
+PHI_RANGE = (0.6 * np.pi, 1.4 * np.pi)  # two_interface: a seed's second angle
+ANGLE_TOL = 1e-4  # two_interface: largest antipodal deviation of a converged pair
+NOISE_AMPLITUDE = 1e-3  # m_rigidity: transverse noise on each torus seed
+CONGRUENCE_TOL = 1e-4  # m_rigidity: largest relative spacing deviation
+RATE_WINDOW = 0.25  # decay: largest relative miss of the linearization rate
+POINTWISE_SLACK = 2e-2  # decay: largest excess of the envelope over the fit
+HALF_LENGTH = np.pi / 2.0  # comparison: the full interval's half-length
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +321,8 @@ def _experiment(name: str, tol_grad: float | None = None):
     ``p`` defaults to the quartic and ``cfg`` to ``SolveConfig`` (with
     ``tol_grad`` when given); both are echoed as ``potential`` and ``solver``.
     ``n`` is echoed as ``grid_points``, a range as a list, and ``derived``
-    (values the driver computes from its arguments) is added as it is.
+    (values the driver computes from its arguments, or module constants it
+    echoes) is added as it is.
     """
 
     def decorate(driver):
@@ -358,17 +369,15 @@ def experiment_two_interface(
     eps_list=(0.2, 0.25),
     seeds=tuple(range(12)),
     n: int = 256,
-    phi_range=(0.6 * np.pi, 1.4 * np.pi),
     p: Potential | None = None,
     cfg: SolveConfig | None = None,
     flow_steps: int = 400,
-    angle_tol: float = 1e-4,
 ):
     """Relax random two-interface seeds and check converged pairs are antipodal.
 
-    Each seed draws a second interface angle phi in ``phi_range``; the first
+    Each seed draws a second interface angle phi in ``PHI_RANGE``; the first
     sits at zero.  Every converged critical point with exactly two nodal
-    points must have its angles half a circumference apart to ``angle_tol``.
+    points must have its angles half a circumference apart to ``ANGLE_TOL``.
     Non-converged runs and runs that escape to a different interface count
     are recorded separately, never counted as counterexamples.
     """
@@ -382,7 +391,7 @@ def experiment_two_interface(
             outcome="converged_pair",
             angles=list(ns.angles),
             antipodal_deviation=dev,
-            antipodal=dev <= angle_tol,
+            antipodal=dev <= ANGLE_TOL,
         )
 
     grid = circle_grid(n)
@@ -391,7 +400,7 @@ def experiment_two_interface(
         require_resolution(grid, eps, cfg.min_points_per_eps)
         for seed in seeds:
             rng = np.random.default_rng(seed)
-            phi = float(rng.uniform(*phi_range))
+            phi = float(rng.uniform(*PHI_RANGE))
             field0 = multi_interface_seed(grid, eps, [0.0, phi])
             run = {"eps": eps, "seed": int(seed), "phi": phi}
             runs.append(_census_run(run, field0, p, cfg, flow_steps, judge))
@@ -404,7 +413,7 @@ def experiment_two_interface(
             "every_converged_pair_antipodal",
             len(bad) == 0,
             measured=worst,
-            tolerance=angle_tol,
+            tolerance=ANGLE_TOL,
             detail=f"{len(bad)} counterexamples among {len(pairs)} converged pairs",
         ),
         assertion(
@@ -415,7 +424,7 @@ def experiment_two_interface(
             detail="at least one run must converge with two nodal points",
         ),
     ]
-    return runs, assertions
+    return runs, assertions, {"phi_range": PHI_RANGE, "angle_tol": ANGLE_TOL}
 
 
 # ---------------------------------------------------------------------------
@@ -431,22 +440,20 @@ def experiment_m_rigidity(
     surfaces=("circle", "torus"),
     circle_n: int = 512,
     torus_n=(256, 64),
-    noise_amplitude: float = 1e-3,
     p: Potential | None = None,
     cfg: SolveConfig | None = None,
     torus_points_per_eps: float = 4.0,
-    congruence_tol: float = 1e-4,
-    symmetry_tol: float = 1e-7,
     flow_steps: int = 500,
 ):
     """Seed m interfaces with one displaced angle and census the relaxed runs.
 
     Converged critical points carrying exactly m interfaces (m nodal angles on
     the circle, m nodal fiber circles on the torus) must pass spacing
-    congruence, sign alternation, and the rotate-and-flip symmetry; everything
-    else lands in the census as escaped or non-converged.  Torus runs add
-    small transverse noise to the seed so one-dimensional artifacts cannot
-    mask genuinely two-dimensional instabilities.
+    congruence (``CONGRUENCE_TOL``), sign alternation, and the rotate-and-flip
+    symmetry (``SYMMETRY_TOL``); everything else lands in the census as escaped
+    or non-converged.  Torus runs add transverse noise (``NOISE_AMPLITUDE``) to
+    the seed so one-dimensional artifacts cannot mask genuinely
+    two-dimensional instabilities.
     """
     if m < 4 or m % 2 != 0:
         raise ValueError(
@@ -464,12 +471,12 @@ def experiment_m_rigidity(
             ok = count == 0 or (
                 count % 2 == 0
                 and check_alternation(field, ns)
-                and check_congruent_intervals(ns, rel_tol=congruence_tol).passed
+                and check_congruent_intervals(ns, rel_tol=CONGRUENCE_TOL).passed
             )
             outcome = f"escaped_{count}_interfaces" if ok else "rigidity_violation"
             return dict(interfaces=count, outcome=outcome, structure_ok=bool(ok))
-        cong = check_congruent_intervals(ns, rel_tol=congruence_tol)
-        sym = check_rotation_symmetry(field, m, tol=symmetry_tol)
+        cong = check_congruent_intervals(ns, rel_tol=CONGRUENCE_TOL)
+        sym = check_rotation_symmetry(field, m)
         alternating = check_alternation(field, ns)
         ok = cong.passed and sym.passed and alternating
         return dict(
@@ -504,8 +511,8 @@ def experiment_m_rigidity(
                 angles = (rho + np.arange(m) * (TWO_PI / m)) % TWO_PI
                 angles[1] = (angles[1] + pert) % TWO_PI
                 field0 = multi_interface_seed(grid, eps, angles)
-                if surface == "torus" and noise_amplitude > 0:
-                    noisy = field0.values + noise_amplitude * rng.standard_normal(grid.shape)
+                if surface == "torus":
+                    noisy = field0.values + NOISE_AMPLITUDE * rng.standard_normal(grid.shape)
                     field0 = field0.with_values(noisy)
                 run = {
                     "surface": surface,
@@ -524,7 +531,7 @@ def experiment_m_rigidity(
             "no_converged_run_breaks_rigidity",
             len(violations) == 0,
             measured=worst_spacing,
-            tolerance=congruence_tol,
+            tolerance=CONGRUENCE_TOL,
             detail=f"{len(violations)} violations in {len(runs)} runs",
         ),
     ]
@@ -544,7 +551,9 @@ def experiment_m_rigidity(
                     detail="the equal-spacing control seed must relax to the symmetric solution",
                 )
             )
-    return runs, assertions
+    return runs, assertions, {
+        "noise_amplitude": NOISE_AMPLITUDE, "congruence_tol": CONGRUENCE_TOL, "symmetry_tol": SYMMETRY_TOL
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -557,18 +566,16 @@ def experiment_decay(
     n: int = 2048,
     p: Potential | None = None,
     cfg: SolveConfig | None = None,
-    rate_window: float = 0.25,
-    pointwise_slack: float = 2e-2,
 ):
     """Fit the decay of |u^2 - 1| on two-interface solutions across widths.
 
-    The fitted rate is compared against the linearization rate
-    sqrt(W''(1)) / eps and must double (within 25%) when the width halves.
+    The fitted rate must match the linearization rate sqrt(W''(1)) / eps to
+    ``RATE_WINDOW`` and must double (within 25%) when the width halves.
     The envelope constant bounds the gap at every resolvable grid point by
     construction; the assertion is that it exceeds the least-squares
-    amplitude by at most ``pointwise_slack`` (the fixed 2*eps fit window
+    amplitude by at most ``POINTWISE_SLACK`` (the fixed 2*eps fit window
     leaves a deterministic ~1% shortfall from the subleading profile term,
-    so the default slack is 2%).
+    so the slack is 2%).
     """
     rate_coeff = float(np.sqrt(p.d2w(1.0)))
     runs = []
@@ -601,18 +608,18 @@ def experiment_decay(
         assertions.append(
             assertion(
                 f"rate_matches_linearization_eps_{eps:g}",
-                abs(ratio - 1.0) <= rate_window,
+                abs(ratio - 1.0) <= RATE_WINDOW,
                 measured=ratio,
-                tolerance=rate_window,
+                tolerance=RATE_WINDOW,
                 detail="kappa * eps / sqrt(W''(1))",
             )
         )
         assertions.append(
             assertion(
                 f"pointwise_bound_eps_{eps:g}",
-                fits[eps].pointwise_bound_holds(pointwise_slack),
+                fits[eps].pointwise_bound_holds(POINTWISE_SLACK),
                 measured=fits[eps].pointwise_factor,
-                tolerance=1.0 + pointwise_slack,
+                tolerance=1.0 + POINTWISE_SLACK,
                 detail="envelope/least-squares amplitude ratio; the envelope bounds every resolvable grid point",
             )
         )
@@ -629,7 +636,7 @@ def experiment_decay(
                 detail=f"kappa({b:g}) / kappa({a:g}) vs width ratio {expected:g}",
             )
         )
-    return runs, assertions
+    return runs, assertions, {"rate_window": RATE_WINDOW, "pointwise_slack": POINTWISE_SLACK}
 
 
 # ---------------------------------------------------------------------------
@@ -639,26 +646,26 @@ def experiment_decay(
 @_experiment("comparison_principle")
 def experiment_comparison(
     eps: float = 0.1,
-    half_length: float = np.pi / 2.0,
     n: int = 257,
     p: Potential | None = None,
     cfg: SolveConfig | None = None,
 ):
     """Documented ordering scenario plus a deliberate precondition violation.
 
-    The full-interval positive profile must strictly dominate the half-width
-    profile extended by zero; feeding the test a sub-field that does not
-    vanish on the domain boundary must classify as inapplicable.
+    The positive profile on the interval of ``HALF_LENGTH`` must
+    strictly dominate the half-width profile extended by zero; feeding the
+    test a sub-field that does not vanish on the domain boundary must classify
+    as inapplicable.
     """
     if (n - 1) % 4 != 0:
         raise ValueError("n - 1 must be divisible by 4 so the half-width endpoints sit on the grid")
 
-    big = solve_dirichlet_model(half_length, eps, p, cfg, n=n)
+    big = solve_dirichlet_model(HALF_LENGTH, eps, p, cfg, n=n)
     if big.status != "positive":
         raise SolverError("full-interval profile unexpectedly trivial")
     quarter = (n - 1) // 4
     n_sub = 2 * quarter + 1
-    small = solve_dirichlet_model(half_length / 2.0, eps, p, cfg, n=n_sub)
+    small = solve_dirichlet_model(HALF_LENGTH / 2.0, eps, p, cfg, n=n_sub)
     if small.status != "positive":
         raise SolverError("half-width profile unexpectedly trivial")
 
@@ -701,7 +708,7 @@ def experiment_comparison(
             detail=inapplicable_case.reason,
         ),
     ]
-    return runs, assertions
+    return runs, assertions, {"half_length": HALF_LENGTH}
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +731,6 @@ def _counterfactual_field(
     delta: float,
     barrier_max: float,
     bump_offset: float,
-    p: Potential,
 ) -> Field:
     """Synthetic field with the hypothesized non-alternating sign layout.
 
@@ -737,9 +743,7 @@ def _counterfactual_field(
     L = grid.lengths[0]
     theta = grid.axis(0)
     t1, t2, t3, t4 = sigma
-    s1 = (L / np.pi) * np.sin(np.pi * (theta - t1) / L)
-    s3 = (L / np.pi) * np.sin(np.pi * (theta - t3) / L)
-    base = np.tanh(s1 / (np.sqrt(2.0) * eps)) * np.tanh(s3 / (np.sqrt(2.0) * eps))
+    base = multi_interface_seed(grid, eps, [t1, t3]).values
     peak = 0.3 * barrier_max
     u = (
         base
@@ -801,7 +805,7 @@ def experiment_slide(
             )
             continue
         vmax = float(np.max(barrier.field.values))
-        u = _counterfactual_field(grid, eps, sigma, delta, vmax, 0.2 * delta, p)
+        u = _counterfactual_field(grid, eps, sigma, delta, vmax, 0.2 * delta)
         slide = slide_to_touch(u, barrier, max_offset=3.0 * delta)
         run.update(
             outcome="touched" if slide.touched else "no_touch",

@@ -21,8 +21,7 @@ at every step.  ``energy`` and ``gradient`` build one per call; ``laplacian``
 reuses one stencil kernel per grid (the torus MINRES matvec calls it at every
 Krylov iteration).  The kernels know two geometries: a periodic grid
 (``Grid.periodic``), whose one-axis case is the circle, and the Dirichlet
-interval; the circle's energy, called at every flow step, is a closure of
-its own with the same sums.  Every stencil is one wrapped difference along axis 0; the torus
+interval.  Every stencil is one wrapped difference along axis 0; the torus
 fiber axis is the last axis, stenciled on the raveled array.  The energy's
 sums run in C order, so a field's memory layout does not change a bit of it.
 """
@@ -183,32 +182,20 @@ def energy_kernel(grid: Grid, eps: float, p: Potential):
     c_axes = [0.5 * eps * (cell / hk) / hk for hk in grid.spacings]
     c_well = cell / eps
     du = np.empty(grid.shape)
-
-    if len(grid.shape) == 1:
-        # the circle: the same sums, without the fiber and layout branches
-        # (np.add.reduce over axis None is what ndarray.sum runs)
-        c_grad = c_axes[0]
-        head = du[:-1]
-        reduce = np.add.reduce
-
-        def energy_of(v):
-            np.subtract(v[1:], v[:-1], out=head)
-            du[-1] = v[0] - v[-1]
-            return c_grad * float(np.dot(du, du)) + c_well * float(reduce(p.w(v), axis=None))
-
-        return energy_of
-
     flat = du.ravel()
+    fiber = len(grid.shape) == 2
+    reduce = np.add.reduce  # what ndarray.sum runs, without its Python wrapper
 
     def energy_of(v):
         _forward_differences(v, du)
         grad = c_axes[0] * float(np.dot(flat, flat))
-        _forward_differences_last(v, du)
-        grad += c_axes[1] * float(np.dot(flat, flat))
         well = p.w(v)
-        if not well.flags.c_contiguous:  # sum in C order, whatever the layout
-            well = np.ascontiguousarray(well)
-        return grad + c_well * float(well.sum())
+        if fiber:
+            _forward_differences_last(v, du)
+            grad += c_axes[1] * float(np.dot(flat, flat))
+            if not well.flags.c_contiguous:  # sum in C order, whatever the layout
+                well = np.ascontiguousarray(well)
+        return grad + c_well * float(reduce(well, axis=None))
 
     return energy_of
 

@@ -166,9 +166,11 @@ def check_alternation(f: Field, ns: NodalSet) -> bool:
     """True iff the field's axis-0 profile (its fiber means on a torus)
     changes sign across consecutive interfaces of ``ns``.
 
-    An arc whose midpoint value is below 1e-8 in size raises
-    IndeterminateSignError.
+    The field must live on a periodic grid.  An arc whose midpoint value is
+    below 1e-8 in size raises IndeterminateSignError.
     """
+    if not f.grid.periodic:
+        raise ValueError("alternation check needs a periodic grid")
     if ns.is_empty:
         raise ValueError("alternation needs a nonempty nodal set")
     n = f.grid.shape[0]
@@ -202,7 +204,10 @@ class SymmetryReport:
     passed: bool
 
 
-def check_rotation_symmetry(f: Field, m: int, tol: float = 1e-7) -> SymmetryReport:
+SYMMETRY_TOL = 1e-7  # largest sign-flip residual a symmetric solution may have
+
+
+def check_rotation_symmetry(f: Field, m: int) -> SymmetryReport:
     """Residuals of the rotate-by-(L/m)-and-flip-sign symmetry.
 
     For an alternating m-interface solution, rotating by one nodal spacing
@@ -219,7 +224,7 @@ def check_rotation_symmetry(f: Field, m: int, tol: float = 1e-7) -> SymmetryRepo
     v = f.values
     flip = float(np.max(np.abs(np.roll(v, -k, axis=0) + v)))
     plain = float(np.max(np.abs(np.roll(v, -2 * k, axis=0) - v)))
-    return SymmetryReport(m, k, flip, plain, tol, flip <= tol)
+    return SymmetryReport(m, k, flip, plain, SYMMETRY_TOL, flip <= SYMMETRY_TOL)
 
 
 def cluster_fiber_angles(ns: NodalSet, gap_threshold: float) -> np.ndarray:

@@ -281,6 +281,14 @@ def test_analyze_judges_a_torus_by_its_fibers(tmp_path, capsys):
     assert len(csv.read_text().splitlines()) == 1 + pl.extract_nodal_set(f).points.shape[0]
 
 
+def test_analyze_alternation_of_an_interval_exits_two(tmp_path, capsys):
+    g = pl.interval_grid(257, 1.0)
+    snap = tmp_path / "interval.snap"
+    pl.save_snapshot(pl.Field(g, np.sin(3.0 * g.axis(0)) ** 2 - 0.25, 0.2), snap)
+    assert main(["analyze", "--snapshot", str(snap), "--what", "alternation"]) == 2
+    assert capsys.readouterr().err == "error: alternation check needs a periodic grid\n"
+
+
 def test_flow_trace_of_a_torus_lists_its_interfaces(tmp_path):
     snap = tmp_path / "torus.snap"
     f = pl.multi_interface_seed(pl.torus_grid(256, 32), 0.2, np.arange(4) * np.pi / 2 + 0.2)

@@ -20,6 +20,7 @@ from phaselab.experiments import (
 )
 from phaselab.fields import Field
 from phaselab.grids import circle_grid, interval_grid, torus_grid
+from phaselab.nodal import SYMMETRY_TOL
 from phaselab.potentials import make_potential, quartic
 from phaselab.reports import canonicalize
 from phaselab.solvers import NewtonResult, SolveConfig, multi_interface_seed, solve_dirichlet_model
@@ -356,12 +357,33 @@ class TestReportDeterminism:
 # every driver at a small size, with the config keys its report adds beyond
 # its own parameters
 ECHO_CASES = [
-    (experiment_two_interface, {"eps_list": (0.25,), "seeds": range(1), "n": 256}, set()),
-    (experiment_m_rigidity, {"eps_list": (0.15,), "seeds": (), "surfaces": ("circle",)}, set()),
-    (experiment_decay, {"eps_list": (0.05,), "n": 2048}, set()),
-    (experiment_comparison, {}, set()),
+    (
+        experiment_two_interface,
+        {"eps_list": (0.25,), "seeds": range(1), "n": 256},
+        {"phi_range", "angle_tol"},
+    ),
+    (
+        experiment_m_rigidity,
+        {"eps_list": (0.15,), "seeds": (), "surfaces": ("circle",)},
+        {"noise_amplitude", "congruence_tol", "symmetry_tol"},
+    ),
+    (experiment_decay, {"eps_list": (0.05,), "n": 2048}, {"rate_window", "pointwise_slack"}),
+    (experiment_comparison, {}, {"half_length"}),
     (experiment_slide, {"delta_fractions": (0.25,)}, {"delta_max"}),
 ]
+
+# the module constant behind each fixed value a driver echoes
+FIXED = {
+    experiment_two_interface: {"phi_range": experiments.PHI_RANGE, "angle_tol": experiments.ANGLE_TOL},
+    experiment_m_rigidity: {
+        "noise_amplitude": experiments.NOISE_AMPLITUDE,
+        "congruence_tol": experiments.CONGRUENCE_TOL,
+        "symmetry_tol": SYMMETRY_TOL,
+    },
+    experiment_decay: {"rate_window": experiments.RATE_WINDOW, "pointwise_slack": experiments.POINTWISE_SLACK},
+    experiment_comparison: {"half_length": experiments.HALF_LENGTH},
+}
+FIXED_CASES = [case for case in ECHO_CASES if case[0] in FIXED]
 
 
 class TestConfigEcho:
@@ -384,6 +406,17 @@ class TestConfigEcho:
             cfg=SolveConfig(**solver),
         )
         assert replay.to_json_bytes() == rep.to_json_bytes()
+
+    @pytest.mark.parametrize(
+        "driver, kwargs, derived", FIXED_CASES, ids=[c[0].__name__ for c in FIXED_CASES]
+    )
+    def test_fixed_values_are_no_keywords_and_the_config_echoes_them(self, driver, kwargs, derived):
+        fixed = FIXED[driver]
+        for key, value in fixed.items():
+            with pytest.raises(TypeError, match=key):
+                driver(**kwargs, **{key: value})
+        rep = driver(**kwargs)
+        assert {key: rep.config[key] for key in fixed} == canonicalize(fixed)
 
     def test_solver_echo_holds_every_solve_config_field(self):
         rep = experiment_comparison(cfg=SolveConfig(tol_grad=1e-11, min_points_per_eps=7.0))

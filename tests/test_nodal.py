@@ -4,6 +4,7 @@ import pytest
 from phaselab.fields import Field
 from phaselab.grids import circle_distance, circle_grid, interval_grid, torus_grid
 from phaselab.nodal import (
+    SYMMETRY_TOL,
     IndeterminateSignError,
     NodalSet,
     check_alternation,
@@ -266,6 +267,15 @@ class TestAlternation:
         with pytest.raises(ValueError):
             check_alternation(f, extract_nodal_set(f))
 
+    def test_interval_field_is_rejected(self):
+        # four sign changes that do alternate; an interval has no wrapped arc
+        g = interval_grid(257, 1.0)
+        f = Field(g, np.sin(3.0 * g.axis(0)) ** 2 - 0.25, 0.2)
+        ns = extract_nodal_set(f)
+        assert ns.count == 4
+        with pytest.raises(ValueError, match="alternation check needs a periodic grid"):
+            check_alternation(f, ns)
+
     @pytest.mark.parametrize("noisy", [False, True], ids=["fibered", "noisy"])
     def test_torus_is_the_circle_check_on_its_fiber_means(self, noisy):
         g = torus_grid(128, 16)
@@ -297,7 +307,7 @@ class TestRotationSymmetry:
 
     def test_reflection_built_solution_is_exact(self, refined_four):
         rep = check_rotation_symmetry(refined_four, 4)
-        assert rep.passed
+        assert rep.passed and rep.tolerance == SYMMETRY_TOL
         assert rep.sign_flip_residual <= 1e-12
         assert rep.plain_residual <= 1e-12
 
