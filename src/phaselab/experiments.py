@@ -63,6 +63,7 @@ ANGLE_TOL = 1e-4  # two_interface: largest antipodal deviation of a converged pa
 NOISE_AMPLITUDE = 1e-3  # m_rigidity: transverse noise on each torus seed
 CONGRUENCE_TOL = 1e-4  # m_rigidity: largest relative spacing deviation
 RATE_WINDOW = 0.25  # decay: largest relative miss of the linearization rate
+WIDTH_RATIO_WINDOW = 0.25  # decay: largest relative miss of the rate ratio from the width ratio
 POINTWISE_SLACK = 2e-2  # decay: largest excess of the envelope over the fit
 HALF_LENGTH = np.pi / 2.0  # comparison: the full interval's half-length
 
@@ -570,7 +571,8 @@ def experiment_decay(
     """Fit the decay of |u^2 - 1| on two-interface solutions across widths.
 
     The fitted rate must match the linearization rate sqrt(W''(1)) / eps to
-    ``RATE_WINDOW`` and must double (within 25%) when the width halves.
+    ``RATE_WINDOW`` and must double (within ``WIDTH_RATIO_WINDOW``) when
+    the width halves.
     The envelope constant bounds the gap at every resolvable grid point by
     construction; the assertion is that it exceeds the least-squares
     amplitude by at most ``POINTWISE_SLACK`` (the fixed 2*eps fit window
@@ -630,13 +632,17 @@ def experiment_decay(
         assertions.append(
             assertion(
                 f"rate_scales_with_inverse_width_{a:g}_to_{b:g}",
-                abs(ratio / expected - 1.0) <= 0.25,
+                abs(ratio / expected - 1.0) <= WIDTH_RATIO_WINDOW,
                 measured=ratio,
-                tolerance=expected * 0.25,
+                tolerance=expected * WIDTH_RATIO_WINDOW,
                 detail=f"kappa({b:g}) / kappa({a:g}) vs width ratio {expected:g}",
             )
         )
-    return runs, assertions, {"rate_window": RATE_WINDOW, "pointwise_slack": POINTWISE_SLACK}
+    return runs, assertions, {
+        "rate_window": RATE_WINDOW,
+        "width_ratio_window": WIDTH_RATIO_WINDOW,
+        "pointwise_slack": POINTWISE_SLACK,
+    }
 
 
 # ---------------------------------------------------------------------------

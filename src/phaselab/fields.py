@@ -14,16 +14,19 @@ inner products carry the grid's quadrature weights, which makes the discrete
 Hessian exactly self-adjoint up to rounding.
 
 The energy and its gradient (Newton's residual) are kernels:
-``energy_kernel(grid, eps, p)`` and ``residual_kernel(grid, eps, p)`` compute
-their constants and allocate their work buffers once (but for the torus
-Laplacian's fiber term), so a flow or a Newton solve builds one and calls it
-at every step.  ``energy`` and ``gradient`` build one per call; ``laplacian``
-reuses one stencil kernel per grid (the torus MINRES matvec calls it at every
-Krylov iteration).  The kernels know two geometries: a periodic grid
-(``Grid.periodic``), whose one-axis case is the circle, and the Dirichlet
-interval.  Every stencil is one wrapped difference along axis 0; the torus
-fiber axis is the last axis, stenciled on the raveled array.  The energy's
-sums run in C order, so a field's memory layout does not change a bit of it.
+``energy_kernel(grid, eps, p, rows)`` and ``residual_kernel(grid, eps, p)``
+compute their constants and allocate their work buffers once (but for the
+torus Laplacian's fiber term), so a flow or a Newton solve builds one and
+calls it at every step; the energy kernel takes a stack of up to ``rows``
+fields, so a flow checks a block of its states in one call.  ``energy`` and
+``gradient`` build one per call; ``laplacian`` reuses one stencil kernel per
+grid (the torus MINRES matvec calls it at every Krylov iteration).  The
+kernels know two geometries: a periodic grid (``Grid.periodic``), whose
+one-axis case is the circle, and the Dirichlet interval.  Every stencil is
+one wrapped difference along a field's axis 0; the torus fiber axis is the
+last axis, stenciled on the raveled array.  The energy's sums run in C
+order, field by field, so neither a field's memory layout nor the stack it
+sits in changes a bit of it.
 """
 
 from __future__ import annotations
@@ -107,9 +110,10 @@ def _second_differences_last(v, out, h2):
 
 
 def _forward_differences(v, out):
-    """v[i+1] - v[i] along axis 0, wrapped, into ``out``."""
-    np.subtract(v[1:], v[:-1], out=out[:-1])
-    out[-1] = v[0] - v[-1]
+    """v[:, i+1] - v[:, i] along axis 1 of a stack of fields (each field's
+    axis 0), wrapped, into ``out``."""
+    np.subtract(v[:, 1:], v[:, :-1], out=out[:, :-1])
+    out[:, -1] = v[:, 0] - v[:, -1]
 
 
 def _forward_differences_last(v, out):
@@ -156,46 +160,58 @@ def laplacian(grid: Grid, v: np.ndarray) -> np.ndarray:
     return _shared_laplacian_kernel(grid)(v, np.empty(grid.shape))
 
 
-def energy_kernel(grid: Grid, eps: float, p: Potential):
-    """``energy_of(values)``: the energy of a field on ``grid`` at width
-    ``eps``, with the geometry picked and the constants computed once.
+def energy_kernel(grid: Grid, eps: float, p: Potential, rows: int = 1):
+    """``energy_of(stack)``: the energies of a stack of fields on ``grid`` at
+    width ``eps``, as a list of floats, with the geometry picked and the
+    constants computed once.
 
-    ``values`` is a float array of the grid's shape; it is read, never
-    written.  The difference buffers belong to the kernel.
+    ``stack`` is a float array of shape ``(k,) + grid.shape`` with
+    ``k <= rows``; a single field is the 1-stack ``values[None]``.  It is
+    read, never written.  ``p.w`` is called once per stack; each field's
+    energy is its own sums, so it does not depend on the stack it sits in
+    or on its layout: one dot product of each axis' differences, and the
+    well term summed by np.add.reduce over the field's C-order ravel (what
+    ndarray.sum runs on the field, without its Python wrapper).  The
+    difference buffers, of ``rows`` fields, belong to the kernel.
     """
+    reduce = np.add.reduce
     if not grid.periodic:
         c_grad = 0.5 * eps / grid.h
         weights = grid.weights()
-        du = np.empty(grid.shape[0] - 1)
-        well = np.empty(grid.shape)
+        du = np.empty((rows, grid.shape[0] - 1))
+        well = np.empty((rows,) + grid.shape)
 
-        def energy_of(v):
-            np.subtract(v[1:], v[:-1], out=du)
-            np.multiply(weights, p.w(v), out=well)
-            return c_grad * float(np.dot(du, du)) + float(well.sum()) / eps
+        def energy_of(vs):
+            k = len(vs)
+            d = du[:k]
+            np.subtract(vs[:, 1:], vs[:, :-1], out=d)
+            sums = reduce(np.multiply(weights, p.w(vs), out=well[:k]), axis=1)
+            return [c_grad * float(np.dot(r, r)) + float(s) / eps for r, s in zip(d, sums)]
 
         return energy_of
 
-    # periodic: each axis' squared differences summed over the raveled
-    # (C-order) buffer, axis 0 first; a circle is the one-axis case
+    # periodic: each axis' squared differences summed over the field's
+    # raveled (C-order) buffer, axis 0 first; a circle is the one-axis case
     cell = math.prod(grid.spacings)
     c_axes = [0.5 * eps * (cell / hk) / hk for hk in grid.spacings]
     c_well = cell / eps
-    du = np.empty(grid.shape)
-    flat = du.ravel()
+    du = np.empty((rows,) + grid.shape)
     fiber = len(grid.shape) == 2
-    reduce = np.add.reduce  # what ndarray.sum runs, without its Python wrapper
 
-    def energy_of(v):
-        _forward_differences(v, du)
-        grad = c_axes[0] * float(np.dot(flat, flat))
-        well = p.w(v)
+    def energy_of(vs):
+        k = len(vs)
+        d = du[:k]
+        flat = d.reshape(k, -1)
+        _forward_differences(vs, d)
+        grads = [c_axes[0] * float(np.dot(r, r)) for r in flat]
         if fiber:
-            _forward_differences_last(v, du)
-            grad += c_axes[1] * float(np.dot(flat, flat))
-            if not well.flags.c_contiguous:  # sum in C order, whatever the layout
-                well = np.ascontiguousarray(well)
-        return grad + c_well * float(reduce(well, axis=None))
+            _forward_differences_last(vs, d)
+            grads = [g + c_axes[1] * float(np.dot(r, r)) for g, r in zip(grads, flat)]
+        # each field's C-order ravel as a contiguous row, summed pairwise as
+        # ndarray.sum sums the field; on a stack in another order reduce
+        # would run down its columns and sum each field sequentially
+        sums = reduce(np.ascontiguousarray(p.w(vs)).reshape(k, -1), axis=1)
+        return [g + c_well * float(s) for g, s in zip(grads, sums)]
 
     return energy_of
 
@@ -227,7 +243,7 @@ def residual_kernel(grid: Grid, eps: float, p: Potential):
 
 
 def energy(f: Field, p: Potential) -> float:
-    return energy_kernel(f.grid, f.epsilon, p)(f.values)
+    return energy_kernel(f.grid, f.epsilon, p)(f.values[None])[0]
 
 
 def gradient(f: Field, p: Potential) -> Field:

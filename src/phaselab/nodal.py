@@ -213,8 +213,10 @@ def check_rotation_symmetry(f: Field, m: int) -> SymmetryReport:
     For an alternating m-interface solution, rotating by one nodal spacing
     flips the sign; rotating by two spacings is a plain invariance.  Requires
     the point count to be divisible by m so the rotation is a whole number of
-    grid steps.
+    grid steps.  The field must live on a periodic grid.
     """
+    if not f.grid.periodic:
+        raise ValueError("rotation symmetry check needs a periodic grid")
     if m < 2 or m % 2 != 0:
         raise ValueError("m must be an even integer >= 2")
     n = f.grid.shape[0]

@@ -18,9 +18,11 @@ dpttrs solve in place in its right-hand side; the circle's A = I + cc (-Lap)
 without its periodic corners, shifted by g = -(1 + 2 cc) at its ends as the
 cyclic Jacobian solve does, a step being one dpttrs solve and one daxpy of
 the precomputed Sherman-Morrison correction (about a third of the cost of a
-SuperLU solve and under half of an FFT step, ROADMAP F9).  A flow builds one
-fields.energy_kernel and forms each right-hand side in a buffer it owns; a
-Newton solve and a model solve each build one fields.residual_kernel.
+SuperLU solve and under half of an FFT step, ROADMAP F9).  A flow solves
+each step in place in its row of a block buffer it owns and checks the
+energies of up to max(1, BLOCK_POINTS // npoints) steps in one call of its
+fields.energy_kernel; a Newton solve and a model solve each build one
+fields.residual_kernel.
 Newton solves -eps Lap_h(u) + W'(u)/eps = 0 with residual-max-norm
 backtracking; the constants MAX_NEWTON and MAX_FLOW_STEPS cap its iterations
 and a model solve's flow steps.  Its watchdog walks link each point to the
@@ -88,6 +90,7 @@ DAMPING = 0.5  # backtracking factor of Newton's fallback line search
 MAX_STEP = 0.15  # sup-norm cap per Newton step in the capped watchdog walk, direction kept
 MAX_NEWTON = 50  # Newton iterations per solve
 MAX_FLOW_STEPS = 100_000  # flow steps per model solve, and per flow without StopRule.max_steps
+BLOCK_POINTS = 16_384  # a flow block: max(1, BLOCK_POINTS // npoints) states, about 128 KiB
 
 
 class SolverError(RuntimeError):
@@ -177,8 +180,9 @@ def _torus_symbol(grid: Grid) -> np.ndarray:
 
 
 def _fft_solver(grid: Grid, denom: np.ndarray):
-    """``solve(x)``: irfft2(rfft2(x) / denom, s=grid.shape) on a torus grid,
-    as a new real array; ``denom`` is positive and finite.
+    """``solve(x, out=None)``: irfft2(rfft2(x) / denom, s=grid.shape) on a
+    torus grid, as a new real array or into ``out`` (which may be ``x``);
+    ``denom`` is positive and finite.
 
     The same 1-D transforms, in the same order, as rfft2 and irfft2, without
     their per-call n-d set-up: they run in place in one spectrum buffer of
@@ -197,25 +201,25 @@ def _fft_solver(grid: Grid, denom: np.ndarray):
     recip = np.empty(denom.shape, dtype=complex)
     recip.real, recip.imag = 1.0 / denom, -0.0
 
-    def solve(x):
+    def solve(x, out=None):
         np.fft.rfft(x, axis=1, out=spec)
         np.fft.fft(spec, axis=0, out=spec)
         np.multiply(spec, recip, out=spec)
         np.fft.ifft(spec, axis=0, out=spec)
-        return np.fft.irfft(spec, n=n2, axis=1)
+        return np.fft.irfft(spec, n=n2, axis=1, out=out)
 
     return solve
 
 
 def _make_flow_solver(grid: Grid, eps: float, dt: float):
     """Prefactored implicit solve of (I + dt*eps*(-Lap_h)) u = rhs, as
-    ``step(v, rhs)``, into a new array; on the interval ``v`` supplies the
-    end values and the interior of ``rhs`` is overwritten, elsewhere both
-    are left as they are."""
+    ``step(v, out)``: ``out`` holds the right-hand side on entry and the new
+    state on return, and is returned; ``v``, the state the step starts from,
+    is read only, on the interval for its end values."""
     c = dt * eps
     if grid.kind == "torus":
         solve = _fft_solver(grid, 1.0 + c * _torus_symbol(grid))
-        return lambda v, rhs: solve(rhs)
+        return lambda v, out: solve(out, out)
 
     # tridiag(-cc, 1 + 2 cc, -cc) on the interval's interior rows, and B, the
     # circle's operator without its corners in the split of
@@ -237,15 +241,14 @@ def _make_flow_solver(grid: Grid, eps: float, dt: float):
 
     if not grid.periodic:
 
-        def step(v, rhs):
-            r = rhs[1:-1]  # contiguous: dpttrs solves in place in it
+        def step(v, out):
+            r = out[1:-1]  # contiguous: dpttrs solves in place in it
             r[0] += cc * v[0]
             r[-1] += cc * v[-1]
-            x, info = dpttrs(d, e, r, overwrite_b=1)
+            _, info = dpttrs(d, e, r, overwrite_b=1)
             if info != 0:
                 raise np.linalg.LinAlgError(f"dpttrs failed with info={info}")
-            out = v.copy()
-            out[1:-1] = x
+            out[0], out[-1] = v[0], v[-1]
             return out
 
         return step
@@ -256,11 +259,11 @@ def _make_flow_solver(grid: Grid, eps: float, dt: float):
     ratio = off / g
     denom = 1.0 + float(z[0]) + ratio * float(z[-1])  # 1 + w^T B^-1 u > 0: A is SPD
 
-    def step(v, rhs):
-        y, info = dpttrs(d, e, rhs)  # B^-1 rhs, in a copy of rhs
+    def step(v, out):
+        y, info = dpttrs(d, e, out, overwrite_b=1)  # B^-1 rhs, in place in out
         if info != 0:
             raise np.linalg.LinAlgError(f"dpttrs failed with info={info}")
-        return daxpy(z, y, a=-(float(y[0]) + ratio * float(y[-1])) / denom)
+        return daxpy(z, y, a=-(float(y[0]) + ratio * float(y[-1])) / denom)  # in place in y
 
     return step
 
@@ -571,7 +574,7 @@ def gradient_flow(
     stop: StopRule | None = None,
 ) -> FlowTrace:
     """Semi-implicit energy descent for a fixed number of steps; energy is
-    monitored every step.
+    monitored every step, checked a block of steps at a time.
 
     The flow runs ``stop.max_steps`` steps (MAX_FLOW_STEPS when unset) at
     the fixed step ``cfg.flow_dt`` (eps * h when unset).  An energy increase
@@ -579,6 +582,15 @@ def gradient_flow(
     rest of the run and retries; collapse below 1e-14 aborts, and so does a
     non-finite energy at any step.  When the stop rule asks for them, the
     trace samples the nodal set's interface angles (a torus' fiber angles).
+
+    No step needs the energy of the one before, so the flow runs a block of
+    up to K = max(1, BLOCK_POINTS // npoints) steps, each into its row of a
+    block buffer, and then takes the block's energies in one kernel call.
+    It scans them in step order, as a step-by-step loop would check them:
+    a non-finite energy raises at its step; at the first rise the states
+    from that step on are dropped, and the flow resumes from the last
+    accepted state at the halved step.  Two block buffers alternate, so the
+    state a block starts from is never overwritten and never copied.
     """
     cfg = cfg or SolveConfig()
     cfg.validate()
@@ -594,19 +606,25 @@ def gradient_flow(
     dt = cfg.flow_dt if cfg.flow_dt is not None else eps * f.grid.h
     solve = _make_flow_solver(f.grid, eps, dt)
     rate = dt / eps
-    energy_of = energy_kernel(f.grid, eps, p)
-    rhs = np.empty(f.grid.shape)  # v - (dt/eps) W'(v); the interval solve overwrites it
-    v = f.values.copy()
+    rows = max(1, BLOCK_POINTS // f.grid.npoints)
+    energy_of = energy_kernel(f.grid, eps, p, rows)
+    blocks = [np.empty((rows,) + f.grid.shape) for _ in range(2)]
+    v = f.values  # the last accepted state; read, never written
 
-    energies = [energy_of(v)]
+    energies = [energy_of(v[None])[0]]
     angle_samples = []
-
-    for step_i in range(1, max_steps + 1):
-        while True:
-            np.multiply(p.dw(v), rate, out=rhs)
-            np.subtract(v, rhs, out=rhs)
-            v_new = solve(v, rhs)
-            e_new = energy_of(v_new)
+    done = 0
+    while done < max_steps:
+        block = blocks[0][: min(rows, max_steps - done)]
+        u = v
+        for row in block:  # each row holds its step's right-hand side, then its state
+            np.multiply(p.dw(u), rate, out=row)
+            np.subtract(u, row, out=row)
+            solve(u, row)
+            u = row
+        accepted = len(block)
+        for i, e_new in enumerate(energy_of(block)):
+            step_i = done + i + 1
             # math.isfinite: np.isfinite costs about 1 us per step on a Python float
             if not math.isfinite(e_new):
                 raise SolverError(f"non-finite energy {e_new!r} at flow step {step_i}")
@@ -618,18 +636,21 @@ def gradient_flow(
                     )
                 solve = _make_flow_solver(f.grid, eps, dt)
                 rate = dt / eps
-                continue
-            break
-        v = v_new
-        energies.append(e_new)
+                accepted = i
+                break
+            energies.append(e_new)
 
-        if stop.track_nodal and step_i % stop.sample_every == 0:
-            from .nodal import extract_nodal_set
+            if stop.track_nodal and step_i % stop.sample_every == 0:
+                from .nodal import extract_nodal_set
 
-            ns = extract_nodal_set(Field(f.grid, v, eps))
-            angle_samples.append((step_i, ns.angles))
+                ns = extract_nodal_set(Field(f.grid, block[i], eps))
+                angle_samples.append((step_i, ns.angles))
+        if accepted:
+            v = block[accepted - 1]
+            done += accepted
+            blocks.reverse()  # the next block must not overwrite v
 
-    return FlowTrace(Field(f.grid, v, eps), np.asarray(energies), max_steps, angle_samples, dt)
+    return FlowTrace(Field(f.grid, v.copy(), eps), np.asarray(energies), max_steps, angle_samples, dt)
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,14 @@ def test_analyze_alternation_of_an_interval_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == "error: alternation check needs a periodic grid\n"
 
 
+def test_analyze_symmetry_of_an_interval_exits_two(tmp_path, capsys):
+    g = pl.interval_grid(256, 1.0)
+    snap = tmp_path / "interval.snap"
+    pl.save_snapshot(pl.Field(g, np.sin(np.pi * g.axis(0)), 0.2), snap)
+    assert main(["analyze", "--snapshot", str(snap), "--what", "symmetry", "--m", "2"]) == 2
+    assert capsys.readouterr().err == "error: rotation symmetry check needs a periodic grid\n"
+
+
 def test_flow_trace_of_a_torus_lists_its_interfaces(tmp_path):
     snap = tmp_path / "torus.snap"
     f = pl.multi_interface_seed(pl.torus_grid(256, 32), 0.2, np.arange(4) * np.pi / 2 + 0.2)

@@ -367,7 +367,11 @@ ECHO_CASES = [
         {"eps_list": (0.15,), "seeds": (), "surfaces": ("circle",)},
         {"noise_amplitude", "congruence_tol", "symmetry_tol"},
     ),
-    (experiment_decay, {"eps_list": (0.05,), "n": 2048}, {"rate_window", "pointwise_slack"}),
+    (
+        experiment_decay,
+        {"eps_list": (0.05,), "n": 2048},
+        {"rate_window", "width_ratio_window", "pointwise_slack"},
+    ),
     (experiment_comparison, {}, {"half_length"}),
     (experiment_slide, {"delta_fractions": (0.25,)}, {"delta_max"}),
 ]
@@ -380,7 +384,11 @@ FIXED = {
         "congruence_tol": experiments.CONGRUENCE_TOL,
         "symmetry_tol": SYMMETRY_TOL,
     },
-    experiment_decay: {"rate_window": experiments.RATE_WINDOW, "pointwise_slack": experiments.POINTWISE_SLACK},
+    experiment_decay: {
+        "rate_window": experiments.RATE_WINDOW,
+        "width_ratio_window": experiments.WIDTH_RATIO_WINDOW,
+        "pointwise_slack": experiments.POINTWISE_SLACK,
+    },
     experiment_comparison: {"half_length": experiments.HALF_LENGTH},
 }
 FIXED_CASES = [case for case in ECHO_CASES if case[0] in FIXED]

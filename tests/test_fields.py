@@ -400,7 +400,7 @@ def test_kernels_match_the_frozen_formulas_bit_for_bit(g):
         residual = residual_kernel(g, eps, P)
         for v in _kernel_inputs(g):  # each kernel reuses its buffers across calls
             before = v.copy()
-            assert _bits(energy_of(v)) == _bits(_frozen_energy(g, v, eps, P))
+            assert _bits(energy_of(v[None])[0]) == _bits(_frozen_energy(g, v, eps, P))
             assert np.array_equal(_bits(residual(v)), _bits(_frozen_gradient(g, v, eps, P)))
             assert np.array_equal(_bits(laplacian(g, v)), _bits(_frozen_laplacian(g, v)))
             f = Field(g, v, eps)
@@ -432,11 +432,36 @@ def test_torus_kernels_match_the_frozen_formulas_on_every_layout(g):
             lap = _frozen_laplacian(g, v)
             r = _frozen_gradient(g, v, eps, P)
             for w in _layouts(v):
-                assert _bits(energy_of(w)) == _bits(e)
+                assert _bits(energy_of(w[None])[0]) == _bits(e)
                 assert _bits(energy(Field(g, w, eps), P)) == _bits(e)
                 assert np.array_equal(_bits(residual(w)), _bits(r))
                 assert np.array_equal(_bits(laplacian(g, w)), _bits(lap))
                 assert np.array_equal(_bits(w), _bits(v))
+
+
+@pytest.mark.parametrize("g", KERNEL_GRIDS, ids=lambda g: f"{g.kind}-{'x'.join(map(str, g.shape))}")
+def test_a_stack_has_the_energies_of_its_fields_on_every_layout(g):
+    # a flow checks a block of its states in one call: one p.w call on the
+    # stack, and per field its own dot products and its own C-order well sum
+    calls = []
+
+    def w(x):
+        calls.append(x.shape)
+        return P.w(x)
+
+    p = from_callables(w, P.dw, P.d2w, "counted")
+    inputs = _kernel_inputs(g)
+    stack = np.stack(inputs)
+    for eps in (0.05, 0.3):
+        energy_of = energy_kernel(g, eps, p, rows=len(inputs))
+        frozen = _bits([_frozen_energy(g, v, eps, P) for v in inputs])
+        for s in (stack, np.asfortranarray(stack), np.ascontiguousarray(stack.T).T):
+            before = s.copy()
+            for k in range(len(inputs), 0, -1):  # the leading k fields, in the same buffers
+                calls.clear()
+                assert np.array_equal(_bits(energy_of(s[:k])), frozen[:k])
+                assert calls == [(k,) + g.shape]
+            assert np.array_equal(_bits(s), _bits(before))
 
 
 def _frozen_periodic_energy(grid, eps, p, v):
@@ -473,7 +498,7 @@ def test_circle_energy_kernel_matches_the_frozen_sums_bit_for_bit(n):
         for v in inputs:
             before = v.copy()
             with np.errstate(invalid="ignore"):
-                got, ref = energy_of(v), _frozen_periodic_energy(g, eps, P, v)
+                got, ref = energy_of(v[None])[0], _frozen_periodic_energy(g, eps, P, v)
             assert _bits(got) == _bits(ref)
             assert np.array_equal(_bits(v), _bits(before))
 
@@ -517,7 +542,7 @@ def test_kernels_never_write_into_what_a_potential_returns(g, returns):
     p = from_callables(ident, ident, lambda x: np.ones_like(x), "identity")
     v = np.random.default_rng(5).uniform(-1.0, 1.0, g.shape)
     before = v.copy()
-    e = energy_kernel(g, 0.3, p)(v)
+    e = energy_kernel(g, 0.3, p)(v[None])[0]
     r = residual_kernel(g, 0.3, p)(v)
     assert np.array_equal(_bits(v), _bits(before))
     assert _bits(e) == _bits(_frozen_energy(g, before, 0.3, p))

@@ -329,6 +329,13 @@ class TestRotationSymmetry:
         with pytest.raises(ValueError):
             check_rotation_symmetry(f, 4)
 
+    def test_interval_field_is_rejected(self):
+        # 256 points divide by m = 2, but an interval's values do not wrap
+        g = interval_grid(256, 1.0)
+        f = Field(g, np.sin(np.pi * g.axis(0)), 0.2)
+        with pytest.raises(ValueError, match="rotation symmetry check needs a periodic grid"):
+            check_rotation_symmetry(f, 2)
+
 
 class TestClusterFiberAngles:
     def test_two_clusters_with_wrap(self):

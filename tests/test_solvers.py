@@ -1027,22 +1027,25 @@ def test_circle_flow_with_a_halving_matches_the_frozen_dpttrs_loop(n):
     assert np.array_equal(trace.field.values.view(np.int64), v.view(np.int64))
 
 
-@pytest.mark.parametrize("g", [circle_grid(263), torus_grid(33, 17)], ids=["circle", "torus"])
-def test_flow_solve_returns_a_new_array_and_leaves_its_inputs(g):
+@pytest.mark.parametrize(
+    "g", [interval_grid(263, 1.0), circle_grid(263), torus_grid(33, 17)], ids=lambda g: g.kind
+)
+def test_flow_solve_writes_into_its_row_and_leaves_v(g):
+    """A step solves in place in the row that holds its right-hand side, as
+    the flow's block rows do; every row gets the same bits, and the state
+    ``v`` it starts from is never written."""
     rng = np.random.default_rng(263)
     eps = 0.2
     step = _make_flow_solver(g, eps, eps * g.h)
     v, rhs = _flow_rhs(rng, g.shape, eps, eps * g.h)
-    v_kept, rhs_kept = v.copy(), rhs.copy()
-    first = step(v, rhs)
-    kept = first.copy()
-    second = step(v, rhs)
-    assert first is not second
-    assert all(x is not rhs and x is not v for x in (first, second))
-    assert np.array_equal(first.view(np.int64), kept.view(np.int64))
-    assert np.array_equal(second.view(np.int64), kept.view(np.int64))
+    v_kept = v.copy()
+    block = np.empty((2,) + g.shape)
+    for row in block:
+        row[...] = rhs
+        assert step(v, row) is row
+    assert not np.array_equal(block[0], rhs)
+    assert np.array_equal(block[0].view(np.int64), block[1].view(np.int64))
     assert np.array_equal(v.view(np.int64), v_kept.view(np.int64))
-    assert np.array_equal(rhs.view(np.int64), rhs_kept.view(np.int64))
 
 
 def _interval_wave(n):
@@ -1058,9 +1061,10 @@ def _interval_wave(n):
     ids=["circle", "interval"],
 )
 def test_flow_factors_once_per_step_size(monkeypatch, f, per_factorization):
-    """A 1-D flow calls dpttrf once per step size and dpttrs once per step,
-    plus, on the circle, once for B^-1 u per factorization; a second flow on
-    the same operator factors again, as nothing is cached between flows."""
+    """A 1-D flow calls dpttrf once per step size and dpttrs once per step
+    solved, plus, on the circle, once for B^-1 u per factorization; a second
+    flow on the same operator factors again, as nothing is cached between
+    flows."""
     calls = []
 
     def counted(name, fn):
@@ -1079,8 +1083,148 @@ def test_flow_factors_once_per_step_size(monkeypatch, f, per_factorization):
     calls.clear()
     trace = gradient_flow(f, P, SolveConfig(flow_dt=0.3), StopRule(max_steps=40))
     assert trace.dt_final == 0.15  # one halving: one more factorization
-    assert calls.count("dpttrf") == 2
-    assert calls.count("dpttrs") == 2 * per_factorization + 40 + 1  # the rejected step solved too
+    # all 40 steps fit one block, whose energy rises at step 11: the block's
+    # 30 states from step 11 on are dropped and solved again at dt / 2
+    assert solvers.BLOCK_POINTS // f.grid.npoints >= 40
+    assert calls == (
+        ["dpttrf"] + ["dpttrs"] * (per_factorization + 40)
+        + ["dpttrf"] + ["dpttrs"] * (per_factorization + 30)
+    )
+
+
+def _per_step_flow(f, p, dt, max_steps, sample_every):
+    """gradient_flow as a step-by-step loop, frozen: each step one solve of
+    v - (dt/eps) W'(v) into a new array and the energy of the new state,
+    checked before the next step is taken.  The field, the energies, the
+    final step, the angle samples and the steps whose energy rose."""
+    g, eps = f.grid, f.epsilon
+    solve = _make_flow_solver(g, eps, dt)
+    v = f.values.copy()
+    energies, samples, rises = [energy(f, p)], [], []
+    for step_i in range(1, max_steps + 1):
+        while True:
+            v_new = solve(v, v - (dt / eps) * p.dw(v))
+            e_new = energy(Field(g, v_new, eps), p)
+            if not np.isfinite(e_new):
+                raise SolverError(f"non-finite energy {e_new!r} at flow step {step_i}")
+            if step_i > 10 and e_new > energies[-1] + solvers.ENERGY_SLACK:
+                rises.append(step_i)
+                dt *= 0.5
+                solve = _make_flow_solver(g, eps, dt)
+                continue
+            break
+        v = v_new
+        energies.append(e_new)
+        if step_i % sample_every == 0:
+            samples.append((step_i, pl.extract_nodal_set(Field(g, v, eps)).angles))
+    return v, np.array(energies), dt, samples, rises
+
+
+def _four_interface_torus():
+    angles = np.arange(4) * np.pi / 2 + 0.2
+    angles[1] += 0.3
+    return multi_interface_seed(torus_grid(32, 16), 1.6, angles)
+
+
+# (field, flow_dt, the steps whose energy rises): the circle's first rise at
+# step 11 is followed by five more, each on the first step of the block
+# that resumes there
+FLOW_BLOCK_CASES = {
+    "interval": (_interval_wave(263), 0.5, [12, 12]),
+    "circle": (multi_interface_seed(circle_grid(263), 0.2, [0.0, 2.0]), 0.5, [11] * 6),
+    "torus": (_four_interface_torus(), 2.0, [12]),
+}
+# a block size K that puts the first rise (step 11 or 12) on each kind of row
+ROWS_OF_A_RISE = {11: {"first": 5, "middle": 4, "last": 11}, 12: {"first": 11, "middle": 7, "last": 6}}
+
+
+class TestFlowBlocks:
+    """The flow checks its energies a block of K steps at a time and keeps
+    every bit of the step-by-step loop: energies, field, final step and
+    angle samples, wherever a rise or a non-finite energy falls."""
+
+    @pytest.mark.parametrize("row", ["first", "middle", "last"])
+    @pytest.mark.parametrize("case", FLOW_BLOCK_CASES)
+    def test_a_rise_on_any_row_matches_the_step_loop(self, monkeypatch, case, row):
+        f, dt, rises = FLOW_BLOCK_CASES[case]
+        k = ROWS_OF_A_RISE[rises[0]][row]
+        # every block before the first rise is full, so it falls on row (s - 1) % K
+        at = (rises[0] - 1) % k
+        assert {"first": at == 0, "middle": 0 < at < k - 1, "last": at == k - 1}[row]
+        max_steps = 3 * k + 2  # three blocks and two steps
+        v, energies, dt_final, samples, seen = _per_step_flow(f, P, dt, max_steps, 3)
+        assert seen == rises
+        monkeypatch.setattr(solvers, "BLOCK_POINTS", k * f.grid.npoints)
+        stop = StopRule(max_steps=max_steps, sample_every=3, track_nodal=True)
+        with np.errstate(over="ignore", invalid="ignore"):  # the circle's dropped states overflow
+            trace = gradient_flow(f, P, SolveConfig(flow_dt=dt), stop)
+        assert trace.dt_final == dt_final
+        assert np.array_equal(trace.energies.view(np.int64), energies.view(np.int64))
+        assert np.array_equal(trace.field.values.view(np.int64), v.view(np.int64))
+        assert [s for s, _ in trace.angle_samples] == [s for s, _ in samples] == list(range(3, max_steps + 1, 3))
+        for (_, got), (_, ref) in zip(trace.angle_samples, samples):
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("case", FLOW_BLOCK_CASES)
+    def test_the_default_block_matches_the_step_loop(self, case):
+        f, dt, rises = FLOW_BLOCK_CASES[case]
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = gradient_flow(f, P, SolveConfig(flow_dt=dt), StopRule(max_steps=45))
+        v, energies, dt_final, _, seen = _per_step_flow(f, P, dt, 45, 50)
+        assert seen == rises and trace.dt_final == dt_final
+        assert np.array_equal(trace.energies.view(np.int64), energies.view(np.int64))
+        assert np.array_equal(trace.field.values.view(np.int64), v.view(np.int64))
+
+    @pytest.mark.parametrize("case", FLOW_BLOCK_CASES)
+    def test_a_nan_mid_block_raises_at_its_step(self, monkeypatch, case):
+        f = FLOW_BLOCK_CASES[case][0]
+
+        def nan_at(step):
+            calls = []
+
+            def dw(x):  # W' at the flow's step-th call: one NaN, which the solve spreads
+                calls.append(None)
+                out = P.dw(x)
+                if len(calls) == step:
+                    out.flat[out.size // 2] = np.nan
+                return out
+
+            return from_callables(P.w, dw, P.d2w, "nan")
+
+        k = 4
+        monkeypatch.setattr(solvers, "BLOCK_POINTS", k * f.grid.npoints)
+        for step in (6, 14):  # row 1 of blocks 2 and 4
+            assert 0 < (step - 1) % k < k - 1
+            with pytest.raises(SolverError) as ref:
+                _per_step_flow(f, nan_at(step), f.epsilon * f.grid.h, 3 * k + 3, 50)
+            with pytest.raises(SolverError) as got, np.errstate(invalid="ignore"):
+                gradient_flow(f, nan_at(step), stop=StopRule(max_steps=3 * k + 3))
+            assert str(got.value) == str(ref.value) == f"non-finite energy nan at flow step {step}"
+
+    def test_a_step_that_keeps_rising_collapses_at_its_step(self, monkeypatch):
+        # energies that rise at every call: each retry of step 11 rises
+        # again, so the step halves about 40 times from eps * h to 1e-14
+        def rising_kernel(grid, eps, p, rows=1):
+            count = iter(range(10**6))
+            return lambda vs: [float(next(count)) for _ in vs]
+
+        monkeypatch.setattr(solvers, "energy_kernel", rising_kernel)
+        f = FLOW_BLOCK_CASES["circle"][0]
+        with pytest.raises(solvers.StepCollapseError, match="collapsed below 1e-14 at step 11$"):
+            gradient_flow(f, P, stop=StopRule(max_steps=30))
+
+    @pytest.mark.parametrize("case, dt, step", [("interval", 1.0, 9), ("circle", 1.0, 10), ("torus", 5.0, 9)])
+    def test_a_blow_up_mid_block_raises_at_its_step(self, monkeypatch, case, dt, step):
+        f = FLOW_BLOCK_CASES[case][0]
+        k = 6
+        assert 0 < (step - 1) % k < k - 1
+        monkeypatch.setattr(solvers, "BLOCK_POINTS", k * f.grid.npoints)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SolverError) as ref:
+                _per_step_flow(f, P, dt, 3 * k + 1, 50)
+            with pytest.raises(SolverError) as got:
+                gradient_flow(f, P, SolveConfig(flow_dt=dt), StopRule(max_steps=3 * k + 1))
+        assert str(got.value) == str(ref.value) == f"non-finite energy inf at flow step {step}"
 
 
 def test_no_circle_flow_reaches_splu(monkeypatch):
