@@ -213,9 +213,9 @@ def _fft_solver(grid: Grid, denom: np.ndarray):
 
 def _make_flow_solver(grid: Grid, eps: float, dt: float):
     """Prefactored implicit solve of (I + dt*eps*(-Lap_h)) u = rhs, as
-    ``step(v, out)``: ``out`` holds the right-hand side on entry and the new
-    state on return, and is returned; ``v``, the state the step starts from,
-    is read only, on the interval for its end values."""
+    ``step(v, out)``: ``out``, C-contiguous, holds the right-hand side on
+    entry and the new state on return, and is returned; ``v``, the state the
+    step starts from, is read only, on the interval for its end values."""
     c = dt * eps
     if grid.kind == "torus":
         solve = _fft_solver(grid, 1.0 + c * _torus_symbol(grid))
