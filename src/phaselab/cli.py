@@ -237,7 +237,7 @@ def cmd_build_circle(args) -> int:
 
 def cmd_refine(args) -> int:
     field, meta = load_snapshot_with_meta(args.snapshot)
-    p = make_potential(meta["potential"]) if meta["potential"] else quartic()
+    p = quartic() if meta["potential"] is None else make_potential(meta["potential"])
     result = newton_refine(field, p, _cfg(args))
     out = args.out or args.snapshot
     save_snapshot(result.field, out, potential=p.describe())
@@ -256,7 +256,7 @@ def cmd_flow(args) -> int:
     if args.steps < 1:
         raise ValueError(f"--steps must be at least 1, got {args.steps}")
     field, meta = load_snapshot_with_meta(args.snapshot)
-    p = make_potential(meta["potential"]) if meta["potential"] else quartic()
+    p = quartic() if meta["potential"] is None else make_potential(meta["potential"])
     stop = StopRule(max_steps=args.steps, track_nodal=args.track_nodal)
     trace = gradient_flow(field, p, SolveConfig(flow_dt=args.dt), stop)
     out = args.out or args.snapshot

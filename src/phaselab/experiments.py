@@ -59,8 +59,10 @@ TWO_PI = 2.0 * np.pi
 
 # fixed values of the drivers; a report's config echoes each under its lower-case name
 PHI_RANGE = (0.6 * np.pi, 1.4 * np.pi)  # two_interface: a seed's second angle
+TWO_INTERFACE_FLOW_STEPS = 400  # two_interface: flow steps before each Newton solve, as flow_steps
 ANGLE_TOL = 1e-4  # two_interface: largest antipodal deviation of a converged pair
 NOISE_AMPLITUDE = 1e-3  # m_rigidity: transverse noise on each torus seed
+M_RIGIDITY_FLOW_STEPS = 500  # m_rigidity: flow steps before each Newton solve, as flow_steps
 CONGRUENCE_TOL = 1e-4  # m_rigidity: largest relative spacing deviation
 RATE_WINDOW = 0.25  # decay: largest relative miss of the linearization rate
 WIDTH_RATIO_WINDOW = 0.25  # decay: largest relative miss of the rate ratio from the width ratio
@@ -372,15 +374,15 @@ def experiment_two_interface(
     n: int = 256,
     p: Potential | None = None,
     cfg: SolveConfig | None = None,
-    flow_steps: int = 400,
 ):
     """Relax random two-interface seeds and check converged pairs are antipodal.
 
-    Each seed draws a second interface angle phi in ``PHI_RANGE``; the first
-    sits at zero.  Every converged critical point with exactly two nodal
-    points must have its angles half a circumference apart to ``ANGLE_TOL``.
-    Non-converged runs and runs that escape to a different interface count
-    are recorded separately, never counted as counterexamples.
+    Each seed draws a second interface angle phi in ``PHI_RANGE``, the first
+    at zero, and flows ``TWO_INTERFACE_FLOW_STEPS`` steps before Newton.
+    Every converged critical point with exactly two nodal points must have
+    its angles half a circumference apart to ``ANGLE_TOL``.  Non-converged
+    runs and runs that escape to a different interface count are recorded
+    separately, never counted as counterexamples.
     """
 
     def judge(field, ns):
@@ -404,7 +406,7 @@ def experiment_two_interface(
             phi = float(rng.uniform(*PHI_RANGE))
             field0 = multi_interface_seed(grid, eps, [0.0, phi])
             run = {"eps": eps, "seed": int(seed), "phi": phi}
-            runs.append(_census_run(run, field0, p, cfg, flow_steps, judge))
+            runs.append(_census_run(run, field0, p, cfg, TWO_INTERFACE_FLOW_STEPS, judge))
 
     pairs = [r for r in runs if r.get("outcome") == "converged_pair"]
     bad = [r for r in pairs if not r["antipodal"]]
@@ -425,7 +427,9 @@ def experiment_two_interface(
             detail="at least one run must converge with two nodal points",
         ),
     ]
-    return runs, assertions, {"phi_range": PHI_RANGE, "angle_tol": ANGLE_TOL}
+    return runs, assertions, {
+        "phi_range": PHI_RANGE, "angle_tol": ANGLE_TOL, "flow_steps": TWO_INTERFACE_FLOW_STEPS
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +448,6 @@ def experiment_m_rigidity(
     p: Potential | None = None,
     cfg: SolveConfig | None = None,
     torus_points_per_eps: float = 4.0,
-    flow_steps: int = 500,
 ):
     """Seed m interfaces with one displaced angle and census the relaxed runs.
 
@@ -454,7 +457,8 @@ def experiment_m_rigidity(
     symmetry (``SYMMETRY_TOL``); everything else lands in the census as escaped
     or non-converged.  Torus runs add transverse noise (``NOISE_AMPLITUDE``) to
     the seed so one-dimensional artifacts cannot mask genuinely
-    two-dimensional instabilities.
+    two-dimensional instabilities.  Each seed flows ``M_RIGIDITY_FLOW_STEPS``
+    steps before Newton.
     """
     if m < 4 or m % 2 != 0:
         raise ValueError(
@@ -522,7 +526,7 @@ def experiment_m_rigidity(
                     "kind": label,
                     "seed_angles": list(angles),
                 }
-                runs.append(_census_run(run, field0, p, run_cfg, flow_steps, judge))
+                runs.append(_census_run(run, field0, p, run_cfg, M_RIGIDITY_FLOW_STEPS, judge))
 
     violations = [r for r in runs if r.get("outcome") == "rigidity_violation"]
     symmetric = [r for r in runs if r.get("outcome") == "converged_symmetric"]
@@ -553,7 +557,8 @@ def experiment_m_rigidity(
                 )
             )
     return runs, assertions, {
-        "noise_amplitude": NOISE_AMPLITUDE, "congruence_tol": CONGRUENCE_TOL, "symmetry_tol": SYMMETRY_TOL
+        "noise_amplitude": NOISE_AMPLITUDE, "congruence_tol": CONGRUENCE_TOL, "symmetry_tol": SYMMETRY_TOL,
+        "flow_steps": M_RIGIDITY_FLOW_STEPS,
     }
 
 

@@ -112,9 +112,12 @@ def extract_nodal_set(f: Field) -> NodalSet:
 
 
 def hausdorff_distance(a: NodalSet, b: NodalSet) -> float:
-    """Symmetric Hausdorff distance; +inf when exactly one set is empty."""
+    """Symmetric Hausdorff distance; +inf when exactly one set is empty.  Sets
+    from grids of different kinds or lengths raise ValueError."""
     if a.kind != b.kind:
         raise ValueError(f"nodal sets live on different grid kinds: {a.kind} vs {b.kind}")
+    if a.lengths != b.lengths:
+        raise ValueError(f"nodal sets live on grids of different lengths: {a.lengths} vs {b.lengths}")
     if a.is_empty and b.is_empty:
         return 0.0
     if a.is_empty or b.is_empty:

@@ -94,12 +94,18 @@ def from_callables(w, dw, d2w, name: str = "callable") -> Potential:
 
 
 def make_potential(config: dict) -> Potential:
-    """Build a potential from a run-configuration descriptor."""
+    """Build a potential from a run-configuration descriptor, a JSON object;
+    any other value, or a table without a list of points, raises ValueError."""
+    if not isinstance(config, dict):
+        raise ValueError(f"potential descriptor must be an object, got {config!r}")
     kind = config.get("kind")
     if kind == "quartic":
         return quartic()
     if kind == "table":
-        return from_table(config["points"])
+        try:
+            return from_table(config["points"])
+        except (KeyError, TypeError) as exc:  # no points, or not pairs of numbers
+            raise ValueError(f"table potential needs a list of [x, W(x)] points ({exc!r})") from exc
     raise ValueError(f"unknown potential kind: {kind!r}")
 
 

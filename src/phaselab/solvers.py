@@ -11,29 +11,29 @@ and the monitored energy is non-increasing for the default step
 dt = eps * h; a non-finite energy stops the flow with a SolverError.  No
 flow adapts its step: it halves on an energy rise only.  The interval model
 solve passes dt = 0.5 eps / max|W''| as flow_dt, up to which the energy
-stays stable (Shen & Yang, DCDS-A 28, 2010).  With cc = dt eps / h^2, both
-1-D steps factor an SPD tridiagonal matrix with LAPACK dpttrf: the
-interval's interior rows tridiag(-cc, 1 + 2 cc, -cc), a step being one
-dpttrs solve in place in its right-hand side; the circle's A = I + cc (-Lap)
-without its periodic corners, shifted by g = -(1 + 2 cc) at its ends as the
-cyclic Jacobian solve does, a step being one dpttrs solve and one daxpy of
-the precomputed Sherman-Morrison correction (about a third of the cost of a
-SuperLU solve and under half of an FFT step, ROADMAP F9).  A flow solves
-each step in place in its row of a block buffer it owns and checks the
-energies of up to max(1, BLOCK_POINTS // npoints) steps in one call of its
+stays stable (Shen & Yang, DCDS-A 28, 2010).  A flow solves each step in
+place in its row of a block buffer it owns and checks the energies of up to
+max(1, BLOCK_POINTS // npoints) steps in one call of its
 fields.energy_kernel; a Newton solve and a model solve each build one
 fields.residual_kernel.
 Newton solves -eps Lap_h(u) + W'(u)/eps = 0 with residual-max-norm
 backtracking; the constants MAX_NEWTON and MAX_FLOW_STEPS cap its iterations
 and a model solve's flow steps.  Its watchdog walks link each point to the
 step solved there and the points that step leads to, so a retraced step
-costs no solve and no residual.  Its Jacobian -eps Lap_h + W''(u)/eps is
-solved by LAPACK dgtsv, called directly, on the interval; on the circle by
-one dgtsv solve (the tridiagonal part, two right-hand sides, in a work array
-the solver owns) and a Sherman-Morrison correction for the two periodic
-corner entries, its scalars in Python floats; on the torus
-by MINRES preconditioned with the FFT inverse of the constant-coefficient
-operator, whose nonzero info (no convergence) raises SingularJacobianError.
+costs no solve and no residual.
+On a 1-D grid the flow's I + dt eps (-Lap_h) and Newton's Jacobian
+-eps Lap_h + W''(u)/eps are each one chain tridiag(off, diag, off): the
+interval's interior rows between pinned ends, or all the circle's rows plus
+its periodic corners, which _split_corners splits off for a Sherman-Morrison
+correction.  The flow factors the SPD chain without corners once with
+LAPACK dpttrf, a step being one dpttrs solve (on the circle, plus one daxpy
+of the precomputed correction: a third of the cost of a SuperLU solve and
+under half of an FFT step, ROADMAP F9).  Newton calls LAPACK dgtsv
+directly, with one right-hand side on the interval and two on the circle
+(rhs and the corner vector, in a work array the solver owns).  On the torus,
+MINRES preconditioned with the FFT inverse of the constant-coefficient
+operator solves the Jacobian; its nonzero info (no convergence) raises
+SingularJacobianError.
 The torus flow step and that preconditioner are each one _fft_solver: the
 1-D transforms of rfft2/irfft2, in their order, through a spectrum buffer
 the solve owns, with the division by the real symbol done as a multiply by
@@ -222,19 +222,15 @@ def _make_flow_solver(grid: Grid, eps: float, dt: float):
         return lambda v, out: solve(out, out)
 
     # tridiag(-cc, 1 + 2 cc, -cc) on the interval's interior rows, and B, the
-    # circle's operator without its corners in the split of
-    # _solve_cyclic_tridiagonal with g = -(1 + 2 cc), are symmetric and
-    # strictly diagonally dominant with a positive diagonal, so SPD for every
-    # cc > 0, and dpttrf needs no pivoting
+    # circle's operator without its corners as _split_corners shifts it (by
+    # g = -(1 + 2 cc)), are symmetric and strictly diagonally dominant with a
+    # positive diagonal, so SPD for every cc > 0, and dpttrf needs no pivoting
     n = grid.shape[0] if grid.periodic else grid.shape[0] - 2
     cc = c / grid.h**2
-    d0 = 1.0 + 2.0 * cc
     off = -cc
-    diag = np.full(n, d0)
+    diag = np.full(n, 1.0 + 2.0 * cc)
     if grid.periodic:
-        g = -d0
-        diag[0] = d0 - g
-        diag[-1] = d0 - off * off / g
+        g, ratio = _split_corners(diag, off)
     d, e, info = dpttrf(diag, np.full(n - 1, off))
     if info != 0:
         raise np.linalg.LinAlgError(f"dpttrf failed with info={info}")
@@ -256,7 +252,6 @@ def _make_flow_solver(grid: Grid, eps: float, dt: float):
     u = np.zeros(n)
     u[0], u[-1] = g, off
     z, _ = dpttrs(d, e, u)  # B^-1 u
-    ratio = off / g
     denom = 1.0 + float(z[0]) + ratio * float(z[-1])  # 1 + w^T B^-1 u > 0: A is SPD
 
     def step(v, out):
@@ -292,45 +287,34 @@ def _solve_tridiagonal(
     return x
 
 
-def _solve_cyclic_tridiagonal(
-    diag: np.ndarray,
-    off: float,
-    rhs: np.ndarray,
-    offs: np.ndarray | None = None,
-    b: np.ndarray | None = None,
-) -> np.ndarray:
-    """Solve the periodic chain A x = rhs, A = tridiag(off, diag, off) plus
-    the corners A[0, n-1] = A[n-1, 0] = off, into a new array; ``off`` is
-    nonzero and ``diag`` is overwritten.  ``offs``, when given, is
-    ``np.full(n - 1, off)`` built once by the caller (dgtsv copies it), and
-    ``b`` a Fortran-ordered (n, 2) work array that dgtsv overwrites.
-
-    Sherman-Morrison: A = B + u w^T with u = (g, 0, ..., 0, off) and
-    w = (1, 0, ..., 0, off/g), where B is A without its corners and with
-    B[0, 0] = diag[0] - g, B[n-1, n-1] = diag[n-1] - off^2/g.  One tridiagonal
-    solve with two right-hand sides (rhs and u) then a rank-1 correction.
-    The shift g = -diag[0] keeps B[0, 0] away from zero; it falls back to
-    -|off| when diag[0] is small against the coupling.  The scalar work is
-    done in Python floats, the same IEEE double arithmetic at less cost per
-    operation than numpy scalars.
-    """
-    n = diag.size
-    off = float(off)
+def _split_corners(diag: np.ndarray, off: float):
+    """Write the periodic chain A = tridiag(off, diag, off) plus its corners
+    A[0, n-1] = A[n-1, 0] = off as B + u w^T, with u = (g, 0, ..., 0, off),
+    w = (1, 0, ..., 0, off/g) and B without corners, whose diagonal is written
+    into ``diag``; returns ``(g, off/g)``, Python floats.  The shift
+    g = -diag[0] keeps B[0, 0] away from zero; it falls back to -|off| when
+    diag[0] is small against the coupling."""
     d0 = float(diag[0])
     g = -d0 if abs(d0) >= abs(off) else -abs(off)
     diag[0] = d0 - g
     diag[-1] -= off * off / g
-    if b is None:
-        b = np.empty((n, 2), order="F")  # LAPACK's layout: no copy in dgtsv
+    return g, off / g
+
+
+def _solve_cyclic_tridiagonal(
+    diag: np.ndarray, off: float, rhs: np.ndarray, offs: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """Solve the periodic chain A x = rhs of _split_corners into a new array;
+    ``off`` is nonzero and ``diag`` is overwritten.  One dgtsv solve of B with
+    two right-hand sides (rhs and u), then the Sherman-Morrison correction in
+    Python floats.  ``offs`` is ``np.full(n - 1, off)`` built once by the
+    caller (dgtsv copies it), ``b`` a Fortran-ordered (n, 2) work array."""
+    g, ratio = _split_corners(diag, float(off))
     b[:, 0] = rhs
     b[:, 1] = 0.0
-    b[0, 1] = g
-    b[-1, 1] = off
-    if offs is None:
-        offs = np.full(n - 1, off)
+    b[0, 1], b[-1, 1] = g, off
     yz = _solve_tridiagonal(offs, diag, b, overwrite_b=True)
     y, z = yz[:, 0], yz[:, 1]
-    ratio = off / g
     denom = 1.0 + float(z[0]) + ratio * float(z[-1])
     if denom == 0.0 or not math.isfinite(denom):
         # census rows quote the message, which shows denom as a numpy scalar
@@ -340,37 +324,37 @@ def _solve_cyclic_tridiagonal(
 
 
 def _make_jacobian_solver(grid: Grid, eps: float, p: Potential):
-    """Newton-step solver for J s = r at the current iterate."""
-    if grid.kind == "interval":
+    """Newton-step solver for J s = r at the current iterate.  On a 1-D grid J
+    is the chain tridiag(-cc, 2 cc + W''(v)/eps, -cc): all the circle's rows
+    with its periodic corners, or the interval's interior rows, the step
+    pinned at zero at both ends."""
+    if grid.kind != "torus":
         n = grid.shape[0]
-        h2 = grid.h**2
-        c = eps / h2
-        off = np.full(n - 3, -c)  # dgtsv copies it (no overwrite flag)
-
-        def solve(v, res):
-            try:
-                s_int = _solve_tridiagonal(off, 2.0 * c + p.d2w(v[1:-1]) / eps, res[1:-1])
-            except (np.linalg.LinAlgError, ValueError) as exc:
-                raise SingularJacobianError(f"banded Jacobian solve failed: {exc}") from exc
-            s = np.zeros_like(v)
-            s[1:-1] = s_int
-            return s
-
-        return solve
-
-    if grid.kind == "circle":
         cc = eps / grid.h**2
-        offs = np.full(grid.shape[0] - 1, -cc)
-        b = np.empty((grid.shape[0], 2), order="F")
         two_cc = 2.0 * cc
+        offs = np.full(n - 1 if grid.periodic else n - 3, -cc)  # dgtsv copies it (no overwrite flag)
+        if grid.periodic:
+            label = "cyclic"
+            b = np.empty((n, 2), order="F")
+
+            def chain(diag, r):
+                return _solve_cyclic_tridiagonal(diag, -cc, r, offs, b)
+
+        else:
+            label = "banded"
+
+            def chain(diag, r):  # the interior rows: the step is zero at both ends
+                s = np.zeros(n)
+                s[1:-1] = _solve_tridiagonal(offs, diag[1:-1], r[1:-1])
+                return s
 
         def solve(v, res):
             diag = p.d2w(v) / eps  # a new array: the solve overwrites it
             diag += two_cc  # 2 cc + W''/eps, bit for bit
             try:
-                return _solve_cyclic_tridiagonal(diag, -cc, res, offs, b)
+                return chain(diag, res)
             except (np.linalg.LinAlgError, ValueError) as exc:
-                raise SingularJacobianError(f"cyclic Jacobian solve failed: {exc}") from exc
+                raise SingularJacobianError(f"{label} Jacobian solve failed: {exc}") from exc
 
         return solve
 

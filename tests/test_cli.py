@@ -22,6 +22,38 @@ def test_check_potential_failing_table_exits_one(tmp_path, capsys):
     assert "[FAIL]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("table", ["5", "[5, 6]", "[[0, null]]"])
+def test_check_potential_table_without_points_exits_two(tmp_path, capsys, table):
+    path = tmp_path / "table.json"
+    path.write_text(table)
+    assert main(["check-potential", "--kind", "table", "--table-file", str(path)]) == 2
+    assert "table potential needs a list of [x, W(x)] points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, potential",
+    [
+        ("refine", {"kind": "table"}),
+        ("flow", [1, 2]),
+        ("refine", {"kind": "table", "points": 5}),
+        ("refine", []),  # falsy, but not the null of a snapshot without a potential
+        ("flow", 0),
+    ],
+)
+def test_malformed_snapshot_potential_exits_two(tmp_path, capsys, command, potential):
+    snap = tmp_path / "bad.snap"
+    f = pl.multi_interface_seed(pl.circle_grid(256), 0.2, [0.0, np.pi])
+    pl.save_snapshot(f, snap)
+    lines = snap.read_text().splitlines()
+    assert lines[3] == "potential: null"
+    lines[3] = "potential: " + json.dumps(potential)
+    snap.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.snap"
+    assert main([command, "--snapshot", str(snap), "--out", str(out)]) == 2
+    assert "potential" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_model_trivial_zero_exits_zero(capsys):
     rc = main(["solve-model", "--l", "1.5707963", "--eps", "2.0", "--json"])
     assert rc == 0

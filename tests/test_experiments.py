@@ -236,7 +236,7 @@ class TestExperimentDrivers:
 
     def test_m_rigidity_control_converges(self):
         rep = experiment_m_rigidity(
-            4, eps_list=(0.15,), seeds=range(1), surfaces=("circle",), flow_steps=300
+            4, eps_list=(0.15,), seeds=range(1), surfaces=("circle",)
         )
         assert rep.passed
         controls = [r for r in rep.runs if r["kind"] == "control"]
@@ -360,12 +360,12 @@ ECHO_CASES = [
     (
         experiment_two_interface,
         {"eps_list": (0.25,), "seeds": range(1), "n": 256},
-        {"phi_range", "angle_tol"},
+        {"phi_range", "angle_tol", "flow_steps"},
     ),
     (
         experiment_m_rigidity,
         {"eps_list": (0.15,), "seeds": (), "surfaces": ("circle",)},
-        {"noise_amplitude", "congruence_tol", "symmetry_tol"},
+        {"noise_amplitude", "congruence_tol", "symmetry_tol", "flow_steps"},
     ),
     (
         experiment_decay,
@@ -378,11 +378,16 @@ ECHO_CASES = [
 
 # the module constant behind each fixed value a driver echoes
 FIXED = {
-    experiment_two_interface: {"phi_range": experiments.PHI_RANGE, "angle_tol": experiments.ANGLE_TOL},
+    experiment_two_interface: {
+        "phi_range": experiments.PHI_RANGE,
+        "angle_tol": experiments.ANGLE_TOL,
+        "flow_steps": experiments.TWO_INTERFACE_FLOW_STEPS,
+    },
     experiment_m_rigidity: {
         "noise_amplitude": experiments.NOISE_AMPLITUDE,
         "congruence_tol": experiments.CONGRUENCE_TOL,
         "symmetry_tol": SYMMETRY_TOL,
+        "flow_steps": experiments.M_RIGIDITY_FLOW_STEPS,
     },
     experiment_decay: {
         "rate_window": experiments.RATE_WINDOW,

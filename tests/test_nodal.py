@@ -190,6 +190,14 @@ class TestHausdorff:
         with pytest.raises(ValueError):
             hausdorff_distance(angles_set([0.0]), t)
 
+    def test_length_mismatch(self):
+        # wrapped with either circumference, the two orders would disagree
+        # (0.183 against 6.1)
+        a, b = angles_set([0.1]), angles_set([6.2], L=8 * np.pi)
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="different lengths"):
+                hausdorff_distance(x, y)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_metric_properties_on_random_triples(self, seed):
         rng = np.random.default_rng(seed)

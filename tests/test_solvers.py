@@ -32,6 +32,7 @@ from phaselab.solvers import (
     _make_jacobian_solver,
     _solve_cyclic_tridiagonal,
     _solve_tridiagonal,
+    _split_corners,
 )
 
 P = quartic()
@@ -567,6 +568,12 @@ def _dense_cyclic(diag, off):
     return A
 
 
+def _work_arrays(n, off):
+    """The off-diagonal and the (n, 2) work array a caller of
+    _solve_cyclic_tridiagonal builds once."""
+    return np.full(n - 1, off), np.empty((n, 2), order="F")
+
+
 class TestCircleJacobianSolve:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -587,9 +594,22 @@ class TestCircleJacobianSolve:
         if zero_corner:
             diag[0] = 0.0  # the Sherman-Morrison shift falls back to the coupling
         rhs = rng.standard_normal(n)
-        x = _solve_cyclic_tridiagonal(diag.copy(), -cc, rhs)  # the solve overwrites diag
+        x = _solve_cyclic_tridiagonal(diag.copy(), -cc, rhs, *_work_arrays(n, -cc))  # overwrites diag
         ref = np.linalg.solve(_dense_cyclic(diag, -cc), rhs)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("d0, g", [(3.0, -3.0), (-2.5, 2.5), (0.25, -1.5), (0.0, -1.5)])
+    def test_split_corners_rebuilds_the_periodic_chain(self, d0, g):
+        # A = B + u w^T; the shift falls back to -|off| when |diag[0]| < |off|
+        diag = np.r_[d0, np.linspace(-2.0, 4.0, 9)]
+        B = diag.copy()
+        assert _split_corners(B, -1.5) == (g, -1.5 / g)
+        u, w = np.zeros(10), np.zeros(10)
+        u[0], u[-1] = g, -1.5
+        w[0], w[-1] = 1.0, -1.5 / g
+        split = _dense_cyclic(B, -1.5)
+        split[0, -1] = split[-1, 0] = 0.0
+        np.testing.assert_allclose(split + np.outer(u, w), _dense_cyclic(diag, -1.5), rtol=0, atol=1e-15)
 
     def test_solver_inverts_hessian(self):
         g = circle_grid(256)
@@ -608,7 +628,7 @@ class TestCircleJacobianSolve:
         diag = np.full(16, 2.0)
         diag[0] = diag[-1] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
-            _solve_cyclic_tridiagonal(diag, -1.0, np.ones(16))
+            _solve_cyclic_tridiagonal(diag, -1.0, np.ones(16), *_work_arrays(16, -1.0))
 
     def test_non_finite_iterate_raises_singular_jacobian(self):
         g = circle_grid(256)
@@ -821,9 +841,8 @@ class TestLeanCyclicSolve:
         seed=st.integers(0, 2**32 - 1),
         definite=st.booleans(),
         zero_corner=st.booleans(),
-        work=st.booleans(),
     )
-    def test_matches_the_frozen_solve_bit_for_bit(self, n, seed, definite, zero_corner, work):
+    def test_matches_the_frozen_solve_bit_for_bit(self, n, seed, definite, zero_corner):
         rng = np.random.default_rng(seed)
         cc = 10.0 ** rng.uniform(0.0, 4.0)
         # definite: the Jacobian away from the interfaces, 2 cc + W''/eps > 2 cc;
@@ -832,8 +851,8 @@ class TestLeanCyclicSolve:
         if zero_corner:
             diag[0] = 0.0
         rhs = rng.standard_normal(n)
-        offs = np.full(n - 1, -cc)
-        b = np.empty((n, 2), order="F") if work else None
+        offs, b = _work_arrays(n, -cc)
+        b.fill(np.nan)
         ref = _outcome_and_message(_frozen_cyclic, diag, -cc, rhs)
         for _ in range(2):  # a reused work array is overwritten, not read
             got = _outcome_and_message(_solve_cyclic_tridiagonal, diag.copy(), -cc, rhs, offs, b)
@@ -843,7 +862,8 @@ class TestLeanCyclicSolve:
     def test_errors_keep_their_messages(self, diag, off, rhs, message):
         ref = _outcome_and_message(_frozen_cyclic, diag, off, rhs)
         assert ref[1] == message
-        got = _outcome_and_message(_solve_cyclic_tridiagonal, diag.copy(), off, rhs)
+        work = _work_arrays(diag.size, off)
+        got = _outcome_and_message(_solve_cyclic_tridiagonal, diag.copy(), off, rhs, *work)
         assert got == ref
 
     def test_circle_jacobian_error_message_is_unchanged(self):
@@ -892,7 +912,7 @@ class TestDirectTridiagonalSolves:
         if zero_corner:
             diag[0] = 0.0
         rhs = rng.standard_normal(n)
-        got = _outcome(_solve_cyclic_tridiagonal, diag.copy(), -cc, rhs)
+        got = _outcome(_solve_cyclic_tridiagonal, diag.copy(), -cc, rhs, *_work_arrays(n, -cc))
         ref = _outcome(_banded_cyclic, diag, -cc, rhs)
         if isinstance(ref, np.ndarray):
             assert isinstance(got, np.ndarray) and np.array_equal(got, ref)
@@ -911,8 +931,9 @@ class TestDirectTridiagonalSolves:
         eps = 0.5
         c = eps / g.h**2
         p = from_callables(P.w, P.dw, lambda x: np.full_like(x, -c))
-        with pytest.raises(SingularJacobianError, match="singular matrix") as info:
+        with pytest.raises(SingularJacobianError) as info:
             _make_jacobian_solver(g, eps, p)(np.zeros(17), np.ones(17))
+        assert str(info.value) == "banded Jacobian solve failed: singular matrix"
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
     def test_interval_non_finite_iterate_raises_singular_jacobian(self):
