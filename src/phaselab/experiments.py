@@ -465,8 +465,9 @@ def experiment_m_rigidity(
             f"m = {m} rejected: the interface count must be an even integer >= 4 "
             "(sign alternation cannot close up around the circle otherwise)"
         )
-    if circle_n % m != 0 or torus_n[0] % m != 0:
-        raise ValueError("grid point counts must be divisible by m")
+    for surface, count in (("circle", circle_n), ("torus", torus_n[0])):
+        if surface in surfaces and count % m != 0:
+            raise ValueError(f"{surface} grid point count {count} must be divisible by m = {m}")
 
     def judge(field, ns):
         count = ns.count
@@ -782,8 +783,11 @@ def experiment_slide(
     angles, and check the first touch lands strictly inside the slid support
     at an offset below twice the radius.  The circle is sized so the barrier
     profile is nontrivial at every tested radius: positive profiles need a
-    half-length above pi*eps/2, the existence threshold.
+    half-length above pi*eps/2, the existence threshold.  ``m`` must be 4,
+    the number of angles the counterfactual field marks.
     """
+    if m != 4:
+        raise ValueError(f"m = {m} rejected: the counterfactual field marks exactly four angles")
     grid = circle_grid(n, circumference)
     require_resolution(grid, eps, cfg.min_points_per_eps)
     h = grid.h

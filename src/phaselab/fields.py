@@ -17,16 +17,20 @@ The energy and its gradient (Newton's residual) are kernels:
 ``energy_kernel(grid, eps, p, rows)`` and ``residual_kernel(grid, eps, p)``
 compute their constants and allocate their work buffers once (but for the
 torus Laplacian's fiber term), so a flow or a Newton solve builds one and
-calls it at every step; the energy kernel takes a stack of up to ``rows``
-fields, so a flow checks a block of its states in one call.  ``energy`` and
+calls it at every step.  Both take stacks of fields, shape
+``(k,) + grid.shape``: the energy kernel up to ``rows`` fields, so a flow
+checks a block of its states in one call, with one matmul per gradient axis
+for all the states' squared-difference sums; the residual kernel any
+number, each row the bits of its field's own residual, so Newton evaluates
+a batch of backtracking trials in one call.  ``energy`` and
 ``gradient`` build one per call; ``laplacian`` reuses one stencil kernel per
 grid (the torus MINRES matvec calls it at every Krylov iteration).  The
 kernels know two geometries: a periodic grid (``Grid.periodic``), whose
 one-axis case is the circle, and the Dirichlet interval.  Every stencil is
-one wrapped difference along a field's axis 0; the torus fiber axis is the
-last axis, stenciled on the raveled array.  The energy's sums run in C
-order, field by field, so neither a field's memory layout nor the stack it
-sits in changes a bit of it.
+one wrapped difference along a field's axis 0 (axis 1 of a stack); the
+torus fiber axis is the last axis, stenciled on the raveled array.  The
+energy's sums run in C order, field by field, so neither a field's memory
+layout nor the stack it sits in changes a bit of it.
 """
 
 from __future__ import annotations
@@ -77,19 +81,23 @@ class Field:
         return Field(self.grid, self.values.copy(), self.epsilon)
 
 
-def _second_differences(v, out, h2):
-    """((-2 v[i] + v[i+1]) + v[i-1]) / h2 along axis 0, wrapped, into ``out``.
+def _second_differences(v, out, h2, axis=0):
+    """((-2 v[i] + v[i+1]) + v[i-1]) / h2 along ``axis``, wrapped, into ``out``.
+
+    A field's axis 0 is ``axis`` 0; under k leading stack axes it is
+    ``axis`` k, stenciled on the views of ``v`` and ``out`` that put it first.
 
     The torus fiber axis is the last axis, stenciled on the raveled array
     by ``_second_differences_last`` with the same per-element order.
     """
+    if axis:
+        v, out = v.swapaxes(0, axis), out.swapaxes(0, axis)
     np.multiply(v, -2.0, out=out)
     out[:-1] += v[1:]
     out[-1] += v[0]
     out[1:] += v[:-1]
     out[0] += v[-1]
     out /= h2
-    return out
 
 
 def _second_differences_last(v, out, h2):
@@ -107,6 +115,13 @@ def _second_differences_last(v, out, h2):
     out[..., 0] = (-2.0 * v[..., 0] + v[..., 1]) + v[..., -1]
     out /= h2
     return out
+
+
+def _squared_norms(d):
+    """Each row's dot product with itself, a ``(k,)`` array, by one stacked
+    matmul of the rows; for a vector times a vector matmul calls the BLAS
+    ddot that np.dot calls on each row, so every sum keeps its bits."""
+    return np.matmul(d[:, None, :], d[:, :, None]).reshape(len(d))
 
 
 def _forward_differences(v, out):
@@ -128,7 +143,9 @@ def _forward_differences_last(v, out):
 def _laplacian_kernel(grid: Grid):
     """The stencil Laplacian of a grid, set up once: ``lap(v, out)`` writes
     Lap_h(v) into ``out`` (never ``v``) and returns it; the axes are summed
-    in order, and an interval's boundary rows are zero.
+    in order.  ``v`` is a field or a stack of fields, shape
+    ``(k,) + grid.shape``, and ``out`` C-contiguous.  An interval's boundary
+    rows hold the wrapped stencil, which its callers overwrite with zeros.
 
     The kernel holds no grid-sized buffer between calls; the fiber term's
     work array is allocated per call.  A held buffer keeps glibc from
@@ -137,15 +154,13 @@ def _laplacian_kernel(grid: Grid):
     slower (2-vCPU Xeon).
     """
     hsq = [hk**2 for hk in grid.spacings]
-    fiber = len(grid.shape) == 2
-    pinned = not grid.periodic
+    ndim = len(grid.shape)
+    fiber = ndim == 2
 
     def lap(v, out):
-        _second_differences(v, out, hsq[0])
+        _second_differences(v, out, hsq[0], v.ndim - ndim)
         if fiber:
-            out += _second_differences_last(v, np.empty(grid.shape), hsq[1])
-        if pinned:
-            out[0] = out[-1] = 0.0
+            out += _second_differences_last(v, np.empty(v.shape), hsq[1])
         return out
 
     return lap
@@ -157,7 +172,10 @@ _shared_laplacian_kernel = functools.lru_cache(maxsize=8)(_laplacian_kernel)
 def laplacian(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Second-order stencil Laplacian, as a new array; zero on Dirichlet
     boundary rows.  Calls on one grid share one kernel."""
-    return _shared_laplacian_kernel(grid)(v, np.empty(grid.shape))
+    out = _shared_laplacian_kernel(grid)(v, np.empty(grid.shape))
+    if not grid.periodic:
+        out[0] = out[-1] = 0.0
+    return out
 
 
 def energy_kernel(grid: Grid, eps: float, p: Potential, rows: int = 1):
@@ -169,10 +187,13 @@ def energy_kernel(grid: Grid, eps: float, p: Potential, rows: int = 1):
     ``k <= rows``; a single field is the 1-stack ``values[None]``.  It is
     read, never written.  ``p.w`` is called once per stack; each field's
     energy is its own sums, so it does not depend on the stack it sits in
-    or on its layout: one dot product of each axis' differences, and the
-    well term summed by np.add.reduce over the field's C-order ravel (what
-    ndarray.sum runs on the field, without its Python wrapper).  The
-    difference buffers, of ``rows`` fields, belong to the kernel.
+    or on its layout: the dot product of each axis' differences with
+    themselves, taken for the whole stack by one matmul per axis
+    (``_squared_norms``), and the well term summed by np.add.reduce over
+    the field's C-order ravel (what ndarray.sum runs on the field, without
+    its Python wrapper).  The sums combine as arrays, in the order a scalar
+    expression would, and come back as Python floats.  The difference
+    buffers, of ``rows`` fields, belong to the kernel.
     """
     reduce = np.add.reduce
     if not grid.periodic:
@@ -186,7 +207,7 @@ def energy_kernel(grid: Grid, eps: float, p: Potential, rows: int = 1):
             d = du[:k]
             np.subtract(vs[:, 1:], vs[:, :-1], out=d)
             sums = reduce(np.multiply(weights, p.w(vs), out=well[:k]), axis=1)
-            return [c_grad * float(np.dot(r, r)) + float(s) / eps for r, s in zip(d, sums)]
+            return (c_grad * _squared_norms(d) + sums / eps).tolist()
 
         return energy_of
 
@@ -203,15 +224,15 @@ def energy_kernel(grid: Grid, eps: float, p: Potential, rows: int = 1):
         d = du[:k]
         flat = d.reshape(k, -1)
         _forward_differences(vs, d)
-        grads = [c_axes[0] * float(np.dot(r, r)) for r in flat]
+        grads = c_axes[0] * _squared_norms(flat)
         if fiber:
             _forward_differences_last(vs, d)
-            grads = [g + c_axes[1] * float(np.dot(r, r)) for g, r in zip(grads, flat)]
+            grads += c_axes[1] * _squared_norms(flat)
         # each field's C-order ravel as a contiguous row, summed pairwise as
         # ndarray.sum sums the field; on a stack in another order reduce
         # would run down its columns and sum each field sequentially
         sums = reduce(np.ascontiguousarray(p.w(vs)).reshape(k, -1), axis=1)
-        return [g + c_well * float(s) for g, s in zip(grads, sums)]
+        return (grads + c_well * sums).tolist()
 
     return energy_of
 
@@ -221,22 +242,29 @@ def residual_kernel(grid: Grid, eps: float, p: Potential):
     energy as a new array, zero on Dirichlet boundary rows; the geometry and
     the constants are picked once.
 
-    ``values`` is read, never written, and neither is the array ``p.dw``
-    returns (a callable potential may return its input).
+    ``values`` is a field, or a stack of fields of shape ``(k,) + grid.shape``
+    whose residuals come back as a stack, each row bit for bit the residual
+    of its field alone (every operation is elementwise, and ``p.dw`` is
+    called once per stack).  It is read, never written, and neither is the
+    array ``p.dw`` returns (a callable potential may return its input).  A
+    single field's work array belongs to the kernel; a stack's is allocated
+    per call.
     """
     lap = _laplacian_kernel(grid)
     work = np.empty(grid.shape)
+    ndim = work.ndim
     neg_eps = -eps
     pinned = not grid.periodic
 
     def residual(v):
-        lap(v, work)
-        np.multiply(work, neg_eps, out=work)
-        out = np.empty(grid.shape)
+        w = work if v.ndim == ndim else np.empty(v.shape)
+        lap(v, w)
+        np.multiply(w, neg_eps, out=w)
+        out = np.empty(v.shape)
         np.divide(p.dw(v), eps, out=out)
-        out += work
+        out += w
         if pinned:
-            out[0] = out[-1] = 0.0
+            out[..., 0] = out[..., -1] = 0.0
         return out
 
     return residual

@@ -14,13 +14,16 @@ solve passes dt = 0.5 eps / max|W''| as flow_dt, up to which the energy
 stays stable (Shen & Yang, DCDS-A 28, 2010).  A flow solves each step in
 place in its row of a block buffer it owns and checks the energies of up to
 max(1, BLOCK_POINTS // npoints) steps in one call of its
-fields.energy_kernel; a Newton solve and a model solve each build one
+fields.energy_kernel, whose matmul takes all the states' squared-difference
+sums at once; a Newton solve and a model solve each build one
 fields.residual_kernel.
 Newton solves -eps Lap_h(u) + W'(u)/eps = 0 with residual-max-norm
 backtracking; the constants MAX_NEWTON and MAX_FLOW_STEPS cap its iterations
 and a model solve's flow steps.  Its watchdog walks link each point to the
 step solved there and the points that step leads to, so a retraced step
-costs no solve and no residual.
+costs no solve and no residual.  Its fallback line search evaluates its
+trials TRIAL_STACK at a time as one residual stack and accepts what a
+one-trial-at-a-time loop would.
 On a 1-D grid the flow's I + dt eps (-Lap_h) and Newton's Jacobian
 -eps Lap_h + W''(u)/eps are each one chain tridiag(off, diag, off): the
 interval's interior rows between pinned ends, or all the circle's rows plus
@@ -87,6 +90,8 @@ __all__ = [
 ENERGY_SLACK = 1e-8
 TRIVIAL_MARGIN = 1e-8
 DAMPING = 0.5  # backtracking factor of Newton's fallback line search
+MAX_TRIALS = 40  # trials of the fallback line search
+TRIAL_STACK = 8  # line-search trials evaluated per residual call
 MAX_STEP = 0.15  # sup-norm cap per Newton step in the capped watchdog walk, direction kept
 MAX_NEWTON = 50  # Newton iterations per solve
 MAX_FLOW_STEPS = 100_000  # flow steps per model solve, and per flow without StopRule.max_steps
@@ -410,17 +415,40 @@ def _blown_up(size: float, v: np.ndarray) -> bool:
     return not math.isfinite(size) or (size > 1e8 and size > 1e8 * (1.0 + sup_norm(v)))
 
 
+def _backtrack(residual, v, first_step, rn):
+    """Newton's fallback line search: the point [trial, residual, sup norm,
+    None] of the first trial v - alpha_k * first_step, alpha_k = DAMPING
+    multiplied by DAMPING once per earlier trial, whose residual sup norm is
+    finite and below ``rn``, or None when none of the MAX_TRIALS trials is.
+
+    The trials are independent until one is accepted, so they are evaluated
+    TRIAL_STACK at a time as one residual stack; each row, and its exact
+    max-reduced norm, is what the trial alone would give.
+    """
+    alphas = np.multiply.accumulate(np.full(MAX_TRIALS, DAMPING))
+    column = (-1,) + (1,) * v.ndim
+    for start in range(0, MAX_TRIALS, TRIAL_STACK):
+        trials = alphas[start : start + TRIAL_STACK].reshape(column) * first_step
+        np.subtract(v, trials, out=trials)
+        tres = residual(trials)
+        norms = np.maximum.reduce(np.abs(tres).reshape(len(tres), -1), axis=1)
+        for i, trn in enumerate(norms.tolist()):
+            if math.isfinite(trn) and trn < rn:
+                return [trials[i].copy(), tres[i].copy(), trn, None]
+    return None
+
+
 def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> NewtonResult:
     """Newton solve of the criticality equation, with residual history.
 
     Each iteration runs a short watchdog walk of full steps and accepts the
     best point that beats the current residual max-norm; near a solution the
     first step already wins, so the accepted history shows the quadratic
-    rate.  Plain backtracking damping is the fallback.  After the tolerance
-    is met a few extra steps are taken while they keep halving the residual,
-    which resolves the nearly flat translation modes of multi-interface
-    solutions well below the nominal tolerance.  A non-finite starting
-    residual raises NewtonDivergenceError.
+    rate.  Plain backtracking damping is the fallback (``_backtrack``).
+    After the tolerance is met a few extra steps are taken while they keep
+    halving the residual, which resolves the nearly flat translation modes
+    of multi-interface solutions well below the nominal tolerance.  A
+    non-finite starting residual raises NewtonDivergenceError.
     """
     cfg = cfg or SolveConfig()
     cfg.validate()
@@ -514,16 +542,8 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
             point = champion
         else:
             first_step = step0 * (MAX_STEP / size0) if size0 > MAX_STEP else step0
-            alpha = DAMPING
-            for _ in range(40):
-                trial = point[0] - alpha * first_step
-                tres = residual(trial)
-                trn = sup_norm(tres)
-                if math.isfinite(trn) and trn < rn:
-                    point = [trial, tres, trn, None]
-                    break
-                alpha *= DAMPING
-            else:
+            point = _backtrack(residual, point[0], first_step, rn)
+            if point is None:
                 raise NewtonDivergenceError(
                     f"backtracking stalled at residual {rn:.3e}", history
                 )

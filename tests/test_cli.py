@@ -54,6 +54,32 @@ def test_malformed_snapshot_potential_exits_two(tmp_path, capsys, command, poten
     assert not out.exists()
 
 
+def test_check_potential_table_without_a_file_exits_two(capsys):
+    assert main(["check-potential", "--kind", "table"]) == 2
+    assert "--table-file is required for kind=table" in capsys.readouterr().err
+
+
+def test_build_circle_without_a_positive_profile_exits_one(tmp_path, monkeypatch, capsys):
+    # eps = 2 is above the existence threshold (1.0) of the half-length pi/2
+    monkeypatch.chdir(tmp_path)
+    assert main(["build-circle", "--m", "2", "--eps", "2.0"]) == 1
+    assert "no positive profile at this width; nothing to glue" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_refine_of_a_stagnating_snapshot_is_a_solver_failure(tmp_path, capsys):
+    # a two-interface start at unequal spacing, flowed as the census flows
+    # it: Newton stagnates far above the tolerance
+    phi = np.random.default_rng(34).uniform(0.6 * np.pi, 1.4 * np.pi)
+    seed, flowed, out = tmp_path / "seed.snap", tmp_path / "flowed.snap", tmp_path / "out.snap"
+    pl.save_snapshot(pl.multi_interface_seed(pl.circle_grid(256), 0.2, [0.0, phi]), seed)
+    assert main(["flow", "--snapshot", str(seed), "--steps", "400", "--out", str(flowed)]) == 0
+    capsys.readouterr()
+    assert main(["refine", "--snapshot", str(flowed), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("solver failure: stagnated at residual")
+    assert not out.exists()
+
+
 def test_solve_model_trivial_zero_exits_zero(capsys):
     rc = main(["solve-model", "--l", "1.5707963", "--eps", "2.0", "--json"])
     assert rc == 0
@@ -253,7 +279,13 @@ def test_experiment_without_options_uses_the_library_defaults(capsys):
 
 def test_m_rigidity_grid_n_sets_the_circle_grid(capsys):
     assert main(["experiment", "m-rigidity", "--grid-n", "510"]) == 2
-    assert "divisible" in capsys.readouterr().err
+    assert "circle grid point count 510 must be divisible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", ["2", "6"])
+def test_slide_with_m_other_than_four_exits_two(capsys, m):
+    assert main(["experiment", "slide", "--m", m]) == 2
+    assert f"m = {m} rejected: the counterfactual field marks exactly four angles" in capsys.readouterr().err
 
 
 def test_analyze_truncated_snapshot_exits_two(tmp_path, capsys):

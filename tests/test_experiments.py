@@ -231,8 +231,27 @@ class TestExperimentDrivers:
             experiment_m_rigidity(3)
 
     def test_m_rigidity_rejects_indivisible_grid(self):
-        with pytest.raises(ValueError, match="divisible"):
+        with pytest.raises(ValueError, match="circle grid point count 510 must be divisible by m = 4"):
             experiment_m_rigidity(4, circle_n=510)
+
+    def test_m_rigidity_names_the_torus_grid_it_rejects(self):
+        with pytest.raises(ValueError, match="torus grid point count 250 must be divisible by m = 4"):
+            experiment_m_rigidity(4, surfaces=("torus",), torus_n=(250, 64))
+
+    def test_m_rigidity_checks_only_the_grids_it_uses(self):
+        # the default 256 torus rows do not split into 6, but a circle census never builds the torus
+        rep = experiment_m_rigidity(6, eps_list=(0.15,), seeds=(), surfaces=("circle",), circle_n=516)
+        assert [(r["surface"], r["outcome"]) for r in rep.runs] == [("circle", "converged_symmetric")]
+        assert rep.config["torus_n"] == [256, 64]
+
+    @pytest.mark.parametrize("m", [2, 6])
+    def test_slide_rejects_m_other_than_four_before_any_solve(self, monkeypatch, m):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the check")
+
+        monkeypatch.setattr(experiments, "build_barrier", no_solve)
+        with pytest.raises(ValueError, match="marks exactly four angles"):
+            experiment_slide(m=m)
 
     def test_m_rigidity_control_converges(self):
         rep = experiment_m_rigidity(

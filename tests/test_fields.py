@@ -464,6 +464,74 @@ def test_a_stack_has_the_energies_of_its_fields_on_every_layout(g):
             assert np.array_equal(_bits(s), _bits(before))
 
 
+@pytest.mark.parametrize("g", KERNEL_GRIDS, ids=lambda g: f"{g.kind}-{'x'.join(map(str, g.shape))}")
+def test_a_residual_stack_has_the_residuals_of_its_fields_on_every_layout(g):
+    # Newton's line search evaluates a batch of trials in one call: one
+    # p.dw call on the stack, and each row the bits of its field's residual
+    calls = []
+
+    def dw(x):
+        calls.append(x.shape)
+        return P.dw(x)
+
+    p = from_callables(P.w, dw, P.d2w, "counted")
+    inputs = _kernel_inputs(g)
+    stack = np.stack(inputs)
+    for eps in (0.05, 0.3):
+        residual = residual_kernel(g, eps, p)
+        single = _bits([residual(v) for v in inputs])
+        for s in (stack, np.asfortranarray(stack), np.ascontiguousarray(stack.T).T):
+            before = s.copy()
+            for k in range(len(inputs), 0, -1):
+                calls.clear()
+                assert np.array_equal(_bits(residual(s[:k])), single[:k])
+                assert calls == [(k,) + g.shape]
+            assert np.array_equal(_bits(s), _bits(before))
+        # a stack call leaves the single-field work array usable
+        assert np.array_equal(_bits(residual(inputs[0])), single[0])
+
+
+def _frozen_dot_energies(grid, eps, p, vs):
+    """The energy kernel's stack body as it ran before its sums were
+    batched, frozen here: one np.dot per field and gradient axis, combined
+    with the well sums in Python floats."""
+    k = len(vs)
+    well = np.empty(vs.shape)
+    if not grid.periodic:
+        d = np.subtract(vs[:, 1:], vs[:, :-1])
+        sums = np.add.reduce(np.multiply(grid.weights(), p.w(vs), out=well), axis=1)
+        return [0.5 * eps / grid.h * float(np.dot(r, r)) + float(s) / eps for r, s in zip(d, sums)]
+    cell = math.prod(grid.spacings)
+    c_axes = [0.5 * eps * (cell / hk) / hk for hk in grid.spacings]
+    d = np.empty(vs.shape)
+    flat = d.reshape(k, -1)
+    fields._forward_differences(vs, d)
+    grads = [c_axes[0] * float(np.dot(r, r)) for r in flat]
+    if len(grid.shape) == 2:
+        fields._forward_differences_last(vs, d)
+        grads = [g + c_axes[1] * float(np.dot(r, r)) for g, r in zip(grads, flat)]
+    sums = np.add.reduce(np.ascontiguousarray(p.w(vs)).reshape(k, -1), axis=1)
+    return [g + cell / eps * float(s) for g, s in zip(grads, sums)]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [interval_grid(65, 1.0), interval_grid(257, 2.3), circle_grid(256), circle_grid(512), torus_grid(17, 20)],
+    ids=lambda g: f"{g.kind}-{'x'.join(map(str, g.shape))}",
+)
+@pytest.mark.parametrize("k", [1, 2, 32, 64, 252])
+def test_batched_energy_sums_match_the_per_field_dots(g, k):
+    # the flow's block sizes: 252 states of the threshold's 65-point
+    # interval, 64 of a 256-point circle, 32 of a 512-point one
+    rng = np.random.default_rng(k * g.npoints)
+    energy_of = energy_kernel(g, 0.2, P, rows=k)
+    for scale in (1e-3, 1.2, 1e3):
+        vs = scale * rng.uniform(-1.0, 1.0, (k,) + g.shape)
+        got = energy_of(vs)
+        assert all(type(e) is float for e in got)
+        assert np.array_equal(_bits(got), _bits(_frozen_dot_energies(g, 0.2, P, vs)))
+
+
 def _frozen_periodic_energy(grid, eps, p, v):
     """The periodic energy kernel's sums as the circle ran them before it
     got its own closure, frozen here: one wrapped difference into a buffer,

@@ -133,6 +133,14 @@ def test_snapshot_not_a_snapshot(tmp_path):
         load_snapshot(path)
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_snapshot_without_lines_is_corrupt(tmp_path, text):
+    path = tmp_path / "empty.snap"
+    path.write_text(text)
+    with pytest.raises(CorruptSnapshotError, match="empty snapshot file"):
+        load_snapshot(path)
+
+
 MALFORMED = {  # case -> (line index, its replacement); None cuts the file there
     "truncated_after_epsilon": (3, None),
     "non_integer_version": (0, "phaselab-snapshot one"),

@@ -60,6 +60,29 @@ def test_single_well_fails_nonnegativity_with_witness_at_one():
     assert check.witness == pytest.approx(1.0, abs=1e-9)
 
 
+def test_negative_w_fails_nonnegativity_with_witness_where_w_is_negative():
+    # the quartic lowered by 0.01 dips below zero for 0.8 < x^2 < 1.2
+    lowered = potentials.from_callables(
+        lambda x: 0.25 * (1.0 - x * x) ** 2 - 0.01, lambda x: x * (x * x - 1.0),
+        lambda x: 3.0 * x * x - 1.0, "lowered",
+    )
+    check = potentials.check_double_well(lowered).checks[0]
+    assert not check.passed
+    assert -1.1 < check.witness < -1.09 and float(lowered.w(check.witness)) < 0.0
+    assert check.detail.startswith(f"W({check.witness:.6g}) = -") and check.detail.endswith("< 0")
+
+
+def test_w_vanishing_away_from_the_wells_fails_with_its_zero_as_witness():
+    # x^2 (1 - x^2)^2 / 4 vanishes at 0 too, a sample point of 101 on [-2, 2]
+    third_zero = potentials.from_callables(
+        lambda x: 0.25 * x * x * (1.0 - x * x) ** 2, lambda x: x, lambda x: 2.0 + 0.0 * x, "third_zero"
+    )
+    check = potentials.check_double_well(third_zero, 101).checks[0]
+    assert not check.passed
+    assert check.witness == 0.0
+    assert check.detail == "W vanishes at 0, away from the wells"
+
+
 def test_flat_wells_fail_curvature_axiom_only_there():
     report = potentials.check_double_well(octic())
     assert report.failed_axioms() == [3]

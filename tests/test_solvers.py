@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from scipy.optimize import brentq
 
 import phaselab as pl
 import phaselab.solvers as solvers
-from phaselab.fields import Field, energy, gradient, hessian_apply
+from phaselab.fields import Field, energy, gradient, hessian_apply, residual_kernel, sup_norm
 from phaselab.grids import circle_grid, interval_grid, torus_grid
 from phaselab.potentials import from_callables, from_table, quartic
 from phaselab.solvers import (
@@ -288,7 +289,8 @@ def _record_jacobian_solves(monkeypatch):
 
 def _record_residual_inputs(monkeypatch):
     """Wrap the residual kernels the solvers build; the returned list
-    receives the SHA-256 of every field a residual is evaluated at."""
+    receives the SHA-256 of every field a residual is evaluated at, each
+    row of a stack as its own field."""
     evaluated = []
     make = solvers.residual_kernel
 
@@ -296,7 +298,8 @@ def _record_residual_inputs(monkeypatch):
         residual = make(grid, eps, p)
 
         def residual_and_record(v):
-            evaluated.append(hashlib.sha256(v.tobytes()).digest())
+            rows = v if v.ndim > len(grid.shape) else [v]
+            evaluated.extend(hashlib.sha256(row.tobytes()).digest() for row in rows)
             return residual(v)
 
         return residual_and_record
@@ -407,6 +410,85 @@ class TestNewtonRefine:
             idx = np.arange(1, q // 2)
             even = np.abs(v[(mid + idx) % n] - v[(mid - idx) % n])
             assert np.max(even) <= 1e-7
+
+
+def _sequential_backtrack(residual, v, first_step, rn):
+    """Newton's fallback line search as it ran before its trials were
+    stacked, frozen here: one trial and one residual call at a time."""
+    alpha = solvers.DAMPING
+    for _ in range(40):
+        trial = v - alpha * first_step
+        tres = residual(trial)
+        trn = sup_norm(tres)
+        if math.isfinite(trn) and trn < rn:
+            return [trial, tres, trn, None]
+        alpha *= solvers.DAMPING
+    return None
+
+
+def _newton_outcome(f, cfg):
+    """(message, residual history, field bytes or None) of newton_refine(f)."""
+    try:
+        nr = newton_refine(f, P, cfg)
+    except NewtonDivergenceError as exc:
+        return str(exc), exc.residuals, None
+    return "converged", nr.residuals, nr.field.values.tobytes()
+
+
+def _two_interface_torus():
+    """A two-interface torus start, flowed, from which Newton falls back to
+    backtracking once and then converges."""
+    cfg = SolveConfig(tol_grad=1e-12, min_points_per_eps=2.0)
+    phi = np.random.default_rng(1).uniform(0.6 * np.pi, 1.4 * np.pi)
+    f = multi_interface_seed(torus_grid(64, 16), 0.2, [0.0, phi])
+    return gradient_flow(f, P, cfg, StopRule(max_steps=400)).field, cfg
+
+
+class TestStackedBacktracking:
+    """Newton's line search evaluates its trials TRIAL_STACK at a time and
+    accepts what the one-trial-at-a-time loop accepted."""
+
+    @pytest.mark.parametrize("case", [*STAGNATING_RUNS, "torus"], ids=str)
+    def test_newton_matches_the_sequential_line_search(self, monkeypatch, case):
+        if case == "torus":
+            f, cfg = _two_interface_torus()
+        else:
+            cfg = SolveConfig(tol_grad=1e-12)
+            f = _stagnating_field(*case, cfg)
+        searches = []
+        stacked = solvers._backtrack
+
+        def counted(*args):
+            searches.append(stacked(*args))
+            return searches[-1]
+
+        monkeypatch.setattr(solvers, "_backtrack", counted)
+        got = _newton_outcome(f, cfg)
+        assert searches and all(point is not None for point in searches)
+        monkeypatch.setattr(solvers, "_backtrack", _sequential_backtrack)
+        assert got == _newton_outcome(f, cfg)
+        assert got[0].startswith("converged" if case == "torus" else "stagnated")
+
+    def test_the_first_trial_below_the_bound_wins(self):
+        # thresholds that the sequential loop meets at trials on both sides
+        # of a stack boundary, at the last trial, and never
+        cfg = SolveConfig(tol_grad=1e-12)
+        f = _stagnating_field(0.2, 7, cfg)
+        g, v = f.grid, f.values
+        residual = residual_kernel(g, 0.2, P)
+        step = np.sin(3.0 * g.axis(0))
+        norms = [sup_norm(residual(v - 0.5 ** (i + 1) * step)) for i in range(40)]
+        firsts = set()
+        for rn in sorted(set(norms)) + [min(norms), 2.0 * max(norms)]:
+            ref = _sequential_backtrack(residual, v, step, rn)
+            got = solvers._backtrack(residual, v, step, rn)
+            if ref is None:
+                assert got is None
+                continue
+            firsts.add(norms.index(ref[2]))
+            assert got[2] == ref[2] and got[3] is None
+            assert got[0].tobytes() == ref[0].tobytes() and got[1].tobytes() == ref[1].tobytes()
+        assert min(firsts) < solvers.TRIAL_STACK <= max(firsts)
 
 
 class TestGradientFlow:
