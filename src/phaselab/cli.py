@@ -290,7 +290,7 @@ def cmd_analyze(args) -> int:
         ok &= alt
         _say(args, f"alternation: {'PASS' if alt else 'FAIL'}")
     if "symmetry" in args.what:
-        m = args.m or ns.count
+        m = args.m if args.m is not None else ns.count
         rep = check_rotation_symmetry(field, m)
         payload["symmetry"] = {
             "sign_flip_residual": rep.sign_flip_residual,
@@ -321,6 +321,8 @@ def cmd_analyze(args) -> int:
 def _experiment_report(args):
     kw = {arg: getattr(args, arg) for arg in DRIVER_OPTIONS if hasattr(args, arg)}
     if "seeds" in kw:
+        if kw["seeds"] < 0:
+            raise ValueError(f"--seeds must be nonnegative, got {kw['seeds']}")
         kw["seeds"] = range(args.seed, args.seed + kw["seeds"])
     if args.tol is not None:
         kw["cfg"] = SolveConfig(tol_grad=args.tol)

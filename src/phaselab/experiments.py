@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 
@@ -465,6 +466,11 @@ def experiment_m_rigidity(
             f"m = {m} rejected: the interface count must be an even integer >= 4 "
             "(sign alternation cannot close up around the circle otherwise)"
         )
+    for surface in surfaces:
+        if surface not in ("circle", "torus"):
+            raise ValueError(f"unknown surface {surface!r}")
+    if not math.isfinite(perturbation):
+        raise ValueError(f"perturbation must be finite, got {perturbation!r}")
     for surface, count in (("circle", circle_n), ("torus", torus_n[0])):
         if surface in surfaces and count % m != 0:
             raise ValueError(f"{surface} grid point count {count} must be divisible by m = {m}")
@@ -500,11 +506,9 @@ def experiment_m_rigidity(
         if surface == "circle":
             grid = circle_grid(circle_n)
             run_cfg = cfg
-        elif surface == "torus":
+        else:
             grid = torus_grid(*torus_n)
             run_cfg = replace(cfg, min_points_per_eps=torus_points_per_eps)
-        else:
-            raise ValueError(f"unknown surface {surface!r}")
         for eps in eps_list:
             require_resolution(grid, eps, run_cfg.min_points_per_eps)
             # control run: unperturbed spacing at a generic rotation; the

@@ -43,7 +43,10 @@ the solve owns, with the division by the real symbol done as a multiply by
 its reciprocals with imaginary part -0.0.  Short of an underflow, that
 multiply keeps every bit of numpy's complex division, zero signs included:
 for a real d, Smith's formula (CACM 5, 1962) reduces to
-((re + im*0) * (1/d), (im - re*0) * (1/d)).
+((re + im*0) * (1/d), (im - re*0) * (1/d)).  A fibered field (every fiber
+row constant, as the flow keeps a seed of parallel fibers) on a fiber of a
+power-of-two length takes one 1-D column transform instead, with the same
+bits: the 2-D transforms of such a field are zero outside that column.
 """
 
 from __future__ import annotations
@@ -200,13 +203,42 @@ def _fft_solver(grid: Grid, denom: np.ndarray):
     d * 2**-1074), up to NaN payloads.  A multiply of the real floats alone
     would drop the zero terms, whose signs reach the result of a field of
     -0.0.
+
+    A fibered input, x[i, j] == x[i, 0] for every entry, takes one 1-D
+    column transform of n2 * x[:, 0] when the fiber length n2 is a power of
+    two (decided once) and that column is finite, and returns the same
+    bits.  Then pocketfft's radix-2/4 rfft of a row c is exactly n2 * c + 0j
+    at DC (every partial sum is a power-of-two multiple of c) and exactly
+    zero in every other bin, so the 2-D path transforms this column alone,
+    and irfft returns its real part times 1/n2 in every entry of the row;
+    a fiber with a factor 3, 5 or another prime does not cancel exactly and
+    always takes the 2-D path, as does a non-finite or overflowing column.
+    The first row's two ends reject most other inputs before the full check.
     """
-    n2 = grid.shape[1]
+    n1, n2 = grid.shape
     spec = np.empty(denom.shape, dtype=complex)
     recip = np.empty(denom.shape, dtype=complex)
     recip.real, recip.imag = 1.0 / denom, -0.0
+    power_of_two = n2 & (n2 - 1) == 0
+    limit = np.finfo(float).max / n2  # |c| <= limit exactly when n2 * c is finite
+    col = np.empty(n1, dtype=complex)
+    recip_col = recip[:, 0].copy()
+    scale = 1.0 / n2
 
     def solve(x, out=None):
+        if (
+            power_of_two
+            and x[0, 0] == x[0, n2 - 1]
+            and (x == x[:, :1]).all()
+            and np.abs(x[:, 0]).max() <= limit
+        ):
+            col[:] = x[:, 0] * n2  # the rfft's DC column, imaginary parts +0.0
+            np.fft.fft(col, out=col)
+            np.multiply(col, recip_col, out=col)
+            np.fft.ifft(col, out=col)
+            if out is None:
+                out = np.empty(grid.shape)
+            return np.multiply(col.real[:, None], scale, out=out)
         np.fft.rfft(x, axis=1, out=spec)
         np.fft.fft(spec, axis=0, out=spec)
         np.multiply(spec, recip, out=spec)

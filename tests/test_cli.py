@@ -101,6 +101,21 @@ def test_m_rigidity_odd_m_exits_two(capsys):
     assert "even" in capsys.readouterr().err
 
 
+def test_m_rigidity_non_finite_perturbation_exits_two(capsys):
+    argv = ["experiment", "m-rigidity", "--seeds", "1", "--surfaces", "circle", "--eps", "0.15"]
+    assert main(argv + ["--perturbation", "nan"]) == 2
+    assert capsys.readouterr().err == "error: perturbation must be finite, got nan\n"
+
+
+def test_negative_seed_count_exits_two_and_zero_runs_the_controls(capsys):
+    argv = ["experiment", "m-rigidity", "--surfaces", "circle", "--eps", "0.15", "--json"]
+    assert main(argv + ["--seeds", "-1"]) == 2
+    assert capsys.readouterr().err == "error: --seeds must be nonnegative, got -1\n"
+    assert main(argv + ["--seeds", "0"]) == 0
+    runs = json.loads(capsys.readouterr().out)["runs"]
+    assert [r["kind"] for r in runs] == ["control"]
+
+
 def test_build_circle_odd_m_exits_two():
     assert main(["build-circle", "--m", "3", "--eps", "0.15"]) == 2
 
@@ -343,6 +358,17 @@ def test_analyze_judges_a_torus_by_its_fibers(tmp_path, capsys):
     assert main(["analyze", "--snapshot", str(snap), "--csv", str(csv)]) == 0
     assert "nodal points: 4" in capsys.readouterr().out
     assert len(csv.read_text().splitlines()) == 1 + pl.extract_nodal_set(f).points.shape[0]
+
+
+def test_analyze_symmetry_with_m_zero_exits_two(tmp_path, capsys):
+    # --m 0 is checked as given, not replaced by the nodal count
+    snap = tmp_path / "m2.snap"
+    pl.save_snapshot(pl.multi_interface_seed(pl.circle_grid(256), 0.2, [0.0, np.pi]), snap)
+    argv = ["analyze", "--snapshot", str(snap), "--what", "symmetry"]
+    assert main(argv + ["--m", "0"]) == 2
+    assert capsys.readouterr().err == "error: m must be an even integer >= 2\n"
+    assert main(argv) == 0
+    assert "symmetry (m=2): PASS" in capsys.readouterr().out
 
 
 def test_analyze_alternation_of_an_interval_exits_two(tmp_path, capsys):

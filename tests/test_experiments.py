@@ -230,6 +230,23 @@ class TestExperimentDrivers:
         with pytest.raises(ValueError, match="even"):
             experiment_m_rigidity(3)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"surfaces": ("circle", "sphere")}, "unknown surface 'sphere'"),
+            ({"perturbation": float("nan")}, "perturbation must be finite, got nan"),
+            ({"perturbation": float("-inf")}, "perturbation must be finite, got -inf"),
+        ],
+        ids=["sphere", "nan", "-inf"],
+    )
+    def test_m_rigidity_checks_its_arguments_before_any_solve(self, monkeypatch, kwargs, message):
+        def no_run(*args):
+            raise AssertionError("a run was relaxed before the arguments were checked")
+
+        monkeypatch.setattr(experiments, "_census_run", no_run)
+        with pytest.raises(ValueError, match=message):
+            experiment_m_rigidity(4, **kwargs)
+
     def test_m_rigidity_rejects_indivisible_grid(self):
         with pytest.raises(ValueError, match="circle grid point count 510 must be divisible by m = 4"):
             experiment_m_rigidity(4, circle_n=510)

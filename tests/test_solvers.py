@@ -1362,6 +1362,24 @@ def _zero_sign_inputs(g):
     return [g.extrude(profile), np.full(g.shape, 0.7), np.zeros(g.shape), np.full(g.shape, -0.0)]
 
 
+def _fibered_inputs(rng, g):
+    """Fields whose fiber rows are each constant: a random profile, and that
+    profile with one row set to inf, to NaN and to a value whose n2
+    multiple overflows; and the profile with one entry off its row's value,
+    which only the full check tells from a fibered field."""
+    n1, n2 = g.shape
+    profile = rng.uniform(-1.2, 1.2, n1)
+    fields = []
+    for row in (None, np.inf, np.nan, 1e308):
+        x = g.extrude(profile)
+        if row is not None:
+            x[n1 // 3] = row
+        fields.append(x)
+    fields.append(g.extrude(profile))
+    fields[-1][n1 // 2, n2 // 2] += 1e-3
+    return fields
+
+
 def _non_finite_input(rng, shape):
     x = rng.uniform(-1.2, 1.2, shape)
     x[1, 2] = np.inf
@@ -1369,12 +1387,25 @@ def _non_finite_input(rng, shape):
     return x
 
 
+def _transform_pair(x, denom):
+    """The solve as 1-D transforms of rfft2 and irfft2 with the division as a
+    multiply by 1/denom - 0j, the path every input took before fibered ones
+    took a column transform."""
+    recip = np.empty(denom.shape, dtype=complex)
+    recip.real, recip.imag = 1.0 / denom, -0.0
+    spec = np.fft.fft(np.fft.rfft(x, axis=1), axis=0) * recip
+    return np.fft.irfft(np.fft.ifft(spec, axis=0), n=x.shape[1], axis=1)
+
+
 def _assert_solves_like_the_formula(solve, x, denom):
     """``solve(x)`` against irfft2(rfft2(x) / denom): bit for bit when the
-    formula's result is finite, NaN at the same entries when it is not."""
+    formula's result is finite, NaN at the same entries when it is not; and
+    against the transform pair bit for bit, NaN payloads included."""
     with np.errstate(invalid="ignore", over="ignore"):
         ref = np.fft.irfft2(np.fft.rfft2(x) / denom, s=x.shape)
+        pair = _transform_pair(x, denom)
         out = solve(x)
+    assert np.array_equal(out.view(np.int64), pair.view(np.int64))
     if np.all(np.isfinite(ref)):
         assert np.array_equal(out.view(np.int64), ref.view(np.int64))
     else:
@@ -1397,6 +1428,9 @@ def test_torus_flow_solve_is_bit_identical_to_fft_formula(shape):
                 assert np.array_equal(step(v, x).view(np.int64), ref.view(np.int64))
         for x in _zero_sign_inputs(g):
             _assert_solves_like_the_formula(solve, x, denom)
+        for x in _fibered_inputs(rng, g):
+            for y in _layouts(x):
+                _assert_solves_like_the_formula(solve, y, denom)
         _assert_solves_like_the_formula(solve, _non_finite_input(rng, shape), denom)
 
 
@@ -1415,7 +1449,31 @@ def test_torus_preconditioner_is_bit_identical_to_fft_formula(shape):
                 assert np.array_equal(inverse(y).view(np.int64), ref.view(np.int64))
         for x in _zero_sign_inputs(g):
             _assert_solves_like_the_formula(inverse, x, denom)
+        for x in _fibered_inputs(rng, g):
+            for y in _layouts(x):
+                _assert_solves_like_the_formula(inverse, y, denom)
         _assert_solves_like_the_formula(inverse, _non_finite_input(rng, shape), denom)
+
+
+@pytest.mark.parametrize("shape, rfft_calls", [((256, 64), 0), ((24, 16), 0), ((17, 20), 1)])
+def test_a_fibered_solve_takes_the_column_path_on_a_power_of_two_fiber(monkeypatch, shape, rfft_calls):
+    g = torus_grid(*shape)
+    solve = solvers._fft_solver(g, 1.0 + 0.01 * solvers._torus_symbol(g))
+    x = g.extrude(np.tanh(np.sin(g.axis(0)) / 0.2))
+    ref = solve(x.copy())
+    calls = []
+    rfft = np.fft.rfft
+
+    def counted_rfft(*args, **kwargs):
+        calls.append(1)
+        return rfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted_rfft)
+    out = solve(x)
+    assert len(calls) == rfft_calls
+    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+    solve(x + np.random.default_rng(0).uniform(0.0, 1e-3, shape))  # not fibered
+    assert len(calls) == rfft_calls + 1
 
 
 def test_signed_zero_reciprocal_multiply_is_numpy_complex_division():
@@ -1460,6 +1518,22 @@ def test_torus_flow_with_a_halving_matches_the_frozen_division_loop(shape):
     trace = gradient_flow(f, P, SolveConfig(flow_dt=dt), StopRule(max_steps=40))
     v, energies, dt_final = _frozen_torus_flow(g, eps, dt, f.values, 40)
     assert dt_final == trace.dt_final == dt / 2
+    assert np.array_equal(trace.energies.view(np.int64), energies.view(np.int64))
+    assert np.array_equal(trace.field.values.view(np.int64), v.view(np.int64))
+
+
+def test_the_construct_torus_flow_matches_the_frozen_division_loop():
+    # the benchmark's torus flow: four fibers on 256x64, one displaced by 0.3;
+    # the state stays fibered, so every step takes the column path
+    g = torus_grid(256, 64)
+    eps = 0.15
+    angles = (1.0 + np.arange(4) * (np.pi / 2)) % (2 * np.pi)
+    angles[1] += 0.3
+    f = multi_interface_seed(g, eps, angles)
+    trace = gradient_flow(f, P, SolveConfig(min_points_per_eps=4.0), StopRule(max_steps=500))
+    v, energies, dt_final = _frozen_torus_flow(g, eps, eps * g.h, f.values, 500)
+    assert np.all(v == v[:, :1])
+    assert dt_final == trace.dt_final
     assert np.array_equal(trace.energies.view(np.int64), energies.view(np.int64))
     assert np.array_equal(trace.field.values.view(np.int64), v.view(np.int64))
 
