@@ -149,10 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cfg(args) -> SolveConfig:
-    cfg = SolveConfig()
-    if args.tol is not None:
-        cfg.tol_grad = args.tol
-    return cfg
+    return SolveConfig() if args.tol is None else SolveConfig(tol_grad=args.tol)
 
 
 def _emit_json(args, payload) -> None:
@@ -325,7 +322,7 @@ def _experiment_report(args):
             raise ValueError(f"--seeds must be nonnegative, got {kw['seeds']}")
         kw["seeds"] = range(args.seed, args.seed + kw["seeds"])
     if args.tol is not None:
-        kw["cfg"] = SolveConfig(tol_grad=args.tol)
+        kw["cfg"] = _cfg(args)
     return EXPERIMENTS[args.name](**kw)
 
 

@@ -326,7 +326,10 @@ def _experiment(name: str, tol_grad: float | None = None):
     ``tol_grad`` when given); both are echoed as ``potential`` and ``solver``.
     ``n`` is echoed as ``grid_points``, a range as a list, and ``derived``
     (values the driver computes from its arguments, or module constants it
-    echoes) is added as it is.
+    echoes) is added as it is.  An ``eps_list`` or ``delta_fractions`` that
+    repeats a value raises ValueError before the driver runs: it would run
+    the same case twice, and an assertion across two of its values would
+    compare a fit with itself.
     """
 
     def decorate(driver):
@@ -338,6 +341,10 @@ def _experiment(name: str, tol_grad: float | None = None):
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
             kw = bound.arguments
+            for key in ("eps_list", "delta_fractions"):
+                values = list(kw.get(key, ()))
+                if len(set(values)) < len(values):
+                    raise ValueError(f"{name}: {key} repeats a value: {values}")
             kw["p"] = kw["p"] or quartic()
             if kw["cfg"] is None:
                 kw["cfg"] = SolveConfig() if tol_grad is None else SolveConfig(tol_grad=tol_grad)
@@ -501,14 +508,13 @@ def experiment_m_rigidity(
             nodal_angles=list(ns.angles),
         )
 
+    torus_cfg = replace(cfg, min_points_per_eps=torus_points_per_eps)
     runs = []
     for surface in surfaces:
         if surface == "circle":
-            grid = circle_grid(circle_n)
-            run_cfg = cfg
+            grid, run_cfg = circle_grid(circle_n), cfg
         else:
-            grid = torus_grid(*torus_n)
-            run_cfg = replace(cfg, min_points_per_eps=torus_points_per_eps)
+            grid, run_cfg = torus_grid(*torus_n), torus_cfg
         for eps in eps_list:
             require_resolution(grid, eps, run_cfg.min_points_per_eps)
             # control run: unperturbed spacing at a generic rotation; the
@@ -788,10 +794,14 @@ def experiment_slide(
     at an offset below twice the radius.  The circle is sized so the barrier
     profile is nontrivial at every tested radius: positive profiles need a
     half-length above pi*eps/2, the existence threshold.  ``m`` must be 4,
-    the number of angles the counterfactual field marks.
+    the number of angles the counterfactual field marks, and each fraction
+    must lie in (0, 1].
     """
     if m != 4:
         raise ValueError(f"m = {m} rejected: the counterfactual field marks exactly four angles")
+    for frac in delta_fractions:
+        if not 0.0 < frac <= 1.0:
+            raise ValueError(f"each delta fraction must lie in (0, 1], got {frac!r}")
     grid = circle_grid(n, circumference)
     require_resolution(grid, eps, cfg.min_points_per_eps)
     h = grid.h

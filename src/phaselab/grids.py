@@ -22,6 +22,7 @@ __all__ = [
 
 TWO_PI = 2.0 * np.pi
 MIN_POINTS = 16
+AXES = {"interval": 1, "circle": 1, "torus": 2}  # axis count of each grid kind
 PERIODIC_KINDS = frozenset({"circle", "torus"})  # kinds whose every axis wraps
 
 
@@ -36,11 +37,30 @@ class Grid:
     ``lengths`` holds the half-length for intervals and the circumference(s)
     for periodic kinds.  The transition structure always lives along axis 0;
     that axis' spacing is the one the resolution rule constrains.
+
+    A grid checks itself when it is made: the kind must be one of ``AXES``,
+    ``shape`` and ``lengths`` (a scalar counts as one axis) must each have
+    that kind's axis count, every axis at least MIN_POINTS points and every
+    length finite and positive.  They are stored as tuples of int and float.
     """
 
     kind: str  # "interval" | "circle" | "torus"
     shape: tuple[int, ...]
     lengths: tuple[float, ...]
+
+    def __post_init__(self):
+        axes = AXES.get(self.kind)
+        if axes is None:
+            raise ValueError(f"unknown grid kind: {self.kind!r}")
+        for name, cast in (("shape", int), ("lengths", float)):
+            object.__setattr__(self, name, tuple(map(cast, np.atleast_1d(getattr(self, name)))))
+        if len(self.shape) != axes or len(self.lengths) != axes:
+            raise ValueError(f"a {self.kind} grid has axis count {axes}: shape {self.shape}, lengths {self.lengths}")
+        for n, L in zip(self.shape, self.lengths):
+            if n < MIN_POINTS:
+                raise ValueError(f"need at least {MIN_POINTS} points per axis, got {n}")
+            if not (0.0 < L < math.inf):
+                raise ValueError(f"grid length must be finite and positive, got {L}")
 
     @property
     def npoints(self) -> int:
@@ -89,38 +109,20 @@ class Grid:
 
 
 def interval_grid(n: int, half_length: float) -> Grid:
-    _validate(n, half_length)
-    return Grid("interval", (int(n),), (float(half_length),))
+    return Grid("interval", n, half_length)
 
 
 def circle_grid(n: int, circumference: float = TWO_PI) -> Grid:
-    _validate(n, circumference)
-    return Grid("circle", (int(n),), (float(circumference),))
+    return Grid("circle", n, circumference)
 
 
 def torus_grid(n1: int, n2: int, circumferences=(TWO_PI, TWO_PI)) -> Grid:
-    L1, L2 = circumferences
-    _validate(n1, L1)
-    _validate(n2, L2)
-    return Grid("torus", (int(n1), int(n2)), (float(L1), float(L2)))
+    return Grid("torus", (n1, n2), circumferences)
 
 
 def make_grid(kind: str, n, lengths) -> Grid:
-    if kind == "interval":
-        return interval_grid(n, lengths if np.isscalar(lengths) else lengths[0])
-    if kind == "circle":
-        return circle_grid(n, lengths if np.isscalar(lengths) else lengths[0])
-    if kind == "torus":
-        n1, n2 = n
-        return torus_grid(n1, n2, tuple(lengths))
-    raise ValueError(f"unknown grid kind: {kind!r}")
-
-
-def _validate(n, length) -> None:
-    if int(n) < MIN_POINTS:
-        raise ValueError(f"need at least {MIN_POINTS} points per axis, got {n}")
-    if not (0.0 < float(length) < math.inf):
-        raise ValueError(f"grid length must be finite and positive, got {length}")
+    """``Grid(kind, n, lengths)``: a scalar ``n`` or ``lengths`` is one axis."""
+    return Grid(kind, n, lengths)
 
 
 def circle_distance(a, b, circumference: float = TWO_PI):

@@ -107,7 +107,7 @@ def load_snapshot_with_meta(path):
             raise ValueError("expected one point count and one length per axis")
         shape = [int(x) for x in body[:k]]
         lengths = [float.fromhex(x) for x in body[k:]]
-        grid = make_grid(kind, shape[0] if k == 1 else shape, lengths)
+        grid = make_grid(kind, shape, lengths)
     except (ValueError, TypeError) as exc:
         raise CorruptSnapshotError(f"bad grid line {grid_line!r}: {exc}") from None
 

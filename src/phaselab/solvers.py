@@ -119,14 +119,20 @@ class StepCollapseError(SolverError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolveConfig:
-    """Settable solver values; the iteration caps are MAX_NEWTON and MAX_FLOW_STEPS."""
+    """Settable solver values; the iteration caps are MAX_NEWTON and MAX_FLOW_STEPS.
+
+    Checked once, when made (``dataclasses.replace`` makes a new one): a
+    finite ``tol_grad`` of at least 1e-13, a finite positive
+    ``min_points_per_eps``, and a finite positive ``flow_dt`` when set.
+    Frozen, so no value changes after its check; the solvers trust it.
+    """
     tol_grad: float = 1e-10
     flow_dt: float | None = None  # default eps * h; the model solve passes its stability step
     min_points_per_eps: float = 8.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         # written so that a NaN, which fails every comparison, fails each test
         if not 1e-13 <= self.tol_grad < math.inf:
             raise ValueError(f"tol_grad must be finite and at least 1e-13, got {self.tol_grad!r}")
@@ -136,12 +142,24 @@ class SolveConfig:
             raise ValueError(f"flow_dt must be finite and positive, got {self.flow_dt!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StopRule:
-    """Flow length (MAX_FLOW_STEPS when unset) and nodal sampling; the step is cfg.flow_dt."""
+    """Flow length (MAX_FLOW_STEPS when unset) and nodal sampling; the step is cfg.flow_dt.
+
+    Checked once, when made, and frozen: ``max_steps`` nonnegative when set,
+    and ``sample_every`` at least 1 when ``track_nodal`` asks for samples
+    (without tracking it is never read).
+    """
     max_steps: int | None = None
     sample_every: int = 50
     track_nodal: bool = False
+
+    def __post_init__(self):
+        # as in SolveConfig, a NaN fails each test
+        if self.max_steps is not None and not self.max_steps >= 0:
+            raise ValueError(f"max_steps must be nonnegative, got {self.max_steps}")
+        if self.track_nodal and not self.sample_every >= 1:
+            raise ValueError(f"sample_every must be at least 1, got {self.sample_every}")
 
 
 @dataclass
@@ -483,7 +501,6 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
     non-finite starting residual raises NewtonDivergenceError.
     """
     cfg = cfg or SolveConfig()
-    cfg.validate()
     require_resolution(f.grid, f.epsilon, cfg.min_points_per_eps)
     v = f.values.copy()
     eps = f.epsilon
@@ -629,13 +646,8 @@ def gradient_flow(
     state a block starts from is never overwritten and never copied.
     """
     cfg = cfg or SolveConfig()
-    cfg.validate()
     stop = stop or StopRule()
     max_steps = stop.max_steps if stop.max_steps is not None else MAX_FLOW_STEPS
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be nonnegative, got {max_steps}")
-    if stop.track_nodal and stop.sample_every < 1:
-        raise ValueError(f"sample_every must be at least 1, got {stop.sample_every}")
     require_resolution(f.grid, f.epsilon, cfg.min_points_per_eps)
 
     eps = f.epsilon
@@ -724,12 +736,15 @@ def solve_dirichlet_model(
     solution.  A linear-stability shortcut returns the zero solution
     immediately when the zero state is strictly stable, which for potentials
     satisfying the monotonicity axiom is exactly the no-transition regime.
-    A stall raises SolverError with the last Newton failure, if any.
+    A stall raises SolverError with the last Newton failure, if any; a
+    half-length or width that is not finite and positive raises ValueError
+    before the grid is sized.
     """
+    if not 0.0 < half_length < math.inf:
+        raise ValueError(f"half_length must be finite and positive, got {half_length!r}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     cfg = cfg or SolveConfig()
-    cfg.validate()
-    if not (half_length > 0.0):
-        raise ValueError("half_length must be positive")
     if n is None:
         n = _auto_interval_points(half_length, epsilon, cfg.min_points_per_eps)
     grid = interval_grid(n, half_length)
@@ -818,8 +833,8 @@ def existence_threshold(
 ) -> float:
     """Bisection estimate, to 1e-3 relative, of the width below which a
     positive profile exists."""
-    if not (half_length > 0.0):
-        raise ValueError("half_length must be positive")
+    if not 0.0 < half_length < math.inf:
+        raise ValueError(f"half_length must be finite and positive, got {half_length!r}")
     if float(p.d2w(0.0)) >= 0.0:
         return 0.0  # zero state is stable at every width
 

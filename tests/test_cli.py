@@ -116,6 +116,68 @@ def test_negative_seed_count_exits_two_and_zero_runs_the_controls(capsys):
     assert [r["kind"] for r in runs] == ["control"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve-model", "--l", "inf", "--eps", "0.1"], "half_length must be finite and positive, got inf"),
+        (["solve-model", "--l", "0", "--eps", "0.1"], "half_length must be finite and positive, got 0.0"),
+        (["solve-model", "--l", "1", "--eps", "0"], "epsilon must be finite and positive, got 0.0"),
+        (["solve-model", "--l", "1", "--eps", "nan"], "epsilon must be finite and positive, got nan"),
+        (["solve-model", "--l", "1", "--eps", "-1"], "epsilon must be finite and positive, got -1.0"),
+        (["solve-model", "--l", "1", "--eps", "inf", "--grid-n", "129"], "epsilon must be finite and positive"),
+        (["threshold", "--l", "inf"], "half_length must be finite and positive, got inf"),
+        (["threshold", "--l", "nan"], "half_length must be finite and positive, got nan"),
+    ],
+)
+def test_bad_model_inputs_exit_two_with_their_message(argv, message, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["experiment", "decay", "--eps", "0.05", "0.05"], "eps_list repeats a value"),
+        (
+            ["experiment", "m-rigidity", "--eps", "0.15", "0.15", "--seeds", "0", "--surfaces", "circle"],
+            "eps_list repeats a value",
+        ),
+        (["experiment", "slide", "--delta-fractions", "0.5", "0.5"], "delta_fractions repeats a value"),
+        (["experiment", "slide", "--delta-fractions", "0"], "each delta fraction must lie in (0, 1]"),
+        (["experiment", "slide", "--delta-fractions", "-1"], "each delta fraction must lie in (0, 1]"),
+        (["experiment", "slide", "--delta-fractions", "nan"], "each delta fraction must lie in (0, 1]"),
+        (["experiment", "slide", "--delta-fractions", "1.5"], "each delta fraction must lie in (0, 1]"),
+    ],
+)
+def test_bad_sweeps_exit_two_before_any_solve(argv, message, monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the check")
+
+    for name in ("gradient_flow", "newton_refine", "solve_dirichlet_model", "build_barrier"):
+        monkeypatch.setattr(pl.experiments, name, no_solve)
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_solve_model_out_writes_the_profile(tmp_path, capsys):
+    out = tmp_path / "model.snap"
+    argv = ["solve-model", "--l", "1", "--eps", "0.2", "--grid-n", "129", "--out", str(out), "--json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    field, meta = pl.load_snapshot_with_meta(out)
+    assert payload["status"] == "positive" and field.grid == pl.interval_grid(129, 1.0)
+    assert field.epsilon == 0.2 and meta["potential"] == pl.quartic().describe()
+    assert float(np.max(field.values)) == payload["max_value"]
+
+
+def test_build_circle_grid_points_not_divisible_by_m_exit_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["build-circle", "--m", "4", "--eps", "0.1", "--grid-n", "1030"]) == 2
+    assert capsys.readouterr().err == "error: grid points (1030) must be divisible by m (4)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_build_circle_odd_m_exits_two():
     assert main(["build-circle", "--m", "3", "--eps", "0.15"]) == 2
 
@@ -369,6 +431,21 @@ def test_analyze_symmetry_with_m_zero_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == "error: m must be an even integer >= 2\n"
     assert main(argv) == 0
     assert "symmetry (m=2): PASS" in capsys.readouterr().out
+
+
+def test_analyze_congruence_of_an_interval_exits_two(tmp_path, capsys):
+    g = pl.interval_grid(257, 1.0)
+    snap = tmp_path / "interval.snap"
+    pl.save_snapshot(pl.Field(g, np.sin(3.0 * g.axis(0)) ** 2 - 0.25, 0.2), snap)
+    assert main(["analyze", "--snapshot", str(snap), "--what", "congruence"]) == 2
+    assert capsys.readouterr().err == "error: congruence check needs a periodic nodal set\n"
+
+
+def test_analyze_decay_of_a_torus_exits_two(tmp_path, capsys):
+    snap = tmp_path / "torus.snap"
+    pl.save_snapshot(pl.multi_interface_seed(pl.torus_grid(64, 16), 0.2, [0.5, 0.5 + np.pi]), snap)
+    assert main(["analyze", "--snapshot", str(snap), "--what", "decay"]) == 2
+    assert capsys.readouterr().err == "error: decay fit supports 1-D fields\n"
 
 
 def test_analyze_alternation_of_an_interval_exits_two(tmp_path, capsys):

@@ -66,6 +66,22 @@ class TestComparison:
         rep = comparison_test(u, Field(v.grid, v.values, 0.2), mask, P)
         assert rep.status == "inapplicable"
 
+    def test_inapplicable_pairs_name_their_reason(self, nested):
+        u, v, mask = nested
+        other = Field(interval_grid(129, u.grid.lengths[0]), np.zeros(129), u.epsilon)
+        one_point = np.zeros_like(mask)
+        one_point[u.grid.shape[0] // 2] = True
+        cases = [
+            (u, other, mask, "fields live on different grids"),
+            (u, v, mask[1:], "domain mask shape mismatch"),
+            (u, v, np.zeros_like(mask), "empty domain"),
+            (u, v, one_point, "domain has no interior"),
+            (u.with_values(-u.values), v, mask, "u is not strictly positive on the domain"),
+        ]
+        for a, b, domain, reason in cases:
+            rep = comparison_test(a, b, domain, P)
+            assert (rep.status, rep.reason) == ("inapplicable", reason)
+
     def test_non_critical_input_is_inapplicable(self, nested):
         u, v, mask = nested
         rng = np.random.default_rng(0)
@@ -133,6 +149,11 @@ class TestBarrier:
         with pytest.raises(BarrierConstructionError, match="vanish"):
             build_barrier(np.pi, 0.12, 0.1, P, g)
 
+    def test_core_under_four_grid_steps_rejected(self):
+        g = circle_grid(256)
+        with pytest.raises(BarrierConstructionError, match="spans under 4 grid steps"):
+            build_barrier(np.pi, 3 * g.h, 0.1, P, g)
+
     def test_overlap_rejected(self):
         g = circle_grid(256)
         with pytest.raises(BarrierConstructionError, match="overlap"):
@@ -178,6 +199,13 @@ class TestSlide:
         rep = slide_to_touch(u, b, max_offset=3 * delta)
         assert rep.touched and rep.interior
         assert abs(rep.offset - expected) <= 0.05
+
+    def test_field_on_another_grid_rejected(self):
+        g = circle_grid(256)
+        b = build_barrier(np.pi, 20 * g.h, 0.2, P, g)
+        u = Field(circle_grid(512), np.zeros(512), 0.2)
+        with pytest.raises(ValueError, match="different grids"):
+            slide_to_touch(u, b, max_offset=1.0)
 
     def test_uniformly_low_field_never_touches(self):
         # barrier shallow enough (width near threshold) that a deep constant
@@ -247,6 +275,16 @@ class TestExperimentDrivers:
         with pytest.raises(ValueError, match=message):
             experiment_m_rigidity(4, **kwargs)
 
+    @pytest.mark.parametrize("points", [0.0, float("nan"), float("inf")])
+    def test_m_rigidity_checks_the_torus_resolution_before_the_circle_census(self, monkeypatch, points):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a run was relaxed before the torus config was checked")
+
+        monkeypatch.setattr(experiments, "gradient_flow", no_solve)
+        monkeypatch.setattr(experiments, "newton_refine", no_solve)
+        with pytest.raises(ValueError, match="min_points_per_eps must be finite and positive"):
+            experiment_m_rigidity(4, eps_list=(0.15,), seeds=(), torus_points_per_eps=points)
+
     def test_m_rigidity_rejects_indivisible_grid(self):
         with pytest.raises(ValueError, match="circle grid point count 510 must be divisible by m = 4"):
             experiment_m_rigidity(4, circle_n=510)
@@ -286,6 +324,10 @@ class TestExperimentDrivers:
         run = rep.runs[0]
         assert abs(run["kappa_times_eps"] / np.sqrt(2.0) - 1.0) <= 0.2
 
+    def test_comparison_rejects_a_grid_without_quarter_points(self):
+        with pytest.raises(ValueError, match="n - 1 must be divisible by 4"):
+            experiment_comparison(n=259)
+
     def test_comparison_experiment(self):
         rep = experiment_comparison()
         assert rep.passed
@@ -307,6 +349,36 @@ class TestExperimentDrivers:
         # an empty sweep would otherwise report on zero runs
         with pytest.raises(ValueError, match="produced no run"):
             driver(**kwargs)
+
+    @pytest.mark.parametrize(
+        "driver, kwargs",
+        [
+            (experiment_two_interface, {"eps_list": (0.2, 0.25, 0.2)}),
+            (experiment_m_rigidity, {"eps_list": (0.15, 0.15), "seeds": (0,), "surfaces": ("circle",)}),
+            (experiment_decay, {"eps_list": (0.05, 0.05)}),
+            (experiment_slide, {"delta_fractions": (0.5, 0.25, 0.5)}),
+        ],
+        ids=["two_interface", "m_rigidity", "decay", "slide"],
+    )
+    def test_a_repeated_width_or_fraction_is_rejected_before_any_solve(self, monkeypatch, driver, kwargs):
+        # a repeat runs one case twice; decay's width-ratio assertion would compare a fit with itself
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the check")
+
+        for name in ("gradient_flow", "newton_refine", "solve_dirichlet_model", "build_barrier"):
+            monkeypatch.setattr(experiments, name, no_solve)
+        key = next(iter(kwargs))
+        with pytest.raises(ValueError, match=f"{key} repeats a value"):
+            driver(**kwargs)
+
+    @pytest.mark.parametrize("frac", [0.0, -1.0, 1.5, float("nan"), float("inf")])
+    def test_slide_rejects_fractions_outside_the_unit_interval_before_any_solve(self, monkeypatch, frac):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the check")
+
+        monkeypatch.setattr(experiments, "build_barrier", no_solve)
+        with pytest.raises(ValueError, match=r"each delta fraction must lie in \(0, 1\]"):
+            experiment_slide(delta_fractions=(0.5, frac))
 
     def test_slide_experiment(self):
         rep = experiment_slide()

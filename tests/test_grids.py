@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from phaselab.grids import (
+    Grid,
     ResolutionError,
     circle_distance,
     circle_grid,
@@ -54,6 +55,37 @@ def test_periodic_grids_and_extruded_profiles():
     assert torus.extrude(profile > 0).dtype == bool
     line = circle.extrude(profile)
     assert np.array_equal(line, profile) and not np.shares_memory(line, profile)
+
+
+@pytest.mark.parametrize(
+    "kind,shape,lengths,match",
+    [
+        ("torus", (256,), (2 * np.pi,), "axis count 2"),
+        ("torus", 256, (2 * np.pi, 2 * np.pi), "axis count 2"),
+        ("torus", (256, 64, 8), (1.0, 1.0, 1.0), "axis count 2"),
+        ("circle", 256, [1.0, 2.0], "axis count 1"),
+        ("interval", (65, 65), 1.0, "axis count 1"),
+        ("sphere", (32, 32), (1.0, 1.0), "unknown grid kind"),
+        ("circle", 8, 1.0, "at least 16 points"),
+        ("torus", (32, 8), (1.0, 1.0), "at least 16 points"),
+        ("torus", (32, 32), (1.0, np.nan), "finite and positive"),
+    ],
+)
+def test_grids_check_themselves_when_made(kind, shape, lengths, match):
+    """Grid and make_grid reject what the constructors reject; today's
+    make_grid("circle", 256, [1.0, 2.0]) no longer drops the 2.0."""
+    with pytest.raises(ValueError, match=match):
+        Grid(kind, shape, lengths)
+    with pytest.raises(ValueError, match=match):
+        make_grid(kind, shape, lengths)
+
+
+def test_grids_store_int_and_float_tuples():
+    g = Grid("torus", [np.int64(64), 32], np.array([2 * np.pi, 3]))
+    assert g.shape == (64, 32) and g.lengths == (2 * np.pi, 3.0)
+    assert all(type(n) is int for n in g.shape) and all(type(L) is float for L in g.lengths)
+    assert make_grid("circle", 64, 2 * np.pi) == Grid("circle", (64,), (2 * np.pi,)) == circle_grid(64)
+    assert make_grid("interval", [65], [1.0]) == interval_grid(65, 1.0)
 
 
 @pytest.mark.parametrize("length", [np.inf, -np.inf, np.nan, 0.0])

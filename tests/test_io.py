@@ -93,6 +93,7 @@ def test_snapshot_grid_line(tmp_path, grid, line):
         "grid: circle sixty-four 0x1.921fb54442d18p+2",
         "grid: circle 64 inf",
         "grid: circle 64 nan",
+        "grid: circle 64 64 0x1.921fb54442d18p+2 0x1.921fb54442d18p+2",
         "grid:",
     ],
 )
@@ -113,6 +114,16 @@ def test_snapshot_wrong_count(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:-3]) + "\n")
     with pytest.raises(CorruptSnapshotError, match="expected 32 values, found 29"):
+        load_snapshot(path)
+
+
+def test_snapshot_value_count_must_match_its_grid(tmp_path):
+    path = tmp_path / "snap.txt"
+    save_snapshot(Field(circle_grid(32), np.zeros(32), 0.5), path)
+    lines = path.read_text().splitlines()
+    lines[1] = lines[1].replace("circle 32 ", "circle 16 ")
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorruptSnapshotError, match="value count 32 does not match grid size 16"):
         load_snapshot(path)
 
 

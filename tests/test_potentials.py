@@ -122,6 +122,13 @@ def test_table_potential_from_single_well_fails():
     assert 1 in report.failed_axioms()
 
 
+def test_table_potential_needs_eight_distinct_abscissae():
+    with pytest.raises(ValueError, match="at least 8 points"):
+        potentials.from_table([[x, x * x] for x in range(7)])
+    with pytest.raises(ValueError, match="strictly increasing"):
+        potentials.from_table([[x, x * x] for x in range(8)] + [[3.0, 1.0]])
+
+
 def test_make_potential_roundtrip(quartic):
     p = potentials.make_potential({"kind": "quartic"})
     assert p.describe() == {"kind": "quartic"}

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -92,8 +93,25 @@ class TestModelSolution:
         with pytest.raises(ValueError):
             solve_dirichlet_model(-1.0, 0.2, P)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_width_and_length_must_be_finite_and_positive(self, bad):
+        """Caught before the grid is sized, so never an overflow, a division by
+        zero or a resolution message; ``n`` given or not."""
+        for n in (None, 129):
+            with pytest.raises(ValueError, match="half_length must be finite and positive"):
+                solve_dirichlet_model(bad, 0.1, P, n=n)
+            with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+                solve_dirichlet_model(1.0, bad, P, n=n)
+        with pytest.raises(ValueError, match="half_length must be finite and positive"):
+            existence_threshold(bad, P)
+
 
 class TestExistenceThreshold:
+    def test_a_stable_zero_state_has_no_threshold(self):
+        # W''(0) >= 0: the zero state is stable at every width, so no bisection runs
+        bowl = from_callables(lambda u: u * u, lambda u: 2.0 * u, lambda u: 2.0 + 0.0 * u)
+        assert existence_threshold(1.0, bowl) == 0.0
+
     def test_matches_linearization_oracle(self):
         # oracle: 2 * l * sqrt(-W''(0)) / pi
         est = existence_threshold(np.pi / 2, P)
@@ -125,6 +143,12 @@ class TestReflectExtend:
         assert ns.count == 4
         assert np.allclose(np.diff(ns.angles), np.pi / 2, atol=1e-12)
         assert pl.check_alternation(f, ns)
+
+    def test_fewer_than_two_copies_rejected(self):
+        sol = solve_dirichlet_model(np.pi / 4, 0.15, P, n=129)
+        for copies in (0, 1):
+            with pytest.raises(ValueError, match="copies must be at least 2"):
+                reflect_extend(sol, copies)
 
     def test_energy_is_copies_times_model(self):
         sol = solve_dirichlet_model(np.pi / 4, 0.15, P, n=129)
@@ -582,7 +606,7 @@ class TestGradientFlow:
     def test_step_counts_below_zero_are_rejected(self):
         f = multi_interface_seed(circle_grid(256), 0.2, [0.0, np.pi])
         with pytest.raises(ValueError, match="max_steps"):
-            gradient_flow(f, P, None, StopRule(max_steps=-5))
+            StopRule(max_steps=-5)
         trace = gradient_flow(f, P, None, StopRule(max_steps=0))
         assert trace.steps == 0 and len(trace.energies) == 1
         assert np.array_equal(trace.field.values, f.values)
@@ -590,7 +614,7 @@ class TestGradientFlow:
     def test_sample_every_below_one_is_rejected_when_tracking(self):
         f = multi_interface_seed(circle_grid(256), 0.2, [0.0, np.pi])
         with pytest.raises(ValueError, match="sample_every"):
-            gradient_flow(f, P, None, StopRule(max_steps=10, track_nodal=True, sample_every=0))
+            StopRule(max_steps=10, track_nodal=True, sample_every=0)
         # without nodal tracking the sampling interval is never read
         gradient_flow(f, P, None, StopRule(max_steps=10, sample_every=0))
 
@@ -608,6 +632,11 @@ class TestGradientFlow:
             assert sampled.size == 4
             assert np.array_equal(sampled, pl.extract_nodal_set(at_step).angles)
 
+
+
+def test_multi_interface_seed_needs_a_periodic_grid():
+    with pytest.raises(ValueError, match="needs a periodic grid"):
+        multi_interface_seed(interval_grid(129, 1.0), 0.1, [0.0])
 
 
 def test_multi_interface_seed_structure():
@@ -638,9 +667,39 @@ def test_multi_interface_seed_structure():
     ids=lambda kw: "=".join(map(str, *kw.items())),
 )
 def test_solve_config_validation(kwargs):
+    """A bad value is caught where the config is made, and by replace too."""
     with pytest.raises(ValueError, match=next(iter(kwargs))):
-        SolveConfig(**kwargs).validate()
-    SolveConfig().validate()
+        SolveConfig(**kwargs)
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        dataclasses.replace(SolveConfig(), **kwargs)
+    SolveConfig()
+
+
+def test_checked_settings_are_frozen():
+    cfg, stop = SolveConfig(), StopRule()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.tol_grad = np.nan
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stop.max_steps = -1
+    assert cfg == SolveConfig() and stop == StopRule()
+
+
+@pytest.mark.parametrize(
+    "kwargs,match",
+    [
+        ({"max_steps": -1}, "max_steps must be nonnegative"),
+        ({"max_steps": float("nan")}, "max_steps must be nonnegative"),
+        ({"track_nodal": True, "sample_every": 0}, "sample_every must be at least 1"),
+        ({"track_nodal": True, "sample_every": float("nan")}, "sample_every must be at least 1"),
+    ],
+)
+def test_stop_rule_validation(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        StopRule(**kwargs)
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(StopRule(), **kwargs)
+    # without nodal tracking the sampling interval is never read, so never checked
+    StopRule(max_steps=0, sample_every=0)
 
 
 def _dense_cyclic(diag, off):
