@@ -13,7 +13,6 @@ from .grids import (
     circle_distance,
     circle_grid,
     interval_grid,
-    make_grid,
     require_resolution,
     torus_grid,
 )

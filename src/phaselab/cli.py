@@ -320,6 +320,8 @@ def _experiment_report(args):
     if "seeds" in kw:
         if kw["seeds"] < 0:
             raise ValueError(f"--seeds must be nonnegative, got {kw['seeds']}")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be nonnegative, got {args.seed}")
         kw["seeds"] = range(args.seed, args.seed + kw["seeds"])
     if args.tol is not None:
         kw["cfg"] = _cfg(args)

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .fields import Field, gradient
-from .grids import Grid, circle_grid, require_resolution, torus_grid
+from .grids import TWO_PI, Grid, circle_grid, require_resolution, torus_grid
 from .nodal import (
     SYMMETRY_TOL,
     check_alternation,
@@ -56,7 +56,6 @@ __all__ = [
 ]
 
 RESIDUAL_FORM = "-eps*lap(u) + W'(u)/eps"
-TWO_PI = 2.0 * np.pi
 
 # fixed values of the drivers; a report's config echoes each under its lower-case name
 PHI_RANGE = (0.6 * np.pi, 1.4 * np.pi)  # two_interface: a seed's second angle

@@ -24,7 +24,10 @@ for all the states' squared-difference sums; the residual kernel any
 number, each row the bits of its field's own residual, so Newton evaluates
 a batch of backtracking trials in one call.  ``energy`` and
 ``gradient`` build one per call; ``laplacian`` reuses one stencil kernel per
-grid (the torus MINRES matvec calls it at every Krylov iteration).  The
+grid.  The Hessian action -eps Lap_h(phi) + W''(u)/eps phi is one kernel
+too, ``hessian_kernel(grid, eps, p, u)``: ``hessian_apply`` is one call of
+it, and the torus Newton solve's MINRES operator applies it at every Krylov
+iteration, each application one ``laplacian`` call.  The
 kernels know two geometries: a periodic grid (``Grid.periodic``), whose
 one-axis case is the circle, and the Dirichlet interval.  Every stencil is
 one wrapped difference along a field's axis 0 (axis 1 of a stack); the
@@ -50,6 +53,7 @@ __all__ = [
     "energy_kernel",
     "gradient",
     "hessian_apply",
+    "hessian_kernel",
     "laplacian",
     "inner",
     "residual_kernel",
@@ -279,18 +283,37 @@ def gradient(f: Field, p: Potential) -> Field:
     return Field(f.grid, residual_kernel(f.grid, f.epsilon, p)(f.values), f.epsilon)
 
 
+def hessian_kernel(grid: Grid, eps: float, p: Potential, u: np.ndarray):
+    """``apply(phi)``: the energy Hessian at ``u`` applied to a direction,
+    -eps Lap_h(phi) + W''(u)/eps phi, as a new array of the grid's shape.
+
+    ``W''(u)/eps`` is computed once, and the kernel owns one work buffer.
+    On an interval the direction's pinned ends count as zero, which makes
+    the pinned rows zero as well.  ``laplacian`` is looked up at each call,
+    so a tracer wrapping it counts every application (every Krylov
+    iteration of the torus Newton solve).
+    """
+    d2 = p.d2w(u) / eps
+    work = np.empty(grid.shape)
+
+    def apply(phi):
+        if not grid.periodic:
+            work[:] = phi
+            work[0] = work[-1] = 0.0
+            phi = work
+        out = laplacian(grid, phi)
+        np.multiply(out, -eps, out=out)
+        out += np.multiply(d2, phi, out=work)
+        return out
+
+    return apply
+
+
 def hessian_apply(f: Field, direction: Field, p: Potential) -> Field:
     """Action of the energy Hessian at f on a direction field."""
     if direction.grid != f.grid:
         raise ValueError("direction lives on a different grid")
-    eps = f.epsilon
-    phi = direction.values
-    if not f.grid.periodic:
-        # zero end values make the pinned rows zero as well
-        phi = phi.copy()
-        phi[0] = phi[-1] = 0.0
-    out = -eps * laplacian(f.grid, phi) + p.d2w(f.values) / eps * phi
-    return Field(f.grid, out, eps)
+    return Field(f.grid, hessian_kernel(f.grid, f.epsilon, p, f.values)(direction.values), f.epsilon)
 
 
 def inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:

@@ -11,7 +11,6 @@ import numpy as np
 
 __all__ = [
     "Grid",
-    "make_grid",
     "interval_grid",
     "circle_grid",
     "torus_grid",
@@ -40,8 +39,9 @@ class Grid:
 
     A grid checks itself when it is made: the kind must be one of ``AXES``,
     ``shape`` and ``lengths`` (a scalar counts as one axis) must each have
-    that kind's axis count, every axis at least MIN_POINTS points and every
-    length finite and positive.  They are stored as tuples of int and float.
+    that kind's axis count, every point count a whole number (one that
+    ``int()`` keeps) of at least MIN_POINTS and every length finite and
+    positive.  They are stored as tuples of int and float.
     """
 
     kind: str  # "interval" | "circle" | "torus"
@@ -52,8 +52,11 @@ class Grid:
         axes = AXES.get(self.kind)
         if axes is None:
             raise ValueError(f"unknown grid kind: {self.kind!r}")
-        for name, cast in (("shape", int), ("lengths", float)):
-            object.__setattr__(self, name, tuple(map(cast, np.atleast_1d(getattr(self, name)))))
+        counts = tuple(np.atleast_1d(self.shape).tolist())
+        object.__setattr__(self, "shape", tuple(map(int, counts)))
+        object.__setattr__(self, "lengths", tuple(map(float, np.atleast_1d(self.lengths))))
+        if self.shape != counts:
+            raise ValueError(f"point counts must be whole numbers, got {counts}")
         if len(self.shape) != axes or len(self.lengths) != axes:
             raise ValueError(f"a {self.kind} grid has axis count {axes}: shape {self.shape}, lengths {self.lengths}")
         for n, L in zip(self.shape, self.lengths):
@@ -120,11 +123,6 @@ def torus_grid(n1: int, n2: int, circumferences=(TWO_PI, TWO_PI)) -> Grid:
     return Grid("torus", (n1, n2), circumferences)
 
 
-def make_grid(kind: str, n, lengths) -> Grid:
-    """``Grid(kind, n, lengths)``: a scalar ``n`` or ``lengths`` is one axis."""
-    return Grid(kind, n, lengths)
-
-
 def circle_distance(a, b, circumference: float = TWO_PI):
     """Shortest angular distance on a circle, wrap-aware."""
     d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % circumference
@@ -132,7 +130,7 @@ def circle_distance(a, b, circumference: float = TWO_PI):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def require_resolution(grid: Grid, epsilon: float, points_per_eps: float = 8.0) -> None:
+def require_resolution(grid: Grid, epsilon: float, points_per_eps: float) -> None:
     """Enforce the layer-resolution rule epsilon / h >= points_per_eps on axis 0
     only: a torus' fiber axis goes unchecked (the m-rigidity census runs its
     256x64 torus at eps/h2 = 1.02 at eps = 0.1, which the rule would reject)."""

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .fields import Field
-from .grids import make_grid
+from .grids import Grid
 from .nodal import DecayFit, NodalSet, nodal_distance
 from .reports import ExperimentReport, canonicalize
 from .solvers import FlowTrace
@@ -107,7 +107,7 @@ def load_snapshot_with_meta(path):
             raise ValueError("expected one point count and one length per axis")
         shape = [int(x) for x in body[:k]]
         lengths = [float.fromhex(x) for x in body[k:]]
-        grid = make_grid(kind, shape, lengths)
+        grid = Grid(kind, shape, lengths)
     except (ValueError, TypeError) as exc:
         raise CorruptSnapshotError(f"bad grid line {grid_line!r}: {exc}") from None
 

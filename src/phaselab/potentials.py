@@ -9,7 +9,7 @@ with a cubic spline so that Newton's method sees smooth derivatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -132,21 +132,8 @@ class AxiomReport:
         return [c.axiom for c in self.checks if not c.passed]
 
     def as_dict(self) -> dict:
-        return {
-            "potential": self.potential,
-            "sample_count": self.sample_count,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "axiom": c.axiom,
-                    "name": c.name,
-                    "passed": c.passed,
-                    "witness": c.witness,
-                    "detail": c.detail,
-                }
-                for c in self.checks
-            ],
-        }
+        d = asdict(self)
+        return {**d, "passed": self.passed, "checks": list(d["checks"])}
 
 
 # Tolerances for the discrete axiom checks.  The strict-inequality margin for

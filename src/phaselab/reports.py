@@ -23,10 +23,8 @@ def canonicalize(obj):
     """Recursively convert to plain JSON-serializable Python types."""
     if isinstance(obj, dict):
         return {str(k): canonicalize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, np.ndarray)):
         return [canonicalize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [canonicalize(v) for v in obj.tolist()]
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
     if isinstance(obj, (np.floating, float)):

@@ -35,8 +35,8 @@ under half of an FFT step, ROADMAP F9).  Newton calls LAPACK dgtsv
 directly, with one right-hand side on the interval and two on the circle
 (rhs and the corner vector, in a work array the solver owns).  On the torus,
 MINRES preconditioned with the FFT inverse of the constant-coefficient
-operator solves the Jacobian; its nonzero info (no convergence) raises
-SingularJacobianError.
+operator solves the Jacobian, which it applies as fields.hessian_kernel at
+the iterate; its nonzero info (no convergence) raises SingularJacobianError.
 The torus flow step and that preconditioner are each one _fft_solver: the
 1-D transforms of rfft2/irfft2, in their order, through a spectrum buffer
 the solve owns, with the division by the real symbol done as a multiply by
@@ -65,6 +65,7 @@ from .fields import (  # energy, gradient, laplacian: perfbench's tracer wraps t
     energy,
     energy_kernel,
     gradient,
+    hessian_kernel,
     laplacian,
     residual_kernel,
     sup_norm,
@@ -421,8 +422,6 @@ def _make_jacobian_solver(grid: Grid, eps: float, p: Potential):
         c0 = 1.0
     inverse = _fft_solver(grid, eps * _torus_symbol(grid) + c0 / eps)
     size = n1 * n2
-    neg_eps = -eps
-    well = np.empty(grid.shape)
 
     def precond(x):
         return inverse(x.reshape(n1, n2)).ravel()
@@ -430,19 +429,8 @@ def _make_jacobian_solver(grid: Grid, eps: float, p: Potential):
     M = spla.LinearOperator((size, size), matvec=precond, dtype=float)
 
     def solve(v, res):
-        d2 = p.d2w(v) / eps
-
-        def matvec(x):
-            # -eps Lap_h(X) + d2 X, in place in the array laplacian returns;
-            # laplacian is looked up here so that a tracer wrapping it counts
-            # every Krylov iteration
-            X = x.reshape(n1, n2)
-            out = laplacian(grid, X)
-            np.multiply(out, neg_eps, out=out)
-            out += np.multiply(d2, X, out=well)
-            return out.ravel()
-
-        A = spla.LinearOperator((size, size), matvec=matvec, dtype=float)
+        hessian = hessian_kernel(grid, eps, p, v)
+        A = spla.LinearOperator((size, size), matvec=lambda x: hessian(x.reshape(n1, n2)).ravel(), dtype=float)
         x, info = spla.minres(A, res.ravel(), M=M, rtol=1e-12, maxiter=4000)
         if info != 0:
             # scipy reports maxiter reached without meeting rtol as info > 0
@@ -806,14 +794,9 @@ def solve_dirichlet_model(
                     "seed": "sine_bump",
                 }
                 return ModelSolution(w, "positive", half_length, e_zero - e_w, diag)
-            if sup_norm(w.values) < 1e-6 and gn < 1e-4:
-                # flow stalled at (or Newton collapsed onto) the zero state
-                return ModelSolution(
-                    zero, "trivial_zero", half_length, 0.0,
-                    {"flow_steps": steps_used, "newton_attempts": newton_attempts},
-                )
             if gn < 1e-4 and e_w >= e_zero - TRIVIAL_MARGIN:
-                # converged to a critical point that does not beat the margin
+                # converged to a critical point that does not beat the margin,
+                # the zero state among them
                 return ModelSolution(
                     zero, "trivial_zero", half_length, max(0.0, e_zero - e_w),
                     {"flow_steps": steps_used, "sub_margin_energy_gap": e_zero - e_w},

@@ -116,6 +116,12 @@ def test_negative_seed_count_exits_two_and_zero_runs_the_controls(capsys):
     assert [r["kind"] for r in runs] == ["control"]
 
 
+def test_negative_first_seed_exits_two_naming_the_option(capsys):
+    # numpy's default_rng rejected it later with a message that names no option
+    assert main(["experiment", "two-interface", "--seed", "-5", "--seeds", "1"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be nonnegative, got -5\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -243,6 +243,56 @@ def test_interval_hessian_pins_the_boundary():
     assert sup_norm((plus - minus) / (2 * t) - h_phi) <= 1e-6 * sup_norm(h_phi)
 
 
+def _frozen_hessian_apply(grid, eps, p, u, phi):
+    """The Hessian action as hessian_apply wrote it before the kernel."""
+    if not grid.periodic:
+        phi = phi.copy()
+        phi[0] = phi[-1] = 0.0
+    return -eps * laplacian(grid, phi) + p.d2w(u) / eps * phi
+
+
+def _frozen_torus_matvec(grid, eps, p, u, x):
+    """The torus MINRES matvec as the Jacobian solver wrote it before the kernel."""
+    d2 = p.d2w(u) / eps
+    X = x.reshape(grid.shape)
+    out = laplacian(grid, X)
+    np.multiply(out, -eps, out=out)
+    out += np.multiply(d2, X, out=np.empty(grid.shape))
+    return out.ravel()
+
+
+@pytest.mark.parametrize(
+    "grid", [interval_grid(129, 1.0), circle_grid(256), torus_grid(256, 64)], ids=lambda g: g.kind
+)
+def test_hessian_kernel_keeps_the_bits_of_both_former_hessian_actions(grid):
+    """hessian_kernel gives the bits, signs of zero included, of the formula
+    hessian_apply computed and, on periodic grids, of the torus MINRES
+    matvec; each call returns a new array and reads its input only."""
+    rng = np.random.default_rng(25)
+    eps = 0.3
+    u = rng.uniform(-1.1, 1.1, grid.shape)
+    apply = fields.hessian_kernel(grid, eps, P, u)
+    outputs = []
+    for k in range(3):
+        # smooth, so that the well term's rounding shows beside -eps Lap_h
+        phi = grid.extrude(np.sin((k + 1) * grid.axis(0) + rng.uniform(0.0, 6.0)))
+        if len(grid.shape) == 2:
+            phi *= 1.0 + 0.5 * np.cos(grid.axis(1) + k)
+        phi.flat[:: 37 + k] = 0.0
+        phi.flat[3 :: 41 + k] = -0.0
+        before = phi.copy()
+        out = apply(phi)
+        assert np.array_equal(phi, before)
+        expected = _frozen_hessian_apply(grid, eps, P, u, phi)
+        assert out.tobytes() == expected.tobytes()
+        assert hessian_apply(Field(grid, u, eps), Field(grid, phi, eps), P).values.tobytes() == expected.tobytes()
+        if grid.periodic:
+            x = phi.ravel()
+            assert apply(x.reshape(grid.shape)).ravel().tobytes() == _frozen_torus_matvec(grid, eps, P, u, x).tobytes()
+        outputs.append((out, out.copy()))
+    assert all(np.array_equal(out, kept) for out, kept in outputs)
+
+
 def test_hessian_grid_mismatch():
     u = Field(circle_grid(128), np.zeros(128), 0.3)
     phi = Field(circle_grid(64), np.zeros(64), 0.3)

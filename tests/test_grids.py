@@ -9,20 +9,19 @@ from phaselab.grids import (
     circle_distance,
     circle_grid,
     interval_grid,
-    make_grid,
     require_resolution,
     torus_grid,
 )
 
 
 def test_circle_spacing():
-    g = make_grid("circle", 256, 2 * np.pi)
+    g = Grid("circle", 256, 2 * np.pi)
     assert g.h == pytest.approx(2 * np.pi / 256, rel=1e-15)
     assert g.npoints == 256
 
 
 def test_interval_includes_endpoints():
-    g = make_grid("interval", 129, np.pi / 2)
+    g = Grid("interval", 129, np.pi / 2)
     x = g.axis()
     assert x[0] == -np.pi / 2
     assert x[-1] == np.pi / 2
@@ -30,7 +29,7 @@ def test_interval_includes_endpoints():
 
 
 def test_torus_product_grid():
-    g = make_grid("torus", (256, 64), (2 * np.pi, 2 * np.pi))
+    g = Grid("torus", (256, 64), (2 * np.pi, 2 * np.pi))
     assert g.npoints == 16384
     assert g.spacings[0] == pytest.approx(2 * np.pi / 256)
     assert g.spacings[1] == pytest.approx(2 * np.pi / 64)
@@ -72,20 +71,30 @@ def test_periodic_grids_and_extruded_profiles():
     ],
 )
 def test_grids_check_themselves_when_made(kind, shape, lengths, match):
-    """Grid and make_grid reject what the constructors reject; today's
-    make_grid("circle", 256, [1.0, 2.0]) no longer drops the 2.0."""
+    """Grid rejects what the constructors reject; Grid("circle", 256,
+    [1.0, 2.0]) does not drop the 2.0."""
     with pytest.raises(ValueError, match=match):
         Grid(kind, shape, lengths)
-    with pytest.raises(ValueError, match=match):
-        make_grid(kind, shape, lengths)
 
 
 def test_grids_store_int_and_float_tuples():
     g = Grid("torus", [np.int64(64), 32], np.array([2 * np.pi, 3]))
     assert g.shape == (64, 32) and g.lengths == (2 * np.pi, 3.0)
     assert all(type(n) is int for n in g.shape) and all(type(L) is float for L in g.lengths)
-    assert make_grid("circle", 64, 2 * np.pi) == Grid("circle", (64,), (2 * np.pi,)) == circle_grid(64)
-    assert make_grid("interval", [65], [1.0]) == interval_grid(65, 1.0)
+    assert Grid("circle", 64, 2 * np.pi) == Grid("circle", (64,), (2 * np.pi,)) == circle_grid(64)
+    assert Grid("interval", [65], [1.0]) == interval_grid(65, 1.0)
+
+
+@pytest.mark.parametrize("count", [64.9, 64.5, np.float64(64.25), "64", np.nan])
+def test_grids_reject_point_counts_that_int_would_change(count):
+    """circle_grid(64.9) made a 64-point grid; a count that int() changes is
+    no count, while one that int() keeps, 64.0 or np.int64(64), is."""
+    with pytest.raises(ValueError):
+        circle_grid(count)
+    with pytest.raises(ValueError):
+        torus_grid(64, count)
+    assert circle_grid(64.0) == circle_grid(np.int64(64)) == circle_grid(64)
+    assert torus_grid(64, np.float64(32.0)).shape == (64, 32)
 
 
 @pytest.mark.parametrize("length", [np.inf, -np.inf, np.nan, 0.0])
@@ -155,3 +164,10 @@ def test_grid_equality_is_metadata():
     assert circle_grid(64) != interval_grid(64, np.pi)
     assert hash(torus_grid(32, 16)) == hash(torus_grid(32, 16))
     assert len({circle_grid(64), circle_grid(64), circle_grid(128)}) == 2
+
+
+def test_resolution_rule_takes_its_ratio_from_the_caller():
+    """The rule has no default ratio of its own: SolveConfig.min_points_per_eps
+    is the only default, and every solve passes it."""
+    with pytest.raises(TypeError):
+        require_resolution(circle_grid(256), 0.2)

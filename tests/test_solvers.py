@@ -14,6 +14,7 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.optimize import brentq
 
 import phaselab as pl
+import phaselab.fields as fields
 import phaselab.solvers as solvers
 from phaselab.fields import Field, energy, gradient, hessian_apply, residual_kernel, sup_norm
 from phaselab.grids import circle_grid, interval_grid, torus_grid
@@ -83,6 +84,27 @@ class TestModelSolution:
         sol = solve_dirichlet_model(np.pi / 2, 2.0, P)
         assert sol.status == "trivial_zero"
         assert np.all(sol.field.values == 0.0)
+
+    def test_sub_margin_critical_point_is_the_zero_solution(self):
+        """Just below the discrete threshold eps_h = 1/sqrt(mu1) the positive
+        profile exists but beats the zero field by less than TRIVIAL_MARGIN:
+        the model solve returns the zero field and records the gap.  A width
+        1e-4 below eps_h clears the margin and is positive."""
+        L = np.pi / 2
+        g = interval_grid(65, L)
+        mu1 = (2.0 - 2.0 * np.cos(np.pi * g.h / (2.0 * L))) / g.h**2
+        eps_h = 1.0 / np.sqrt(mu1)
+        assert eps_h == pytest.approx(1.0001004, abs=1e-7)
+        sol = solve_dirichlet_model(L, eps_h * (1 - 1e-5), P, n=65)
+        assert sol.status == "trivial_zero"
+        assert np.all(sol.field.values == 0.0)
+        gap = sol.diagnostics["sub_margin_energy_gap"]
+        assert 0.0 < gap < solvers.TRIVIAL_MARGIN
+        assert gap == pytest.approx(2.09e-10, rel=0.01)
+        assert sol.energy_gap == gap
+        sol = solve_dirichlet_model(L, eps_h * (1 - 1e-4), P, n=65)
+        assert sol.status == "positive"
+        assert sol.energy_gap > solvers.TRIVIAL_MARGIN
 
     def test_beats_zero_state_energy(self):
         sol = solve_dirichlet_model(np.pi / 2, 0.2, P)
@@ -1637,12 +1659,13 @@ def test_torus_jacobian_solve_is_bit_identical_to_frozen_minres(shape, eps):
 
 
 def test_every_torus_krylov_iteration_calls_the_traced_laplacian(monkeypatch):
-    # perfbench's tracer counts Krylov matvecs by wrapping solvers.laplacian
-    # and Krylov iterations by a MINRES callback; the two must agree
+    # perfbench's tracer counts Krylov matvecs by wrapping fields.laplacian,
+    # which the Hessian kernel looks up at each application, and Krylov
+    # iterations by a MINRES callback; the two must agree
     g = torus_grid(32, 16)
     f = multi_interface_seed(g, 0.5, [0.0, np.pi])
     counts = {"laplacian": 0, "iters": 0}
-    laplacian, minres = solvers.laplacian, solvers.spla.minres
+    laplacian, minres = fields.laplacian, solvers.spla.minres
 
     def counted_laplacian(*args):
         counts["laplacian"] += 1
@@ -1654,7 +1677,7 @@ def test_every_torus_krylov_iteration_calls_the_traced_laplacian(monkeypatch):
 
         return minres(*args, **kwargs, callback=callback)
 
-    monkeypatch.setattr(solvers, "laplacian", counted_laplacian)
+    monkeypatch.setattr(fields, "laplacian", counted_laplacian)
     monkeypatch.setattr(solvers.spla, "minres", counted_minres)
     solve = _make_jacobian_solver(g, 0.5, P)
     solve(f.values, gradient(f, P).values)

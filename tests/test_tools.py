@@ -2,6 +2,7 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import code_lines  # noqa: E402
 import report_digests  # noqa: E402
 import unexecuted  # noqa: E402
 
@@ -91,3 +92,46 @@ def test_outcome_table_counts_converged_runs_and_flips_per_group():
         ("construct", "threshold", 1, 1, 1, 0, 0),
     ]
     assert report_digests.outcome_table(["circle-census 7 m_rigidity cc"], []) == []
+
+
+COUNTED = '''"""A module
+docstring."""
+
+import math  # a comment line with code
+
+
+class Grid:
+    """A class docstring."""
+
+    kind = "circle"
+
+    def periodic(self):
+        """A function
+        docstring."""
+        # a comment
+        return self.kind in ("circle",
+                             "torus")
+
+
+def f(args, g):
+    if args.kind == "table":
+        return "not a docstring"
+    return g.kind != "interval"
+'''
+
+
+def test_code_lines_counts_code_not_blanks_comments_or_docstrings(tmp_path, capsys):
+    # import, class, kind, def, return (2 lines), def, if, return, return
+    assert code_lines.code_lines(COUNTED) == 10
+    assert code_lines.kind_comparisons(COUNTED) == 2  # args.kind is left out
+    package = tmp_path / "src" / "phaselab"
+    package.mkdir(parents=True)
+    (package / "grids.py").write_text(COUNTED)
+    (package / "potentials.py").write_text("if p.kind == 'table':\n    pass\n")
+    assert code_lines.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "grids.py 10",
+        "potentials.py 2",
+        "total 12",
+        "kind comparisons 2 (grids 2)",
+    ]

@@ -1,0 +1,78 @@
+"""Count the code lines of each phaselab module and the grid-kind comparisons.
+
+    python3 tools/code_lines.py ROOT
+
+Prints one ``module lines`` row per module of ``ROOT/src/phaselab`` and a
+``total`` row.  A code line holds at least one token that is neither a
+comment nor part of a docstring (the string that opens a module, class or
+function body); blank lines do not count.  A last row counts the
+``.kind`` comparisons the ROADMAP tracks, the matches of
+``grep -nE '\\.kind (==|!=|in|not in) '`` per module, leaving out
+``potentials.py`` and ``args.kind``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import io
+import re
+import tokenize
+from pathlib import Path
+
+KIND_COMPARISON = re.compile(r"\.kind (==|!=|in|not in) ")
+NOT_CODE = {
+    tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+    tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING,
+}
+
+
+def docstring_lines(tree: ast.AST) -> set:
+    """The lines of every module, class and function docstring."""
+    lines = set()
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) or not body:
+            continue
+        first = body[0]
+        if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant) and isinstance(first.value.value, str):
+            lines.update(range(first.lineno, first.end_lineno + 1))
+    return lines
+
+
+def code_lines(source: str) -> int:
+    """The number of code lines in ``source``."""
+    skip = docstring_lines(ast.parse(source))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in NOT_CODE:
+            lines.update(n for n in range(tok.start[0], tok.end[0] + 1) if n not in skip)
+    return len(lines)
+
+
+def kind_comparisons(source: str) -> int:
+    """The ROADMAP's grep count of ``.kind`` comparisons, ``args.kind`` left out."""
+    return sum(1 for line in source.splitlines() if KIND_COMPARISON.search(line) and "args.kind" not in line)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("root", type=Path)
+    args = parser.parse_args(argv)
+    total, kinds = 0, {}
+    for path in sorted((args.root / "src" / "phaselab").glob("*.py")):
+        source = path.read_text()
+        n = code_lines(source)
+        total += n
+        print(f"{path.name} {n}")
+        k = 0 if path.name == "potentials.py" else kind_comparisons(source)
+        if k:
+            kinds[path.stem] = k
+    print(f"total {total}")
+    detail = ", ".join(f"{name} {count}" for name, count in kinds.items())
+    print(f"kind comparisons {sum(kinds.values())} ({detail})")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
