@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .fields import Field, gradient
+from .fields import Field, gradient, sup_norm
 from .grids import TWO_PI, Grid, circle_grid, require_resolution, torus_grid
 from .nodal import (
     SYMMETRY_TOL,
@@ -38,6 +38,7 @@ from .solvers import (
     newton_refine,
     reflect_extend,
     solve_dirichlet_model,
+    transverse_gap,
 )
 
 __all__ = [
@@ -64,6 +65,8 @@ ANGLE_TOL = 1e-4  # two_interface: largest antipodal deviation of a converged pa
 NOISE_AMPLITUDE = 1e-3  # m_rigidity: transverse noise on each torus seed
 M_RIGIDITY_FLOW_STEPS = 500  # m_rigidity: flow steps before each Newton solve, as flow_steps
 CONGRUENCE_TOL = 1e-4  # m_rigidity: largest relative spacing deviation
+TRANSVERSE_GAP_FLOOR = 0.05  # m_rigidity: smallest transverse gap of a fiber-reduced torus run
+TRANSVERSE_SUP_FLOOR = 1e-2  # m_rigidity: largest |u - fiber mean| after the flow of a fiber-reduced torus run
 RATE_WINDOW = 0.25  # decay: largest relative miss of the linearization rate
 WIDTH_RATIO_WINDOW = 0.25  # decay: largest relative miss of the rate ratio from the width ratio
 POINTWISE_SLACK = 2e-2  # decay: largest excess of the envelope over the fit
@@ -295,20 +298,65 @@ def slide_to_touch(u: Field, barrier: Barrier, max_offset: float) -> SlideReport
 # relaxation helpers shared by the census experiments
 
 
-def _relax(seed: Field, p: Potential, cfg: SolveConfig, flow_steps: int):
-    trace = gradient_flow(seed, p, cfg, StopRule(max_steps=flow_steps))
+def _newton(field: Field, p: Potential, cfg: SolveConfig):
+    """Newton-refine ``field``: ``(NewtonResult, None, {})``, or ``(None,
+    error message, {})`` when the solve fails; the ``{}`` holds no row entry."""
     try:
-        nr = newton_refine(trace.field, p, cfg)
-        return nr, None
+        return newton_refine(field, p, cfg), None, {}
     except SolverError as exc:
-        return None, str(exc)
+        return None, str(exc), {}
 
 
-def _census_run(run: dict, seed: Field, p: Potential, cfg: SolveConfig, flow_steps: int, judge):
-    """Relax ``seed`` and fill the census row ``run``: a failed relaxation is
-    ``non_converged`` with its error; a converged one records its final
-    residual and the entries ``judge(field, nodal_set)`` returns."""
-    nr, err = _relax(seed, p, cfg, flow_steps)
+def _fiber_reduced_newton(field: Field, p: Potential, cfg: SolveConfig):
+    """Refine a torus field through its fiber mean when the transverse
+    certificate holds, else as ``_newton`` does; the row entries are
+    ``path``, ``transverse_gap`` and ``transverse_sup``.
+
+    The field splits into its fiber mean ubar and w = u - ubar, whose sup
+    norm is ``transverse_sup``.  ubar is refined by Newton on the circle of
+    the torus' axis 0 (its length and point count), an O(n1) chain solve
+    per step, and ``transverse_gap`` is taken there (solvers.transverse_gap)
+    at the end state, or at ubar when that solve fails.  On a fibered state
+    the torus Jacobian is J + eps mu_k on the fiber modes k, so a positive
+    gap leaves the transverse equation near the state no solution but
+    w = 0: every critical point near it is fibered (Lyapunov-Schmidt on the
+    fiber modes).  With a gap of at least TRANSVERSE_GAP_FLOOR and w at most
+    TRANSVERSE_SUP_FLOOR the run is ``fiber_reduced``: its result is the
+    fibered extension of the circle's, whose torus residual is the circle
+    residual broadcast along the fiber, bit for bit (the fiber second
+    difference of a constant row is zero).  Otherwise, NaN included, the
+    field itself takes the torus Newton solve (``torus_newton``).
+    """
+    grid, eps = field.grid, field.epsilon
+    mean = field.values.mean(axis=1)
+    sup = sup_norm(field.values - mean[:, None])
+    circle = Field(circle_grid(grid.shape[0], grid.lengths[0]), mean, eps)
+    nr, err, _ = _newton(circle, p, cfg)
+    gap = transverse_gap(grid, eps, p, mean if nr is None else nr.field.values)
+    entries = {"transverse_gap": gap, "transverse_sup": sup}
+    if not (gap >= TRANSVERSE_GAP_FLOOR and sup <= TRANSVERSE_SUP_FLOOR):
+        nr, err, _ = _newton(field, p, cfg)
+        return nr, err, {"path": "torus_newton", **entries}
+    if nr is not None:
+        nr = replace(nr, field=Field(grid, grid.extrude(nr.field.values), eps))
+    return nr, err, {"path": "fiber_reduced", **entries}
+
+
+def _relax(seed: Field, p: Potential, cfg: SolveConfig, flow_steps: int, refine):
+    """Flow ``seed`` ``flow_steps`` steps, then ``refine(field, p, cfg)``."""
+    trace = gradient_flow(seed, p, cfg, StopRule(max_steps=flow_steps))
+    return refine(trace.field, p, cfg)
+
+
+def _census_run(
+    run: dict, seed: Field, p: Potential, cfg: SolveConfig, flow_steps: int, judge, refine=_newton
+):
+    """Relax ``seed`` and fill the census row ``run``: the entries of
+    ``refine``; then a failed relaxation is ``non_converged`` with its
+    error, and a converged one records its final residual and the entries
+    ``judge(field, nodal_set)`` returns."""
+    nr, err, entries = _relax(seed, p, cfg, flow_steps, refine)
+    run.update(entries)
     if nr is None:
         run.update(outcome="non_converged", error=err)
     else:
@@ -443,6 +491,20 @@ def experiment_two_interface(
 # m-interface rigidity census
 
 
+def _rigidity_seed(grid: Grid, eps: float, m: int, seed: int, perturbation: float, noisy: bool):
+    """``(angles, field)`` of the m-rigidity seed ``seed``: m equally spaced
+    angles at a random rotation, the second moved by ``perturbation``, and
+    with ``noisy`` NOISE_AMPLITUDE normal noise at every point."""
+    rng = np.random.default_rng(seed)
+    rho = float(rng.uniform(0.0, TWO_PI))
+    angles = (rho + np.arange(m) * (TWO_PI / m)) % TWO_PI
+    angles[1] = (angles[1] + perturbation) % TWO_PI
+    field0 = multi_interface_seed(grid, eps, angles)
+    if noisy:
+        field0 = field0.with_values(field0.values + NOISE_AMPLITUDE * rng.standard_normal(grid.shape))
+    return angles, field0
+
+
 @_experiment("m_interface_rigidity", tol_grad=1e-12)
 def experiment_m_rigidity(
     m: int = 4,
@@ -466,6 +528,18 @@ def experiment_m_rigidity(
     the seed so one-dimensional artifacts cannot mask genuinely
     two-dimensional instabilities.  Each seed flows ``M_RIGIDITY_FLOW_STEPS``
     steps before Newton.
+
+    A torus run is refined through its fiber mean on the circle of the
+    torus' axis 0, and certified by the transverse gap lambda_min(J) +
+    eps * mu_1 of the torus Jacobian at the circle's end state
+    (``_fiber_reduced_newton``): a gap of at least ``TRANSVERSE_GAP_FLOOR``
+    and a transverse part after the flow of at most ``TRANSVERSE_SUP_FLOOR``
+    mean that every critical point near the state is fibered, and the run
+    is judged on the fibered extension of the circle's result.  A run that
+    misses either floor takes the torus Newton solve instead.  Each torus
+    row records its ``path`` (``fiber_reduced`` or ``torus_newton``),
+    ``transverse_gap`` and ``transverse_sup``, and a config with a torus
+    echoes both floors.
     """
     if m < 4 or m % 2 != 0:
         raise ValueError(
@@ -511,9 +585,9 @@ def experiment_m_rigidity(
     runs = []
     for surface in surfaces:
         if surface == "circle":
-            grid, run_cfg = circle_grid(circle_n), cfg
+            grid, run_cfg, refine = circle_grid(circle_n), cfg, _newton
         else:
-            grid, run_cfg = torus_grid(*torus_n), torus_cfg
+            grid, run_cfg, refine = torus_grid(*torus_n), torus_cfg, _fiber_reduced_newton
         for eps in eps_list:
             require_resolution(grid, eps, run_cfg.min_points_per_eps)
             # control run: unperturbed spacing at a generic rotation; the
@@ -521,14 +595,7 @@ def experiment_m_rigidity(
             cases = [("control", 10_000 + len(runs), 0.0)]
             cases += [("perturbed", int(seed), perturbation) for seed in seeds]
             for label, seed, pert in cases:
-                rng = np.random.default_rng(seed)
-                rho = float(rng.uniform(0.0, TWO_PI))
-                angles = (rho + np.arange(m) * (TWO_PI / m)) % TWO_PI
-                angles[1] = (angles[1] + pert) % TWO_PI
-                field0 = multi_interface_seed(grid, eps, angles)
-                if surface == "torus":
-                    noisy = field0.values + NOISE_AMPLITUDE * rng.standard_normal(grid.shape)
-                    field0 = field0.with_values(noisy)
+                angles, field0 = _rigidity_seed(grid, eps, m, seed, pert, surface == "torus")
                 run = {
                     "surface": surface,
                     "eps": eps,
@@ -536,7 +603,7 @@ def experiment_m_rigidity(
                     "kind": label,
                     "seed_angles": list(angles),
                 }
-                runs.append(_census_run(run, field0, p, run_cfg, M_RIGIDITY_FLOW_STEPS, judge))
+                runs.append(_census_run(run, field0, p, run_cfg, M_RIGIDITY_FLOW_STEPS, judge, refine))
 
     violations = [r for r in runs if r.get("outcome") == "rigidity_violation"]
     symmetric = [r for r in runs if r.get("outcome") == "converged_symmetric"]
@@ -566,10 +633,14 @@ def experiment_m_rigidity(
                     detail="the equal-spacing control seed must relax to the symmetric solution",
                 )
             )
-    return runs, assertions, {
+    derived = {
         "noise_amplitude": NOISE_AMPLITUDE, "congruence_tol": CONGRUENCE_TOL, "symmetry_tol": SYMMETRY_TOL,
         "flow_steps": M_RIGIDITY_FLOW_STEPS,
     }
+    if "torus" in surfaces:
+        derived.update(transverse_gap_floor=TRANSVERSE_GAP_FLOOR, transverse_sup_floor=TRANSVERSE_SUP_FLOOR)
+    return runs, assertions, derived
+
 
 
 # ---------------------------------------------------------------------------

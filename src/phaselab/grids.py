@@ -40,8 +40,9 @@ class Grid:
     A grid checks itself when it is made: the kind must be one of ``AXES``,
     ``shape`` and ``lengths`` (a scalar counts as one axis) must each have
     that kind's axis count, every point count a whole number (one that
-    ``int()`` keeps) of at least MIN_POINTS and every length finite and
-    positive.  They are stored as tuples of int and float.
+    ``int()`` keeps; an infinite or NaN count is none) of at least
+    MIN_POINTS and every length finite and positive.  They are stored as
+    tuples of int and float.
     """
 
     kind: str  # "interval" | "circle" | "torus"
@@ -53,10 +54,14 @@ class Grid:
         if axes is None:
             raise ValueError(f"unknown grid kind: {self.kind!r}")
         counts = tuple(np.atleast_1d(self.shape).tolist())
-        object.__setattr__(self, "shape", tuple(map(int, counts)))
-        object.__setattr__(self, "lengths", tuple(map(float, np.atleast_1d(self.lengths))))
-        if self.shape != counts:
+        try:
+            shape = tuple(map(int, counts))
+        except (OverflowError, ValueError):  # int() of an infinite or NaN count
+            shape = None
+        if shape != counts:
             raise ValueError(f"point counts must be whole numbers, got {counts}")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "lengths", tuple(map(float, np.atleast_1d(self.lengths))))
         if len(self.shape) != axes or len(self.lengths) != axes:
             raise ValueError(f"a {self.kind} grid has axis count {axes}: shape {self.shape}, lengths {self.lengths}")
         for n, L in zip(self.shape, self.lengths):

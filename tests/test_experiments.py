@@ -18,12 +18,20 @@ from phaselab.experiments import (
     experiment_two_interface,
     slide_to_touch,
 )
-from phaselab.fields import Field
-from phaselab.grids import circle_grid, interval_grid, torus_grid
-from phaselab.nodal import SYMMETRY_TOL
+from phaselab.fields import Field, gradient, sup_norm
+from phaselab.grids import circle_distance, circle_grid, interval_grid, torus_grid
+from phaselab.nodal import SYMMETRY_TOL, extract_nodal_set
 from phaselab.potentials import make_potential, quartic
 from phaselab.reports import canonicalize
-from phaselab.solvers import NewtonResult, SolveConfig, multi_interface_seed, solve_dirichlet_model
+from phaselab.solvers import (
+    NewtonResult,
+    SolveConfig,
+    StopRule,
+    gradient_flow,
+    multi_interface_seed,
+    newton_refine,
+    solve_dirichlet_model,
+)
 
 P = quartic()
 
@@ -393,9 +401,9 @@ def _relax_to(monkeypatch, angles):
     """Make every census relaxation converge, to a field on the seed's grid
     with sign changes at ``angles``: the census outcomes no real run reaches."""
 
-    def relax(seed, p, cfg, flow_steps):
+    def relax(seed, p, cfg, flow_steps, refine):
         f = multi_interface_seed(seed.grid, seed.epsilon, angles)
-        return NewtonResult(f, [0.0], 0, True), None
+        return NewtonResult(f, [0.0], 0, True), None, {}
 
     monkeypatch.setattr(experiments, "_relax", relax)
 
@@ -444,6 +452,72 @@ class TestCensusOutcomes:
         assert [r["outcome"] for r in rep.runs] == ["converged_pair"] * 2
         assert not any(r["antipodal"] for r in rep.runs)
         assert _failed(rep) == {"every_converged_pair_antipodal"}
+
+
+C07_TORUS = torus_grid(256, 64)
+C07_TORUS_CFG = SolveConfig(tol_grad=1e-12, min_points_per_eps=4.0)  # the census' torus config
+
+
+def _flowed_c07_control(eps, seed):
+    _, field0 = experiments._rigidity_seed(C07_TORUS, eps, 4, seed, 0.0, True)
+    stop = StopRule(max_steps=experiments.M_RIGIDITY_FLOW_STEPS)
+    return gradient_flow(field0, P, C07_TORUS_CFG, stop).field
+
+
+class TestFiberReduction:
+    """Torus runs take the circle solve of their fiber mean under a transverse
+    certificate, and the torus Newton solve without one."""
+
+    # c07's torus controls: its 22 circle rows come before the eps 0.1 one,
+    # and 11 more torus rows before the eps 0.15 one
+    @pytest.mark.parametrize("eps, seed", [(0.1, 10_022), (0.15, 10_033)])
+    def test_reduced_path_agrees_with_the_torus_newton_solve(self, eps, seed):
+        flowed = _flowed_c07_control(eps, seed)
+        torus = newton_refine(flowed, P, C07_TORUS_CFG)
+        nr, err, entries = experiments._fiber_reduced_newton(flowed, P, C07_TORUS_CFG)
+        assert err is None and entries["path"] == "fiber_reduced"
+        assert torus.residuals[-1] <= 1e-12 and nr.residuals[-1] <= 1e-12
+        a, b = extract_nodal_set(torus.field), extract_nodal_set(nr.field)
+        assert a.count == b.count == 4
+        assert np.max(circle_distance(a.angles, b.angles)) < C07_TORUS.h
+        # a fibered field whose torus residual is the circle's, broadcast, bit for bit
+        profile = nr.field.values[:, 0]
+        assert np.array_equal(nr.field.values, C07_TORUS.extrude(profile))
+        residual = gradient(nr.field, P).values
+        assert np.array_equal(residual, C07_TORUS.extrude(gradient(Field(circle_grid(256), profile, eps), P).values))
+        assert nr.residuals[-1] == sup_norm(residual)
+
+    def test_transverse_instability_takes_the_torus_newton_solve(self):
+        """The fibered 4-interface branch loses transverse stability between
+        eps 0.30 and 0.33 (ROADMAP F12): the gap must fail there."""
+        rep = experiment_m_rigidity(4, eps_list=(0.3, 0.33), seeds=(), surfaces=("torus",))
+        stable, unstable = rep.runs
+        assert stable["path"] == "fiber_reduced"
+        assert stable["transverse_gap"] == pytest.approx(0.1047, abs=1e-3)
+        assert unstable["path"] == "torus_newton"
+        assert unstable["transverse_gap"] == pytest.approx(-0.0161, abs=1e-3)
+        assert max(r["transverse_sup"] for r in rep.runs) <= experiments.TRANSVERSE_SUP_FLOOR
+
+    @pytest.mark.parametrize("factor, path", [(0.5, "fiber_reduced"), (2.0, "torus_newton")])
+    def test_transverse_amplitude_above_the_floor_takes_the_torus_newton_solve(self, factor, path):
+        g, eps = torus_grid(128, 16), 0.25
+        base = multi_interface_seed(g, eps, 0.3 + np.arange(4) * np.pi / 2).values
+        amplitude = factor * experiments.TRANSVERSE_SUP_FLOOR
+        wave = amplitude * np.cos(2.0 * np.pi * np.arange(16) / 16)
+        nr, err, entries = experiments._fiber_reduced_newton(Field(g, base + wave, eps), P, C07_TORUS_CFG)
+        assert entries["path"] == path
+        assert entries["transverse_sup"] == pytest.approx(amplitude, rel=1e-9)
+        assert entries["transverse_gap"] >= experiments.TRANSVERSE_GAP_FLOOR
+        assert err is None and nr.residuals[-1] <= 1e-12
+
+    def test_torus_rows_build_one_seed_each(self, monkeypatch):
+        """perfbench splits a census into rows at its seed constructions."""
+        built = []
+        seed = experiments.multi_interface_seed
+        monkeypatch.setattr(experiments, "multi_interface_seed", lambda *args: built.append(args) or seed(*args))
+        rep = experiment_m_rigidity(4, eps_list=(0.15,), seeds=(0,), surfaces=("torus",))
+        assert len(built) == len(rep.runs) == 2
+        assert [r["path"] for r in rep.runs] == ["fiber_reduced"] * 2
 
 
 class TestReportDeterminism:
@@ -538,6 +612,20 @@ class TestConfigEcho:
                 driver(**kwargs, **{key: value})
         rep = driver(**kwargs)
         assert {key: rep.config[key] for key in fixed} == canonicalize(fixed)
+
+    def test_a_torus_config_echoes_the_transverse_floors(self):
+        fixed = {
+            "transverse_gap_floor": experiments.TRANSVERSE_GAP_FLOOR,
+            "transverse_sup_floor": experiments.TRANSVERSE_SUP_FLOOR,
+        }
+        kwargs = {"eps_list": (0.15,), "seeds": ()}
+        for key, value in fixed.items():
+            with pytest.raises(TypeError, match=key):
+                experiment_m_rigidity(**kwargs, **{key: value})
+        rep = experiment_m_rigidity(**kwargs, surfaces=("torus",))
+        assert {key: rep.config[key] for key in fixed} == fixed
+        circle = experiment_m_rigidity(**kwargs, surfaces=("circle",))
+        assert not set(fixed) & set(circle.config)
 
     def test_solver_echo_holds_every_solve_config_field(self):
         rep = experiment_comparison(cfg=SolveConfig(tol_grad=1e-11, min_points_per_eps=7.0))

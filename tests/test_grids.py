@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -95,6 +96,16 @@ def test_grids_reject_point_counts_that_int_would_change(count):
         torus_grid(64, count)
     assert circle_grid(64.0) == circle_grid(np.int64(64)) == circle_grid(64)
     assert torus_grid(64, np.float64(32.0)).shape == (64, 32)
+
+
+@pytest.mark.parametrize("count", [float("inf"), -np.inf])
+def test_grids_reject_infinite_point_counts_with_a_value_error(count):
+    """int() of an infinite count raises OverflowError, which a caller
+    catching ValueError for a bad grid would let through."""
+    with pytest.raises(ValueError, match=re.escape(f"point counts must be whole numbers, got ({count},)")):
+        circle_grid(count)
+    with pytest.raises(ValueError, match=re.escape(f"whole numbers, got (64.0, {count})")):
+        torus_grid(64, count)
 
 
 @pytest.mark.parametrize("length", [np.inf, -np.inf, np.nan, 0.0])

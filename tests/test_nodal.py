@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from phaselab.experiments import CONGRUENCE_TOL
 from phaselab.fields import Field
 from phaselab.grids import circle_distance, circle_grid, interval_grid, torus_grid
 from phaselab.nodal import (
@@ -343,6 +346,31 @@ class TestRotationSymmetry:
         f = Field(g, np.sin(np.pi * g.axis(0)), 0.2)
         with pytest.raises(ValueError, match="rotation symmetry check needs a periodic grid"):
             check_rotation_symmetry(f, 2)
+
+
+class TestCensusToleranceWitnesses:
+    """The real check judges a state at twice a census tolerance a violation
+    and passes one at half of it.  The states are built from the values
+    written out here, not from the constants, so a tolerance loosened or
+    tightened twofold or more fails one of each pair."""
+
+    @pytest.mark.parametrize("deviation, passes", [(0.5e-4, True), (2e-4, False)])
+    def test_congruence_tolerance(self, refined_four, deviation, passes):
+        ns = extract_nodal_set(refined_four)
+        angles = ns.angles.copy()
+        angles[1] += deviation * (np.pi / 2)  # one spacing longer, the next shorter
+        rep = check_congruent_intervals(dataclasses.replace(ns, angles=angles), rel_tol=CONGRUENCE_TOL)
+        assert ns.count == 4
+        assert rep.max_rel_deviation == pytest.approx(deviation, rel=1e-6)
+        assert rep.passed == passes
+
+    @pytest.mark.parametrize("deviation, passes", [(0.5e-7, True), (2e-7, False)])
+    def test_symmetry_tolerance(self, refined_four, deviation, passes):
+        v = refined_four.values.copy()
+        v[10] += deviation
+        rep = check_rotation_symmetry(refined_four.with_values(v), 4)
+        assert rep.sign_flip_residual == pytest.approx(deviation, rel=1e-6)
+        assert rep.passed == passes
 
 
 class TestClusterFiberAngles:

@@ -1712,3 +1712,26 @@ def test_torus_symbol_matches_per_axis_eigenvalues_exactly(shape):
     symbol = solvers._torus_symbol(g)
     assert symbol.shape == np.fft.rfft2(np.zeros(shape)).shape
     assert np.array_equal(symbol.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "shape, lengths", [((48, 16), (2 * np.pi, 1.5)), ((32, 24), (3.0, 2 * np.pi))], ids=["short_fiber", "short_axis"]
+)
+def test_transverse_gap_is_the_torus_jacobian_minimum_off_the_fibered_fields(shape, lengths):
+    """At a fibered state the smallest eigenvalue of the torus Jacobian over
+    the fields with zero fiber means is lambda_min(J) + eps mu_1.  The dense
+    torus Jacobian here is built column by column from fields.hessian_kernel,
+    with no fiber symbol; the fiber-mean projector's range is pushed up by a
+    shift that no eigenvalue reaches.  A mu_1 of another fiber length or
+    point count, or a J without its corners, misses it."""
+    g = torus_grid(*shape, lengths)
+    eps, (n1, n2) = 0.3, shape
+    circle = circle_grid(n1, lengths[0])
+    profile = multi_interface_seed(circle, eps, [0.2 * lengths[0], 0.7 * lengths[0]]).values
+    apply = fields.hessian_kernel(g, eps, P, g.extrude(profile))
+    unit = np.eye(g.npoints)
+    jac = np.column_stack([apply(e.reshape(shape)).ravel() for e in unit])
+    means = np.kron(np.eye(n1), np.full((n2, n2), 1.0 / n2))  # the fiber-mean projector
+    off = unit - means
+    oracle = scipy.linalg.eigvalsh(off @ jac @ off + 1e4 * means, subset_by_index=[0, 0])[0]
+    assert solvers.transverse_gap(g, eps, P, profile) == pytest.approx(oracle, rel=1e-10, abs=1e-10)

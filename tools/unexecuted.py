@@ -4,7 +4,7 @@
 
 Traces every line executed in ``ROOT/src/phaselab`` (a ``sys.settrace`` line
 trace; no coverage package is needed) while it runs, in this process, the
-``pytest -m "not slow"`` selection of ``ROOT/tests`` and one circle-census
+test suite of ``ROOT/tests`` and one circle-census
 and one construct pass of ``ROOT/perfbench`` at seed 7 (through
 report_digests' runner).  It then prints to stdout, per module, a count and
 each statement that never ran as a ``path:line: source`` line; pytest's
@@ -86,7 +86,7 @@ def main(argv=None) -> int:
     try:
         with contextlib.redirect_stdout(sys.stderr):  # stdout holds the listing only
             status = pytest.main(
-                [str(root / "tests"), "-q", "-m", "not slow", "-p", "no:cacheprovider",
+                [str(root / "tests"), "-q", "-p", "no:cacheprovider",
                  f"--rootdir={root}"]
             )
         for _ in passes(root, [7]):
