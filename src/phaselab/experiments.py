@@ -30,6 +30,7 @@ from .potentials import Potential, quartic
 from .reports import ExperimentReport, assertion, canonicalize
 from .solvers import (
     DAMPING,
+    NewtonDivergenceError,
     SolveConfig,
     SolverError,
     StopRule,
@@ -316,7 +317,9 @@ def _fiber_reduced_newton(field: Field, p: Potential, cfg: SolveConfig):
     norm is ``transverse_sup``.  ubar is refined by Newton on the circle of
     the torus' axis 0 (its length and point count), an O(n1) chain solve
     per step, and ``transverse_gap`` is taken there (solvers.transverse_gap)
-    at the end state, or at ubar when that solve fails.  On a fibered state
+    at the state Newton ended at: its result, or the last iterate it
+    accepted when it gives up (NewtonDivergenceError.state), or ubar when a
+    Jacobian solve fails (SingularJacobianError).  On a fibered state
     the torus Jacobian is J + eps mu_k on the fiber modes k, so a positive
     gap leaves the transverse equation near the state no solution but
     w = 0: every critical point near it is fibered (Lyapunov-Schmidt on the
@@ -331,8 +334,14 @@ def _fiber_reduced_newton(field: Field, p: Potential, cfg: SolveConfig):
     mean = field.values.mean(axis=1)
     sup = sup_norm(field.values - mean[:, None])
     circle = Field(circle_grid(grid.shape[0], grid.lengths[0]), mean, eps)
-    nr, err, _ = _newton(circle, p, cfg)
-    gap = transverse_gap(grid, eps, p, mean if nr is None else nr.field.values)
+    try:
+        nr, err = newton_refine(circle, p, cfg), None
+        end = nr.field.values
+    except NewtonDivergenceError as exc:
+        nr, err, end = None, str(exc), exc.state
+    except SolverError as exc:
+        nr, err, end = None, str(exc), mean
+    gap = transverse_gap(grid, eps, p, end)
     entries = {"transverse_gap": gap, "transverse_sup": sup}
     if not (gap >= TRANSVERSE_GAP_FLOOR and sup <= TRANSVERSE_SUP_FLOOR):
         nr, err, _ = _newton(field, p, cfg)

@@ -53,7 +53,9 @@ class Grid:
         axes = AXES.get(self.kind)
         if axes is None:
             raise ValueError(f"unknown grid kind: {self.kind!r}")
-        counts = tuple(np.atleast_1d(self.shape).tolist())
+        # each count as given (np.atleast_1d would print (64, inf) as (64.0, inf))
+        counts = np.ravel(np.array(self.shape, dtype=object))
+        counts = tuple(c.item() if isinstance(c, np.generic) else c for c in counts)
         try:
             shape = tuple(map(int, counts))
         except (OverflowError, ValueError):  # int() of an infinite or NaN count

@@ -111,9 +111,13 @@ class SolverError(RuntimeError):
 
 
 class NewtonDivergenceError(SolverError):
-    def __init__(self, message, residuals=None):
+    """Newton gave up; ``residuals`` is its residual history and ``state``
+    the values of the last iterate it accepted (the start, when none)."""
+
+    def __init__(self, message, residuals=None, state=None):
         super().__init__(message)
         self.residuals = list(residuals or [])
+        self.state = state
 
 
 class SingularJacobianError(SolverError):
@@ -527,7 +531,7 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
     iterations = 0
     if not math.isfinite(rn):
         # a NaN residual would fail the loop test below and read as converged
-        raise NewtonDivergenceError(f"non-finite starting residual {rn!r}", history)
+        raise NewtonDivergenceError(f"non-finite starting residual {rn!r}", history, v)
 
     # A point is [v, res, |res|_inf, out]; out is set the first time a walk
     # solves at the point, to (step, |step|_inf, {scaled: successor}), the
@@ -559,6 +563,7 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
                 f"no convergence after {iterations} Newton iterations "
                 f"(residual {rn:.3e} > {cfg.tol_grad:.1e})",
                 history,
+                point[0],
             )
         if iterations >= 6 and rn > 100.0 * cfg.tol_grad and history[-6] < 1.05 * rn:
             # residual frozen across six accepted iterations: a blocked
@@ -566,6 +571,7 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
             raise NewtonDivergenceError(
                 f"stagnated at residual {rn:.3e} (target {cfg.tol_grad:.1e})",
                 history,
+                point[0],
             )
         # Watchdog sequence of full steps.  A full step along a nearly flat
         # valley (interface translation modes) leaves the solution manifold at
@@ -606,11 +612,12 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
             point = champion
         else:
             first_step = step0 * (MAX_STEP / size0) if size0 > MAX_STEP else step0
-            point = _backtrack(residual, point[0], first_step, rn)
-            if point is None:
+            trial = _backtrack(residual, point[0], first_step, rn)
+            if trial is None:
                 raise NewtonDivergenceError(
-                    f"backtracking stalled at residual {rn:.3e}", history
+                    f"backtracking stalled at residual {rn:.3e}", history, point[0]
                 )
+            point = trial
         rn = point[2]
         iterations += 1
         history.append(rn)
@@ -742,15 +749,22 @@ def solve_dirichlet_model(
     semi-implicit flow from a sine bump at the stability step
     dt = 0.5 eps / max|W''| (passed to gradient_flow as ``flow_dt``), then
     Newton refinement.  The flow runs in chunks of 25, 50, 100, 200 and then
-    400 steps, MAX_FLOW_STEPS in all; after each chunk the Newton gate (the
+    400 steps, MAX_FLOW_STEPS in all.  Newton is tried after the first chunk
+    whatever the state, and after each later one when the gate opens (the
     energy beats the zero field's by the trivial margin, or the gradient
-    max-norm is below 1e-4) decides whether to try Newton, so a profile
-    that is already in Newton's basin costs 25 flow steps.
-    The result is classified positive only when its energy beats the zero
-    field's by more than the trivial margin; otherwise it is the zero
-    solution.  A linear-stability shortcut returns the zero solution
-    immediately when the zero state is strictly stable, which for potentials
-    satisfying the monotonicity axiom is exactly the no-transition regime.
+    max-norm is below 1e-4), so a profile in Newton's basin after 25 steps
+    costs 25 flow steps, even just below the existence threshold, where the
+    flow's slowest mode stalls and the gate stays shut for thousands of
+    steps.  Each attempt starts from the flowed state, and a failed one
+    leaves the flow to go on from it.
+    The result is classified positive only when Newton ends at a positive
+    field whose energy beats the zero field's by more than the trivial
+    margin.  A critical point within the margin is the zero solution once
+    the flowed gradient is below 1e-4 as well; the sub-margin band just
+    below the threshold gets there only by flowing.  A linear-stability
+    shortcut returns the zero solution immediately when the zero state is
+    strictly stable, which for potentials satisfying the monotonicity axiom
+    is exactly the no-transition regime.
     A stall raises SolverError with the last Newton failure, if any; a
     half-length or width that is not finite and positive raises ValueError
     before the grid is sized.
@@ -802,7 +816,8 @@ def solve_dirichlet_model(
         e_u = trace.energies[-1]
         gn = sup_norm(residual(u.values))
 
-        if e_u < e_zero - TRIVIAL_MARGIN or gn < 1e-4:
+        # after the first chunk Newton is tried even with the gate shut
+        if steps_used == trace.steps or e_u < e_zero - TRIVIAL_MARGIN or gn < 1e-4:
             newton_attempts += 1
             try:
                 nr = newton_refine(u, p, cfg)

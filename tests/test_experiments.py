@@ -24,13 +24,16 @@ from phaselab.nodal import SYMMETRY_TOL, extract_nodal_set
 from phaselab.potentials import make_potential, quartic
 from phaselab.reports import canonicalize
 from phaselab.solvers import (
+    NewtonDivergenceError,
     NewtonResult,
+    SingularJacobianError,
     SolveConfig,
     StopRule,
     gradient_flow,
     multi_interface_seed,
     newton_refine,
     solve_dirichlet_model,
+    transverse_gap,
 )
 
 P = quartic()
@@ -509,6 +512,39 @@ class TestFiberReduction:
         assert entries["transverse_sup"] == pytest.approx(amplitude, rel=1e-9)
         assert entries["transverse_gap"] >= experiments.TRANSVERSE_GAP_FLOOR
         assert err is None and nr.residuals[-1] <= 1e-12
+
+    def _stagnating_torus_field(self):
+        """A fibered two-interface torus field whose fiber mean, a stagnating
+        start of the two-interface census, Newton gives up on."""
+        cfg, eps = SolveConfig(tol_grad=1e-12), 0.2
+        phi = np.random.default_rng(7).uniform(0.6 * np.pi, 1.4 * np.pi)
+        seed = multi_interface_seed(circle_grid(256), eps, [0.0, phi])
+        profile = gradient_flow(seed, P, cfg, StopRule(max_steps=400)).field.values
+        g = torus_grid(256, 16)
+        return Field(g, g.extrude(profile), eps), cfg
+
+    def test_gap_is_taken_where_a_failed_circle_newton_stopped(self):
+        field, cfg = self._stagnating_torus_field()
+        mean = field.values.mean(axis=1)
+        with pytest.raises(NewtonDivergenceError, match="stagnated") as failure:
+            newton_refine(Field(circle_grid(256), mean, field.epsilon), P, cfg)
+        nr, err, entries = experiments._fiber_reduced_newton(field, P, cfg)
+        assert nr is None and err == str(failure.value)
+        end_gap = transverse_gap(field.grid, field.epsilon, P, failure.value.state)
+        assert entries["transverse_gap"] == end_gap
+        assert end_gap != transverse_gap(field.grid, field.epsilon, P, mean)
+
+    def test_gap_falls_back_to_the_fiber_mean_on_a_singular_jacobian(self, monkeypatch):
+        field, cfg = self._stagnating_torus_field()
+
+        def singular(*args):
+            raise SingularJacobianError("Newton step blew up (nearly singular Jacobian)")
+
+        monkeypatch.setattr(experiments, "newton_refine", singular)
+        nr, err, entries = experiments._fiber_reduced_newton(field, P, cfg)
+        assert nr is None and "singular" in err
+        mean = field.values.mean(axis=1)
+        assert entries["transverse_gap"] == transverse_gap(field.grid, field.epsilon, P, mean)
 
     def test_torus_rows_build_one_seed_each(self, monkeypatch):
         """perfbench splits a census into rows at its seed constructions."""

@@ -104,7 +104,14 @@ def test_grids_reject_infinite_point_counts_with_a_value_error(count):
     catching ValueError for a bad grid would let through."""
     with pytest.raises(ValueError, match=re.escape(f"point counts must be whole numbers, got ({count},)")):
         circle_grid(count)
-    with pytest.raises(ValueError, match=re.escape(f"whole numbers, got (64.0, {count})")):
+    with pytest.raises(ValueError, match=re.escape(f"whole numbers, got (64, {count})")):
+        torus_grid(64, count)
+
+
+@pytest.mark.parametrize("count", [32.5, np.float64(32.5)])
+def test_mixed_shape_messages_print_each_count_as_given(count):
+    """The valid count of a mixed shape stays an int in the message."""
+    with pytest.raises(ValueError, match=re.escape("whole numbers, got (64, 32.5)")):
         torus_grid(64, count)
 
 

@@ -39,6 +39,8 @@ from phaselab.solvers import (
 )
 
 P = quartic()
+# the quartic sampled on [-2, 2] and interpolated by a cubic spline
+TABLE = from_table([[float(x), float(P.w(x))] for x in np.linspace(-2.0, 2.0, 41)])
 
 
 def shooting_peak(half_length, eps):
@@ -148,6 +150,21 @@ class TestExistenceThreshold:
         b = existence_threshold(np.pi / 2, P)
         assert abs(b / a - 2.0) <= 1e-2
 
+    @pytest.mark.parametrize(
+        "half_length, p, bits",
+        [
+            (np.pi / 2, P, "0x1.000b333333333p+0"),
+            (np.pi / 4, P, "0x1.000b333333333p-1"),
+            (1.0, P, "0x1.4601497e82fbep-1"),
+            (np.pi / 2, TABLE, "0x1.008528e8fdfccp+0"),
+        ],
+        ids=["quartic-pi/2", "quartic-pi/4", "quartic-1", "table-pi/2"],
+    )
+    def test_estimates_keep_their_bits(self, half_length, p, bits):
+        """Every bisection verdict, the ones just below the discrete
+        threshold included, is the one the gated model solve gave."""
+        assert existence_threshold(half_length, p).hex() == bits
+
 
 class TestReflectExtend:
     def test_two_copies_antipodal_nodes(self):
@@ -189,12 +206,13 @@ class TestReflectExtend:
 
 
 C05_CONFIGS = [(m, eps) for m in (2, 4, 6) for eps in (0.05, 0.1, 0.15)]
-MODEL_CASES = [
-    (np.pi / m, eps, SolveConfig(tol_grad=1e-11), 1536 // m + 1) for m, eps in C05_CONFIGS
-] + [(np.pi / 2, eps, None, None) for eps in (0.99, 0.9999)]
-MODEL_IDS = [f"c05-m{m}-eps{eps}" for m, eps in C05_CONFIGS] + ["eps0.99", "eps0.9999"]
-# the quartic sampled on [-2, 2] and interpolated by a cubic spline
-TABLE = from_table([[float(x), float(P.w(x))] for x in np.linspace(-2.0, 2.0, 41)])
+C05_CASES = [(np.pi / m, eps, SolveConfig(tol_grad=1e-11), 1536 // m + 1) for m, eps in C05_CONFIGS]
+# Just below the discrete threshold (1.00017 at pi/2) the positive profile
+# beats the zero field by less than TRIVIAL_MARGIN: the solve flows until
+# the gradient falls below 1e-4 and ends trivial_zero, after many chunks.
+SUB_MARGIN_CASES = [(np.pi / 2, 1.0001, None, None), (np.pi / 4, 0.50005, None, None)]
+MODEL_CASES = C05_CASES + SUB_MARGIN_CASES
+MODEL_IDS = [f"c05-m{m}-eps{eps}" for m, eps in C05_CONFIGS] + ["sub-margin-pi/2", "sub-margin-pi/4"]
 
 
 def _stability_step(eps, p):
@@ -224,18 +242,53 @@ class TestModelFlowAtTheCap:
         assert sol.diagnostics["flow_steps"] <= 100
 
     def test_chunks_double_up_to_400_steps(self, monkeypatch):
-        # just below the threshold (about 1.0002) the flow needs many chunks
-        sol, chunks = _model_chunks(monkeypatch, np.pi / 2, 0.9992, P)
-        sizes = [t.steps for t in chunks]
-        assert sizes[:5] == [25, 50, 100, 200, 400]
-        assert len(sizes) > 5 and set(sizes[5:]) == {400}
-        assert sol.diagnostics["flow_steps"] == sum(sizes)
+        # in the sub-margin band below the threshold the flow needs many chunks
+        sol, chunks = _model_chunks(monkeypatch, np.pi / 2, 1.0001, P)
+        assert [t.steps for t in chunks] == [25, 50, 100, 200, 400, 400, 400, 400]
+        assert sol.status == "trivial_zero"
+        assert sol.diagnostics["flow_steps"] == 1975
+        assert sol.energy_gap.hex() == "0x1.8460000000000p-42"
+
+    @pytest.mark.parametrize("half_length, eps, cfg, n", C05_CASES, ids=MODEL_IDS[: len(C05_CASES)])
+    def test_c05_profiles_take_one_chunk_and_one_newton_attempt(self, half_length, eps, cfg, n):
+        sol = solve_dirichlet_model(half_length, eps, P, cfg, n=n)
+        assert sol.status == "positive"
+        assert sol.diagnostics["flow_steps"] == 25
+        assert sol.diagnostics["newton_attempts"] == 1
+
+    def test_newton_after_the_first_chunk_skips_the_crawl(self):
+        """Just below the threshold the gate stays shut for 1,575 steps;
+        Newton from the first chunk's state reaches the same profile."""
+        half_length, eps = np.pi / 2, 0.9992
+        sol = solve_dirichlet_model(half_length, eps, P)
+        assert sol.status == "positive" and sol.diagnostics["flow_steps"] == 25
+
+        # the gated path, written out: flow chunks until the gate opens, then Newton
+        g = sol.field.grid
+        x = g.axis()
+        seed = np.clip(np.sin(np.pi * (x + half_length) / (2.0 * half_length)), 0.0, 1.0)
+        seed[0] = seed[-1] = 0.0
+        u, cfg = Field(g, seed, eps), SolveConfig(flow_dt=_stability_step(eps, P))
+        e_zero = energy(Field(g, np.zeros(g.shape), eps), P)
+        residual = residual_kernel(g, eps, P)
+        chunk, steps = 25, 0
+        while True:
+            trace = gradient_flow(u, P, cfg, StopRule(max_steps=chunk))
+            u, steps, chunk = trace.field, steps + chunk, min(2 * chunk, 400)
+            if trace.energies[-1] < e_zero - solvers.TRIVIAL_MARGIN or sup_norm(residual(u.values)) < 1e-4:
+                break
+        assert steps == 1575
+        ref = newton_refine(u, P).field
+        assert np.max(np.abs(sol.field.values - ref.values)) <= 1e-10
+        assert sol.energy_gap == pytest.approx(e_zero - energy(ref, P), rel=1e-7)
 
     @pytest.mark.parametrize("half_length, eps, cfg, n", MODEL_CASES, ids=MODEL_IDS)
     def test_energy_never_rises_across_chunks(self, monkeypatch, half_length, eps, cfg, n):
         """Each chunk checks the energy only after its first 10 steps; at the
         cap the unchecked steps must descend too."""
         _, chunks = _model_chunks(monkeypatch, half_length, eps, P, cfg, n=n)
+        # a c05 profile takes one chunk; the sub-margin cases cross chunk boundaries
+        assert len(chunks) >= (2 if (half_length, eps, cfg, n) in SUB_MARGIN_CASES else 1)
         for before, after in zip(chunks, chunks[1:]):
             assert after.energies[0] == before.energies[-1]
         energies = np.concatenate([t.energies for t in chunks])
@@ -294,7 +347,8 @@ class TestModelFlowNeedsNoProjection:
 
         monkeypatch.setattr(solvers, "_make_flow_solver", recording)
         sol, chunks = _model_chunks(monkeypatch, half_length, eps, p, cfg, n=n)
-        assert sol.status == "positive"
+        sub_margin = (half_length, eps, cfg, n) in SUB_MARGIN_CASES
+        assert sol.status == ("trivial_zero" if sub_margin else "positive")
         dt = _stability_step(eps, p)
         assert chunks and all(t.dt_final == dt for t in chunks)
         assert len(steps) == sum(t.steps for t in chunks)  # no step was retried
@@ -437,6 +491,28 @@ class TestNewtonRefine:
         with pytest.raises(NewtonDivergenceError) as err:
             newton_refine(f, P, SolveConfig(tol_grad=1e-13))
         assert len(err.value.residuals) >= 1
+
+    @pytest.mark.parametrize("exit_", ["max_newton", "stagnated", "backtracking"])
+    def test_divergence_carries_the_last_accepted_iterate(self, monkeypatch, exit_):
+        """Each give-up exit hands back the iterate its history ends at."""
+        if exit_ == "max_newton":
+            sol = solve_dirichlet_model(np.pi / 4, 0.1, P, SolveConfig(tol_grad=1e-12), n=129)
+            f = reflect_extend(sol, 4)
+            f = f.with_values(f.values + 0.01 * np.sin(3 * f.grid.axis(0)))
+            cfg, match = SolveConfig(tol_grad=1e-13), "after 2 Newton"
+            monkeypatch.setattr(solvers, "MAX_NEWTON", 2)
+        elif exit_ == "stagnated":
+            cfg, match = SolveConfig(tol_grad=1e-12), "stagnated"
+            f = _stagnating_field(*STAGNATING_RUNS[0], cfg)
+        else:
+            f = solve_dirichlet_model(np.pi / 2, 0.05, P, n=4097).field
+            cfg, match = SolveConfig(tol_grad=1e-11), "backtracking stalled"
+        with pytest.raises(NewtonDivergenceError, match=match) as err:
+            newton_refine(f, P, cfg)
+        state, history = err.value.state, err.value.residuals
+        assert state.shape == f.grid.shape
+        assert sup_norm(residual_kernel(f.grid, f.epsilon, P)(state)) == history[-1]
+        assert (len(history) > 1) == (not np.array_equal(state, f.values))
 
     def test_refined_solution_symmetries(self):
         # odd about each nodal angle, even about each extremum
