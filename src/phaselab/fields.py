@@ -188,7 +188,13 @@ def energy_kernel(grid: Grid, eps: float, p: Potential, rows: int = 1):
     constants computed once.
 
     ``stack`` is a float array of shape ``(k,) + grid.shape`` with
-    ``k <= rows``; a single field is the 1-stack ``values[None]``.  It is
+    ``k <= rows``; a single field is the 1-stack ``values[None]``.  On a
+    torus it may instead be ``(k, n1)``, the axis-0 profiles of fibered
+    fields, whose energies are their extrusions', bit for bit: a finite
+    field's fiber differences are exact zeros, whose +0.0 term is skipped,
+    and its axis-0 differences, then its W values, are broadcast into the
+    kernel's buffer for the sums below; a profile that is not finite (NaN
+    fiber differences) is summed as its extrusion.  It is
     read, never written.  ``p.w`` is called once per stack; each field's
     energy is its own sums, so it does not depend on the stack it sits in
     or on its layout: the dot product of each axis' differences with
@@ -222,11 +228,25 @@ def energy_kernel(grid: Grid, eps: float, p: Potential, rows: int = 1):
     c_well = cell / eps
     du = np.empty((rows,) + grid.shape)
     fiber = len(grid.shape) == 2
+    dp = np.empty((rows, grid.shape[0])) if fiber else None  # a profile stack's differences
 
     def energy_of(vs):
         k = len(vs)
         d = du[:k]
         flat = d.reshape(k, -1)
+        if fiber and vs.ndim == 2:  # axis-0 profiles of fibered fields
+            _forward_differences(vs, dp[:k])
+            np.copyto(d, dp[:k, :, None])
+            grads = c_axes[0] * _squared_norms(flat)
+            np.copyto(d, p.w(vs)[:, :, None])
+            energies = (grads + c_well * reduce(flat, axis=1)).tolist()
+            if math.isfinite(sum(energies)):
+                return energies
+            # a row that is not finite has NaN fiber differences, not zeros:
+            # the stack falls through as its extrusions (a recursive call
+            # would make the kernel hold itself, its buffers then freed only
+            # by the cyclic collector)
+            vs = np.broadcast_to(vs[:, :, None], d.shape)
         _forward_differences(vs, d)
         grads = c_axes[0] * _squared_norms(flat)
         if fiber:

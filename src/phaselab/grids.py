@@ -89,7 +89,13 @@ class Grid:
 
     def extrude(self, profile) -> np.ndarray:
         """The axis-0 ``profile`` repeated along the remaining axes, as a new
-        array of the grid's shape (a copy on 1-D grids)."""
+        array of the grid's shape (a copy on 1-D grids).  A profile that is
+        not 1-D of length ``shape[0]`` raises ValueError."""
+        profile = np.asarray(profile)
+        if profile.shape != self.shape[:1]:
+            raise ValueError(
+                f"an axis-0 profile of a grid of shape {self.shape} has shape {self.shape[:1]}, got {profile.shape}"
+            )
         return np.broadcast_to(profile, self.shape[::-1]).T.copy()
 
     @property

@@ -46,10 +46,12 @@ the solve owns, with the division by the real symbol done as a multiply by
 its reciprocals with imaginary part -0.0.  Short of an underflow, that
 multiply keeps every bit of numpy's complex division, zero signs included:
 for a real d, Smith's formula (CACM 5, 1962) reduces to
-((re + im*0) * (1/d), (im - re*0) * (1/d)).  A fibered field (every fiber
-row constant, as the flow keeps a seed of parallel fibers) on a fiber of a
-power-of-two length takes one 1-D column transform instead, with the same
-bits: the 2-D transforms of such a field are zero outside that column.
+((re + im*0) * (1/d), (im - re*0) * (1/d)).  Whether a flow's seed is
+fibered (every fiber row constant, bit for bit, as a seed of parallel
+fibers is) on a fiber of power-of-two length is decided once per flow;
+such a flow runs on the seed's axis-0 profile, each step one 1-D column
+transform and each energy the full grid's, with the bits of the 2-D flow:
+the 2-D transforms of a fibered field are zero outside that column.
 """
 
 from __future__ import annotations
@@ -252,43 +254,15 @@ def _fft_solver(grid: Grid, denom: np.ndarray):
     zero included, unless a product underflows (a spectrum entry below
     d * 2**-1074), up to NaN payloads.  A multiply of the real floats alone
     would drop the zero terms, whose signs reach the result of a field of
-    -0.0.
-
-    A fibered input, x[i, j] == x[i, 0] for every entry, takes one 1-D
-    column transform of n2 * x[:, 0] when the fiber length n2 is a power of
-    two (decided once) and that column is finite, and returns the same
-    bits.  Then pocketfft's radix-2/4 rfft of a row c is exactly n2 * c + 0j
-    at DC (every partial sum is a power-of-two multiple of c) and exactly
-    zero in every other bin, so the 2-D path transforms this column alone,
-    and irfft returns its real part times 1/n2 in every entry of the row;
-    a fiber with a factor 3, 5 or another prime does not cancel exactly and
-    always takes the 2-D path, as does a non-finite or overflowing column.
-    The first row's two ends reject most other inputs before the full check.
+    -0.0.  Every input takes this 2-D path: a flow from a fibered field
+    steps its axis-0 profile instead (``_make_flow_solver``).
     """
-    n1, n2 = grid.shape
+    n2 = grid.shape[1]
     spec = np.empty(denom.shape, dtype=complex)
     recip = np.empty(denom.shape, dtype=complex)
     recip.real, recip.imag = 1.0 / denom, -0.0
-    power_of_two = n2 & (n2 - 1) == 0
-    limit = np.finfo(float).max / n2  # |c| <= limit exactly when n2 * c is finite
-    col = np.empty(n1, dtype=complex)
-    recip_col = recip[:, 0].copy()
-    scale = 1.0 / n2
 
     def solve(x, out=None):
-        if (
-            power_of_two
-            and x[0, 0] == x[0, n2 - 1]
-            and (x == x[:, :1]).all()
-            and np.abs(x[:, 0]).max() <= limit
-        ):
-            col[:] = x[:, 0] * n2  # the rfft's DC column, imaginary parts +0.0
-            np.fft.fft(col, out=col)
-            np.multiply(col, recip_col, out=col)
-            np.fft.ifft(col, out=col)
-            if out is None:
-                out = np.empty(grid.shape)
-            return np.multiply(col.real[:, None], scale, out=out)
         np.fft.rfft(x, axis=1, out=spec)
         np.fft.fft(spec, axis=0, out=spec)
         np.multiply(spec, recip, out=spec)
@@ -298,15 +272,62 @@ def _fft_solver(grid: Grid, denom: np.ndarray):
     return solve
 
 
-def _make_flow_solver(grid: Grid, eps: float, dt: float):
+def _fibered_profile(v: np.ndarray):
+    """The axis-0 profile ``v[:, 0]``, as a new array, of a torus field
+    whose every fiber row is constant, bit for bit, on a fiber of
+    power-of-two length; None for any other field.  A flow from such a
+    field runs on this profile (``gradient_flow``)."""
+    if v.ndim != 2 or v.shape[1] & (v.shape[1] - 1):
+        return None
+    bits = v.view(np.int64)
+    return v[:, 0].copy() if (bits == bits[:, :1]).all() else None
+
+
+def _make_flow_solver(grid: Grid, eps: float, dt: float, fibered: bool = False):
     """Prefactored implicit solve of (I + dt*eps*(-Lap_h)) u = rhs, as
     ``step(v, out)``: ``out``, C-contiguous, holds the right-hand side on
     entry and the new state on return, and is returned; ``v``, the state the
-    step starts from, is read only, on the interval for its end values."""
+    step starts from, is read only, on the interval for its end values.
+
+    On a torus, ``fibered`` steps the axis-0 profiles of fibered fields on
+    a fiber of power-of-two length n2 (``_fibered_profile``), with the bits
+    of the 2-D solve of the extruded field: one 1-D column transform, the
+    fft of n2 * c, the multiply by the reciprocals' first column, the ifft
+    and the real part times 1/n2.  pocketfft's radix-2/4 rfft of a constant
+    row c is exactly n2 * c + 0j at DC (every partial sum is a power-of-two
+    multiple of c) and exactly zero in every other bin, so the 2-D solve
+    transforms this column alone, and its irfft is the real part times 1/n2
+    in every entry of the row; a fiber with a factor 3, 5 or another prime
+    does not cancel exactly.  A column that is not finite, or whose n2
+    multiple overflows, takes the 2-D solve of the extruded column instead,
+    which is NaN on the whole grid (an infinite spectrum entry times the
+    reciprocals' -0.0 imaginary part is NaN, and the transforms spread it),
+    as is then the profile.
+    """
     c = dt * eps
     if grid.kind == "torus":
-        solve = _fft_solver(grid, 1.0 + c * _torus_symbol(grid))
-        return lambda v, out: solve(out, out)
+        denom = 1.0 + c * _torus_symbol(grid)
+        if not fibered:
+            solve = _fft_solver(grid, denom)
+            return lambda v, out: solve(out, out)
+        n2 = grid.shape[1]
+        recip = np.empty(grid.shape[0], dtype=complex)
+        recip.real, recip.imag = 1.0 / denom[:, 0], -0.0
+        col = np.empty_like(recip)
+        limit = np.finfo(float).max / n2  # |c| <= limit exactly when n2 * c is finite
+        scale = 1.0 / n2
+
+        def column_step(v, out):
+            if not sup_norm(out) <= limit:  # the 2-D solve, NaN on the whole grid
+                out[:] = _fft_solver(grid, denom)(grid.extrude(out))[:, 0]
+                return out
+            col[:] = out * n2  # the rfft's DC column, imaginary parts +0.0
+            np.fft.fft(col, out=col)
+            np.multiply(col, recip, out=col)
+            np.fft.ifft(col, out=col)
+            return np.multiply(col.real, scale, out=out)
+
+        return column_step
 
     # tridiag(-cc, 1 + 2 cc, -cc) on the interval's interior rows, and B, the
     # circle's operator without its corners as _split_corners shifts it (by
@@ -666,6 +687,16 @@ def gradient_flow(
     from that step on are dropped, and the flow resumes from the last
     accepted state at the halved step.  Two block buffers alternate, so the
     state a block starts from is never overwritten and never copied.
+
+    A torus seed whose fiber rows are each constant, bit for bit, on a fiber
+    of power-of-two length is decided fibered once, when the flow starts
+    (``_fibered_profile``).  The same loop then runs on its axis-0 profile:
+    W' of n1 points, one 1-D column transform per step
+    (``_make_flow_solver``), and each energy the full grid's, bit for bit,
+    from the profile (``fields.energy_kernel``); the nodal samples and the
+    final field are the profile's extrusions.  Every state, energy and
+    sample keeps the bits of the flow over the full grid, which the flow
+    stays on from any other seed.
     """
     cfg = cfg or SolveConfig()
     stop = stop or StopRule()
@@ -674,12 +705,17 @@ def gradient_flow(
 
     eps = f.epsilon
     dt = cfg.flow_dt if cfg.flow_dt is not None else eps * f.grid.h
-    solve = _make_flow_solver(f.grid, eps, dt)
+    profile = _fibered_profile(f.values)
+    fibered = profile is not None
+    v = profile if fibered else f.values  # the last accepted state; read, never written
+    solve = _make_flow_solver(f.grid, eps, dt, fibered)
     rate = dt / eps
     rows = max(1, BLOCK_POINTS // f.grid.npoints)
     energy_of = energy_kernel(f.grid, eps, p, rows)
-    blocks = [np.empty((rows,) + f.grid.shape) for _ in range(2)]
-    v = f.values  # the last accepted state; read, never written
+    blocks = [np.empty((rows,) + v.shape) for _ in range(2)]
+
+    def field_of(state):  # the grid's field of a state, a profile extruded
+        return Field(f.grid, f.grid.extrude(state) if fibered else state, eps)
 
     energies = [energy_of(v[None])[0]]
     angle_samples = []
@@ -704,7 +740,7 @@ def gradient_flow(
                     raise StepCollapseError(
                         f"flow step collapsed below 1e-14 at step {step_i}"
                     )
-                solve = _make_flow_solver(f.grid, eps, dt)
+                solve = _make_flow_solver(f.grid, eps, dt, fibered)
                 rate = dt / eps
                 accepted = i
                 break
@@ -713,14 +749,14 @@ def gradient_flow(
             if stop.track_nodal and step_i % stop.sample_every == 0:
                 from .nodal import extract_nodal_set
 
-                ns = extract_nodal_set(Field(f.grid, block[i], eps))
+                ns = extract_nodal_set(field_of(block[i]))
                 angle_samples.append((step_i, ns.angles))
         if accepted:
             v = block[accepted - 1]
             done += accepted
             blocks.reverse()  # the next block must not overwrite v
 
-    return FlowTrace(Field(f.grid, v.copy(), eps), np.asarray(energies), max_steps, angle_samples, dt)
+    return FlowTrace(field_of(v.copy()), np.asarray(energies), max_steps, angle_samples, dt)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,18 @@ def test_periodic_grids_and_extruded_profiles():
     assert np.array_equal(line, profile) and not np.shares_memory(line, profile)
 
 
+def test_extrude_takes_an_axis_0_profile_only():
+    # a 2-D input used to come back transposed, or in the wrong shape
+    torus = torus_grid(32, 16)
+    with pytest.raises(ValueError, match=re.escape("shape (16, 16) has shape (16,), got (16, 16)")):
+        torus_grid(16, 16).extrude(np.arange(256.0).reshape(16, 16))
+    for bad in (np.ones((16, 32)), np.ones((32, 16)), np.ones(16), np.ones(33), 1.0):
+        with pytest.raises(ValueError, match=re.escape(f"shape (32, 16) has shape (32,), got {np.shape(bad)}")):
+            torus.extrude(bad)
+    with pytest.raises(ValueError, match=re.escape("shape (16,) has shape (16,), got (16, 1)")):
+        circle_grid(16).extrude(np.ones((16, 1)))
+
+
 @pytest.mark.parametrize(
     "kind,shape,lengths,match",
     [

@@ -335,8 +335,8 @@ class TestModelFlowNeedsNoProjection:
         steps = []  # (dt, min, max, first, last) of every flow step's output
         make = solvers._make_flow_solver
 
-        def recording(grid, eps, dt):
-            solve = make(grid, eps, dt)
+        def recording(grid, eps, dt, *fibered):
+            solve = make(grid, eps, dt, *fibered)
 
             def step(v, rhs):
                 out = solve(v, rhs)
@@ -1612,25 +1612,99 @@ def test_torus_preconditioner_is_bit_identical_to_fft_formula(shape):
         _assert_solves_like_the_formula(inverse, _non_finite_input(rng, shape), denom)
 
 
-@pytest.mark.parametrize("shape, rfft_calls", [((256, 64), 0), ((24, 16), 0), ((17, 20), 1)])
-def test_a_fibered_solve_takes_the_column_path_on_a_power_of_two_fiber(monkeypatch, shape, rfft_calls):
-    g = torus_grid(*shape)
-    solve = solvers._fft_solver(g, 1.0 + 0.01 * solvers._torus_symbol(g))
-    x = g.extrude(np.tanh(np.sin(g.axis(0)) / 0.2))
-    ref = solve(x.copy())
+# power-of-two fibers, the census torus among them, with odd and even n1
+PROFILE_SHAPES = [(256, 64), (24, 16), (17, 32), (33, 16)]
+
+
+def _profiles(rng, n1, n2):
+    """Axis-0 profiles: random, smooth, zeros of either sign and a constant;
+    and the random one with a row set to inf, -inf, NaN, a value whose n2
+    multiple overflows only in the rfft's last stage, and 1e308."""
+    random = rng.uniform(-1.2, 1.2, n1)
+    good = [random, np.tanh(np.sin(np.arange(n1)) / 0.2), np.zeros(n1), np.full(n1, -0.0), np.full(n1, 0.7)]
+    limit = np.finfo(float).max / n2
+    bad = []
+    for value in (np.inf, -np.inf, np.nan, 1.5 * limit, np.nextafter(limit, np.inf), 1e308):
+        x = random.copy()
+        x[n1 // 3] = value
+        bad.append(x)
+    return good, bad
+
+
+def _counted_transforms(monkeypatch):
+    """Count the calls of np.fft.rfft and np.fft.irfft, the 2-D solve's
+    first and last transforms."""
     calls = []
-    rfft = np.fft.rfft
+    for name in ("rfft", "irfft"):
+        original = getattr(np.fft, name)
 
-    def counted_rfft(*args, **kwargs):
-        calls.append(1)
-        return rfft(*args, **kwargs)
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(np.fft, "rfft", counted_rfft)
-    out = solve(x)
-    assert len(calls) == rfft_calls
-    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
-    solve(x + np.random.default_rng(0).uniform(0.0, 1e-3, shape))  # not fibered
-    assert len(calls) == rfft_calls + 1
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape", PROFILE_SHAPES)
+def test_a_profile_step_is_the_column_of_the_2d_step(monkeypatch, shape):
+    """The fibered flow step of a profile keeps the bits of the 2-D step of
+    its extrusion, which is fibered, with no 2-D transform; a column the
+    transform cannot take takes the 2-D step, which is NaN on the whole
+    grid, and so is then the profile."""
+    rng = np.random.default_rng(shape[0])
+    g = torus_grid(*shape)
+    calls = _counted_transforms(monkeypatch)
+    for eps, halvings in ((0.1, 0), (0.5, 2)):
+        dt = eps * g.h * 0.5**halvings
+        full, column = _make_flow_solver(g, eps, dt), _make_flow_solver(g, eps, dt, fibered=True)
+        good, bad = _profiles(rng, *shape)
+        for c in good:
+            ref = full(None, g.extrude(c))
+            calls.clear()
+            out = column(None, c.copy())
+            assert not calls
+            assert np.array_equal(ref.view(np.int64), g.extrude(out).view(np.int64))
+        for c in bad:
+            with np.errstate(invalid="ignore", over="ignore"):
+                ref = full(None, g.extrude(c))
+                calls.clear()
+                out = column(None, c.copy())
+            assert calls == ["rfft", "irfft"]
+            assert np.isnan(ref).all() and np.isnan(out).all()
+
+
+@pytest.mark.parametrize("shape, column", [((256, 64), True), ((24, 16), True), ((17, 20), False), ((32, 24), False)])
+def test_a_fibered_flow_takes_the_column_path_on_a_power_of_two_fiber(monkeypatch, shape, column):
+    # decided once per flow: a fibered seed on a power-of-two fiber flows its
+    # profile with no 2-D transform; on another fiber, and from a seed that
+    # is not fibered, every step takes one rfft and one irfft
+    g = torus_grid(*shape)
+    eps, steps = 4.0 * g.h, 30
+    seed = g.extrude(np.tanh(np.sin(g.axis(0)) / eps))
+    calls = _counted_transforms(monkeypatch)
+    gradient_flow(Field(g, seed, eps), P, SolveConfig(min_points_per_eps=4.0), StopRule(max_steps=steps))
+    assert len(calls) == (0 if column else 2 * steps)
+    calls.clear()
+    noisy = seed + np.random.default_rng(0).uniform(0.0, 1e-3, shape)
+    gradient_flow(Field(g, noisy, eps), P, SolveConfig(min_points_per_eps=4.0), StopRule(max_steps=steps))
+    assert calls.count("rfft") == calls.count("irfft") == steps
+
+
+def test_a_seed_fibered_only_up_to_zero_signs_flows_on_the_full_grid(monkeypatch):
+    # a fiber row of +0.0 and -0.0 compares equal but is not constant bit for bit
+    g = torus_grid(24, 16)
+    seed = g.extrude(np.tanh(np.sin(g.axis(0)) / 0.3))
+    seed[0] = 0.0
+    seed[0, 3] = -0.0
+    cfg = SolveConfig(min_points_per_eps=1.0)
+    trace = gradient_flow(Field(g, seed, 0.3), P, cfg, StopRule(max_steps=0))
+    assert np.array_equal(trace.field.values.view(np.int64), seed.view(np.int64))  # the -0.0 kept
+    calls = _counted_transforms(monkeypatch)
+    gradient_flow(Field(g, seed, 0.3), P, cfg, StopRule(max_steps=3))
+    assert len(calls) == 6
+    assert solvers._fibered_profile(seed) is None
+    assert np.array_equal(solvers._fibered_profile(g.extrude(seed[:, 1])), seed[:, 1])
 
 
 def test_signed_zero_reciprocal_multiply_is_numpy_complex_division():
@@ -1647,23 +1721,30 @@ def test_signed_zero_reciprocal_multiply_is_numpy_complex_division():
         assert np.all(same | (np.isnan(out) & np.isnan(ref)))
 
 
-def _frozen_torus_flow(g, eps, dt, v, steps):
+def _frozen_torus_flow(g, eps, dt, v, steps, p=P, sample_every=0):
     """gradient_flow's loop with the torus step written as the division
-    formula it replaced: the field, the energies and the final step."""
+    formula it replaced: the field, the energies, the final step and the
+    nodal samples taken every ``sample_every`` steps (none at 0).  A
+    non-finite energy raises gradient_flow's SolverError."""
     symbol = solvers._torus_symbol(g)
-    energies = [energy(Field(g, v, eps), P)]
+    energies = [energy(Field(g, v, eps), p)]
+    samples = []
     for step_i in range(1, steps + 1):
         while True:
-            rhs = v - (dt / eps) * P.dw(v)
+            rhs = v - (dt / eps) * p.dw(v)
             v_new = np.fft.irfft2(np.fft.rfft2(rhs) / (1.0 + dt * eps * symbol), s=g.shape)
-            e_new = energy(Field(g, v_new, eps), P)
+            e_new = energy(Field(g, v_new, eps), p)
+            if not np.isfinite(e_new):
+                raise SolverError(f"non-finite energy {e_new!r} at flow step {step_i}")
             if step_i > 10 and e_new > energies[-1] + solvers.ENERGY_SLACK:
                 dt *= 0.5
                 continue
             break
         v = v_new
         energies.append(e_new)
-    return v, np.array(energies), dt
+        if sample_every and step_i % sample_every == 0:
+            samples.append((step_i, pl.extract_nodal_set(Field(g, v, eps)).angles))
+    return v, np.array(energies), dt, samples
 
 
 @pytest.mark.parametrize("shape", [(24, 16), (33, 17)])
@@ -1673,7 +1754,7 @@ def test_torus_flow_with_a_halving_matches_the_frozen_division_loop(shape):
     dt = 7.0 * eps * g.h  # the energy rises once after the transient
     f = Field(g, np.random.default_rng(shape[0]).uniform(-1.0, 1.0, shape), eps)
     trace = gradient_flow(f, P, SolveConfig(flow_dt=dt), StopRule(max_steps=40))
-    v, energies, dt_final = _frozen_torus_flow(g, eps, dt, f.values, 40)
+    v, energies, dt_final, _ = _frozen_torus_flow(g, eps, dt, f.values, 40)
     assert dt_final == trace.dt_final == dt / 2
     assert np.array_equal(trace.energies.view(np.int64), energies.view(np.int64))
     assert np.array_equal(trace.field.values.view(np.int64), v.view(np.int64))
@@ -1681,18 +1762,77 @@ def test_torus_flow_with_a_halving_matches_the_frozen_division_loop(shape):
 
 def test_the_construct_torus_flow_matches_the_frozen_division_loop():
     # the benchmark's torus flow: four fibers on 256x64, one displaced by 0.3;
-    # the state stays fibered, so every step takes the column path
+    # the seed is fibered, so the flow runs on its profile
     g = torus_grid(256, 64)
     eps = 0.15
     angles = (1.0 + np.arange(4) * (np.pi / 2)) % (2 * np.pi)
     angles[1] += 0.3
     f = multi_interface_seed(g, eps, angles)
     trace = gradient_flow(f, P, SolveConfig(min_points_per_eps=4.0), StopRule(max_steps=500))
-    v, energies, dt_final = _frozen_torus_flow(g, eps, eps * g.h, f.values, 500)
+    v, energies, dt_final, _ = _frozen_torus_flow(g, eps, eps * g.h, f.values, 500)
     assert np.all(v == v[:, :1])
     assert dt_final == trace.dt_final
     assert np.array_equal(trace.energies.view(np.int64), energies.view(np.int64))
     assert np.array_equal(trace.field.values.view(np.int64), v.view(np.int64))
+
+
+def _assert_flows_alike(trace, frozen):
+    v, energies, dt_final, samples = frozen
+    assert dt_final == trace.dt_final
+    assert np.array_equal(trace.energies.view(np.int64), energies.view(np.int64))
+    assert np.array_equal(trace.field.values.view(np.int64), v.view(np.int64))
+    assert trace.field.values.flags.c_contiguous
+    assert [s for s, _ in trace.angle_samples] == [s for s, _ in samples]
+    for (_, got), (_, ref) in zip(trace.angle_samples, samples):
+        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(ref).view(np.int64))
+
+
+@pytest.mark.parametrize("shape", [(32, 16), (64, 32), (32, 24)])
+def test_a_fibered_flow_with_a_halving_and_nodal_samples_matches_the_frozen_loop(shape):
+    # the profile path on power-of-two fibers, the 2-D path on the 24-point one
+    g = torus_grid(*shape)
+    eps = 2.0 * g.h
+    dt = 12.0 * eps * g.h  # the energy rises once after the transient
+    f = multi_interface_seed(g, eps, [1.0, 1.0 + np.pi])
+    trace = gradient_flow(
+        f, P, SolveConfig(flow_dt=dt, min_points_per_eps=2.0),
+        StopRule(max_steps=40, sample_every=4, track_nodal=True),
+    )
+    frozen = _frozen_torus_flow(g, eps, dt, f.values, 40, sample_every=4)
+    assert frozen[2] == dt / 2 and len(frozen[3]) == 10
+    assert all(len(angles) == 2 for _, angles in frozen[3])
+    _assert_flows_alike(trace, frozen)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "overflow", 1e308])
+@pytest.mark.parametrize("shape", [(32, 16), (32, 24)])
+def test_a_fibered_flow_whose_w_prime_turns_non_finite_stops_as_the_frozen_loop(shape, value):
+    # W' sets one fiber row at its 23rd call: to a non-finite value, or to
+    # one whose n2 multiple in the right-hand side overflows
+    g = torus_grid(*shape)
+    eps = 4.0 * g.h
+    dt = eps * g.h
+    if value == "overflow":
+        value = 1.5 * (np.finfo(float).max / g.shape[1]) / (dt / eps)
+
+    def potential():
+        calls = []
+
+        def dw(x):
+            calls.append(None)
+            out = P.dw(x)
+            if len(calls) == 23:
+                out[g.shape[0] // 3] = value
+            return out
+
+        return from_callables(P.w, dw, P.d2w, "injected")
+
+    f = multi_interface_seed(g, eps, [0.4, 2.0, 3.5, 5.1])
+    with pytest.raises(SolverError) as ref, np.errstate(invalid="ignore", over="ignore"):
+        _frozen_torus_flow(g, eps, dt, f.values, 40, potential())
+    with pytest.raises(SolverError) as got, np.errstate(invalid="ignore", over="ignore"):
+        gradient_flow(f, potential(), SolveConfig(min_points_per_eps=4.0), StopRule(max_steps=40))
+    assert str(got.value) == str(ref.value) == "non-finite energy nan at flow step 23"
 
 
 def _frozen_torus_jacobian_solve(g, eps, v, res):
