@@ -1,7 +1,10 @@
 """Snapshot persistence and CSV emission.
 
 Snapshots are versioned structured text.  Values are stored as hexadecimal
-floats (bit-exact round trip) with decimal mirrors for human inspection.
+floats with decimal mirrors for human inspection.  Every value but a NaN
+loads back bit for bit (±0.0, subnormals and ±inf included); every NaN,
+whatever its sign and payload, is written ``nan nan`` and loads back as the
+canonical quiet NaN (bits ``0x7ff8000000000000``).
 """
 
 from __future__ import annotations
@@ -49,11 +52,23 @@ class CorruptSnapshotError(SnapshotError):
     pass
 
 
+def _format_each(values, fmt) -> list[str]:
+    """``fmt(x)`` for each value of the float array ``values`` in C order,
+    ``x`` a Python float; ``fmt`` is called once per distinct bit pattern, so
+    ``-0.0`` and each NaN pattern are formatted apart from the others."""
+    bits = np.ravel(values).view(np.int64)  # ravel copies a non-C-ordered array
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    text = np.array([fmt(x) for x in distinct.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
 def save_snapshot(f: Field, path, potential: dict | None = None) -> None:
     """Write ``f`` and the potential's description as a snapshot file.
 
     The header's ``config:`` line is always ``-``; the reader still parses
-    it and returns it as ``meta["config_hash"]``.
+    it and returns it as ``meta["config_hash"]``.  The value line of each
+    distinct bit pattern is formatted once and repeated, so the formatting
+    cost follows the number of distinct values, not of points.
     """
     g = f.grid
     lines = [f"{SNAPSHOT_NAME} {SNAPSHOT_VERSION}"]
@@ -64,9 +79,8 @@ def save_snapshot(f: Field, path, potential: dict | None = None) -> None:
     lines.append(f"epsilon: {float(f.epsilon).hex()} # {float(f.epsilon)!r}")
     lines.append("potential: " + json.dumps(canonicalize(potential) if potential else None, sort_keys=True))
     lines.append("config: -")
-    flat = f.values.ravel()
-    lines.append(f"values: {flat.size}")
-    lines += [f"{x.hex()} {x!r}" for x in flat.tolist()]  # Python floats, not numpy scalars
+    lines.append(f"values: {f.values.size}")
+    lines += _format_each(f.values, lambda x: f"{x.hex()} {x!r}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -84,6 +98,10 @@ def _parse_header_line(lines, i, key, parse=str, comment=True):
 
 
 def load_snapshot_with_meta(path):
+    """The field of a snapshot file and its ``potential``, ``config_hash``
+    and ``version``.  Each distinct value line is parsed once, in file order,
+    so the parsing cost follows the number of distinct values, not of
+    points, and a corrupt file fails at its first bad line."""
     text = Path(path).read_text()
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -127,7 +145,9 @@ def load_snapshot_with_meta(path):
             f"value count {expected} does not match grid size {grid.npoints}"
         )
     try:  # a bad value line, or an epsilon that Field rejects
-        vals = np.array([float.fromhex(ln.split(None, 1)[0]) for ln in value_lines])
+        parsed = dict.fromkeys(value_lines)  # distinct lines, in file order: the first bad line raises
+        parsed.update(zip(parsed, map(float.fromhex, [ln.split(None, 1)[0] for ln in parsed])))
+        vals = np.fromiter(map(parsed.__getitem__, value_lines), float, len(value_lines))
         field = Field(grid, vals.reshape(grid.shape), epsilon)
     except ValueError as exc:
         raise CorruptSnapshotError(f"bad values or epsilon: {exc}") from None
@@ -176,9 +196,9 @@ def _num(x) -> str:
 def _emit_field(f: Field, path: Path) -> None:
     g = f.grid
     axes = np.meshgrid(*(g.axis(i) for i in range(len(g.shape))), indexing="ij")
-    cols = [c.ravel() for c in axes] + [f.values.ravel()]
+    cols = [_format_each(c, _num) for c in (*axes, f.values)]
     rows = [f"{LABELS[g.kind][1]},value"]
-    rows += [",".join(_num(x) for x in row) for row in zip(*cols)]
+    rows += [",".join(row) for row in zip(*cols)]
     path.write_text("\n".join(rows) + "\n")
 
 

@@ -61,6 +61,101 @@ def test_snapshot_value_lines_are_hex_then_shortest_decimal(tmp_path):
     assert np.array_equal(load_snapshot(path).values.view(np.int64), f.values.view(np.int64))
 
 
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.int64)
+
+
+def test_snapshot_values_keep_their_bits_but_nans_load_as_the_canonical_quiet_nan(tmp_path):
+    exact = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf, -1e300, 0.1]
+    nan_bits = [0xFFF8000000000000, 0x7FF0000000000001, 0xFFF0000000000001, 0x7FF8000000000000]
+    nans = np.array(nan_bits, dtype=np.uint64).view(np.float64)
+    values = np.concatenate([exact, nans, np.zeros(3)])
+    f = Field(circle_grid(16), values, 0.5)
+    path = tmp_path / "snap.txt"
+    save_snapshot(f, path)
+    assert path.read_text().splitlines()[6 + len(exact) : 6 + len(exact) + len(nans)] == ["nan nan"] * 4
+    loaded = _bits(load_snapshot(path).values)
+    assert np.array_equal(loaded[: len(exact)], _bits(np.array(exact)))
+    assert loaded[len(exact) : len(exact) + len(nans)].tolist() == [0x7FF8000000000000] * 4
+    assert np.array_equal(loaded[len(exact) + len(nans) :], _bits(np.zeros(3)))
+
+
+def _snapshot_text_value_by_value(f: Field) -> bytes:
+    """A snapshot of ``f`` without a potential, each value line formatted on its own."""
+    g = f.grid
+    label = {"interval": "half_length", "circle": "circumference", "torus": "circumferences"}[g.kind]
+    lines = [
+        "phaselab-snapshot 1",
+        f"grid: {g.kind} {' '.join(map(str, g.shape))} {' '.join(L.hex() for L in g.lengths)} "
+        f"# {label} {' '.join(map(repr, g.lengths))}",
+        f"epsilon: {f.epsilon.hex()} # {f.epsilon!r}",
+        "potential: null",
+        "config: -",
+        f"values: {f.values.size}",
+    ]
+    lines += [f"{x.hex()} {x!r}" for x in np.ascontiguousarray(f.values).ravel().tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _fibered_torus_field():  # 256 distinct values, each repeated along its fiber
+    g = torus_grid(256, 64, (2 * np.pi, 3.0))
+    return Field(g, g.extrude(np.tanh(np.sin(g.axis(0) - 0.1) / 0.15)), 0.15)
+
+
+def _glued_circle_field():
+    return reflect_extend(solve_dirichlet_model(np.pi / 2, 0.2, P, n=129), 4)
+
+
+def _distinct_torus_field():
+    g = torus_grid(32, 24, (2 * np.pi, 4.0))
+    return Field(g, np.random.default_rng(5).standard_normal(g.shape), 0.37)
+
+
+@pytest.mark.parametrize(
+    "make, distinct",
+    [(_fibered_torus_field, 256), (_glued_circle_field, None), (_distinct_torus_field, 32 * 24)],
+    ids=["fibered-256x64", "reflect-extend", "all-distinct"],
+)
+def test_snapshot_bytes_are_the_per_value_formula(tmp_path, make, distinct):
+    f = make()
+    if distinct is not None:
+        assert np.unique(_bits(f.values)).size == distinct
+    else:  # the gluing repeats its piece with both signs, and its joints are +0.0 and -0.0
+        assert np.unique(_bits(f.values)).size < f.values.size // 2
+        assert {0, -(2**63)} <= set(_bits(f.values).tolist())
+    path = tmp_path / "snap.txt"
+    save_snapshot(f, path)
+    assert path.read_bytes() == _snapshot_text_value_by_value(f)
+    assert np.array_equal(_bits(load_snapshot(path).values), _bits(f.values))
+
+
+@pytest.mark.parametrize("case", ["transposed-torus", "strided-circle"])
+def test_a_non_c_ordered_field_writes_the_bytes_of_its_c_ordered_copy(tmp_path, case):
+    rng = np.random.default_rng(11)
+    if case == "transposed-torus":  # rounded, so that values repeat out of C order
+        grid, values = torus_grid(32, 24, (2 * np.pi, 4.0)), np.round(rng.uniform(-1, 1, (24, 32)), 1).T
+    else:
+        grid, values = circle_grid(64), np.round(rng.uniform(-1, 1, 128), 1)[::2]
+    f = Field(grid, values, 0.4)
+    assert not f.values.flags.c_contiguous
+    save_snapshot(f, tmp_path / "view.txt")
+    save_snapshot(Field(grid, np.ascontiguousarray(values), 0.4), tmp_path / "copy.txt")
+    assert (tmp_path / "view.txt").read_bytes() == (tmp_path / "copy.txt").read_bytes()
+    assert (tmp_path / "view.txt").read_bytes() == _snapshot_text_value_by_value(f)
+
+
+def test_field_csv_is_the_per_value_formula(tmp_path):
+    g = torus_grid(16, 24, (2 * np.pi, 4.0))
+    values = np.asfortranarray(np.round(np.random.default_rng(2).uniform(-1, 1, g.shape), 1))
+    values[0, :3] = [0.0, -0.0, 0.0]
+    f = Field(g, values, 0.3)
+    emit_plotdata(f, tmp_path / "field.csv")
+    theta, y = np.meshgrid(g.axis(0), g.axis(1), indexing="ij")
+    cells = zip(theta.ravel().tolist(), y.ravel().tolist(), np.ravel(values).tolist())
+    rows = ["theta,y,value"] + [f"{a!r},{b!r},{v!r}" for a, b, v in cells]
+    assert (tmp_path / "field.csv").read_text() == "\n".join(rows) + "\n"
+
+
 @pytest.mark.parametrize(
     "grid, line",
     [
@@ -178,6 +273,19 @@ def test_malformed_snapshot_is_corrupt(tmp_path, case):
         lines[i] = text
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CorruptSnapshotError):
+        load_snapshot(path)
+
+
+def test_the_first_bad_value_line_fails_first_though_it_repeats_later(tmp_path):
+    path = tmp_path / "snap.txt"
+    save_snapshot(Field(circle_grid(32), np.zeros(32), 0.5), path)
+    lines = path.read_text().splitlines()
+    # a line whose hex overflows raises OverflowError, not a parse error, if it is read first
+    lines[8], lines[10], lines[12] = "0xnope 0.0", "0x1p+99999 inf", "0xnope 0.0"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(
+        CorruptSnapshotError, match="^bad values or epsilon: invalid hexadecimal floating-point string$"
+    ):
         load_snapshot(path)
 
 
