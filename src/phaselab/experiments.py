@@ -226,18 +226,11 @@ def build_barrier(
             "the barrier would vanish identically"
         )
     v = model.field.values
-
-    offsets = np.arange(-half_steps, half_steps + 1)
-    vals = np.empty(offsets.size)
-    for j, s in enumerate(offsets):
-        a = abs(int(s))
-        if a <= steps:
-            vals[j] = v[steps + s]
-        else:
-            vals[j] = -v[3 * steps - a]
+    # the core and its odd reflections about its two ends, each end (a zero of v) written once
+    vals = np.concatenate([-v[:-1], v, -v[-2::-1]])
 
     circle_vals = np.zeros(n)
-    idx = (center_index + offsets) % n
+    idx = (center_index + np.arange(-half_steps, half_steps + 1)) % n
     circle_vals[idx] = vals
     mask = np.zeros(n, dtype=bool)
     mask[idx] = True
@@ -299,27 +292,19 @@ def slide_to_touch(u: Field, barrier: Barrier, max_offset: float) -> SlideReport
 # relaxation helpers shared by the census experiments
 
 
-def _newton(field: Field, p: Potential, cfg: SolveConfig):
-    """Newton-refine ``field``: ``(NewtonResult, None, {})``, or ``(None,
-    error message, {})`` when the solve fails; the ``{}`` holds no row entry."""
-    try:
-        return newton_refine(field, p, cfg), None, {}
-    except SolverError as exc:
-        return None, str(exc), {}
-
-
-def _fiber_reduced_newton(field: Field, p: Potential, cfg: SolveConfig):
+def _fiber_reduced_newton(field: Field, p: Potential, cfg: SolveConfig, run: dict):
     """Refine a torus field through its fiber mean when the transverse
-    certificate holds, else as ``_newton`` does; the row entries are
-    ``path``, ``transverse_gap`` and ``transverse_sup``.
+    certificate holds, else by the torus Newton solve: the NewtonResult,
+    or the solve's SolverError raised.  The census row ``run`` gets
+    ``path``, ``transverse_gap`` and ``transverse_sup`` either way.
 
     The field splits into its fiber mean ubar and w = u - ubar, whose sup
     norm is ``transverse_sup``.  ubar is refined by Newton on the circle of
     the torus' axis 0 (its length and point count), an O(n1) chain solve
     per step, and ``transverse_gap`` is taken there (solvers.transverse_gap)
     at the state Newton ended at: its result, or the last iterate it
-    accepted when it gives up (NewtonDivergenceError.state), or ubar when a
-    Jacobian solve fails (SingularJacobianError).  On a fibered state
+    accepted when it gives up (NewtonDivergenceError.state), or ubar when
+    it fails otherwise (a SingularJacobianError, say).  On a fibered state
     the torus Jacobian is J + eps mu_k on the fiber modes k, so a positive
     gap leaves the transverse equation near the state no solution but
     w = 0: every critical point near it is fibered (Lyapunov-Schmidt on the
@@ -327,50 +312,52 @@ def _fiber_reduced_newton(field: Field, p: Potential, cfg: SolveConfig):
     TRANSVERSE_SUP_FLOOR the run is ``fiber_reduced``: its result is the
     fibered extension of the circle's, whose torus residual is the circle
     residual broadcast along the fiber, bit for bit (the fiber second
-    difference of a constant row is zero).  Otherwise, NaN included, the
-    field itself takes the torus Newton solve (``torus_newton``).
+    difference of a constant row is zero), and a failed circle solve
+    raises its own error again.  Otherwise, NaN included, the field itself
+    takes the torus Newton solve (``torus_newton``).
     """
     grid, eps = field.grid, field.epsilon
     mean = field.values.mean(axis=1)
     sup = sup_norm(field.values - mean[:, None])
     circle = Field(circle_grid(grid.shape[0], grid.lengths[0]), mean, eps)
+    failure = None
     try:
-        nr, err = newton_refine(circle, p, cfg), None
+        nr = newton_refine(circle, p, cfg)
         end = nr.field.values
     except NewtonDivergenceError as exc:
-        nr, err, end = None, str(exc), exc.state
+        failure, end = exc, exc.state
     except SolverError as exc:
-        nr, err, end = None, str(exc), mean
+        failure, end = exc, mean
     gap = transverse_gap(grid, eps, p, end)
-    entries = {"transverse_gap": gap, "transverse_sup": sup}
-    if not (gap >= TRANSVERSE_GAP_FLOOR and sup <= TRANSVERSE_SUP_FLOOR):
-        nr, err, _ = _newton(field, p, cfg)
-        return nr, err, {"path": "torus_newton", **entries}
-    if nr is not None:
-        nr = replace(nr, field=Field(grid, grid.extrude(nr.field.values), eps))
-    return nr, err, {"path": "fiber_reduced", **entries}
+    reduced = gap >= TRANSVERSE_GAP_FLOOR and sup <= TRANSVERSE_SUP_FLOOR
+    run.update(path="fiber_reduced" if reduced else "torus_newton", transverse_gap=gap, transverse_sup=sup)
+    if not reduced:
+        return newton_refine(field, p, cfg)
+    if failure is not None:
+        raise failure
+    return replace(nr, field=Field(grid, grid.extrude(nr.field.values), eps))
 
 
-def _relax(seed: Field, p: Potential, cfg: SolveConfig, flow_steps: int, refine):
-    """Flow ``seed`` ``flow_steps`` steps, then ``refine(field, p, cfg)``."""
-    trace = gradient_flow(seed, p, cfg, StopRule(max_steps=flow_steps))
-    return refine(trace.field, p, cfg)
-
-
-def _census_run(
-    run: dict, seed: Field, p: Potential, cfg: SolveConfig, flow_steps: int, judge, refine=_newton
-):
-    """Relax ``seed`` and fill the census row ``run``: the entries of
-    ``refine``; then a failed relaxation is ``non_converged`` with its
-    error, and a converged one records its final residual and the entries
-    ``judge(field, nodal_set)`` returns."""
-    nr, err, entries = _relax(seed, p, cfg, flow_steps, refine)
-    run.update(entries)
-    if nr is None:
-        run.update(outcome="non_converged", error=err)
-    else:
-        run["residual"] = nr.residuals[-1]
-        run.update(judge(nr.field, extract_nodal_set(nr.field)))
+def _census_run(run: dict, seed: Field, p: Potential, cfg: SolveConfig, flow_steps: int, judge):
+    """Flow ``seed`` ``flow_steps`` steps, refine the flowed field and fill
+    the census row ``run``.  The refine step is ``newton_refine`` on a
+    circle and ``_fiber_reduced_newton`` on a torus, which adds its own
+    entries to the row.  A SolverError of either makes the run
+    ``non_converged`` with the error's message; a converged run records its
+    final residual and the entries ``judge(field, nodal_set)`` returns.
+    The solvers are looked up in this module at call time, so a wrapper
+    set on ``phaselab.experiments`` sees every call."""
+    field = gradient_flow(seed, p, cfg, StopRule(max_steps=flow_steps)).field
+    try:
+        if field.values.ndim == 1:
+            nr = newton_refine(field, p, cfg)
+        else:
+            nr = _fiber_reduced_newton(field, p, cfg, run)
+    except SolverError as exc:
+        run.update(outcome="non_converged", error=str(exc))
+        return run
+    run["residual"] = nr.residuals[-1]
+    run.update(judge(nr.field, extract_nodal_set(nr.field)))
     return run
 
 
@@ -593,10 +580,7 @@ def experiment_m_rigidity(
     torus_cfg = replace(cfg, min_points_per_eps=torus_points_per_eps)
     runs = []
     for surface in surfaces:
-        if surface == "circle":
-            grid, run_cfg, refine = circle_grid(circle_n), cfg, _newton
-        else:
-            grid, run_cfg, refine = torus_grid(*torus_n), torus_cfg, _fiber_reduced_newton
+        grid, run_cfg = (circle_grid(circle_n), cfg) if surface == "circle" else (torus_grid(*torus_n), torus_cfg)
         for eps in eps_list:
             require_resolution(grid, eps, run_cfg.min_points_per_eps)
             # control run: unperturbed spacing at a generic rotation; the
@@ -612,7 +596,7 @@ def experiment_m_rigidity(
                     "kind": label,
                     "seed_angles": list(angles),
                 }
-                runs.append(_census_run(run, field0, p, run_cfg, M_RIGIDITY_FLOW_STEPS, judge, refine))
+                runs.append(_census_run(run, field0, p, run_cfg, M_RIGIDITY_FLOW_STEPS, judge))
 
     violations = [r for r in runs if r.get("outcome") == "rigidity_violation"]
     symmetric = [r for r in runs if r.get("outcome") == "converged_symmetric"]

@@ -10,6 +10,7 @@ canonical quiet NaN (bits ``0x7ff8000000000000``).
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,17 @@ def save_snapshot(f: Field, path, potential: dict | None = None) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+@contextmanager
+def _parsing(what: str):
+    """Raise a parse failure in the block as ``CorruptSnapshotError("bad
+    {what}: ...")``; a hex float too large for a double raises
+    OverflowError, which is no ValueError."""
+    try:
+        yield
+    except (ValueError, TypeError, OverflowError) as exc:  # json.JSONDecodeError is a ValueError
+        raise CorruptSnapshotError(f"bad {what}: {exc}") from None
+
+
 def _parse_header_line(lines, i, key, parse=str, comment=True):
     """The body of header line ``i``, which must start ``key:``, passed through
     ``parse``; a missing line or a body ``parse`` rejects is corrupt."""
@@ -91,10 +103,8 @@ def _parse_header_line(lines, i, key, parse=str, comment=True):
         raise CorruptSnapshotError(f"missing '{key}:' line in snapshot header")
     body = lines[i][len(key) + 1 :]
     body = (body.split("#", 1)[0] if comment else body).strip()
-    try:
+    with _parsing(f"'{key}:' line {body!r}"):
         return parse(body)
-    except ValueError as exc:  # json.JSONDecodeError is a ValueError
-        raise CorruptSnapshotError(f"bad '{key}:' line {body!r}: {exc}") from None
 
 
 def load_snapshot_with_meta(path):
@@ -118,7 +128,7 @@ def load_snapshot_with_meta(path):
         )
 
     grid_line = _parse_header_line(lines, 1, "grid")
-    try:
+    with _parsing(f"grid line {grid_line!r}"):
         kind, *body = grid_line.split()
         k = len(body) // 2
         if not body or 2 * k != len(body):
@@ -126,8 +136,6 @@ def load_snapshot_with_meta(path):
         shape = [int(x) for x in body[:k]]
         lengths = [float.fromhex(x) for x in body[k:]]
         grid = Grid(kind, shape, lengths)
-    except (ValueError, TypeError) as exc:
-        raise CorruptSnapshotError(f"bad grid line {grid_line!r}: {exc}") from None
 
     epsilon = _parse_header_line(lines, 2, "epsilon", float.fromhex)
     # the potential's JSON may hold a '#', so the line has no comment to strip
@@ -144,13 +152,11 @@ def load_snapshot_with_meta(path):
         raise CorruptSnapshotError(
             f"value count {expected} does not match grid size {grid.npoints}"
         )
-    try:  # a bad value line, or an epsilon that Field rejects
+    with _parsing("values or epsilon"):  # a bad value line, or an epsilon that Field rejects
         parsed = dict.fromkeys(value_lines)  # distinct lines, in file order: the first bad line raises
         parsed.update(zip(parsed, map(float.fromhex, [ln.split(None, 1)[0] for ln in parsed])))
         vals = np.fromiter(map(parsed.__getitem__, value_lines), float, len(value_lines))
         field = Field(grid, vals.reshape(grid.shape), epsilon)
-    except ValueError as exc:
-        raise CorruptSnapshotError(f"bad values or epsilon: {exc}") from None
     meta = {"potential": potential, "config_hash": config_hash, "version": version}
     return field, meta
 

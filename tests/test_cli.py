@@ -54,6 +54,18 @@ def test_malformed_snapshot_potential_exits_two(tmp_path, capsys, command, poten
     assert not out.exists()
 
 
+def test_refine_of_a_snapshot_with_an_overflowing_value_exits_two(tmp_path, capsys):
+    snap = tmp_path / "bad.snap"
+    pl.save_snapshot(pl.multi_interface_seed(pl.circle_grid(256), 0.2, [0.0, np.pi]), snap)
+    lines = snap.read_text().splitlines()
+    lines[10] = "0x1p+99999 inf"
+    snap.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.snap"
+    assert main(["refine", "--snapshot", str(snap), "--out", str(out)]) == 2
+    assert "error: bad values or epsilon: hexadecimal value too large" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_potential_table_without_a_file_exits_two(capsys):
     assert main(["check-potential", "--kind", "table"]) == 2
     assert "--table-file is required for kind=table" in capsys.readouterr().err

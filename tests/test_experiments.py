@@ -182,6 +182,23 @@ class TestBarrier:
             bc.center, bc.width, bc.center_index, bc.half_steps,
         )
 
+    @pytest.mark.parametrize(
+        "n, circumference, eps, width, center",
+        [(2048, 8 * np.pi, 0.1, 0.5, np.pi), (2048, 8 * np.pi, 0.1, 1.0, 0.2), (1024, 2 * np.pi, 0.05, 0.3, 6.2)],
+    )
+    def test_lobes_match_the_per_offset_formula_bit_for_bit(self, n, circumference, eps, width, center):
+        """The three lobes are the model profile v at offsets up to the core's
+        half-width and -v reflected beyond it, zero signs included."""
+        g = circle_grid(n, circumference)
+        b = build_barrier(center, width, eps, P, g)
+        steps = b.half_steps // 3
+        v = solve_dirichlet_model(steps * g.h, eps, P, SolveConfig(), n=2 * steps + 1).field.values
+        expected = np.zeros(n)
+        for s in range(-b.half_steps, b.half_steps + 1):
+            a = abs(s)
+            expected[(b.center_index + s) % n] = v[steps + s] if a <= steps else -v[3 * steps - a]
+        assert np.array_equal(b.field.values.view(np.int64), expected.view(np.int64))
+
     def test_interval_grid_rejected(self):
         g = interval_grid(257, np.pi)
         with pytest.raises(ValueError, match="circle or torus"):
@@ -401,14 +418,16 @@ class TestExperimentDrivers:
 
 
 def _relax_to(monkeypatch, angles):
-    """Make every census relaxation converge, to a field on the seed's grid
-    with sign changes at ``angles``: the census outcomes no real run reaches."""
+    """Make every Newton solve of a census converge, to a field on the grid
+    it was given with sign changes at ``angles``: the census outcomes no
+    real run reaches.  Each run still flows its seed, and a torus run still
+    takes its transverse certificate, at the injected circle state."""
 
-    def relax(seed, p, cfg, flow_steps, refine):
-        f = multi_interface_seed(seed.grid, seed.epsilon, angles)
-        return NewtonResult(f, [0.0], 0, True), None, {}
+    def refine(field, p, cfg):
+        f = multi_interface_seed(field.grid, field.epsilon, angles)
+        return NewtonResult(f, [0.0], 0, True)
 
-    monkeypatch.setattr(experiments, "_relax", relax)
+    monkeypatch.setattr(experiments, "newton_refine", refine)
 
 
 def _failed(report):
@@ -457,6 +476,26 @@ class TestCensusOutcomes:
         assert _failed(rep) == {"every_converged_pair_antipodal"}
 
 
+def test_census_solves_are_looked_up_in_the_experiments_module(monkeypatch):
+    """perfbench's tracer and tools/report_digests.py wrap the solvers on
+    phaselab.experiments: every row's flow and Newton solve must go through
+    those names, not through a solver bound when the module was imported."""
+    calls = {"gradient_flow": 0, "newton_refine": 0}
+    for name in calls:
+        def counted(*args, _solve=getattr(experiments, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counted)
+    rigidity = experiment_m_rigidity(4, eps_list=(0.15,), seeds=(), surfaces=("circle", "torus"))
+    pairs = experiment_two_interface(eps_list=(0.25,), seeds=range(1))
+    runs = rigidity.runs + pairs.runs
+    assert [r.get("surface") for r in runs] == ["circle", "torus", None]
+    # a torus row solves its fiber mean on the circle, then the torus itself off the reduced path
+    torus_solves = sum(r.get("path") == "torus_newton" for r in runs)
+    assert calls == {"gradient_flow": len(runs), "newton_refine": len(runs) + torus_solves}
+
+
 C07_TORUS = torus_grid(256, 64)
 C07_TORUS_CFG = SolveConfig(tol_grad=1e-12, min_points_per_eps=4.0)  # the census' torus config
 
@@ -477,8 +516,9 @@ class TestFiberReduction:
     def test_reduced_path_agrees_with_the_torus_newton_solve(self, eps, seed):
         flowed = _flowed_c07_control(eps, seed)
         torus = newton_refine(flowed, P, C07_TORUS_CFG)
-        nr, err, entries = experiments._fiber_reduced_newton(flowed, P, C07_TORUS_CFG)
-        assert err is None and entries["path"] == "fiber_reduced"
+        run = {}
+        nr = experiments._fiber_reduced_newton(flowed, P, C07_TORUS_CFG, run)
+        assert run["path"] == "fiber_reduced"
         assert torus.residuals[-1] <= 1e-12 and nr.residuals[-1] <= 1e-12
         a, b = extract_nodal_set(torus.field), extract_nodal_set(nr.field)
         assert a.count == b.count == 4
@@ -507,11 +547,12 @@ class TestFiberReduction:
         base = multi_interface_seed(g, eps, 0.3 + np.arange(4) * np.pi / 2).values
         amplitude = factor * experiments.TRANSVERSE_SUP_FLOOR
         wave = amplitude * np.cos(2.0 * np.pi * np.arange(16) / 16)
-        nr, err, entries = experiments._fiber_reduced_newton(Field(g, base + wave, eps), P, C07_TORUS_CFG)
-        assert entries["path"] == path
-        assert entries["transverse_sup"] == pytest.approx(amplitude, rel=1e-9)
-        assert entries["transverse_gap"] >= experiments.TRANSVERSE_GAP_FLOOR
-        assert err is None and nr.residuals[-1] <= 1e-12
+        run = {}
+        nr = experiments._fiber_reduced_newton(Field(g, base + wave, eps), P, C07_TORUS_CFG, run)
+        assert run["path"] == path
+        assert run["transverse_sup"] == pytest.approx(amplitude, rel=1e-9)
+        assert run["transverse_gap"] >= experiments.TRANSVERSE_GAP_FLOOR
+        assert nr.residuals[-1] <= 1e-12
 
     def _stagnating_torus_field(self):
         """A fibered two-interface torus field whose fiber mean, a stagnating
@@ -528,10 +569,12 @@ class TestFiberReduction:
         mean = field.values.mean(axis=1)
         with pytest.raises(NewtonDivergenceError, match="stagnated") as failure:
             newton_refine(Field(circle_grid(256), mean, field.epsilon), P, cfg)
-        nr, err, entries = experiments._fiber_reduced_newton(field, P, cfg)
-        assert nr is None and err == str(failure.value)
+        run = {}
+        with pytest.raises(NewtonDivergenceError) as raised:
+            experiments._fiber_reduced_newton(field, P, cfg, run)
+        assert run["path"] == "fiber_reduced" and str(raised.value) == str(failure.value)
         end_gap = transverse_gap(field.grid, field.epsilon, P, failure.value.state)
-        assert entries["transverse_gap"] == end_gap
+        assert run["transverse_gap"] == end_gap
         assert end_gap != transverse_gap(field.grid, field.epsilon, P, mean)
 
     def test_gap_falls_back_to_the_fiber_mean_on_a_singular_jacobian(self, monkeypatch):
@@ -541,10 +584,12 @@ class TestFiberReduction:
             raise SingularJacobianError("Newton step blew up (nearly singular Jacobian)")
 
         monkeypatch.setattr(experiments, "newton_refine", singular)
-        nr, err, entries = experiments._fiber_reduced_newton(field, P, cfg)
-        assert nr is None and "singular" in err
+        run = {}
+        with pytest.raises(SingularJacobianError, match="singular"):
+            experiments._fiber_reduced_newton(field, P, cfg, run)
+        assert run["path"] == "fiber_reduced"
         mean = field.values.mean(axis=1)
-        assert entries["transverse_gap"] == transverse_gap(field.grid, field.epsilon, P, mean)
+        assert run["transverse_gap"] == transverse_gap(field.grid, field.epsilon, P, mean)
 
     def test_torus_rows_build_one_seed_each(self, monkeypatch):
         """perfbench splits a census into rows at its seed constructions."""

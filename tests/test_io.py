@@ -188,6 +188,7 @@ def test_snapshot_grid_line(tmp_path, grid, line):
         "grid: circle sixty-four 0x1.921fb54442d18p+2",
         "grid: circle 64 inf",
         "grid: circle 64 nan",
+        "grid: circle 64 0x1p+99999",  # float.fromhex raises OverflowError, which is no ValueError
         "grid: circle 64 64 0x1.921fb54442d18p+2 0x1.921fb54442d18p+2",
         "grid:",
     ],
@@ -251,6 +252,7 @@ MALFORMED = {  # case -> (line index, its replacement); None cuts the file there
     "truncated_after_epsilon": (3, None),
     "non_integer_version": (0, "phaselab-snapshot one"),
     "bad_epsilon_hex": (2, "epsilon: 0xzz # 0.5"),
+    "epsilon_overflows": (2, "epsilon: 0x1p+99999 # inf"),
     "epsilon_inf": (2, "epsilon: inf"),
     "epsilon_nan": (2, "epsilon: nan"),
     "epsilon_zero": (2, "epsilon: 0x0.0p+0"),
@@ -258,6 +260,7 @@ MALFORMED = {  # case -> (line index, its replacement); None cuts the file there
     "bad_potential_json": (3, 'potential: {"kind": '),
     "non_integer_value_count": (5, "values: many"),
     "bad_value_line": (10, "0xnope 0.0"),
+    "value_overflows": (10, "0x1p+99999 inf"),
 }
 
 
