@@ -342,13 +342,13 @@ def _census_run(run: dict, seed: Field, p: Potential, cfg: SolveConfig, flow_ste
     """Flow ``seed`` ``flow_steps`` steps, refine the flowed field and fill
     the census row ``run``.  The refine step is ``newton_refine`` on a
     circle and ``_fiber_reduced_newton`` on a torus, which adds its own
-    entries to the row.  A SolverError of either makes the run
-    ``non_converged`` with the error's message; a converged run records its
-    final residual and the entries ``judge(field, nodal_set)`` returns.
-    The solvers are looked up in this module at call time, so a wrapper
-    set on ``phaselab.experiments`` sees every call."""
-    field = gradient_flow(seed, p, cfg, StopRule(max_steps=flow_steps)).field
+    entries to the row.  A SolverError of the flow or the refine step makes
+    the run ``non_converged`` with the error's message; a converged run
+    records its final residual and the entries ``judge(field, nodal_set)``
+    returns.  The solvers are looked up in this module at call time, so a
+    wrapper set on ``phaselab.experiments`` sees every call."""
     try:
+        field = gradient_flow(seed, p, cfg, StopRule(max_steps=flow_steps)).field
         if field.values.ndim == 1:
             nr = newton_refine(field, p, cfg)
         else:

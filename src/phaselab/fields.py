@@ -22,12 +22,10 @@ calls it at every step.  Both take stacks of fields, shape
 checks a block of its states in one call, with one matmul per gradient axis
 for all the states' squared-difference sums; the residual kernel any
 number, each row the bits of its field's own residual, so Newton evaluates
-a batch of backtracking trials in one call.  ``energy`` and
-``gradient`` build one per call; ``laplacian`` reuses one stencil kernel per
-grid.  The Hessian action -eps Lap_h(phi) + W''(u)/eps phi is one kernel
-too, ``hessian_kernel(grid, eps, p, u)``: ``hessian_apply`` is one call of
-it, and the torus Newton solve's MINRES operator applies it at every Krylov
-iteration, each application one ``laplacian`` call.  The
+a batch of backtracking trials in one call.  ``energy``,
+``gradient`` and ``laplacian`` build one per call, and so does
+``hessian_apply``, the Hessian action -eps Lap_h(phi) + W''(u)/eps phi,
+whose Laplacian is one ``laplacian`` call.  The
 kernels know two geometries: a periodic grid (``Grid.periodic``), whose
 one-axis case is the circle, and the Dirichlet interval.  Every stencil is
 one wrapped difference along a field's axis 0 (axis 1 of a stack); the
@@ -38,7 +36,6 @@ layout nor the stack it sits in changes a bit of it.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -53,7 +50,6 @@ __all__ = [
     "energy_kernel",
     "gradient",
     "hessian_apply",
-    "hessian_kernel",
     "laplacian",
     "inner",
     "residual_kernel",
@@ -170,13 +166,10 @@ def _laplacian_kernel(grid: Grid):
     return lap
 
 
-_shared_laplacian_kernel = functools.lru_cache(maxsize=8)(_laplacian_kernel)
-
-
 def laplacian(grid: Grid, v: np.ndarray) -> np.ndarray:
     """Second-order stencil Laplacian, as a new array; zero on Dirichlet
-    boundary rows.  Calls on one grid share one kernel."""
-    out = _shared_laplacian_kernel(grid)(v, np.empty(grid.shape))
+    boundary rows."""
+    out = _laplacian_kernel(grid)(v, np.empty(grid.shape))
     if not grid.periodic:
         out[0] = out[-1] = 0.0
     return out
@@ -303,37 +296,21 @@ def gradient(f: Field, p: Potential) -> Field:
     return Field(f.grid, residual_kernel(f.grid, f.epsilon, p)(f.values), f.epsilon)
 
 
-def hessian_kernel(grid: Grid, eps: float, p: Potential, u: np.ndarray):
-    """``apply(phi)``: the energy Hessian at ``u`` applied to a direction,
-    -eps Lap_h(phi) + W''(u)/eps phi, as a new array of the grid's shape.
-
-    ``W''(u)/eps`` is computed once, and the kernel owns one work buffer.
-    On an interval the direction's pinned ends count as zero, which makes
-    the pinned rows zero as well.  ``laplacian`` is looked up at each call,
-    so a tracer wrapping it counts every application (every Krylov
-    iteration of the torus Newton solve).
-    """
-    d2 = p.d2w(u) / eps
-    work = np.empty(grid.shape)
-
-    def apply(phi):
-        if not grid.periodic:
-            work[:] = phi
-            work[0] = work[-1] = 0.0
-            phi = work
-        out = laplacian(grid, phi)
-        np.multiply(out, -eps, out=out)
-        out += np.multiply(d2, phi, out=work)
-        return out
-
-    return apply
-
-
 def hessian_apply(f: Field, direction: Field, p: Potential) -> Field:
-    """Action of the energy Hessian at f on a direction field."""
+    """Action of the energy Hessian at f on a direction field,
+    -eps Lap_h(phi) + W''(u)/eps phi, as a new field; the direction's values
+    are read, never written.  On an interval the direction's pinned ends
+    count as zero, which makes the pinned rows zero as well."""
     if direction.grid != f.grid:
         raise ValueError("direction lives on a different grid")
-    return Field(f.grid, hessian_kernel(f.grid, f.epsilon, p, f.values)(direction.values), f.epsilon)
+    grid, eps, phi = f.grid, f.epsilon, direction.values
+    if not grid.periodic:
+        phi = phi.copy()
+        phi[0] = phi[-1] = 0.0
+    out = laplacian(grid, phi)
+    np.multiply(out, -eps, out=out)
+    out += np.multiply(p.d2w(f.values) / eps, phi)
+    return Field(grid, out, eps)
 
 
 def inner(grid: Grid, a: np.ndarray, b: np.ndarray) -> float:

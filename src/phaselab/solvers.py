@@ -33,14 +33,16 @@ LAPACK dpttrf, a step being one dpttrs solve (on the circle, plus one daxpy
 of the precomputed correction: a third of the cost of a SuperLU solve and
 under half of an FFT step, ROADMAP F9).  Newton calls LAPACK dgtsv
 directly, with one right-hand side on the interval and two on the circle
-(rhs and the corner vector, in a work array the solver owns).  On the torus,
-MINRES preconditioned with the FFT inverse of the constant-coefficient
-operator solves the Jacobian, which it applies as fields.hessian_kernel at
-the iterate; its nonzero info (no convergence) raises SingularJacobianError.
-A fibered torus state needs no such solve to be certified: transverse_gap
-takes the smallest eigenvalue of its transverse Jacobian blocks
-J + eps mu_k from the circle Jacobian J alone.
-The torus flow step and that preconditioner are each one _fft_solver: the
+(rhs and the corner vector, in a work array the solver owns).  On the torus
+the Jacobian is one sparse matrix, the periodic 5-point stencil assembled
+once per solver with W''(v)/eps written into its diagonal at each solve,
+and SuperLU factors it (scipy's splu, MMD_AT_PLUS_A ordering).  Each step
+is checked: a normwise backward error |J s - r|_inf / (|J|_inf |s|_inf +
+|r|_inf) above BACKWARD_TOL, or an exactly singular factor, raises
+SingularJacobianError.  A fibered torus state needs no such solve to be
+certified: transverse_gap takes the smallest eigenvalue of its transverse
+Jacobian blocks J + eps mu_k from the circle Jacobian J alone.
+The torus flow step from a field that is not fibered is one _fft_solver: the
 1-D transforms of rfft2/irfft2, in their order, through a spectrum buffer
 the solve owns, with the division by the real symbol done as a multiply by
 its reciprocals with imaginary part -0.0.  Short of an underflow, that
@@ -64,13 +66,13 @@ import scipy.linalg  # eigvalsh; perfbench's tracer wraps solvers.scipy.linalg
 import scipy.sparse.linalg as spla
 from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
+from scipy.sparse import csc_matrix
 
 from .fields import (  # energy, gradient, laplacian: perfbench's tracer wraps these names
     Field,
     energy,
     energy_kernel,
     gradient,
-    hessian_kernel,
     laplacian,
     residual_kernel,
     sup_norm,
@@ -106,6 +108,7 @@ MAX_STEP = 0.15  # sup-norm cap per Newton step in the capped watchdog walk, dir
 MAX_NEWTON = 50  # Newton iterations per solve
 MAX_FLOW_STEPS = 100_000  # flow steps per model solve, and per flow without StopRule.max_steps
 BLOCK_POINTS = 16_384  # a flow block: max(1, BLOCK_POINTS // npoints) states, about 128 KiB
+BACKWARD_TOL = 1e-12  # normwise backward error a torus Jacobian solve must meet
 
 
 class SolverError(RuntimeError):
@@ -254,8 +257,10 @@ def _fft_solver(grid: Grid, denom: np.ndarray):
     zero included, unless a product underflows (a spectrum entry below
     d * 2**-1074), up to NaN payloads.  A multiply of the real floats alone
     would drop the zero terms, whose signs reach the result of a field of
-    -0.0.  Every input takes this 2-D path: a flow from a fibered field
-    steps its axis-0 profile instead (``_make_flow_solver``).
+    -0.0.  It serves the torus flow from a field that is not fibered; a
+    flow from a fibered field steps its axis-0 profile instead
+    (``_make_flow_solver``), and takes this 2-D path only for a step whose
+    right-hand side is not finite or would overflow.
     """
     n2 = grid.shape[1]
     spec = np.empty(denom.shape, dtype=complex)
@@ -466,30 +471,32 @@ def _make_jacobian_solver(grid: Grid, eps: float, p: Potential):
 
         return solve
 
-    # torus: matrix-free symmetric solve, preconditioned by the constant
-    # coefficient operator (-eps Lap_h + c0/eps) inverted with FFTs
-    n1, n2 = grid.shape
-    c0 = float(p.d2w(1.0))
-    if c0 <= 0:
-        c0 = 1.0
-    inverse = _fft_solver(grid, eps * _torus_symbol(grid) + c0 / eps)
-    size = n1 * n2
-
-    def precond(x):
-        return inverse(x.reshape(n1, n2)).ravel()
-
-    M = spla.LinearOperator((size, size), matvec=precond, dtype=float)
+    # torus: J = -eps Lap_h + W''(v)/eps as a CSC matrix of the periodic
+    # 5-point stencil, assembled once; each solve writes the diagonal, factors
+    # J by sparse LU and checks the step's normwise backward error
+    k = np.arange(grid.npoints).reshape(grid.shape)
+    neighbours = [np.roll(k, shift, axis).ravel() for axis in (0, 1) for shift in (1, -1)]
+    couplings = [-eps / h**2 for h in grid.spacings for _ in (1, -1)]
+    jac = csc_matrix(  # duplicate entries, the two neighbours on an axis of two points, are summed
+        (np.repeat(couplings + [0.0], k.size), (np.concatenate(neighbours + [k.ravel()]), np.tile(k.ravel(), 5))),
+        shape=(k.size, k.size),
+    )
+    diagonal = np.flatnonzero(jac.indices == np.repeat(np.arange(k.size), np.diff(jac.indptr)))
+    centre = -2.0 * sum(couplings[::2])  # 2 eps/h1^2 + 2 eps/h2^2, the sum of a row's off-diagonal |entries|
 
     def solve(v, res):
-        hessian = hessian_kernel(grid, eps, p, v)
-        A = spla.LinearOperator((size, size), matvec=lambda x: hessian(x.reshape(n1, n2)).ravel(), dtype=float)
-        x, info = spla.minres(A, res.ravel(), M=M, rtol=1e-12, maxiter=4000)
-        if info != 0:
-            # scipy reports maxiter reached without meeting rtol as info > 0
-            raise SingularJacobianError(f"torus MINRES solve failed with info={info}")
-        if not np.all(np.isfinite(x)):
-            raise SingularJacobianError("torus Jacobian solve produced non-finite step")
-        return x.reshape(n1, n2)
+        jac.data[diagonal] = p.d2w(v).ravel() / eps + centre
+        try:
+            lu = spla.splu(jac, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise SingularJacobianError(f"torus Jacobian solve failed: {exc}") from exc
+        r = res.ravel()
+        step = lu.solve(r)
+        miss = sup_norm(jac @ step - r)
+        scale = (sup_norm(jac.data[diagonal]) + centre) * sup_norm(step) + sup_norm(r)  # |J|_inf |s|_inf + |r|_inf
+        if not miss <= BACKWARD_TOL * scale:  # NaN fails it
+            raise SingularJacobianError(f"torus Jacobian solve has backward error {miss / scale:.3e} > {BACKWARD_TOL:.0e}")
+        return step.reshape(grid.shape)
 
     return solve
 

@@ -21,7 +21,7 @@ from phaselab.experiments import (
 from phaselab.fields import Field, gradient, sup_norm
 from phaselab.grids import circle_distance, circle_grid, interval_grid, torus_grid
 from phaselab.nodal import SYMMETRY_TOL, extract_nodal_set
-from phaselab.potentials import make_potential, quartic
+from phaselab.potentials import from_callables, make_potential, quartic
 from phaselab.reports import canonicalize
 from phaselab.solvers import (
     NewtonDivergenceError,
@@ -474,6 +474,27 @@ class TestCensusOutcomes:
         assert [r["outcome"] for r in rep.runs] == ["converged_pair"] * 2
         assert not any(r["antipodal"] for r in rep.runs)
         assert _failed(rep) == {"every_converged_pair_antipodal"}
+
+    @staticmethod
+    def _nan_below():
+        """The quartic with W' NaN below -0.999, so a flow that gets there fails."""
+        q = quartic()
+        return from_callables(q.w, lambda x: np.where(x < -0.999, np.nan, q.dw(x)), q.d2w, "nan_below")
+
+    def test_a_failed_flow_is_a_non_converged_run(self):
+        rep = experiment_two_interface(eps_list=(0.25,), seeds=range(2), p=self._nan_below())
+        assert [r["outcome"] for r in rep.runs] == ["non_converged"] * 2
+        assert all(r["error"].startswith("non-finite energy nan at flow step ") for r in rep.runs)
+        assert _failed(rep) == {"census_nonvacuous"}
+
+    def test_a_failed_torus_flow_leaves_the_rest_of_the_census_running(self):
+        # the torus control's noise reaches the NaN region; the circle's does not
+        rep = experiment_m_rigidity(4, eps_list=(0.15,), seeds=(), p=self._nan_below())
+        circle, torus = rep.runs
+        assert circle["outcome"] == "converged_symmetric"
+        assert torus["outcome"] == "non_converged" and "path" not in torus
+        assert torus["error"] == "non-finite energy nan at flow step 1"
+        assert _failed(rep) == {"symmetric_solution_found_torus_eps_0.15"}
 
 
 def test_census_solves_are_looked_up_in_the_experiments_module(monkeypatch):

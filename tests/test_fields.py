@@ -254,7 +254,8 @@ def _frozen_hessian_apply(grid, eps, p, u, phi):
 
 
 def _frozen_torus_matvec(grid, eps, p, u, x):
-    """The torus MINRES matvec as the Jacobian solver wrote it before the kernel."""
+    """The Hessian action as the torus Newton solve once applied it to a
+    raveled direction: the Laplacian scaled in place, the well term added."""
     d2 = p.d2w(u) / eps
     X = x.reshape(grid.shape)
     out = laplacian(grid, X)
@@ -266,14 +267,13 @@ def _frozen_torus_matvec(grid, eps, p, u, x):
 @pytest.mark.parametrize(
     "grid", [interval_grid(129, 1.0), circle_grid(256), torus_grid(256, 64)], ids=lambda g: g.kind
 )
-def test_hessian_kernel_keeps_the_bits_of_both_former_hessian_actions(grid):
-    """hessian_kernel gives the bits, signs of zero included, of the formula
-    hessian_apply computed and, on periodic grids, of the torus MINRES
-    matvec; each call returns a new array and reads its input only."""
+def test_hessian_apply_keeps_the_bits_of_both_former_hessian_actions(grid):
+    """hessian_apply gives the bits, signs of zero included, of the formula
+    it computed before and, on periodic grids, of the former torus matvec;
+    each call returns a new array and reads its input only."""
     rng = np.random.default_rng(25)
     eps = 0.3
-    u = rng.uniform(-1.1, 1.1, grid.shape)
-    apply = fields.hessian_kernel(grid, eps, P, u)
+    u = Field(grid, rng.uniform(-1.1, 1.1, grid.shape), eps)
     outputs = []
     for k in range(3):
         # smooth, so that the well term's rounding shows beside -eps Lap_h
@@ -283,14 +283,12 @@ def test_hessian_kernel_keeps_the_bits_of_both_former_hessian_actions(grid):
         phi.flat[:: 37 + k] = 0.0
         phi.flat[3 :: 41 + k] = -0.0
         before = phi.copy()
-        out = apply(phi)
+        out = hessian_apply(u, Field(grid, phi, eps), P).values
         assert np.array_equal(phi, before)
-        expected = _frozen_hessian_apply(grid, eps, P, u, phi)
+        expected = _frozen_hessian_apply(grid, eps, P, u.values, phi)
         assert out.tobytes() == expected.tobytes()
-        assert hessian_apply(Field(grid, u, eps), Field(grid, phi, eps), P).values.tobytes() == expected.tobytes()
         if grid.periodic:
-            x = phi.ravel()
-            assert apply(x.reshape(grid.shape)).ravel().tobytes() == _frozen_torus_matvec(grid, eps, P, u, x).tobytes()
+            assert out.ravel().tobytes() == _frozen_torus_matvec(grid, eps, P, u.values, phi.ravel()).tobytes()
         outputs.append((out, out.copy()))
     assert all(np.array_equal(out, kept) for out, kept in outputs)
 
@@ -674,16 +672,13 @@ def test_circle_energy_kernel_matches_the_frozen_sums_bit_for_bit(n):
             assert np.array_equal(_bits(v), _bits(before))
 
 
-def test_laplacian_reuses_one_kernel_per_grid_and_returns_new_arrays():
-    # the torus MINRES matvec calls laplacian at every Krylov iteration and
-    # keeps the array it returns
-    fields._shared_laplacian_kernel.cache_clear()
+def test_laplacian_returns_new_arrays():
+    # hessian_apply scales the array laplacian returns in place and keeps it
     g = torus_grid(17, 20)
     v = np.random.default_rng(3).uniform(-1.0, 1.0, g.shape)
     first = laplacian(g, v)
     kept = first.copy()
     second = laplacian(torus_grid(17, 20), 2.0 * v)
-    assert fields._shared_laplacian_kernel.cache_info().misses == 1
     assert first is not second
     assert np.array_equal(_bits(first), _bits(kept))
     assert np.array_equal(_bits(second), _bits(_frozen_laplacian(g, 2.0 * v)))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.optimize import brentq
 
 import phaselab as pl
-import phaselab.fields as fields
 import phaselab.solvers as solvers
+from phaselab.experiments import M_RIGIDITY_FLOW_STEPS, _rigidity_seed
 from phaselab.fields import Field, energy, gradient, hessian_apply, residual_kernel, sup_norm
 from phaselab.grids import circle_grid, interval_grid, torus_grid
 from phaselab.potentials import from_callables, from_table, quartic
@@ -1592,7 +1593,8 @@ def test_torus_flow_solve_is_bit_identical_to_fft_formula(shape):
 
 
 @pytest.mark.parametrize("shape", TORUS_SHAPES)
-def test_torus_preconditioner_is_bit_identical_to_fft_formula(shape):
+def test_fft_solver_is_bit_identical_to_fft_formula(shape):
+    # positive denominators of another form than the flow's, on unequal circumferences
     rng = np.random.default_rng(shape[1])
     g = torus_grid(*shape, circumferences=(2 * np.pi, 3.0))
     c0 = float(P.d2w(1.0))
@@ -1835,84 +1837,69 @@ def test_a_fibered_flow_whose_w_prime_turns_non_finite_stops_as_the_frozen_loop(
     assert str(got.value) == str(ref.value) == "non-finite energy nan at flow step 23"
 
 
-def _frozen_torus_jacobian_solve(g, eps, v, res):
-    """The torus Newton step as written before its FFT solve and matvec were
-    made lean, frozen here (the roll Laplacian is the stencil's, bit for bit)."""
-    (n1, n2), (h1, h2) = g.shape, g.spacings
-    denom = eps * solvers._torus_symbol(g) + float(P.d2w(1.0)) / eps
-    d2 = P.d2w(v) / eps
+def test_torus_jacobian_matrix_is_the_hessian_action_column_by_column(monkeypatch):
+    # the matrix each solve factors, at two iterates: its stencil wraps
+    # around both axes, each with its own spacing, and each solve writes
+    # the diagonal afresh
+    g = torus_grid(17, 20, circumferences=(2 * np.pi, 3.0))
+    eps = 0.3
+    rng = np.random.default_rng(17)
+    factored = []
+    splu = spla.splu
 
-    def lap(X):
-        out = (np.roll(X, -1, axis=0) - 2.0 * X + np.roll(X, 1, axis=0)) / h1**2
-        return out + (np.roll(X, -1, axis=1) - 2.0 * X + np.roll(X, 1, axis=1)) / h2**2
+    def recording(A, **kwargs):
+        factored.append(A.toarray())
+        return splu(A, **kwargs)
 
-    def matvec(x):
-        X = x.reshape(n1, n2)
-        return (-eps * lap(X) + d2 * X).ravel()
-
-    def precond(x):
-        X = x.reshape(n1, n2)
-        return np.fft.irfft2(np.fft.rfft2(X) / denom, s=(n1, n2)).ravel()
-
-    A = spla.LinearOperator((n1 * n2,) * 2, matvec=matvec, dtype=float)
-    M = spla.LinearOperator((n1 * n2,) * 2, matvec=precond, dtype=float)
-    x, info = spla.minres(A, res.ravel(), M=M, rtol=1e-12, maxiter=4000)
-    assert info == 0
-    return x.reshape(n1, n2)
-
-
-@pytest.mark.parametrize("shape", [(32, 16), (33, 17)])
-@pytest.mark.parametrize("eps", [0.3, 0.5])
-def test_torus_jacobian_solve_is_bit_identical_to_frozen_minres(shape, eps):
-    g = torus_grid(*shape)
-    rng = np.random.default_rng(shape[0])
-    f = multi_interface_seed(g, eps, [0.0, np.pi])
-    v = f.values + 0.05 * rng.uniform(-1.0, 1.0, shape)
-    res = gradient(f.with_values(v), P).values
-    step = _make_jacobian_solver(g, eps, P)(v, res)
-    ref = _frozen_torus_jacobian_solve(g, eps, v, res)
-    assert np.array_equal(step.view(np.int64), ref.view(np.int64))
+    monkeypatch.setattr(solvers.spla, "splu", recording)
+    solve = _make_jacobian_solver(g, eps, P)
+    iterates = [Field(g, rng.uniform(-1.1, 1.1, g.shape), eps) for _ in range(2)]
+    for u in iterates:
+        solve(u.values, gradient(u, P).values)
+    unit = np.eye(g.npoints)
+    for u, jac in zip(iterates, factored, strict=True):
+        columns = np.column_stack([hessian_apply(u, u.with_values(e.reshape(g.shape)), P).values.ravel() for e in unit])
+        assert np.abs(jac - columns).max() <= 1e-14 * np.abs(columns).max()
 
 
-def test_every_torus_krylov_iteration_calls_the_traced_laplacian(monkeypatch):
-    # perfbench's tracer counts Krylov matvecs by wrapping fields.laplacian,
-    # which the Hessian kernel looks up at each application, and Krylov
-    # iterations by a MINRES callback; the two must agree
+def test_torus_jacobian_solve_is_exact_on_a_nearly_singular_census_state():
+    # ROADMAP F20: c07's eps 0.1 seed 3 torus state after its flow, where J
+    # has eigenvalues within 1e-7 of zero; a Krylov solve that reported
+    # convergence left a true relative residual of 5.7e-3 there
+    g = torus_grid(256, 64)
+    eps = 0.1
+    _, seed = _rigidity_seed(g, eps, 4, 3, 0.3, True)
+    cfg = SolveConfig(tol_grad=1e-12, min_points_per_eps=4.0)
+    f = gradient_flow(seed, P, cfg, StopRule(max_steps=M_RIGIDITY_FLOW_STEPS)).field
+    res = gradient(f, P).values
+    step = _make_jacobian_solver(g, eps, P)(f.values, res)
+    miss = hessian_apply(f, f.with_values(step), P).values - res
+    assert np.linalg.norm(miss) <= 1e-8 * np.linalg.norm(res)
+
+
+def test_torus_jacobian_solve_at_a_non_finite_iterate_raises_singular_jacobian():
     g = torus_grid(32, 16)
-    f = multi_interface_seed(g, 0.5, [0.0, np.pi])
-    counts = {"laplacian": 0, "iters": 0}
-    laplacian, minres = fields.laplacian, solvers.spla.minres
-
-    def counted_laplacian(*args):
-        counts["laplacian"] += 1
-        return laplacian(*args)
-
-    def counted_minres(*args, **kwargs):
-        def callback(xk):
-            counts["iters"] += 1
-
-        return minres(*args, **kwargs, callback=callback)
-
-    monkeypatch.setattr(fields, "laplacian", counted_laplacian)
-    monkeypatch.setattr(solvers.spla, "minres", counted_minres)
-    solve = _make_jacobian_solver(g, 0.5, P)
-    solve(f.values, gradient(f, P).values)
-    assert counts["iters"] > 0
-    assert counts["laplacian"] == counts["iters"]
+    v = multi_interface_seed(g, 0.5, [0.0, np.pi]).values
+    v[7, 3] = np.nan
+    with pytest.raises(SingularJacobianError):
+        _make_jacobian_solver(g, 0.5, P)(v, np.ones(g.shape))
 
 
-def test_torus_minres_failure_raises_singular_jacobian(monkeypatch):
+def test_torus_jacobian_solve_checks_its_backward_error(monkeypatch):
     g = torus_grid(32, 16)
     f = multi_interface_seed(g, 0.5, [0.0, np.pi])
     solve = _make_jacobian_solver(g, 0.5, P)
     rhs = gradient(f, P).values
     assert np.all(np.isfinite(solve(f.values, rhs)))
+    splu = spla.splu
 
-    def no_convergence(A, b, **kwargs):
-        return np.zeros_like(b), 1
+    def perturbed(A, **kwargs):  # each entry of the step off by a relative 1e-6
+        lu = splu(A, **kwargs)
+        signs = (-1.0) ** np.arange(A.shape[0])
+        return SimpleNamespace(solve=lambda b: lu.solve(b) * (1.0 + 1e-6 * signs))
 
-    monkeypatch.setattr(solvers.spla, "minres", no_convergence)
-    with pytest.raises(SingularJacobianError, match="info=1"):
+    monkeypatch.setattr(solvers.spla, "splu", perturbed)
+    with pytest.raises(SingularJacobianError, match=r"backward error \d\.\d{3}e-\d+ > 1e-12"):
         solve(f.values, rhs)
 
 
@@ -1936,7 +1923,7 @@ def test_torus_symbol_matches_per_axis_eigenvalues_exactly(shape):
 def test_transverse_gap_is_the_torus_jacobian_minimum_off_the_fibered_fields(shape, lengths):
     """At a fibered state the smallest eigenvalue of the torus Jacobian over
     the fields with zero fiber means is lambda_min(J) + eps mu_1.  The dense
-    torus Jacobian here is built column by column from fields.hessian_kernel,
+    torus Jacobian here is built column by column from fields.hessian_apply,
     with no fiber symbol; the fiber-mean projector's range is pushed up by a
     shift that no eigenvalue reaches.  A mu_1 of another fiber length or
     point count, or a J without its corners, misses it."""
@@ -1944,9 +1931,9 @@ def test_transverse_gap_is_the_torus_jacobian_minimum_off_the_fibered_fields(sha
     eps, (n1, n2) = 0.3, shape
     circle = circle_grid(n1, lengths[0])
     profile = multi_interface_seed(circle, eps, [0.2 * lengths[0], 0.7 * lengths[0]]).values
-    apply = fields.hessian_kernel(g, eps, P, g.extrude(profile))
+    u = Field(g, g.extrude(profile), eps)
     unit = np.eye(g.npoints)
-    jac = np.column_stack([apply(e.reshape(shape)).ravel() for e in unit])
+    jac = np.column_stack([hessian_apply(u, u.with_values(e.reshape(shape)), P).values.ravel() for e in unit])
     means = np.kron(np.eye(n1), np.full((n2, n2), 1.0 / n2))  # the fiber-mean projector
     off = unit - means
     oracle = scipy.linalg.eigvalsh(off @ jac @ off + 1e4 * means, subset_by_index=[0, 0])[0]
