@@ -17,21 +17,23 @@ The energy and its gradient (Newton's residual) are kernels:
 ``energy_kernel(grid, eps, p, rows)`` and ``residual_kernel(grid, eps, p)``
 compute their constants and allocate their work buffers once (but for the
 torus Laplacian's fiber term), so a flow or a Newton solve builds one and
-calls it at every step.  Both take stacks of fields, shape
-``(k,) + grid.shape``: the energy kernel up to ``rows`` fields, so a flow
-checks a block of its states in one call, with one matmul per gradient axis
-for all the states' squared-difference sums; the residual kernel any
-number, each row the bits of its field's own residual, so Newton evaluates
-a batch of backtracking trials in one call.  ``energy``,
-``gradient`` and ``laplacian`` build one per call, and so does
-``hessian_apply``, the Hessian action -eps Lap_h(phi) + W''(u)/eps phi,
-whose Laplacian is one ``laplacian`` call.  The
-kernels know two geometries: a periodic grid (``Grid.periodic``), whose
-one-axis case is the circle, and the Dirichlet interval.  Every stencil is
-one wrapped difference along a field's axis 0 (axis 1 of a stack); the
-torus fiber axis is the last axis, stenciled on the raveled array.  The
-energy's sums run in C order, field by field, so neither a field's memory
-layout nor the stack it sits in changes a bit of it.
+calls it at every step; a flow from a fibered torus seed builds the
+energy kernel of the circle of its axis 0 (``solvers.gradient_flow``).
+Both take stacks of fields, exactly of shape ``(k,) + grid.shape``: the
+energy kernel up to ``rows`` fields, so a flow checks a block of its
+states in one call, with one matmul per gradient axis for all the states'
+squared-difference sums; the residual kernel any number, each row the
+bits of its field's own residual, so Newton evaluates a batch of
+backtracking trials in one call.  ``energy``, ``gradient`` and
+``laplacian`` build one per call, and so does ``hessian_apply``, the
+Hessian action -eps Lap_h(phi) + W''(u)/eps phi, whose Laplacian is one
+``laplacian`` call.  The kernels know two geometries: a periodic grid
+(``Grid.periodic``), whose one-axis case is the circle, and the Dirichlet
+interval.  Every stencil is one wrapped difference along a field's axis 0
+(axis 1 of a stack); the torus fiber axis is the last axis, stenciled on
+the raveled array.  The energy's sums run in C order, field by field, so
+neither a field's memory layout nor the stack it sits in changes a bit of
+it.
 """
 
 from __future__ import annotations
@@ -181,13 +183,7 @@ def energy_kernel(grid: Grid, eps: float, p: Potential, rows: int = 1):
     constants computed once.
 
     ``stack`` is a float array of shape ``(k,) + grid.shape`` with
-    ``k <= rows``; a single field is the 1-stack ``values[None]``.  On a
-    torus it may instead be ``(k, n1)``, the axis-0 profiles of fibered
-    fields, whose energies are their extrusions', bit for bit: a finite
-    field's fiber differences are exact zeros, whose +0.0 term is skipped,
-    and its axis-0 differences, then its W values, are broadcast into the
-    kernel's buffer for the sums below; a profile that is not finite (NaN
-    fiber differences) is summed as its extrusion.  It is
+    ``k <= rows``; a single field is the 1-stack ``values[None]``.  It is
     read, never written.  ``p.w`` is called once per stack; each field's
     energy is its own sums, so it does not depend on the stack it sits in
     or on its layout: the dot product of each axis' differences with
@@ -221,25 +217,11 @@ def energy_kernel(grid: Grid, eps: float, p: Potential, rows: int = 1):
     c_well = cell / eps
     du = np.empty((rows,) + grid.shape)
     fiber = len(grid.shape) == 2
-    dp = np.empty((rows, grid.shape[0])) if fiber else None  # a profile stack's differences
 
     def energy_of(vs):
         k = len(vs)
         d = du[:k]
         flat = d.reshape(k, -1)
-        if fiber and vs.ndim == 2:  # axis-0 profiles of fibered fields
-            _forward_differences(vs, dp[:k])
-            np.copyto(d, dp[:k, :, None])
-            grads = c_axes[0] * _squared_norms(flat)
-            np.copyto(d, p.w(vs)[:, :, None])
-            energies = (grads + c_well * reduce(flat, axis=1)).tolist()
-            if math.isfinite(sum(energies)):
-                return energies
-            # a row that is not finite has NaN fiber differences, not zeros:
-            # the stack falls through as its extrusions (a recursive call
-            # would make the kernel hold itself, its buffers then freed only
-            # by the cyclic collector)
-            vs = np.broadcast_to(vs[:, :, None], d.shape)
         _forward_differences(vs, d)
         grads = c_axes[0] * _squared_norms(flat)
         if fiber:

@@ -38,22 +38,23 @@ the Jacobian is one sparse matrix, the periodic 5-point stencil assembled
 once per solver with W''(v)/eps written into its diagonal at each solve,
 and SuperLU factors it (scipy's splu, MMD_AT_PLUS_A ordering).  Each step
 is checked: a normwise backward error |J s - r|_inf / (|J|_inf |s|_inf +
-|r|_inf) above BACKWARD_TOL, or an exactly singular factor, raises
-SingularJacobianError.  A fibered torus state needs no such solve to be
-certified: transverse_gap takes the smallest eigenvalue of its transverse
-Jacobian blocks J + eps mu_k from the circle Jacobian J alone.
+|r|_inf) above BACKWARD_TOL, an exactly singular factor, or a step that
+blew up (``_blown_up``: a nearly singular J meets the backward error with a
+huge step) raises SingularJacobianError.  A fibered torus state needs no
+such solve to be certified: transverse_gap takes the smallest eigenvalue of
+its transverse Jacobian blocks J + eps mu_k from the circle Jacobian J
+alone.
 The torus flow step from a field that is not fibered is one _fft_solver: the
 1-D transforms of rfft2/irfft2, in their order, through a spectrum buffer
 the solve owns, with the division by the real symbol done as a multiply by
 its reciprocals with imaginary part -0.0.  Short of an underflow, that
 multiply keeps every bit of numpy's complex division, zero signs included:
 for a real d, Smith's formula (CACM 5, 1962) reduces to
-((re + im*0) * (1/d), (im - re*0) * (1/d)).  Whether a flow's seed is
-fibered (every fiber row constant, bit for bit, as a seed of parallel
-fibers is) on a fiber of power-of-two length is decided once per flow;
-such a flow runs on the seed's axis-0 profile, each step one 1-D column
-transform and each energy the full grid's, with the bits of the 2-D flow:
-the 2-D transforms of a fibered field are zero outside that column.
+((re + im*0) * (1/d), (im - re*0) * (1/d)).  A flow from a fibered seed
+(every fiber row constant, bit for bit, as a seed of parallel fibers is)
+is the circle flow of its axis-0 profile, decided once per flow: each step
+one dpttrs solve of n1 points, and each energy the fiber length times the
+circle energy.
 """
 
 from __future__ import annotations
@@ -258,9 +259,8 @@ def _fft_solver(grid: Grid, denom: np.ndarray):
     d * 2**-1074), up to NaN payloads.  A multiply of the real floats alone
     would drop the zero terms, whose signs reach the result of a field of
     -0.0.  It serves the torus flow from a field that is not fibered; a
-    flow from a fibered field steps its axis-0 profile instead
-    (``_make_flow_solver``), and takes this 2-D path only for a step whose
-    right-hand side is not finite or would overflow.
+    flow from a fibered field is the circle flow of its axis-0 profile
+    (``gradient_flow``).
     """
     n2 = grid.shape[1]
     spec = np.empty(denom.shape, dtype=complex)
@@ -279,60 +279,25 @@ def _fft_solver(grid: Grid, denom: np.ndarray):
 
 def _fibered_profile(v: np.ndarray):
     """The axis-0 profile ``v[:, 0]``, as a new array, of a torus field
-    whose every fiber row is constant, bit for bit, on a fiber of
-    power-of-two length; None for any other field.  A flow from such a
-    field runs on this profile (``gradient_flow``)."""
-    if v.ndim != 2 or v.shape[1] & (v.shape[1] - 1):
+    whose every fiber row is constant, bit for bit (a row of +0.0 and -0.0
+    is not); None for any other field.  A flow from such a field is the
+    circle flow of this profile (``gradient_flow``)."""
+    if v.ndim != 2:
         return None
     bits = v.view(np.int64)
     return v[:, 0].copy() if (bits == bits[:, :1]).all() else None
 
 
-def _make_flow_solver(grid: Grid, eps: float, dt: float, fibered: bool = False):
+def _make_flow_solver(grid: Grid, eps: float, dt: float):
     """Prefactored implicit solve of (I + dt*eps*(-Lap_h)) u = rhs, as
     ``step(v, out)``: ``out``, C-contiguous, holds the right-hand side on
     entry and the new state on return, and is returned; ``v``, the state the
-    step starts from, is read only, on the interval for its end values.
-
-    On a torus, ``fibered`` steps the axis-0 profiles of fibered fields on
-    a fiber of power-of-two length n2 (``_fibered_profile``), with the bits
-    of the 2-D solve of the extruded field: one 1-D column transform, the
-    fft of n2 * c, the multiply by the reciprocals' first column, the ifft
-    and the real part times 1/n2.  pocketfft's radix-2/4 rfft of a constant
-    row c is exactly n2 * c + 0j at DC (every partial sum is a power-of-two
-    multiple of c) and exactly zero in every other bin, so the 2-D solve
-    transforms this column alone, and its irfft is the real part times 1/n2
-    in every entry of the row; a fiber with a factor 3, 5 or another prime
-    does not cancel exactly.  A column that is not finite, or whose n2
-    multiple overflows, takes the 2-D solve of the extruded column instead,
-    which is NaN on the whole grid (an infinite spectrum entry times the
-    reciprocals' -0.0 imaginary part is NaN, and the transforms spread it),
-    as is then the profile.
-    """
+    step starts from, is read only, on the interval for its end values.  On
+    a torus the step is one ``_fft_solver`` solve of the whole grid."""
     c = dt * eps
     if grid.kind == "torus":
-        denom = 1.0 + c * _torus_symbol(grid)
-        if not fibered:
-            solve = _fft_solver(grid, denom)
-            return lambda v, out: solve(out, out)
-        n2 = grid.shape[1]
-        recip = np.empty(grid.shape[0], dtype=complex)
-        recip.real, recip.imag = 1.0 / denom[:, 0], -0.0
-        col = np.empty_like(recip)
-        limit = np.finfo(float).max / n2  # |c| <= limit exactly when n2 * c is finite
-        scale = 1.0 / n2
-
-        def column_step(v, out):
-            if not sup_norm(out) <= limit:  # the 2-D solve, NaN on the whole grid
-                out[:] = _fft_solver(grid, denom)(grid.extrude(out))[:, 0]
-                return out
-            col[:] = out * n2  # the rfft's DC column, imaginary parts +0.0
-            np.fft.fft(col, out=col)
-            np.multiply(col, recip, out=col)
-            np.fft.ifft(col, out=col)
-            return np.multiply(col.real, scale, out=out)
-
-        return column_step
+        solve = _fft_solver(grid, 1.0 + c * _torus_symbol(grid))
+        return lambda v, out: solve(out, out)
 
     # tridiag(-cc, 1 + 2 cc, -cc) on the interval's interior rows, and B, the
     # circle's operator without its corners as _split_corners shifts it (by
@@ -492,8 +457,11 @@ def _make_jacobian_solver(grid: Grid, eps: float, p: Potential):
             raise SingularJacobianError(f"torus Jacobian solve failed: {exc}") from exc
         r = res.ravel()
         step = lu.solve(r)
+        size = sup_norm(step)
+        if _blown_up(size, v):  # a nearly singular J: a small backward error, a useless step
+            raise SingularJacobianError(f"torus Jacobian step of sup norm {size:.3e} blew up")
         miss = sup_norm(jac @ step - r)
-        scale = (sup_norm(jac.data[diagonal]) + centre) * sup_norm(step) + sup_norm(r)  # |J|_inf |s|_inf + |r|_inf
+        scale = (sup_norm(jac.data[diagonal]) + centre) * size + sup_norm(r)  # |J|_inf |s|_inf + |r|_inf
         if not miss <= BACKWARD_TOL * scale:  # NaN fails it
             raise SingularJacobianError(f"torus Jacobian solve has backward error {miss / scale:.3e} > {BACKWARD_TOL:.0e}")
         return step.reshape(grid.shape)
@@ -695,15 +663,14 @@ def gradient_flow(
     accepted state at the halved step.  Two block buffers alternate, so the
     state a block starts from is never overwritten and never copied.
 
-    A torus seed whose fiber rows are each constant, bit for bit, on a fiber
-    of power-of-two length is decided fibered once, when the flow starts
-    (``_fibered_profile``).  The same loop then runs on its axis-0 profile:
-    W' of n1 points, one 1-D column transform per step
-    (``_make_flow_solver``), and each energy the full grid's, bit for bit,
-    from the profile (``fields.energy_kernel``); the nodal samples and the
-    final field are the profile's extrusions.  Every state, energy and
-    sample keeps the bits of the flow over the full grid, which the flow
-    stays on from any other seed.
+    A torus seed whose fiber rows are each constant, bit for bit, is
+    decided fibered once, when the flow starts (``_fibered_profile``).  Its
+    flow is then the circle flow of its axis-0 profile: the same loop runs
+    on ``circle_grid(n1, L1)``, with that circle's step and energy kernel
+    and the same default step eps * h, and each energy is the fiber length
+    L2 times the circle energy.  The nodal samples and the final field are
+    the profile's extrusions.  From any other seed the flow runs on the
+    full grid.
     """
     cfg = cfg or SolveConfig()
     stop = stop or StopRule()
@@ -714,17 +681,22 @@ def gradient_flow(
     dt = cfg.flow_dt if cfg.flow_dt is not None else eps * f.grid.h
     profile = _fibered_profile(f.values)
     fibered = profile is not None
-    v = profile if fibered else f.values  # the last accepted state; read, never written
-    solve = _make_flow_solver(f.grid, eps, dt, fibered)
+    # v, the last accepted state, is read, never written; a fibered seed
+    # flows on the circle of the torus' axis 0, its energies times the fiber length
+    if fibered:
+        grid, v, scale = circle_grid(f.grid.shape[0], f.grid.lengths[0]), profile, f.grid.lengths[1]
+    else:
+        grid, v, scale = f.grid, f.values, 1.0
+    solve = _make_flow_solver(grid, eps, dt)
     rate = dt / eps
-    rows = max(1, BLOCK_POINTS // f.grid.npoints)
-    energy_of = energy_kernel(f.grid, eps, p, rows)
+    rows = max(1, BLOCK_POINTS // grid.npoints)
+    energy_of = energy_kernel(grid, eps, p, rows)
     blocks = [np.empty((rows,) + v.shape) for _ in range(2)]
 
     def field_of(state):  # the grid's field of a state, a profile extruded
         return Field(f.grid, f.grid.extrude(state) if fibered else state, eps)
 
-    energies = [energy_of(v[None])[0]]
+    energies = [scale * energy_of(v[None])[0]]
     angle_samples = []
     done = 0
     while done < max_steps:
@@ -737,6 +709,7 @@ def gradient_flow(
             u = row
         accepted = len(block)
         for i, e_new in enumerate(energy_of(block)):
+            e_new *= scale
             step_i = done + i + 1
             # math.isfinite: np.isfinite costs about 1 us per step on a Python float
             if not math.isfinite(e_new):
@@ -747,7 +720,7 @@ def gradient_flow(
                     raise StepCollapseError(
                         f"flow step collapsed below 1e-14 at step {step_i}"
                     )
-                solve = _make_flow_solver(f.grid, eps, dt, fibered)
+                solve = _make_flow_solver(grid, eps, dt)
                 rate = dt / eps
                 accepted = i
                 break

@@ -514,48 +514,14 @@ def test_a_stack_has_the_energies_of_its_fields_on_every_layout(g):
             assert np.array_equal(_bits(s), _bits(before))
 
 
-@pytest.mark.parametrize("g", [g for g in KERNEL_GRIDS if g.kind == "torus"], ids=lambda g: "x".join(map(str, g.shape)))
-def test_a_profile_stack_has_the_energies_of_its_extruded_fields(g):
-    # a flow from a fibered field checks its profiles: one p.w call on the
-    # profile stack, and each energy the bits of the extruded field's, a
-    # profile that is not finite included (its fiber differences are NaN)
-    calls = []
-
-    def w(x):
-        calls.append(x.shape)
-        return P.w(x)
-
-    p = from_callables(w, P.dw, P.d2w, "counted")
-    n1 = g.shape[0]
-    rng = np.random.default_rng(n1)
-    profiles = [scale * rng.uniform(-1.0, 1.0, n1) for scale in (1e-3, 1.0, 1e3, 1e200)]
-    profiles += [np.tanh(np.sin(g.axis(0)) / 0.2), np.zeros(n1), np.full(n1, -0.0)]
-    for value in (np.inf, -np.inf, np.nan):
-        profiles.append(profiles[1].copy())
-        profiles[-1][n1 // 2] = value
-    stack = np.stack(profiles)
-    for eps in (0.05, 0.3):
-        energy_of = energy_kernel(g, eps, p, rows=len(profiles))
-        with np.errstate(invalid="ignore", over="ignore"):
-            full = _bits(energy_of(np.stack([g.extrude(c) for c in profiles])))
-            for k in (len(profiles), 7, 1):
-                calls.clear()
-                assert np.array_equal(_bits(energy_of(stack[:k])), full[:k])
-                assert calls[0] == (k, n1)
-            assert np.array_equal(_bits(energy_of(stack[-1:])), full[-1:])
-            assert np.isnan(energy_of(stack[-3:-2])[0])  # inf, not NaN, without the fiber term
-
-
 @pytest.mark.parametrize("g", [circle_grid(512), torus_grid(256, 64), interval_grid(65, 1.0)], ids=lambda g: g.kind)
 def test_a_kernel_and_its_buffers_go_with_its_last_reference(g):
     # no reference cycle: a flow's block-sized buffers are freed when the
     # flow returns, not when the cyclic collector next runs
-    v = np.tanh(np.sin(g.axis(0)))
+    v = g.extrude(np.tanh(np.sin(g.axis(0))))
     kernels = [energy_kernel(g, 0.3, P, rows=4), residual_kernel(g, 0.3, P)]
-    if len(g.shape) == 2:
-        kernels[0](v[None])  # the profile form, and its fall-through to the full grid
-        with np.errstate(invalid="ignore"):
-            kernels[0](np.full((1, g.shape[0]), np.nan))
+    kernels[0](v[None])
+    kernels[1](v)
     refs = [weakref.ref(k) for k in kernels]
     gc.disable()
     try:

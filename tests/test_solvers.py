@@ -336,8 +336,8 @@ class TestModelFlowNeedsNoProjection:
         steps = []  # (dt, min, max, first, last) of every flow step's output
         make = solvers._make_flow_solver
 
-        def recording(grid, eps, dt, *fibered):
-            solve = make(grid, eps, dt, *fibered)
+        def recording(grid, eps, dt):
+            solve = make(grid, eps, dt)
 
             def step(v, rhs):
                 out = solve(v, rhs)
@@ -1382,9 +1382,12 @@ def _per_step_flow(f, p, dt, max_steps, sample_every):
 
 
 def _four_interface_torus():
+    # noise, as on a census seed, so that the flow runs on the full grid
+    # (a fibered seed flows its profile on the circle)
     angles = np.arange(4) * np.pi / 2 + 0.2
     angles[1] += 0.3
-    return multi_interface_seed(torus_grid(32, 16), 1.6, angles)
+    f = multi_interface_seed(torus_grid(32, 16), 1.6, angles)
+    return f.with_values(f.values + 1e-3 * np.random.default_rng(0).standard_normal(f.grid.shape))
 
 
 # (field, flow_dt, the steps whose energy rises): the circle's first rise at
@@ -1614,25 +1617,6 @@ def test_fft_solver_is_bit_identical_to_fft_formula(shape):
         _assert_solves_like_the_formula(inverse, _non_finite_input(rng, shape), denom)
 
 
-# power-of-two fibers, the census torus among them, with odd and even n1
-PROFILE_SHAPES = [(256, 64), (24, 16), (17, 32), (33, 16)]
-
-
-def _profiles(rng, n1, n2):
-    """Axis-0 profiles: random, smooth, zeros of either sign and a constant;
-    and the random one with a row set to inf, -inf, NaN, a value whose n2
-    multiple overflows only in the rfft's last stage, and 1e308."""
-    random = rng.uniform(-1.2, 1.2, n1)
-    good = [random, np.tanh(np.sin(np.arange(n1)) / 0.2), np.zeros(n1), np.full(n1, -0.0), np.full(n1, 0.7)]
-    limit = np.finfo(float).max / n2
-    bad = []
-    for value in (np.inf, -np.inf, np.nan, 1.5 * limit, np.nextafter(limit, np.inf), 1e308):
-        x = random.copy()
-        x[n1 // 3] = value
-        bad.append(x)
-    return good, bad
-
-
 def _counted_transforms(monkeypatch):
     """Count the calls of np.fft.rfft and np.fft.irfft, the 2-D solve's
     first and last transforms."""
@@ -1648,46 +1632,17 @@ def _counted_transforms(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("shape", PROFILE_SHAPES)
-def test_a_profile_step_is_the_column_of_the_2d_step(monkeypatch, shape):
-    """The fibered flow step of a profile keeps the bits of the 2-D step of
-    its extrusion, which is fibered, with no 2-D transform; a column the
-    transform cannot take takes the 2-D step, which is NaN on the whole
-    grid, and so is then the profile."""
-    rng = np.random.default_rng(shape[0])
-    g = torus_grid(*shape)
-    calls = _counted_transforms(monkeypatch)
-    for eps, halvings in ((0.1, 0), (0.5, 2)):
-        dt = eps * g.h * 0.5**halvings
-        full, column = _make_flow_solver(g, eps, dt), _make_flow_solver(g, eps, dt, fibered=True)
-        good, bad = _profiles(rng, *shape)
-        for c in good:
-            ref = full(None, g.extrude(c))
-            calls.clear()
-            out = column(None, c.copy())
-            assert not calls
-            assert np.array_equal(ref.view(np.int64), g.extrude(out).view(np.int64))
-        for c in bad:
-            with np.errstate(invalid="ignore", over="ignore"):
-                ref = full(None, g.extrude(c))
-                calls.clear()
-                out = column(None, c.copy())
-            assert calls == ["rfft", "irfft"]
-            assert np.isnan(ref).all() and np.isnan(out).all()
-
-
-@pytest.mark.parametrize("shape, column", [((256, 64), True), ((24, 16), True), ((17, 20), False), ((32, 24), False)])
-def test_a_fibered_flow_takes_the_column_path_on_a_power_of_two_fiber(monkeypatch, shape, column):
-    # decided once per flow: a fibered seed on a power-of-two fiber flows its
-    # profile with no 2-D transform; on another fiber, and from a seed that
-    # is not fibered, every step takes one rfft and one irfft
+@pytest.mark.parametrize("shape", [(256, 64), (24, 16), (17, 20), (32, 24)])
+def test_a_fibered_flow_makes_no_2d_transform_on_any_fiber(monkeypatch, shape):
+    # decided once per flow: a fibered seed flows its profile on the circle,
+    # whatever its fiber length; a seed that is not fibered takes one rfft
+    # and one irfft at every step
     g = torus_grid(*shape)
     eps, steps = 4.0 * g.h, 30
     seed = g.extrude(np.tanh(np.sin(g.axis(0)) / eps))
     calls = _counted_transforms(monkeypatch)
     gradient_flow(Field(g, seed, eps), P, SolveConfig(min_points_per_eps=4.0), StopRule(max_steps=steps))
-    assert len(calls) == (0 if column else 2 * steps)
-    calls.clear()
+    assert not calls
     noisy = seed + np.random.default_rng(0).uniform(0.0, 1e-3, shape)
     gradient_flow(Field(g, noisy, eps), P, SolveConfig(min_points_per_eps=4.0), StopRule(max_steps=steps))
     assert calls.count("rfft") == calls.count("irfft") == steps
@@ -1725,12 +1680,13 @@ def test_signed_zero_reciprocal_multiply_is_numpy_complex_division():
 
 def _frozen_torus_flow(g, eps, dt, v, steps, p=P, sample_every=0):
     """gradient_flow's loop with the torus step written as the division
-    formula it replaced: the field, the energies, the final step and the
-    nodal samples taken every ``sample_every`` steps (none at 0).  A
-    non-finite energy raises gradient_flow's SolverError."""
+    formula it replaced, on the full grid: the field, the energies, the
+    final step, the nodal samples taken every ``sample_every`` steps (none
+    at 0) and the steps whose energy rose.  A non-finite energy raises
+    gradient_flow's SolverError."""
     symbol = solvers._torus_symbol(g)
     energies = [energy(Field(g, v, eps), p)]
-    samples = []
+    samples, rises = [], []
     for step_i in range(1, steps + 1):
         while True:
             rhs = v - (dt / eps) * p.dw(v)
@@ -1739,6 +1695,7 @@ def _frozen_torus_flow(g, eps, dt, v, steps, p=P, sample_every=0):
             if not np.isfinite(e_new):
                 raise SolverError(f"non-finite energy {e_new!r} at flow step {step_i}")
             if step_i > 10 and e_new > energies[-1] + solvers.ENERGY_SLACK:
+                rises.append(step_i)
                 dt *= 0.5
                 continue
             break
@@ -1746,7 +1703,7 @@ def _frozen_torus_flow(g, eps, dt, v, steps, p=P, sample_every=0):
         energies.append(e_new)
         if sample_every and step_i % sample_every == 0:
             samples.append((step_i, pl.extract_nodal_set(Field(g, v, eps)).angles))
-    return v, np.array(energies), dt, samples
+    return v, np.array(energies), dt, samples, rises
 
 
 @pytest.mark.parametrize("shape", [(24, 16), (33, 17)])
@@ -1756,64 +1713,119 @@ def test_torus_flow_with_a_halving_matches_the_frozen_division_loop(shape):
     dt = 7.0 * eps * g.h  # the energy rises once after the transient
     f = Field(g, np.random.default_rng(shape[0]).uniform(-1.0, 1.0, shape), eps)
     trace = gradient_flow(f, P, SolveConfig(flow_dt=dt), StopRule(max_steps=40))
-    v, energies, dt_final, _ = _frozen_torus_flow(g, eps, dt, f.values, 40)
-    assert dt_final == trace.dt_final == dt / 2
+    v, energies, dt_final, _, rises = _frozen_torus_flow(g, eps, dt, f.values, 40)
+    assert dt_final == trace.dt_final == dt / 2 and len(rises) == 1
     assert np.array_equal(trace.energies.view(np.int64), energies.view(np.int64))
     assert np.array_equal(trace.field.values.view(np.int64), v.view(np.int64))
 
 
+def _step_dts(monkeypatch):
+    """The step size of every flow step solve, in call order.  A flow whose
+    steps fit one block solves every step at dt, and then, after a rise at
+    step s, steps s to the last at dt / 2."""
+    dts = []
+    make = solvers._make_flow_solver
+
+    def recording(grid, eps, dt):
+        solve = make(grid, eps, dt)
+
+        def step(v, out):
+            dts.append(dt)
+            return solve(v, out)
+
+        return step
+
+    monkeypatch.setattr(solvers, "_make_flow_solver", recording)
+    return dts
+
+
+FIELD_BOUND = 1e-12  # sup difference of a fibered flow's field from the 2-D flow's
+ENERGY_BOUND = 1e-11  # relative difference of its energies from the 2-D flow's
+
+
+def _halving_flow(shape):
+    """A two-interface fibered seed whose flow's energy rises once after the
+    transient, and its config.  The fiber's length, 5, is not axis 0's, 2 pi,
+    so a circle of the wrong length does not pass for the circle of axis 0."""
+    g = torus_grid(*shape, circumferences=(2 * np.pi, 5.0))
+    eps = 2.0 * g.h
+    dt = 12.0 * eps * g.h
+    f = multi_interface_seed(g, eps, [1.0, 1.0 + np.pi])
+    return f, SolveConfig(flow_dt=dt, min_points_per_eps=2.0)
+
+
+def _assert_flows_close(trace, frozen):
+    """A fibered flow against the 2-D division loop: the field and the
+    energies within FIELD_BOUND and ENERGY_BOUND, the same final step and
+    the same sample steps, each with as many angles, within FIELD_BOUND."""
+    v, energies, dt_final, samples, _ = frozen
+    assert dt_final == trace.dt_final
+    assert sup_norm(trace.field.values - v) <= FIELD_BOUND
+    assert len(trace.energies) == len(energies)
+    assert np.all(np.abs(trace.energies - energies) <= ENERGY_BOUND * np.abs(energies))
+    assert trace.field.values.flags.c_contiguous
+    assert [s for s, _ in trace.angle_samples] == [s for s, _ in samples]
+    for (_, got), (_, ref) in zip(trace.angle_samples, samples):
+        assert len(got) == len(ref) and np.allclose(got, ref, rtol=0.0, atol=FIELD_BOUND)
+
+
+@pytest.mark.parametrize("n2", [16, 24, 17])
+def test_a_fibered_flow_is_the_circle_flow_of_its_profile(monkeypatch, n2):
+    # bit for bit: the extruded field, the energies times the fiber length,
+    # the final step and the step solves, a halving at the same step among
+    # them; at the default step eps * h, and at a step that halves once
+    f, halving = _halving_flow((32, n2))
+    g, circle = f.grid, circle_grid(32, 2 * np.pi)
+    dts = _step_dts(monkeypatch)
+    for cfg in (SolveConfig(min_points_per_eps=2.0), halving):
+        dts.clear()
+        trace = gradient_flow(f, P, cfg, StopRule(max_steps=40))
+        torus_dts = dts[:]
+        dts.clear()
+        ref = gradient_flow(Field(circle, f.values[:, 0], f.epsilon), P, cfg, StopRule(max_steps=40))
+        assert torus_dts == dts and trace.dt_final == ref.dt_final
+        assert np.array_equal(trace.field.values.view(np.int64), g.extrude(ref.field.values).view(np.int64))
+        assert np.array_equal(trace.energies.view(np.int64), (g.lengths[1] * ref.energies).view(np.int64))
+    assert trace.dt_final == halving.flow_dt / 2
+
+
 def test_the_construct_torus_flow_matches_the_frozen_division_loop():
     # the benchmark's torus flow: four fibers on 256x64, one displaced by 0.3;
-    # the seed is fibered, so the flow runs on its profile
+    # the seed is fibered, so the flow is its profile's circle flow
     g = torus_grid(256, 64)
     eps = 0.15
     angles = (1.0 + np.arange(4) * (np.pi / 2)) % (2 * np.pi)
     angles[1] += 0.3
     f = multi_interface_seed(g, eps, angles)
     trace = gradient_flow(f, P, SolveConfig(min_points_per_eps=4.0), StopRule(max_steps=500))
-    v, energies, dt_final, _ = _frozen_torus_flow(g, eps, eps * g.h, f.values, 500)
-    assert np.all(v == v[:, :1])
-    assert dt_final == trace.dt_final
-    assert np.array_equal(trace.energies.view(np.int64), energies.view(np.int64))
-    assert np.array_equal(trace.field.values.view(np.int64), v.view(np.int64))
-
-
-def _assert_flows_alike(trace, frozen):
-    v, energies, dt_final, samples = frozen
-    assert dt_final == trace.dt_final
-    assert np.array_equal(trace.energies.view(np.int64), energies.view(np.int64))
-    assert np.array_equal(trace.field.values.view(np.int64), v.view(np.int64))
-    assert trace.field.values.flags.c_contiguous
-    assert [s for s, _ in trace.angle_samples] == [s for s, _ in samples]
-    for (_, got), (_, ref) in zip(trace.angle_samples, samples):
-        assert np.array_equal(np.asarray(got).view(np.int64), np.asarray(ref).view(np.int64))
+    frozen = _frozen_torus_flow(g, eps, eps * g.h, f.values, 500)
+    assert np.all(frozen[0] == frozen[0][:, :1]) and not frozen[4]
+    _assert_flows_close(trace, frozen)
 
 
 @pytest.mark.parametrize("shape", [(32, 16), (64, 32), (32, 24)])
-def test_a_fibered_flow_with_a_halving_and_nodal_samples_matches_the_frozen_loop(shape):
-    # the profile path on power-of-two fibers, the 2-D path on the 24-point one
-    g = torus_grid(*shape)
-    eps = 2.0 * g.h
-    dt = 12.0 * eps * g.h  # the energy rises once after the transient
-    f = multi_interface_seed(g, eps, [1.0, 1.0 + np.pi])
-    trace = gradient_flow(
-        f, P, SolveConfig(flow_dt=dt, min_points_per_eps=2.0),
-        StopRule(max_steps=40, sample_every=4, track_nodal=True),
-    )
-    frozen = _frozen_torus_flow(g, eps, dt, f.values, 40, sample_every=4)
-    assert frozen[2] == dt / 2 and len(frozen[3]) == 10
+def test_a_fibered_flow_with_a_halving_and_nodal_samples_matches_the_frozen_loop(monkeypatch, shape):
+    f, cfg = _halving_flow(shape)
+    dts = _step_dts(monkeypatch)
+    trace = gradient_flow(f, P, cfg, StopRule(max_steps=40, sample_every=4, track_nodal=True))
+    frozen = _frozen_torus_flow(f.grid, f.epsilon, cfg.flow_dt, f.values, 40, sample_every=4)
+    assert frozen[2] == cfg.flow_dt / 2 and len(frozen[3]) == 10
     assert all(len(angles) == 2 for _, angles in frozen[3])
-    _assert_flows_alike(trace, frozen)
+    assert solvers.BLOCK_POINTS // shape[0] >= 40  # one block: the halving step from the step solves
+    assert frozen[4] == [41 - dts.count(cfg.flow_dt / 2)]
+    _assert_flows_close(trace, frozen)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, "overflow", 1e308])
 @pytest.mark.parametrize("shape", [(32, 16), (32, 24)])
 def test_a_fibered_flow_whose_w_prime_turns_non_finite_stops_as_the_frozen_loop(shape, value):
     # W' sets one fiber row at its 23rd call: to a non-finite value, or to
-    # one whose n2 multiple in the right-hand side overflows
+    # one whose n2 multiple in the right-hand side overflows; the 2-D loop's
+    # transforms spread a huge row into NaN, the circle's solve into inf
     g = torus_grid(*shape)
     eps = 4.0 * g.h
     dt = eps * g.h
+    huge = value in ("overflow", 1e308)
     if value == "overflow":
         value = 1.5 * (np.finfo(float).max / g.shape[1]) / (dt / eps)
 
@@ -1834,7 +1846,8 @@ def test_a_fibered_flow_whose_w_prime_turns_non_finite_stops_as_the_frozen_loop(
         _frozen_torus_flow(g, eps, dt, f.values, 40, potential())
     with pytest.raises(SolverError) as got, np.errstate(invalid="ignore", over="ignore"):
         gradient_flow(f, potential(), SolveConfig(min_points_per_eps=4.0), StopRule(max_steps=40))
-    assert str(got.value) == str(ref.value) == "non-finite energy nan at flow step 23"
+    assert str(ref.value) == "non-finite energy nan at flow step 23"
+    assert str(got.value) == f"non-finite energy {'inf' if huge else 'nan'} at flow step 23"
 
 
 def test_torus_jacobian_matrix_is_the_hessian_action_column_by_column(monkeypatch):
@@ -1883,6 +1896,16 @@ def test_torus_jacobian_solve_at_a_non_finite_iterate_raises_singular_jacobian()
     v[7, 3] = np.nan
     with pytest.raises(SingularJacobianError):
         _make_jacobian_solver(g, 0.5, P)(v, np.ones(g.shape))
+
+
+def test_torus_jacobian_solve_raises_on_a_blown_up_step():
+    # W''(1/sqrt 3) = 0 for the quartic, so J = -eps Lap_h, singular up to
+    # rounding: the LU step meets the backward error test at sup norm 1e15
+    g = torus_grid(32, 16)
+    v = np.full(g.shape, 1.0 / np.sqrt(3.0))
+    r = gradient(Field(g, v, 1.0), P).values + 1e-3 * np.random.default_rng(0).standard_normal(g.shape)
+    with pytest.raises(SingularJacobianError, match=r"step of sup norm \d\.\d{3}e\+\d+ blew up"):
+        _make_jacobian_solver(g, 1.0, P)(v, r)
 
 
 def test_torus_jacobian_solve_checks_its_backward_error(monkeypatch):
