@@ -514,6 +514,47 @@ def test_a_stack_has_the_energies_of_its_fields_on_every_layout(g):
             assert np.array_equal(_bits(s), _bits(before))
 
 
+@pytest.mark.parametrize("g", [g for g in KERNEL_GRIDS if g.kind == "torus"], ids=lambda g: "x".join(map(str, g.shape)))
+def test_a_profile_stack_has_the_energies_of_its_extruded_fields(g):
+    # a flow from a fibered field takes its energies on the circle of the
+    # torus' axis 0: one p.w call on the profile stack, and each energy times
+    # the fiber length within 1e-11 relative of the extruded field's; a
+    # profile that is not finite has no finite energy, and one with an
+    # infinite row reads inf where the extruded field reads NaN (its fiber
+    # differences are inf - inf)
+    calls = []
+
+    def w(x):
+        calls.append(x.shape)
+        return P.w(x)
+
+    p = from_callables(w, P.dw, P.d2w, "counted")
+    n1 = g.shape[0]
+    circle = circle_grid(n1, g.lengths[0])
+    rng = np.random.default_rng(n1)
+    profiles = [scale * rng.uniform(-1.0, 1.0, n1) for scale in (1e-3, 1.0, 1e3, 1e200)]
+    profiles += [np.tanh(np.sin(g.axis(0)) / 0.2), np.zeros(n1), np.full(n1, -0.0)]
+    for value in (np.inf, -np.inf, np.nan):
+        profiles.append(profiles[1].copy())
+        profiles[-1][n1 // 2] = value
+    stack = np.stack(profiles)
+    for eps in (0.05, 0.3):
+        energy_of = energy_kernel(circle, eps, p, rows=len(profiles))
+        with np.errstate(invalid="ignore", over="ignore"):
+            full = np.array(energy_kernel(g, eps, P, rows=len(profiles))(np.stack([g.extrude(c) for c in profiles])))
+            got = g.lengths[1] * np.array(energy_of(stack))
+            for k in (len(profiles), 7, 1):
+                calls.clear()
+                assert np.array_equal(_bits(g.lengths[1] * np.array(energy_of(stack[:k]))), _bits(got[:k]))
+                assert calls == [(k, n1)]
+            finite = np.isfinite(full)
+            assert np.all(np.abs(got - full)[finite] <= 1e-11 * np.abs(full)[finite])
+        assert finite.sum() == 6
+        assert np.isinf(full[3]) and np.isinf(got[3])  # W(1e200) overflows on both
+        assert np.isnan(full[-3:]).all()
+        assert np.array_equal(got[-3:], [np.inf, np.inf, np.nan], equal_nan=True)
+
+
 @pytest.mark.parametrize("g", [circle_grid(512), torus_grid(256, 64), interval_grid(65, 1.0)], ids=lambda g: g.kind)
 def test_a_kernel_and_its_buffers_go_with_its_last_reference(g):
     # no reference cycle: a flow's block-sized buffers are freed when the

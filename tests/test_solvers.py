@@ -1617,6 +1617,26 @@ def test_fft_solver_is_bit_identical_to_fft_formula(shape):
         _assert_solves_like_the_formula(inverse, _non_finite_input(rng, shape), denom)
 
 
+# power-of-two fibers, the census torus among them, with odd and even n1
+PROFILE_SHAPES = [(256, 64), (24, 16), (17, 32), (33, 16)]
+
+
+def _profiles(rng, n1, n2):
+    """Axis-0 profiles: random, smooth, zeros of either sign and a constant;
+    the random one with a row set to inf, -inf or NaN; and with a row set to
+    a value whose n2 multiple overflows only in the rfft's last stage, or
+    to 1e308."""
+    random = rng.uniform(-1.2, 1.2, n1)
+    good = [random, np.tanh(np.sin(np.arange(n1)) / 0.2), np.zeros(n1), np.full(n1, -0.0), np.full(n1, 0.7)]
+    limit = np.finfo(float).max / n2
+    rows = []
+    for value in (np.inf, -np.inf, np.nan, 1.5 * limit, np.nextafter(limit, np.inf), 1e308):
+        x = random.copy()
+        x[n1 // 3] = value
+        rows.append(x)
+    return good, rows[:3], rows[3:]
+
+
 def _counted_transforms(monkeypatch):
     """Count the calls of np.fft.rfft and np.fft.irfft, the 2-D solve's
     first and last transforms."""
@@ -1630,6 +1650,39 @@ def _counted_transforms(monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("shape", PROFILE_SHAPES)
+def test_a_profile_step_is_the_column_of_the_2d_step(monkeypatch, shape):
+    """The step a fibered flow takes, its profile's step on the circle of
+    the torus' axis 0, is the column of the 2-D step of the profile's
+    extrusion within FIELD_BOUND, with no 2-D transform.  A profile with a
+    non-finite row steps to a profile that is not finite anywhere, as the
+    2-D step's field is not; a huge finite row, whose fiber sum overflows
+    the 2-D step into NaN on the whole grid, steps to a finite profile."""
+    rng = np.random.default_rng(shape[0])
+    g = torus_grid(*shape)
+    circle = circle_grid(shape[0], g.lengths[0])
+    calls = _counted_transforms(monkeypatch)
+    for eps, halvings in ((0.1, 0), (0.5, 2)):
+        dt = eps * g.h * 0.5**halvings
+        full, column = _make_flow_solver(g, eps, dt), _make_flow_solver(circle, eps, dt)
+        good, non_finite, huge = _profiles(rng, *shape)
+        for c in good:
+            ref = full(None, g.extrude(c))
+            calls.clear()
+            out = column(c, c.copy())
+            assert not calls
+            assert sup_norm(g.extrude(out) - ref) <= FIELD_BOUND
+        for finite, rows in ((False, non_finite), (True, huge)):
+            for c in rows:
+                with np.errstate(invalid="ignore", over="ignore"):
+                    ref = full(None, g.extrude(c))
+                    calls.clear()
+                    out = column(c, c.copy())
+                assert not calls
+                assert np.isnan(ref).all()
+                assert np.isfinite(out).all() if finite else not np.isfinite(out).any()
 
 
 @pytest.mark.parametrize("shape", [(256, 64), (24, 16), (17, 20), (32, 24)])
