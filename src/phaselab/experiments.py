@@ -26,6 +26,7 @@ from .nodal import (
     extract_nodal_set,
     fit_decay,
 )
+from .oracle import arc_lengths, arc_pressures
 from .potentials import Potential, quartic
 from .reports import ExperimentReport, assertion, canonicalize
 from .solvers import (
@@ -68,6 +69,10 @@ M_RIGIDITY_FLOW_STEPS = 500  # m_rigidity: flow steps before each Newton solve, 
 CONGRUENCE_TOL = 1e-4  # m_rigidity: largest relative spacing deviation
 TRANSVERSE_GAP_FLOOR = 0.05  # m_rigidity: smallest transverse gap of a fiber-reduced torus run
 TRANSVERSE_SUP_FLOOR = 1e-2  # m_rigidity: largest |u - fiber mean| after the flow of a fiber-reduced torus run
+ORACLE_GAP_FRACTION = 0.05  # m_rigidity: largest oracle gap, over the pressure spread, of a certified circle run
+FORCE_FLOOR = 100.0  # m_rigidity: smallest predicted residual, over tol_grad, of a certified circle run
+ARC_FLOOR = 6.0  # m_rigidity: shortest arc, over eps, of a certified circle run
+SLOW_MANIFOLD_WINDOW = 0.05  # m_rigidity: largest relative miss of a guard run's residual from its prediction
 RATE_WINDOW = 0.25  # decay: largest relative miss of the linearization rate
 WIDTH_RATIO_WINDOW = 0.25  # decay: largest relative miss of the rate ratio from the width ratio
 POINTWISE_SLACK = 2e-2  # decay: largest excess of the envelope over the fit
@@ -338,27 +343,81 @@ def _fiber_reduced_newton(field: Field, p: Potential, cfg: SolveConfig, run: dic
     return replace(nr, field=Field(grid, grid.extrude(nr.field.values), eps))
 
 
-def _census_run(run: dict, seed: Field, p: Potential, cfg: SolveConfig, flow_steps: int, judge):
+def _census_run(run: dict, seed: Field, p: Potential, cfg: SolveConfig, flow_steps: int, judge, certify=None):
     """Flow ``seed`` ``flow_steps`` steps, refine the flowed field and fill
     the census row ``run``.  The refine step is ``newton_refine`` on a
     circle and ``_fiber_reduced_newton`` on a torus, which adds its own
-    entries to the row.  A SolverError of the flow or the refine step makes
-    the run ``non_converged`` with the error's message; a converged run
-    records its final residual and the entries ``judge(field, nodal_set)``
-    returns.  The solvers are looked up in this module at call time, so a
-    wrapper set on ``phaselab.experiments`` sees every call."""
+    entries to the row.  When ``certify(field, run)`` is given and returns
+    True on the flowed field, the row is finished there, without a refine
+    step.  A SolverError of the flow or the refine step makes the run
+    ``non_converged`` with the error's message, and with its
+    ``final_residual`` when the error has a residual history; a converged
+    run records its final residual as ``residual`` and the entries
+    ``judge(field, nodal_set)`` returns.  The solvers are looked up in this
+    module at call time, so a wrapper set on ``phaselab.experiments`` sees
+    every call."""
     try:
         field = gradient_flow(seed, p, cfg, StopRule(max_steps=flow_steps)).field
+        if certify is not None and certify(field, run):
+            return run
         if field.values.ndim == 1:
             nr = newton_refine(field, p, cfg)
         else:
             nr = _fiber_reduced_newton(field, p, cfg, run)
     except SolverError as exc:
         run.update(outcome="non_converged", error=str(exc))
+        if isinstance(exc, NewtonDivergenceError) and exc.residuals:
+            run["final_residual"] = exc.residuals[-1]
         return run
     run["residual"] = nr.residuals[-1]
     run.update(judge(nr.field, extract_nodal_set(nr.field)))
     return run
+
+
+def _slow_manifold_certificate(field: Field, run: dict, p: Potential, m: int, tol_grad: float) -> bool:
+    """Certify a flowed m-rigidity circle field as no critical point, from
+    its arc pressures (``oracle.arc_pressures``), and finish its row.
+
+    On the slow manifold every arc sits on the exact orbit of its length,
+    and the residual there is the interfaces' force, (3/4) times the
+    pressure spread (1 / (sqrt 2 sigma), sigma = 2 sqrt 2 / 3 the quartic's
+    interface energy; Carr & Pego, CPAM 42, 1989).  The field is read when
+    the potential has the oracle's closed form (``closed_form_orbits``), it
+    has m nodal points and every arc is at least ``ARC_FLOOR`` eps long.  It
+    is certified when, besides, the oracle gap is at most
+    ``ORACLE_GAP_FRACTION`` of the spread and the predicted residual is at
+    least ``FORCE_FLOOR`` times ``tol_grad``: the row ends ``non_converged``
+    with reason ``slow_manifold_force`` and True is returned.  A read row
+    records ``predicted_residual``, ``pressure_spread``, ``oracle_gap`` and
+    ``arc_lengths``; a ``guard`` row records them and is never certified,
+    so it runs Newton and checks the prediction.  No row gets a
+    ``residual``: that key means a critical point was reached.
+    """
+    eps = field.epsilon
+    ns = extract_nodal_set(field)
+    if not (p.closed_form_orbits and ns.count == m and arc_lengths(ns).min() >= ARC_FLOOR * eps):
+        return False
+    ap = arc_pressures(field, ns)
+    predicted = 0.75 * ap.pressure_spread
+    run.update(
+        predicted_residual=predicted,
+        pressure_spread=ap.pressure_spread,
+        oracle_gap=ap.oracle_gap,
+        arc_lengths=ap.lengths.tolist(),
+    )
+    certified = (
+        not run.get("guard")
+        and ap.oracle_gap <= ORACLE_GAP_FRACTION * ap.pressure_spread
+        and predicted >= FORCE_FLOOR * tol_grad
+    )
+    if certified:
+        run.update(
+            outcome="non_converged",
+            reason="slow_manifold_force",
+            error=f"certified non-stationary: arc pressure spread {ap.pressure_spread:.3e} "
+            f"predicts residual {predicted:.3e} (target {tol_grad:.1e})",
+        )
+    return certified
 
 
 def _experiment(name: str, tol_grad: float | None = None):
@@ -536,6 +595,15 @@ def experiment_m_rigidity(
     row records its ``path`` (``fiber_reduced`` or ``torus_newton``),
     ``transverse_gap`` and ``transverse_sup``, and a config with a torus
     echoes both floors.
+
+    A circle run whose flowed field the slow-manifold certificate reads
+    records its arc pressures, and ends there, ``non_converged`` with reason
+    ``slow_manifold_force``, when the certificate holds
+    (``_slow_manifold_certificate``).  The first perturbed seed of each
+    width is the ``guard``: it always takes Newton, and when any run of its
+    width is certified it must stagnate within ``SLOW_MANIFOLD_WINDOW`` of
+    its predicted residual.  A config with a circle echoes the
+    certificate's constants.
     """
     if m < 4 or m % 2 != 0:
         raise ValueError(
@@ -581,13 +649,16 @@ def experiment_m_rigidity(
     runs = []
     for surface in surfaces:
         grid, run_cfg = (circle_grid(circle_n), cfg) if surface == "circle" else (torus_grid(*torus_n), torus_cfg)
+        certify = None
+        if surface == "circle":
+            certify = functools.partial(_slow_manifold_certificate, p=p, m=m, tol_grad=cfg.tol_grad)
         for eps in eps_list:
             require_resolution(grid, eps, run_cfg.min_points_per_eps)
             # control run: unperturbed spacing at a generic rotation; the
             # symmetric solutions must be reachable on every surface/width
             cases = [("control", 10_000 + len(runs), 0.0)]
             cases += [("perturbed", int(seed), perturbation) for seed in seeds]
-            for label, seed, pert in cases:
+            for index, (label, seed, pert) in enumerate(cases):
                 angles, field0 = _rigidity_seed(grid, eps, m, seed, pert, surface == "torus")
                 run = {
                     "surface": surface,
@@ -596,10 +667,14 @@ def experiment_m_rigidity(
                     "kind": label,
                     "seed_angles": list(angles),
                 }
-                runs.append(_census_run(run, field0, p, run_cfg, M_RIGIDITY_FLOW_STEPS, judge))
+                if certify is not None and index == 1:  # the first perturbed seed
+                    run["guard"] = True
+                runs.append(_census_run(run, field0, p, run_cfg, M_RIGIDITY_FLOW_STEPS, judge, certify))
 
     violations = [r for r in runs if r.get("outcome") == "rigidity_violation"]
     symmetric = [r for r in runs if r.get("outcome") == "converged_symmetric"]
+    perturbed = [r for r in runs if r["kind"] == "perturbed"]
+    reached = sum("residual" in r for r in perturbed)
     worst_spacing = max((r["spacing_rel_deviation"] for r in symmetric + violations if "spacing_rel_deviation" in r), default=None)
     assertions = [
         assertion(
@@ -607,7 +682,8 @@ def experiment_m_rigidity(
             len(violations) == 0,
             measured=worst_spacing,
             tolerance=CONGRUENCE_TOL,
-            detail=f"{len(violations)} violations in {len(runs)} runs",
+            detail=f"{len(violations)} violations in {len(runs)} runs; "
+            f"{reached} of {len(perturbed)} perturbed runs reached a critical point",
         ),
     ]
     for surface in surfaces:
@@ -630,6 +706,28 @@ def experiment_m_rigidity(
         "noise_amplitude": NOISE_AMPLITUDE, "congruence_tol": CONGRUENCE_TOL, "symmetry_tol": SYMMETRY_TOL,
         "flow_steps": M_RIGIDITY_FLOW_STEPS,
     }
+    if "circle" in surfaces:
+        derived.update(
+            oracle_gap_fraction=ORACLE_GAP_FRACTION, force_floor=FORCE_FLOOR, arc_floor=ARC_FLOOR,
+            slow_manifold_window=SLOW_MANIFOLD_WINDOW,
+        )
+        for eps in eps_list:
+            group = [r for r in runs if r["surface"] == "circle" and r["eps"] == eps]
+            certified = sum(r.get("reason") == "slow_manifold_force" for r in group)
+            guard = next((r for r in group if r.get("guard")), {})
+            ratio = None
+            if "final_residual" in guard and "predicted_residual" in guard:
+                ratio = guard["final_residual"] / guard["predicted_residual"]
+            assertions.append(
+                assertion(
+                    f"slow_manifold_guard_circle_eps_{eps:g}",
+                    certified == 0 or (ratio is not None and abs(ratio - 1.0) <= SLOW_MANIFOLD_WINDOW),
+                    measured=ratio,
+                    tolerance=SLOW_MANIFOLD_WINDOW,
+                    detail=f"{certified} runs certified non-stationary; the first perturbed run must "
+                    "stagnate in Newton at its predicted residual (measured: their ratio)",
+                )
+            )
     if "torus" in surfaces:
         derived.update(transverse_gap_floor=TRANSVERSE_GAP_FLOOR, transverse_sup_floor=TRANSVERSE_SUP_FLOOR)
     return runs, assertions, derived

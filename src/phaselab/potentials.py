@@ -29,13 +29,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Potential:
-    """Evaluators for W, W' and W'' plus a serializable descriptor."""
+    """Evaluators for W, W' and W'' plus a serializable descriptor.
+
+    ``closed_form_orbits`` says that the first integral's orbits are those
+    of ``phaselab.oracle``'s closed form, which only the quartic's are.
+    """
 
     kind: str
     _w: Callable[[np.ndarray], np.ndarray]
     _dw: Callable[[np.ndarray], np.ndarray]
     _d2w: Callable[[np.ndarray], np.ndarray]
     params: tuple = ()
+    closed_form_orbits: bool = False
 
     def w(self, x):
         return self._w(np.asarray(x, dtype=float))
@@ -66,7 +71,7 @@ def quartic() -> Potential:
     def d2w(x):
         return 3.0 * x * x - 1.0
 
-    return Potential("quartic", w, dw, d2w)
+    return Potential("quartic", w, dw, d2w, closed_form_orbits=True)
 
 
 def from_table(points) -> Potential:

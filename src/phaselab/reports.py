@@ -50,6 +50,13 @@ def assertion(name: str, passed: bool, measured=None, tolerance=None, detail: st
     }
 
 
+def _group(row: dict) -> str:
+    """A row's group label: its surface, eps and kind, where present."""
+    return " ".join(
+        f"eps={row[k]:g}" if k == "eps" else str(row[k]) for k in ("surface", "eps", "kind") if k in row
+    )
+
+
 @dataclass
 class ExperimentReport:
     experiment: str
@@ -92,22 +99,26 @@ class ExperimentReport:
             reached = "residual" in r
             if not reached and r.get("outcome") != "non_converged":
                 continue
-            label = " ".join(
-                f"eps={r[k]:g}" if k == "eps" else str(r[k])
-                for k in ("surface", "eps", "kind")
-                if k in r
-            )
+            label = _group(r)
             hits, total = groups.get(label, (0, 0))
             groups[label] = (hits + reached, total + 1)
         return groups
 
     def summary_lines(self) -> list[str]:
+        """The experiment, its outcome counts, one line per relaxation group
+        (with its runs certified non-stationary, reason
+        ``slow_manifold_force``, when there are any), the assertions and
+        the verdict."""
         lines = [f"experiment: {self.experiment}"]
         census = self.census()
         if census:
             lines.append("outcomes: " + ", ".join(f"{k}={v}" for k, v in sorted(census.items())))
+        certified = Counter(_group(r) for r in self.runs if r.get("reason") == "slow_manifold_force")
         for label, (hits, total) in self.convergence().items():
-            lines.append(f"{label}: {hits}/{total} reached a critical point")
+            line = f"{label}: {hits}/{total} reached a critical point"
+            if certified[label]:
+                line += f", {certified[label]} certified non-stationary"
+            lines.append(line)
         for a in self.assertions:
             status = "PASS" if a["passed"] else "FAIL"
             extra = ""

@@ -224,6 +224,15 @@ def test_c07_rigidity_census():
     # every torus run passes the transverse certificate: none falls back to
     # the torus Newton solve, which would cost about 150 s here
     assert {r["path"] for r in report.runs if r["surface"] == "torus"} == {"fiber_reduced"}
+    # every perturbed circle run but the guard of each width is certified
+    # non-stationary without Newton; the rest of the non-converged runs
+    # stagnated in Newton and record where
+    certified = [r for r in report.runs if r.get("reason") == "slow_manifold_force"]
+    assert len(certified) == 18
+    assert {(r["surface"], r["kind"]) for r in certified} == {("circle", "perturbed")}
+    stagnated = [r for r in report.runs if r["outcome"] == "non_converged" and "reason" not in r]
+    assert len(stagnated) == 22 and all(r["error"].startswith("stagnated") for r in stagnated)
+    assert all(f"{r['final_residual']:.3e}" in r["error"] for r in stagnated)
     assert violations == 0
     assert report.passed
     assert elapsed < 1200.0

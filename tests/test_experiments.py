@@ -5,6 +5,7 @@ import pytest
 
 import phaselab as pl
 import phaselab.experiments as experiments
+from phaselab import oracle
 from phaselab.experiments import (
     BarrierConstructionError,
     _bump,
@@ -622,6 +623,158 @@ class TestFiberReduction:
         assert [r["path"] for r in rep.runs] == ["fiber_reduced"] * 2
 
 
+C07_CIRCLE = circle_grid(512)
+C07_CIRCLE_CFG = SolveConfig(tol_grad=1e-12)  # the census' circle config
+
+
+def _flowed_c07_circle(eps, seed, perturbation):
+    _, field0 = experiments._rigidity_seed(C07_CIRCLE, eps, 4, seed, perturbation, False)
+    stop = StopRule(max_steps=experiments.M_RIGIDITY_FLOW_STEPS)
+    return gradient_flow(field0, P, C07_CIRCLE_CFG, stop).field
+
+
+def _certify(field, p=P, m=4, tol_grad=C07_CIRCLE_CFG.tol_grad, **run):
+    """The certificate's verdict on a flowed field, and the row it filled."""
+    return experiments._slow_manifold_certificate(field, run, p, m, tol_grad), run
+
+
+class TestSlowManifoldCertificate:
+    """A flowed c07 circle run is certified non-stationary from its arc
+    pressures; each condition of the certificate can refuse it."""
+
+    M4 = dict(eps_list=(0.15,), seeds=range(3), surfaces=("circle",))
+    GUARD = "slow_manifold_guard_circle_eps_0.15"
+
+    @pytest.mark.parametrize("eps", [0.1, 0.15])
+    def test_a_certified_run_predicts_where_newton_stagnates(self, eps):
+        field = _flowed_c07_circle(eps, 3, 0.3)
+        certified, run = _certify(field)
+        assert certified
+        assert run["outcome"] == "non_converged" and run["reason"] == "slow_manifold_force"
+        assert run["error"].startswith("certified non-stationary: arc pressure spread ")
+        assert "residual" not in run and "final_residual" not in run
+        assert run["predicted_residual"] == 0.75 * run["pressure_spread"]
+        assert run["oracle_gap"] <= experiments.ORACLE_GAP_FRACTION * run["pressure_spread"]
+        assert min(run["arc_lengths"]) >= experiments.ARC_FLOOR * eps
+        with pytest.raises(NewtonDivergenceError, match="stagnated") as failure:
+            newton_refine(field, P, C07_CIRCLE_CFG)
+        ratio = failure.value.residuals[-1] / run["predicted_residual"]
+        assert abs(ratio - 1.0) <= experiments.SLOW_MANIFOLD_WINDOW
+
+    def test_an_oracle_whose_rate_is_off_by_ten_percent_fails_the_gap_condition(self, monkeypatch):
+        field = _flowed_c07_circle(0.1, 3, 0.3)
+        monkeypatch.setattr(oracle, "RATE", 1.1 * np.sqrt(2.0))
+        certified, run = _certify(field)
+        assert not certified and "reason" not in run
+        assert run["oracle_gap"] > 10.0 * experiments.ORACLE_GAP_FRACTION * run["pressure_spread"]
+
+    @pytest.mark.parametrize("eps", [0.1, 0.15])
+    def test_an_equally_spaced_state_is_never_certified(self, eps):
+        m = 4
+        model = solve_dirichlet_model(np.pi / m, eps, P, SolveConfig(tol_grad=1e-11), n=512 // m + 1)
+        glued = newton_refine(experiments.reflect_extend(model, m), P).field
+        for field in (_flowed_c07_circle(eps, 10_000, 0.0), glued):
+            certified, run = _certify(field)
+            assert not certified and "reason" not in run
+            assert run["predicted_residual"] < 1e-15
+
+    @pytest.mark.parametrize("margin, certified", [(2.0, True), (0.5, False)])
+    def test_a_predicted_residual_below_the_force_floor_is_refused(self, margin, certified):
+        # a tol_grad that puts the prediction at twice or half FORCE_FLOOR
+        # tolerances: the floor keeps the force resolvable at Newton's gate
+        assert experiments.FORCE_FLOOR == 100.0
+        field = _flowed_c07_circle(0.1, 3, 0.3)
+        predicted = _certify(field)[1]["predicted_residual"]
+        verdict, run = _certify(field, tol_grad=predicted / (margin * 100.0))
+        assert verdict is certified and run["predicted_residual"] == predicted
+
+    def test_an_arc_below_the_floor_is_the_only_refusal_of_a_short_arc_state(self, monkeypatch):
+        # perturbation 0.7 at eps 0.15 leaves a shortest arc of 5.75 eps
+        # after the flow, its arcs on their orbits (gap 2% of the spread)
+        field = _flowed_c07_circle(0.15, 1, 0.7)
+        certified, run = _certify(field)
+        assert not certified and run == {}
+        monkeypatch.setattr(experiments, "ARC_FLOOR", 0.0)
+        certified, run = _certify(field)
+        assert certified and min(run["arc_lengths"]) < 6.0 * 0.15
+
+    def test_a_census_with_an_arc_below_the_floor_runs_newton_on_every_row(self, monkeypatch):
+        calls = []
+        real = experiments.newton_refine
+        monkeypatch.setattr(experiments, "newton_refine", lambda *args: calls.append(1) or real(*args))
+        rep = experiment_m_rigidity(4, **{**self.M4, "perturbation": 0.7})
+        assert len(calls) == len(rep.runs) == 4
+        assert not any("reason" in r for r in rep.runs)
+        assert rep.passed  # no row certified: the guard has nothing to back
+
+    def test_only_the_closed_form_potential_and_the_full_count_are_read(self):
+        field = _flowed_c07_circle(0.15, 3, 0.3)
+        q = quartic()
+        assert q.closed_form_orbits
+        copy = from_callables(q.w, q.dw, q.d2w, "quartic_copy")
+        assert _certify(field, p=copy) == (False, {})
+        assert _certify(field, m=6) == (False, {})
+        assert _certify(field)[0]
+
+    def test_the_census_certifies_every_perturbed_run_but_the_guard(self):
+        rep = experiment_m_rigidity(4, **self.M4)
+        control, guard, *rest = rep.runs
+        assert control["outcome"] == "converged_symmetric" and "guard" not in control
+        assert guard["guard"] and "reason" not in guard and "residual" not in guard
+        assert guard["error"].startswith("stagnated at residual ")
+        assert abs(guard["final_residual"] / guard["predicted_residual"] - 1.0) <= 0.01
+        assert [r["reason"] for r in rest] == ["slow_manifold_force"] * 2
+        assert rep.passed and self.GUARD not in _failed(rep)
+        assert rep.assertions[0]["detail"] == (
+            "0 violations in 4 runs; 0 of 3 perturbed runs reached a critical point"
+        )
+        assert "circle eps=0.15 perturbed: 0/3 reached a critical point, 2 certified non-stationary" in (
+            rep.summary_lines()
+        )
+
+    def test_a_guard_made_to_converge_fails_the_report(self, monkeypatch):
+        _relax_to(monkeypatch, np.arange(4) * np.pi / 2)
+        rep = experiment_m_rigidity(4, **self.M4)
+        assert [r["outcome"] for r in rep.runs] == ["converged_symmetric"] * 2 + ["non_converged"] * 2
+        assert _failed(rep) == {self.GUARD}
+        assert rep.assertions[0]["detail"].endswith("1 of 3 perturbed runs reached a critical point")
+
+    @pytest.mark.parametrize("scale, passes", [(1.0 - 2.0 * 0.05, False), (1.0 - 0.05 / 2.0, True),
+                                                (1.0 + 0.05 / 2.0, True), (1.0 + 2.0 * 0.05, False)])
+    def test_a_guard_that_stagnates_outside_the_window_fails_the_report(self, monkeypatch, scale, passes):
+        # the guard's stagnation residual, 1.005 times its prediction at eps
+        # 0.15, scaled across and within SLOW_MANIFOLD_WINDOW (0.05)
+        assert experiments.SLOW_MANIFOLD_WINDOW == 0.05
+        real = experiments.newton_refine
+
+        def scaled(field, p, cfg):
+            try:
+                return real(field, p, cfg)
+            except NewtonDivergenceError as exc:
+                raise NewtonDivergenceError(str(exc), [*exc.residuals[:-1], scale * exc.residuals[-1]]) from None
+
+        monkeypatch.setattr(experiments, "newton_refine", scaled)
+        rep = experiment_m_rigidity(4, **self.M4)
+        assert (self.GUARD not in _failed(rep)) is passes and rep.passed is passes
+
+
+def test_a_non_converged_row_records_the_final_residual_of_its_history(monkeypatch):
+    errors = iter([
+        NewtonDivergenceError("stagnated at residual 5.000e-01 (target 1.0e-12)", [1.0, 0.5]),
+        NewtonDivergenceError("non-finite starting residual nan", []),
+        SingularJacobianError("Newton step blew up (nearly singular Jacobian)"),
+    ])
+
+    def fail(*args):
+        raise next(errors)
+
+    monkeypatch.setattr(experiments, "newton_refine", fail)
+    rep = experiment_two_interface(eps_list=(0.25,), seeds=range(3))
+    assert [r["outcome"] for r in rep.runs] == ["non_converged"] * 3
+    assert [r.get("final_residual") for r in rep.runs] == [0.5, None, None]
+    assert not any("residual" in r for r in rep.runs)
+
+
 class TestReportDeterminism:
     def test_byte_identical_replay(self):
         a = experiment_two_interface(eps_list=(0.25,), seeds=range(2), n=256)
@@ -649,7 +802,10 @@ ECHO_CASES = [
     (
         experiment_m_rigidity,
         {"eps_list": (0.15,), "seeds": (), "surfaces": ("circle",)},
-        {"noise_amplitude", "congruence_tol", "symmetry_tol", "flow_steps"},
+        {
+            "noise_amplitude", "congruence_tol", "symmetry_tol", "flow_steps",
+            "oracle_gap_fraction", "force_floor", "arc_floor", "slow_manifold_window",
+        },
     ),
     (
         experiment_decay,
@@ -672,6 +828,10 @@ FIXED = {
         "congruence_tol": experiments.CONGRUENCE_TOL,
         "symmetry_tol": SYMMETRY_TOL,
         "flow_steps": experiments.M_RIGIDITY_FLOW_STEPS,
+        "oracle_gap_fraction": experiments.ORACLE_GAP_FRACTION,
+        "force_floor": experiments.FORCE_FLOOR,
+        "arc_floor": experiments.ARC_FLOOR,
+        "slow_manifold_window": experiments.SLOW_MANIFOLD_WINDOW,
     },
     experiment_decay: {
         "rate_window": experiments.RATE_WINDOW,
@@ -728,6 +888,8 @@ class TestConfigEcho:
         assert {key: rep.config[key] for key in fixed} == fixed
         circle = experiment_m_rigidity(**kwargs, surfaces=("circle",))
         assert not set(fixed) & set(circle.config)
+        # the slow-manifold certificate's constants go with the circle only
+        assert not {"oracle_gap_fraction", "force_floor", "arc_floor", "slow_manifold_window"} & set(rep.config)
 
     def test_solver_echo_holds_every_solve_config_field(self):
         rep = experiment_comparison(cfg=SolveConfig(tol_grad=1e-11, min_points_per_eps=7.0))

@@ -27,6 +27,17 @@ def test_summary_lines_give_convergence_per_group():
     ]
 
 
+def test_summary_lines_count_the_runs_certified_non_stationary():
+    report = _census_report()
+    certified = {"surface": "circle", "eps": 0.1, "kind": "perturbed", "outcome": "non_converged",
+                 "reason": "slow_manifold_force", "error": "certified non-stationary"}
+    report.runs += [certified, dict(certified)]
+    lines = report.summary_lines()
+    assert lines[3] == "circle eps=0.1 perturbed: 1/4 reached a critical point, 2 certified non-stationary"
+    # a group without certified runs keeps its line as it was
+    assert lines[4] == "circle eps=0.15 perturbed: 0/1 reached a critical point"
+
+
 def test_groups_use_the_keys_a_row_has():
     rows = [
         {"eps": 0.2, "seed": 1, "outcome": "converged_pair", "residual": 1e-13},
