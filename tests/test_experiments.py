@@ -435,6 +435,10 @@ def _failed(report):
     return {a["name"] for a in report.assertions if not a["passed"]}
 
 
+def _assertion(report, name):
+    return next(a for a in report.assertions if a["name"] == name)
+
+
 class TestCensusOutcomes:
     """Each census assertion can fail, and each outcome can be reached."""
 
@@ -720,6 +724,7 @@ class TestSlowManifoldCertificate:
         rep = experiment_m_rigidity(4, **self.M4)
         control, guard, *rest = rep.runs
         assert control["outcome"] == "converged_symmetric" and "guard" not in control
+        assert "predicted_residual" not in control  # read only after its width's guard
         assert guard["guard"] and "reason" not in guard and "residual" not in guard
         assert guard["error"].startswith("stagnated at residual ")
         assert abs(guard["final_residual"] / guard["predicted_residual"] - 1.0) <= 0.01
@@ -732,22 +737,28 @@ class TestSlowManifoldCertificate:
             rep.summary_lines()
         )
 
-    def test_a_guard_made_to_converge_fails_the_report(self, monkeypatch):
+    def test_a_guard_made_to_converge_certifies_no_run(self, monkeypatch):
         _relax_to(monkeypatch, np.arange(4) * np.pi / 2)
         rep = experiment_m_rigidity(4, **self.M4)
-        assert [r["outcome"] for r in rep.runs] == ["converged_symmetric"] * 2 + ["non_converged"] * 2
-        assert _failed(rep) == {self.GUARD}
-        assert rep.assertions[0]["detail"].endswith("1 of 3 perturbed runs reached a critical point")
+        # the guard backs no prediction, so the rest of its width takes Newton
+        assert [r["outcome"] for r in rep.runs] == ["converged_symmetric"] * 4
+        assert not any("predicted_residual" in r for r in rep.runs[2:])
+        guard = _assertion(rep, self.GUARD)
+        assert guard["passed"] and guard["measured"] is None
+        assert rep.passed
+        assert rep.assertions[0]["detail"].endswith("3 of 3 perturbed runs reached a critical point")
 
-    @pytest.mark.parametrize("scale, passes", [(1.0 - 2.0 * 0.05, False), (1.0 - 0.05 / 2.0, True),
-                                                (1.0 + 0.05 / 2.0, True), (1.0 + 2.0 * 0.05, False)])
-    def test_a_guard_that_stagnates_outside_the_window_fails_the_report(self, monkeypatch, scale, passes):
+    @pytest.mark.parametrize("scale, certifies", [(1.0 - 2.0 * 0.05, False), (1.0 - 0.05 / 2.0, True),
+                                                  (1.0 + 0.05 / 2.0, True), (1.0 + 2.0 * 0.05, False)])
+    def test_a_guard_that_stagnates_outside_the_window_certifies_no_run(self, monkeypatch, scale, certifies):
         # the guard's stagnation residual, 1.005 times its prediction at eps
         # 0.15, scaled across and within SLOW_MANIFOLD_WINDOW (0.05)
         assert experiments.SLOW_MANIFOLD_WINDOW == 0.05
         real = experiments.newton_refine
+        calls = []
 
         def scaled(field, p, cfg):
+            calls.append(1)
             try:
                 return real(field, p, cfg)
             except NewtonDivergenceError as exc:
@@ -755,7 +766,24 @@ class TestSlowManifoldCertificate:
 
         monkeypatch.setattr(experiments, "newton_refine", scaled)
         rep = experiment_m_rigidity(4, **self.M4)
-        assert (self.GUARD not in _failed(rep)) is passes and rep.passed is passes
+        rest = rep.runs[2:]
+        assert [r.get("reason") for r in rest] == ["slow_manifold_force" if certifies else None] * 2
+        assert len(calls) == (2 if certifies else 4)
+        if not certifies:
+            assert all(r["error"].startswith("stagnated") and "predicted_residual" not in r for r in rest)
+        guard = rep.runs[1]
+        assert _assertion(rep, self.GUARD)["measured"] == guard["final_residual"] / guard["predicted_residual"]
+        assert rep.passed
+
+    def test_a_census_whose_guard_newton_moves_off_its_prediction_passes_and_certifies_no_run(self):
+        # perturbation 0.5: every row is read on the slow manifold, but
+        # Newton moves the guard to about 0.15 of its prediction
+        rep = experiment_m_rigidity(4, **{**self.M4, "perturbation": 0.5})
+        control, guard, *rest = rep.runs
+        assert abs(guard["final_residual"] / guard["predicted_residual"] - 1.0) > experiments.SLOW_MANIFOLD_WINDOW
+        assert not any("reason" in r for r in rep.runs)
+        assert all(r["outcome"] == "non_converged" and "final_residual" in r for r in rest)
+        assert rep.passed and not _failed(rep)
 
 
 def test_a_non_converged_row_records_the_final_residual_of_its_history(monkeypatch):
