@@ -29,11 +29,12 @@ backtracking trials in one call.  ``energy``, ``gradient`` and
 Hessian action -eps Lap_h(phi) + W''(u)/eps phi, whose Laplacian is one
 ``laplacian`` call.  The kernels know two geometries: a periodic grid
 (``Grid.periodic``), whose one-axis case is the circle, and the Dirichlet
-interval.  Every stencil is one wrapped difference along a field's axis 0
-(axis 1 of a stack); the torus fiber axis is the last axis, stenciled on
-the raveled array.  The energy's sums run in C order, field by field, so
-neither a field's memory layout nor the stack it sits in changes a bit of
-it.
+interval.  The Laplacian is one wrapped second difference per axis,
+``_second_differences``, on the torus fiber axis (the last) as on axis 0.
+The energy's fiber differences stay one subtraction over the raveled
+array, which construct's torus control runs at every energy check.  The
+energy's sums run in C order, field by field, so neither a field's memory
+layout nor the stack it sits in changes a bit of it.
 """
 
 from __future__ import annotations
@@ -87,10 +88,8 @@ def _second_differences(v, out, h2, axis=0):
     """((-2 v[i] + v[i+1]) + v[i-1]) / h2 along ``axis``, wrapped, into ``out``.
 
     A field's axis 0 is ``axis`` 0; under k leading stack axes it is
-    ``axis`` k, stenciled on the views of ``v`` and ``out`` that put it first.
-
-    The torus fiber axis is the last axis, stenciled on the raveled array
-    by ``_second_differences_last`` with the same per-element order.
+    ``axis`` k, stenciled on the views of ``v`` and ``out`` that put it first;
+    the torus fiber axis is the last one.
     """
     if axis:
         v, out = v.swapaxes(0, axis), out.swapaxes(0, axis)
@@ -100,23 +99,6 @@ def _second_differences(v, out, h2, axis=0):
     out[1:] += v[:-1]
     out[0] += v[-1]
     out /= h2
-
-
-def _second_differences_last(v, out, h2):
-    """``_second_differences`` along the last axis, into a C-contiguous ``out``.
-
-    The shifts run over the raveled arrays, where the neighbour of a row's
-    end is the next row's start; the two wrapped columns are then computed
-    again, in the same order.
-    """
-    flat, o = v.ravel(), out.ravel()
-    np.multiply(flat, -2.0, out=o)
-    o[:-1] += flat[1:]
-    o[1:] += flat[:-1]
-    out[..., -1] = (-2.0 * v[..., -1] + v[..., 0]) + v[..., -2]
-    out[..., 0] = (-2.0 * v[..., 0] + v[..., 1]) + v[..., -1]
-    out /= h2
-    return out
 
 
 def _squared_norms(d):
@@ -162,7 +144,9 @@ def _laplacian_kernel(grid: Grid):
     def lap(v, out):
         _second_differences(v, out, hsq[0], v.ndim - ndim)
         if fiber:
-            out += _second_differences_last(v, np.empty(v.shape), hsq[1])
+            tmp = np.empty(v.shape)
+            _second_differences(v, tmp, hsq[1], v.ndim - 1)
+            out += tmp
         return out
 
     return lap

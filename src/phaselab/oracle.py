@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Field
-from .nodal import NodalSet
+from .nodal import NodalSet, _circle_spacings
 
 __all__ = ["ArcPressures", "arc_length", "peak", "pressure", "arc_lengths", "arc_pressures"]
 
@@ -87,8 +87,7 @@ def pressure(d: float, eps: float) -> float:
 def arc_lengths(nodal_set: NodalSet) -> np.ndarray:
     """The arcs of a circle nodal set: from ``angles[k]`` to the next angle,
     the last one around the circle to ``angles[0]``."""
-    angles = nodal_set.angles
-    return np.diff(angles, append=angles[0] + nodal_set.lengths[0])
+    return _circle_spacings(nodal_set.angles, nodal_set.lengths[0])
 
 
 @dataclass(frozen=True)

@@ -31,25 +31,20 @@ __all__ = [
 class Potential:
     """Evaluators for W, W' and W'' plus a serializable descriptor.
 
+    ``w``, ``dw`` and ``d2w`` are the callables the potential was built
+    from, called as given: every caller passes a float64 array or a Python
+    float, which the quartic's formulas and a table's spline both take.
+
     ``closed_form_orbits`` says that the first integral's orbits are those
     of ``phaselab.oracle``'s closed form, which only the quartic's are.
     """
 
     kind: str
-    _w: Callable[[np.ndarray], np.ndarray]
-    _dw: Callable[[np.ndarray], np.ndarray]
-    _d2w: Callable[[np.ndarray], np.ndarray]
+    w: Callable[[np.ndarray], np.ndarray]
+    dw: Callable[[np.ndarray], np.ndarray]
+    d2w: Callable[[np.ndarray], np.ndarray]
     params: tuple = ()
     closed_form_orbits: bool = False
-
-    def w(self, x):
-        return self._w(np.asarray(x, dtype=float))
-
-    def dw(self, x):
-        return self._dw(np.asarray(x, dtype=float))
-
-    def d2w(self, x):
-        return self._d2w(np.asarray(x, dtype=float))
 
     def describe(self) -> dict:
         if self.kind == "table":

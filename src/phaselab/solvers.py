@@ -193,11 +193,6 @@ class NewtonResult:
     iterations: int
     converged: bool
 
-    @property
-    def sign_free(self) -> bool:
-        """True when the refined field is the signless zero solution."""
-        return sup_norm(self.field.values) < 1e-6
-
 
 @dataclass
 class ModelSolution:

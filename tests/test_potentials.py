@@ -46,6 +46,30 @@ def test_quartic_well_values(quartic):
     assert quartic.d2w(1.0) == 2.0
 
 
+def test_from_callables_keeps_the_evaluators_it_was_given():
+    def w(x):
+        return x * x
+
+    def dw(x):
+        return 2.0 * x
+
+    def d2w(x):
+        return 2.0 + 0.0 * x
+
+    p = potentials.from_callables(w, dw, d2w)
+    assert p.w is w and p.dw is dw and p.d2w is d2w
+
+
+def test_scalar_call_sites_give_the_bits_of_0d_arrays(quartic):
+    # W(+-1), W''(0) and W''(+-1) are read at Python floats: they must be
+    # the values the evaluators give on 0-d float64 arrays
+    table = potentials.from_table([[float(x), float(quartic.w(x))] for x in np.linspace(-2, 2, 41)])
+    for p in (quartic, table):
+        for f in (p.w, p.dw, p.d2w):
+            for x in (0.0, 1.0, -1.0):
+                assert np.float64(f(x)).tobytes() == np.float64(f(np.asarray(x))).tobytes()
+
+
 def test_quartic_passes_all_axioms(quartic):
     report = potentials.check_double_well(quartic, 10_000)
     assert report.passed

@@ -133,5 +133,6 @@ def test_code_lines_counts_code_not_blanks_comments_or_docstrings(tmp_path, caps
         "grids.py 10",
         "potentials.py 2",
         "total 12",
+        "src lines 25",
         "kind comparisons 2 (grids 2)",
     ]

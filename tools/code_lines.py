@@ -2,8 +2,9 @@
 
     python3 tools/code_lines.py ROOT
 
-Prints one ``module lines`` row per module of ``ROOT/src/phaselab`` and a
-``total`` row.  A code line holds at least one token that is neither a
+Prints one ``module lines`` row per module of ``ROOT/src/phaselab``, a
+``total`` row, and a ``src lines`` row of the modules' physical lines (what
+``wc -l`` counts).  A code line holds at least one token that is neither a
 comment nor part of a docstring (the string that opens a module, class or
 function body); blank lines do not count.  A last row counts the
 ``.kind`` comparisons the ROADMAP tracks, the matches of
@@ -59,16 +60,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("root", type=Path)
     args = parser.parse_args(argv)
-    total, kinds = 0, {}
+    total, physical, kinds = 0, 0, {}
     for path in sorted((args.root / "src" / "phaselab").glob("*.py")):
         source = path.read_text()
         n = code_lines(source)
         total += n
+        physical += len(source.splitlines())
         print(f"{path.name} {n}")
         k = 0 if path.name == "potentials.py" else kind_comparisons(source)
         if k:
             kinds[path.stem] = k
     print(f"total {total}")
+    print(f"src lines {physical}")
     detail = ", ".join(f"{name} {count}" for name, count in kinds.items())
     print(f"kind comparisons {sum(kinds.values())} ({detail})")
     return 0
