@@ -35,7 +35,7 @@ from .solvers import (
     SolveConfig,
     SolverError,
     StopRule,
-    gradient_flow,
+    gradient_flows,
     multi_interface_seed,
     newton_refine,
     reflect_extend,
@@ -343,21 +343,31 @@ def _fiber_reduced_newton(field: Field, p: Potential, cfg: SolveConfig, run: dic
     return replace(nr, field=Field(grid, grid.extrude(nr.field.values), eps))
 
 
-def _census_run(run: dict, seed: Field, p: Potential, cfg: SolveConfig, flow_steps: int, judge, certify=None):
-    """Flow ``seed`` ``flow_steps`` steps, refine the flowed field and fill
-    the census row ``run``.  The refine step is ``newton_refine`` on a
-    circle and ``_fiber_reduced_newton`` on a torus, which adds its own
-    entries to the row.  When ``certify(field, run)`` is given and returns
-    True on the flowed field, the row is finished there, without a refine
-    step.  A SolverError of the flow or the refine step makes the run
-    ``non_converged`` with the error's message, and with its
+def _census_run(run: dict, flowed, p: Potential, cfg: SolveConfig, judge, certify=None):
+    """Refine a row's flow result ``flowed`` and fill the census row
+    ``run``.  A census width builds every row's seed, in row order, then
+    flows them all as one stack (``gradient_flows``: every row flows the
+    same grid, width and step), then refines its rows in order; ``flowed``
+    is the row's FlowTrace, or the SolverError of its flow.  Each result
+    has the bits of the seed's own flow: on the circle the stack's corner
+    correction is one dger, whose OpenBLAS kernel runs the axpy of a
+    row's own daxpy on each column; a row whose energy rises leaves the stack and goes on
+    alone at half the step, and a row whose energy turns non-finite gets
+    its own SolverError while the others go on.  The refine step is
+    ``newton_refine`` on a circle and ``_fiber_reduced_newton`` on a torus,
+    which adds its own entries to the row.  When ``certify(field, run)`` is
+    given and returns True on the flowed field, the row is finished there,
+    without a refine step.  A SolverError of the flow or the refine step
+    makes the run ``non_converged`` with the error's message, and with its
     ``final_residual`` when the error has a residual history; a converged
     run records its final residual as ``residual`` and the entries
     ``judge(field, nodal_set)`` returns.  The solvers are looked up in this
     module at call time, so a wrapper set on ``phaselab.experiments`` sees
     every call."""
     try:
-        field = gradient_flow(seed, p, cfg, StopRule(max_steps=flow_steps)).field
+        if isinstance(flowed, SolverError):
+            raise flowed
+        field = flowed.field
         if certify is not None and certify(field, run):
             return run
         if field.values.ndim == 1:
@@ -524,12 +534,14 @@ def experiment_two_interface(
     runs = []
     for eps in eps_list:
         require_resolution(grid, eps, cfg.min_points_per_eps)
+        rows, fields = [], []
         for seed in seeds:
             rng = np.random.default_rng(seed)
             phi = float(rng.uniform(*PHI_RANGE))
-            field0 = multi_interface_seed(grid, eps, [0.0, phi])
-            run = {"eps": eps, "seed": int(seed), "phi": phi}
-            runs.append(_census_run(run, field0, p, cfg, TWO_INTERFACE_FLOW_STEPS, judge))
+            fields.append(multi_interface_seed(grid, eps, [0.0, phi]))
+            rows.append({"eps": eps, "seed": int(seed), "phi": phi})
+        flows = gradient_flows(fields, p, cfg, StopRule(max_steps=TWO_INTERFACE_FLOW_STEPS))
+        runs += [_census_run(run, flowed, p, cfg, judge) for run, flowed in zip(rows, flows)]
 
     pairs = [r for r in runs if r.get("outcome") == "converged_pair"]
     bad = [r for r in pairs if not r["antipodal"]]
@@ -675,21 +687,25 @@ def experiment_m_rigidity(
             # symmetric solutions must be reachable on every surface/width
             cases = [("control", 10_000 + len(runs), 0.0)]
             cases += [("perturbed", int(seed), perturbation) for seed in seeds]
-            backed = False  # the width's guard stagnated at its prediction
-            for index, (label, seed, pert) in enumerate(cases):
+            rows, fields = [], []
+            for label, seed, pert in cases:
                 angles, field0 = _rigidity_seed(grid, eps, m, seed, pert, surface == "torus")
-                run = {
+                fields.append(field0)
+                rows.append({
                     "surface": surface,
                     "eps": eps,
                     "seed": int(seed),
                     "kind": label,
                     "seed_angles": list(angles),
-                }
+                })
+            flows = gradient_flows(fields, p, run_cfg, StopRule(max_steps=M_RIGIDITY_FLOW_STEPS))
+            backed = False  # the width's guard stagnated at its prediction
+            for index, (run, flowed) in enumerate(zip(rows, flows)):
                 guard = certify is not None and index == 1  # the first perturbed seed
                 if guard:
                     run["guard"] = True
                 reader = certify if guard or backed else None
-                runs.append(_census_run(run, field0, p, run_cfg, M_RIGIDITY_FLOW_STEPS, judge, reader))
+                runs.append(_census_run(run, flowed, p, run_cfg, judge, reader))
                 if guard:
                     guard_ratio[eps] = _guard_ratio(run)
                     backed = _within(guard_ratio[eps], SLOW_MANIFOLD_WINDOW)

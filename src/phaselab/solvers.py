@@ -11,12 +11,17 @@ and the monitored energy is non-increasing for the default step
 dt = eps * h; a non-finite energy stops the flow with a SolverError.  No
 flow adapts its step: it halves on an energy rise only.  The interval model
 solve passes dt = 0.5 eps / max|W''| as flow_dt, up to which the energy
-stays stable (Shen & Yang, DCDS-A 28, 2010).  A flow solves each step in
-place in its row of a block buffer it owns and checks the energies of up to
-max(1, BLOCK_POINTS // npoints) steps in one call of its
+stays stable (Shen & Yang, DCDS-A 28, 2010).  One loop, gradient_flows,
+flows a stack of k fields on one grid at one width and step (a census
+width's seeds; gradient_flow is its stack of one): each step is one W' call
+and one solve of the (k, n) stack, in place in its row of a block buffer
+the loop owns, and the energies of a block of up to
+max(BLOCK_POINTS, k * npoints) points come from one call of its
 fields.energy_kernel, whose matmul takes all the states' squared-difference
-sums at once; a Newton solve and a model solve each build one
-fields.residual_kernel.
+sums at once.  Each field's result has the bits of its own flow: a field
+whose energy rises leaves the stack and goes on alone at half the step, one
+whose energy turns non-finite gets its own SolverError.  A Newton solve and
+a model solve each build one fields.residual_kernel.
 Newton solves -eps Lap_h(u) + W'(u)/eps = 0 with residual-max-norm
 backtracking; the constants MAX_NEWTON and MAX_FLOW_STEPS cap its iterations
 and a model solve's flow steps.  Its watchdog walks link each point to the
@@ -29,10 +34,12 @@ On a 1-D grid the flow's I + dt eps (-Lap_h) and Newton's Jacobian
 interval's interior rows between pinned ends, or all the circle's rows plus
 its periodic corners, which _split_corners splits off for a Sherman-Morrison
 correction.  The flow factors the SPD chain without corners once with
-LAPACK dpttrf, a step being one dpttrs solve (on the circle, plus one daxpy
-of the precomputed correction: a third of the cost of a SuperLU solve and
-under half of an FFT step, ROADMAP F9).  Newton calls LAPACK dgtsv
-directly, with one right-hand side on the interval and two on the circle
+LAPACK dpttrf, a step being one dpttrs solve (on the circle, of the
+stack's (n, k) Fortran-ordered view, plus the precomputed correction: one
+daxpy for one field, one dger for a stack, whose OpenBLAS kernel runs that
+daxpy's axpy on each column, so the stack keeps each field's bits; a third
+of the cost of a SuperLU solve and under half of an FFT step, ROADMAP F9).
+Newton calls LAPACK dgtsv directly, with one right-hand side on the interval and two on the circle
 (rhs and the corner vector, in a work array the solver owns).  On the torus
 the Jacobian is one sparse matrix, the periodic 5-point stencil assembled
 once per solver with W''(v)/eps written into its diagonal at each solve,
@@ -65,7 +72,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg  # eigvalsh; perfbench's tracer wraps solvers.scipy.linalg
 import scipy.sparse.linalg as spla
-from scipy.linalg.blas import daxpy
+from scipy.linalg.blas import daxpy, dger
 from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 from scipy.sparse import csc_matrix
 
@@ -96,6 +103,7 @@ __all__ = [
     "reflect_extend",
     "newton_refine",
     "gradient_flow",
+    "gradient_flows",
     "multi_interface_seed",
     "transverse_gap",
 ]
@@ -108,7 +116,7 @@ TRIAL_STACK = 8  # line-search trials evaluated per residual call
 MAX_STEP = 0.15  # sup-norm cap per Newton step in the capped watchdog walk, direction kept
 MAX_NEWTON = 50  # Newton iterations per solve
 MAX_FLOW_STEPS = 100_000  # flow steps per model solve, and per flow without StopRule.max_steps
-BLOCK_POINTS = 16_384  # a flow block: max(1, BLOCK_POINTS // npoints) states, about 128 KiB
+BLOCK_POINTS = 16_384  # a flow block of k fields: at most max(BLOCK_POINTS, k * npoints) points, about 128 KiB
 BACKWARD_TOL = 1e-12  # normwise backward error a torus Jacobian solve must meet
 
 
@@ -285,14 +293,24 @@ def _fibered_profile(v: np.ndarray):
 
 def _make_flow_solver(grid: Grid, eps: float, dt: float):
     """Prefactored implicit solve of (I + dt*eps*(-Lap_h)) u = rhs, as
-    ``step(v, out)``: ``out``, C-contiguous, holds the right-hand side on
-    entry and the new state on return, and is returned; ``v``, the state the
-    step starts from, is read only, on the interval for its end values.  On
-    a torus the step is one ``_fft_solver`` solve of the whole grid."""
+    ``step(v, out)``: ``out``, C-contiguous, one field or a stack of k
+    fields, shape ``(k,) + grid.shape``, holds the right-hand sides on entry
+    and the new states on return, and is returned; ``v``, the states the
+    step starts from, is read only, on the interval for its end values.  A
+    circle stack is one dpttrs solve of its (n, k) Fortran-ordered view,
+    which solves each column as it would solve it alone; each field of an
+    interval stack is one dpttrs solve of its interior rows, and each field
+    of a torus stack one ``_fft_solver`` solve of the whole grid."""
     c = dt * eps
     if grid.kind == "torus":
         solve = _fft_solver(grid, 1.0 + c * _torus_symbol(grid))
-        return lambda v, out: solve(out, out)
+
+        def step(v, out):
+            for x in out.reshape((-1,) + grid.shape):
+                solve(x, x)
+            return out
+
+        return step
 
     # tridiag(-cc, 1 + 2 cc, -cc) on the interval's interior rows, and B, the
     # circle's operator without its corners as _split_corners shifts it (by
@@ -311,13 +329,16 @@ def _make_flow_solver(grid: Grid, eps: float, dt: float):
     if not grid.periodic:
 
         def step(v, out):
-            r = out[1:-1]  # contiguous: dpttrs solves in place in it
-            r[0] += cc * v[0]
-            r[-1] += cc * v[-1]
-            _, info = dpttrs(d, e, r, overwrite_b=1)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"dpttrs failed with info={info}")
-            out[0], out[-1] = v[0], v[-1]
+            rows, starts = out.reshape(-1, n + 2), v.reshape(-1, n + 2)
+            for j in range(len(rows)):  # each field, between its pinned ends
+                o, w = rows[j], starts[j]
+                r = o[1:-1]  # contiguous: dpttrs solves in place in it
+                r[0] += cc * w[0]
+                r[-1] += cc * w[-1]
+                _, info = dpttrs(d, e, r, overwrite_b=1)
+                if info != 0:
+                    raise np.linalg.LinAlgError(f"dpttrs failed with info={info}")
+                o[0], o[-1] = w[0], w[-1]
             return out
 
         return step
@@ -328,10 +349,22 @@ def _make_flow_solver(grid: Grid, eps: float, dt: float):
     denom = 1.0 + float(z[0]) + ratio * float(z[-1])  # 1 + w^T B^-1 u > 0: A is SPD
 
     def step(v, out):
-        y, info = dpttrs(d, e, out, overwrite_b=1)  # B^-1 rhs, in place in out
+        y, info = dpttrs(d, e, out.T, overwrite_b=1)  # B^-1 rhs, in place in out
         if info != 0:
             raise np.linalg.LinAlgError(f"dpttrs failed with info={info}")
-        return daxpy(z, y, a=-(float(y[0]) + ratio * float(y[-1])) / denom)  # in place in y
+        y = y.reshape(n, -1)  # the (n, k) view, one column per field
+        # y_j += coef_j z, coef_j = -(y_j[0] + ratio y_j[-1]) / denom.  A
+        # stack takes one dger (dividing by -denom gives that coef, bit for
+        # bit), which runs OpenBLAS' axpy kernel on each column: each field
+        # gets the bits of its own daxpy, whose multiply-add is fused (a
+        # numpy y - coef * z is not).  One field takes that daxpy itself,
+        # its coef in Python floats: about 2 us a step less than numpy
+        # coefficients and dger.
+        if y.shape[1] == 1:
+            daxpy(z, y[:, 0], a=-(float(y[0, 0]) + ratio * float(y[-1, 0])) / denom)
+        else:
+            dger(1.0, z, (y[0] + ratio * y[-1]) / -denom, a=y, overwrite_a=1)
+        return out
 
     return step
 
@@ -666,72 +699,136 @@ def gradient_flow(
     L2 times the circle energy.  The nodal samples and the final field are
     the profile's extrusions.  From any other seed the flow runs on the
     full grid.
+
+    The flow is the stack of one of ``gradient_flows``, the one flow loop,
+    which flows many fields of one grid, width and step as a stack: one W'
+    call and one solve per step for them all, on the circle one dpttrs of
+    the (n, k) stack and one dger for its corners, whose OpenBLAS kernel is
+    the axpy of the one daxpy this flow runs, so each field keeps the bits
+    of this flow.  A field of a stack whose energy rises leaves it and
+    goes on alone from its last accepted state at half the step; one whose
+    energy turns non-finite gets this SolverError, and the others go on.
+    Here the trace is the stack's one result, and its SolverError is raised.
     """
+    (trace,) = gradient_flows([f], p, cfg, stop)
+    if isinstance(trace, SolverError):
+        raise trace
+    return trace
+
+
+def gradient_flows(
+    fields,
+    p: Potential,
+    cfg: SolveConfig | None = None,
+    stop: StopRule | None = None,
+) -> list:
+    """The flows of ``gradient_flow`` from each of ``fields``, run as one
+    stack: per field, in order, its FlowTrace, or the SolverError its own
+    flow would raise.  Each result has the bits of that field's flow alone.
+
+    The fields share one grid and one width, else ValueError; on a torus
+    they are all fibered or all not (a fibered field flows on the circle).
+    Each step of a stack of k fields is one ``p.dw`` call on the ``(k, n)``
+    stack and one solve of it (``_make_flow_solver``).  On the circle that
+    is one dpttrs of its (n, k) Fortran-ordered view, which solves each
+    column as it solves it alone, and one dger for the Sherman-Morrison
+    corners (one daxpy for a stack of one), which runs OpenBLAS' axpy
+    kernel on each column: the bits of one daxpy per field, whose
+    multiply-add is fused, as a numpy ``y - coef * z`` is not.  A block
+    holds at most max(BLOCK_POINTS, k * npoints) points, and its energies
+    come from one ``energy_kernel`` call on the ``(steps * k, n)`` states,
+    whose per-field bits do not depend on the stack.  On the interval and
+    the torus the solve runs field by field.  Each field's energies are
+    scanned in step order.  A field whose energy turns non-finite, or whose
+    step collapses, gets its own SolverError and leaves the stack; one
+    whose energy rises leaves it and goes on alone from its last accepted
+    state at half the step, carrying its step count and energies, as its
+    own flow would.  The other fields are unaffected.
+    """
+    if not fields:
+        return []
     cfg = cfg or SolveConfig()
     stop = stop or StopRule()
     max_steps = stop.max_steps if stop.max_steps is not None else MAX_FLOW_STEPS
+    f = fields[0]
+    if any(g.grid != f.grid or g.epsilon != f.epsilon for g in fields[1:]):
+        raise ValueError("the fields of a flow stack must share one grid and one width")
     require_resolution(f.grid, f.epsilon, cfg.min_points_per_eps)
 
     eps = f.epsilon
-    dt = cfg.flow_dt if cfg.flow_dt is not None else eps * f.grid.h
-    profile = _fibered_profile(f.values)
-    fibered = profile is not None
-    # v, the last accepted state, is read, never written; a fibered seed
-    # flows on the circle of the torus' axis 0, its energies times the fiber length
+    profiles = [_fibered_profile(g.values) for g in fields]
+    fibered = profiles[0] is not None
+    if any((q is None) == fibered for q in profiles):
+        raise ValueError("the fields of a torus flow stack must be all fibered or all not")
+    # a fibered stack flows on the circle of the torus' axis 0, its energies times the fiber length
     if fibered:
-        grid, v, scale = circle_grid(f.grid.shape[0], f.grid.lengths[0]), profile, f.grid.lengths[1]
+        grid, v, scale = circle_grid(f.grid.shape[0], f.grid.lengths[0]), np.array(profiles), f.grid.lengths[1]
     else:
-        grid, v, scale = f.grid, f.values, 1.0
-    solve = _make_flow_solver(grid, eps, dt)
-    rate = dt / eps
-    rows = max(1, BLOCK_POINTS // grid.npoints)
-    energy_of = energy_kernel(grid, eps, p, rows)
-    blocks = [np.empty((rows,) + v.shape) for _ in range(2)]
+        grid, v, scale = f.grid, np.array([g.values for g in fields]), 1.0
+    points = v[0].size  # of one field
+    energy_of = energy_kernel(grid, eps, p, max(len(fields), BLOCK_POINTS // points))
+    energies = [[scale * e] for e in energy_of(v)]
+    samples = [[] for _ in fields]
+    results = [None] * len(fields)
 
     def field_of(state):  # the grid's field of a state, a profile extruded
         return Field(f.grid, f.grid.extrude(state) if fibered else state, eps)
 
-    energies = [scale * energy_of(v[None])[0]]
-    angle_samples = []
-    done = 0
-    while done < max_steps:
-        block = blocks[0][: min(rows, max_steps - done)]
-        u = v
-        for row in block:  # each row holds its step's right-hand side, then its state
-            np.multiply(p.dw(u), rate, out=row)
-            np.subtract(u, row, out=row)
-            solve(u, row)
-            u = row
-        accepted = len(block)
-        for i, e_new in enumerate(energy_of(block)):
-            e_new *= scale
-            step_i = done + i + 1
-            # math.isfinite: np.isfinite costs about 1 us per step on a Python float
-            if not math.isfinite(e_new):
-                raise SolverError(f"non-finite energy {e_new!r} at flow step {step_i}")
-            if step_i > 10 and e_new > energies[-1] + ENERGY_SLACK:
-                dt *= 0.5
-                if dt < 1e-14:
-                    raise StepCollapseError(
-                        f"flow step collapsed below 1e-14 at step {step_i}"
-                    )
-                solve = _make_flow_solver(grid, eps, dt)
-                rate = dt / eps
-                accepted = i
-                break
-            energies.append(e_new)
+    # each run flows a stack: the fields ``members`` indexes, from their last
+    # accepted states ``v`` (read, never written), at step ``dt`` from step ``done``
+    runs = [(v, list(range(len(fields))), 0, cfg.flow_dt if cfg.flow_dt is not None else eps * f.grid.h)]
+    while runs:
+        v, members, done, dt = runs.pop()
+        solve = _make_flow_solver(grid, eps, dt)
+        rate = dt / eps
+        blocks = None  # made for each stack size
+        while done < max_steps and members:
+            k = len(members)
+            if blocks is None:
+                rows = max(1, BLOCK_POINTS // (k * points))
+                blocks = [np.empty((rows,) + v.shape) for _ in range(2)]
+            block = blocks[0][: min(rows, max_steps - done)]
+            u = v
+            for states in block:  # each holds its step's right-hand sides, then its states
+                np.multiply(p.dw(u), rate, out=states)
+                np.subtract(u, states, out=states)
+                solve(u, states)
+                u = states
+            block_energies = energy_of(block.reshape((-1,) + grid.shape))
+            stay = []
+            for j, member in enumerate(members):
+                history = energies[member]
+                for i in range(len(block)):
+                    e_new = scale * block_energies[i * k + j]
+                    step_i = done + i + 1
+                    # math.isfinite: np.isfinite costs about 1 us per step on a Python float
+                    if not math.isfinite(e_new):
+                        results[member] = SolverError(f"non-finite energy {e_new!r} at flow step {step_i}")
+                        break
+                    if step_i > 10 and e_new > history[-1] + ENERGY_SLACK:
+                        if dt * 0.5 < 1e-14:
+                            results[member] = StepCollapseError(f"flow step collapsed below 1e-14 at step {step_i}")
+                        else:  # a run of its own, from its last accepted state
+                            runs.append(((block[i - 1] if i else v)[j : j + 1].copy(), [member], step_i - 1, dt * 0.5))
+                        break
+                    history.append(e_new)
 
-            if stop.track_nodal and step_i % stop.sample_every == 0:
-                from .nodal import extract_nodal_set
+                    if stop.track_nodal and step_i % stop.sample_every == 0:
+                        from .nodal import extract_nodal_set
 
-                ns = extract_nodal_set(field_of(block[i]))
-                angle_samples.append((step_i, ns.angles))
-        if accepted:
-            v = block[accepted - 1]
-            done += accepted
-            blocks.reverse()  # the next block must not overwrite v
-
-    return FlowTrace(field_of(v.copy()), np.asarray(energies), max_steps, angle_samples, dt)
+                        ns = extract_nodal_set(field_of(block[i, j]))
+                        samples[member].append((step_i, ns.angles))
+                else:
+                    stay.append(j)
+            done += len(block)
+            if len(stay) == k:
+                v = block[-1]
+                blocks.reverse()  # the next block must not overwrite v
+            else:
+                v, members, blocks = block[-1][stay], [members[j] for j in stay], None
+        for j, member in enumerate(members):
+            results[member] = FlowTrace(field_of(v[j].copy()), np.asarray(energies[member]), max_steps, samples[member], dt)
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,7 @@ def test_bad_sweeps_exit_two_before_any_solve(argv, message, monkeypatch, capsys
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the check")
 
-    for name in ("gradient_flow", "newton_refine", "solve_dirichlet_model", "build_barrier"):
+    for name in ("gradient_flows", "newton_refine", "solve_dirichlet_model", "build_barrier"):
         monkeypatch.setattr(pl.experiments, name, no_solve)
     assert main(argv) == 2
     assert message in capsys.readouterr().err

@@ -309,7 +309,7 @@ class TestExperimentDrivers:
         def no_solve(*args, **kwargs):
             raise AssertionError("a run was relaxed before the torus config was checked")
 
-        monkeypatch.setattr(experiments, "gradient_flow", no_solve)
+        monkeypatch.setattr(experiments, "gradient_flows", no_solve)
         monkeypatch.setattr(experiments, "newton_refine", no_solve)
         with pytest.raises(ValueError, match="min_points_per_eps must be finite and positive"):
             experiment_m_rigidity(4, eps_list=(0.15,), seeds=(), torus_points_per_eps=points)
@@ -394,7 +394,7 @@ class TestExperimentDrivers:
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the check")
 
-        for name in ("gradient_flow", "newton_refine", "solve_dirichlet_model", "build_barrier"):
+        for name in ("gradient_flows", "newton_refine", "solve_dirichlet_model", "build_barrier"):
             monkeypatch.setattr(experiments, name, no_solve)
         key = next(iter(kwargs))
         with pytest.raises(ValueError, match=f"{key} repeats a value"):
@@ -504,22 +504,28 @@ class TestCensusOutcomes:
 
 def test_census_solves_are_looked_up_in_the_experiments_module(monkeypatch):
     """perfbench's tracer and tools/report_digests.py wrap the solvers on
-    phaselab.experiments: every row's flow and Newton solve must go through
-    those names, not through a solver bound when the module was imported."""
-    calls = {"gradient_flow": 0, "newton_refine": 0}
-    for name in calls:
+    phaselab.experiments: every width's stacked flow and every row's Newton
+    solve must go through those names, not through a solver bound when the
+    module was imported."""
+    calls = []  # (name, stack size) of each call, in order
+    for name in ("multi_interface_seed", "gradient_flows", "newton_refine"):
         def counted(*args, _solve=getattr(experiments, name), _name=name, **kwargs):
-            calls[_name] += 1
+            calls.append((_name, len(args[0]) if _name == "gradient_flows" else 1))
             return _solve(*args, **kwargs)
 
         monkeypatch.setattr(experiments, name, counted)
-    rigidity = experiment_m_rigidity(4, eps_list=(0.15,), seeds=(), surfaces=("circle", "torus"))
-    pairs = experiment_two_interface(eps_list=(0.25,), seeds=range(1))
+    rigidity = experiment_m_rigidity(4, eps_list=(0.15,), seeds=range(2), surfaces=("circle", "torus"))
+    pairs = experiment_two_interface(eps_list=(0.25,), seeds=range(3))
     runs = rigidity.runs + pairs.runs
-    assert [r.get("surface") for r in runs] == ["circle", "torus", None]
+    assert [r.get("surface") for r in runs] == ["circle"] * 3 + ["torus"] * 3 + [None] * 3
+    # each census width builds its three rows' seeds, one call per row (the
+    # benchmark's operation clock counts them), then flows them as one stack
+    widths = [c for c in calls if c[0] != "newton_refine"]
+    assert widths == ([("multi_interface_seed", 1)] * 3 + [("gradient_flows", 3)]) * 3
     # a torus row solves its fiber mean on the circle, then the torus itself off the reduced path
+    newton_rows = [r for r in runs if r.get("reason") != "slow_manifold_force"]
     torus_solves = sum(r.get("path") == "torus_newton" for r in runs)
-    assert calls == {"gradient_flow": len(runs), "newton_refine": len(runs) + torus_solves}
+    assert len(calls) - len(widths) == len(newton_rows) + torus_solves
 
 
 C07_TORUS = torus_grid(256, 64)

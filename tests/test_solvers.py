@@ -339,9 +339,9 @@ class TestModelFlowNeedsNoProjection:
         def recording(grid, eps, dt):
             solve = make(grid, eps, dt)
 
-            def step(v, rhs):
+            def step(v, rhs):  # a flow step solves a stack of fields, here of one
                 out = solve(v, rhs)
-                steps.append((dt, out.min(), out.max(), out[0], out[-1]))
+                steps.append((dt, out.min(), out.max(), out[..., 0].max(), out[..., -1].max()))
                 return out
 
             return step
@@ -1288,6 +1288,98 @@ def test_circle_flow_with_a_halving_matches_the_frozen_dpttrs_loop(n):
     assert np.array_equal(trace.field.values.view(np.int64), v.view(np.int64))
 
 
+def _assert_same_trace(got, ref):
+    """Two FlowTraces with the same bits: field, energies, final step, step
+    count and angle samples."""
+    assert got.steps == ref.steps and got.dt_final == ref.dt_final
+    assert np.array_equal(got.field.values.view(np.int64), ref.field.values.view(np.int64))
+    assert np.array_equal(got.energies.view(np.int64), ref.energies.view(np.int64))
+    assert [s for s, _ in got.angle_samples] == [s for s, _ in ref.angle_samples]
+    for (_, a), (_, b) in zip(got.angle_samples, ref.angle_samples):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _circle_seeds(n, count):
+    """``count`` circle seeds of two or four interfaces at random angles,
+    at the census width of the grid (eps 0.2 at n 256, 0.1 at n 512)."""
+    g, eps = circle_grid(n), 0.2 if n == 256 else 0.1
+    rng = np.random.default_rng(n + count)
+    return [multi_interface_seed(g, eps, np.sort(rng.uniform(0.0, 2 * np.pi, 2 + 2 * (i % 2)))) for i in range(count)]
+
+
+def _nan_at(step, row):
+    """The quartic whose W' writes one NaN into field ``row`` of the stack
+    it is given at its ``step``-th call, the flow's ``step``-th step."""
+    calls = []
+
+    def dw(x):
+        calls.append(None)
+        out = P.dw(x)
+        if len(calls) == step:
+            out[row, out.shape[-1] // 2] = np.nan
+        return out
+
+    return from_callables(P.w, dw, P.d2w, "nan")
+
+
+class TestFlowStacks:
+    """gradient_flows runs its fields as one stack; each field's result has
+    the bits of its own flow."""
+
+    @pytest.mark.parametrize("k", [1, 2, 12])
+    @pytest.mark.parametrize("n", [256, 512])
+    def test_each_member_is_its_own_flow(self, n, k):
+        fields = _circle_seeds(n, k)
+        stop = StopRule(max_steps=40, sample_every=10, track_nodal=True)
+        traces = solvers.gradient_flows(fields, P, None, stop)
+        assert len(traces) == k
+        for f, trace in zip(fields, traces):
+            _assert_same_trace(trace, gradient_flow(f, P, None, stop))
+            # the per-field dpttrs and daxpy loop, frozen: a numpy rank-1
+            # update in place of dger's axpy kernel fails it
+            v, energies, dt_final = _frozen_circle_flow(f.grid, f.epsilon, f.epsilon * f.grid.h, f.values, 40)
+            assert trace.dt_final == dt_final
+            assert np.array_equal(trace.energies.view(np.int64), energies.view(np.int64))
+            assert np.array_equal(trace.field.values.view(np.int64), v.view(np.int64))
+
+    def test_a_member_that_halves_its_step_goes_on_alone(self):
+        # at dt 0.2 the second and fourth seeds' energies rise and their steps halve; the others' do not
+        g = circle_grid(256)
+        fields = [multi_interface_seed(g, 0.2, a) for a in ([0.0, 2.0], [0.5, 1.0], [0.0, np.pi], [1.0, 1.6])]
+        cfg, stop = SolveConfig(flow_dt=0.2), StopRule(max_steps=60, sample_every=7, track_nodal=True)
+        traces = solvers.gradient_flows(fields, P, cfg, stop)
+        assert [t.dt_final for t in traces] == [0.2, 0.1, 0.2, 0.1]
+        for f, trace in zip(fields, traces):
+            _assert_same_trace(trace, gradient_flow(f, P, cfg, stop))
+
+    @pytest.mark.parametrize("row", [0, 2, 4])
+    def test_a_member_whose_w_prime_turns_non_finite_fails_alone(self, row):
+        fields = _circle_seeds(256, 5)
+        stop = StopRule(max_steps=40)
+        with np.errstate(invalid="ignore"):
+            results = solvers.gradient_flows(fields, _nan_at(17, row), None, stop)
+            with pytest.raises(SolverError) as alone:
+                gradient_flow(fields[row], _nan_at(17, 0), None, stop)
+        assert str(alone.value) == "non-finite energy nan at flow step 17"
+        assert type(results[row]) is SolverError and str(results[row]) == str(alone.value)
+        for i, (f, trace) in enumerate(zip(fields, results)):
+            if i != row:
+                _assert_same_trace(trace, gradient_flow(f, P, None, stop))
+
+    def test_members_must_share_a_grid_a_width_and_the_fibered_path(self):
+        a, b = _circle_seeds(256, 2)
+        with pytest.raises(ValueError, match="one grid and one width"):
+            solvers.gradient_flows([a, Field(b.grid, b.values, 0.25)], P)
+        with pytest.raises(ValueError, match="one grid and one width"):
+            solvers.gradient_flows([a, multi_interface_seed(circle_grid(264), 0.2, [0.0, 2.0])], P)
+        g = torus_grid(32, 16)
+        fibered = multi_interface_seed(g, 1.6, [0.0, 2.0])
+        noisy = fibered.with_values(fibered.values + 1e-3 * np.random.default_rng(0).standard_normal(g.shape))
+        with pytest.raises(ValueError, match="all fibered or all not"):
+            solvers.gradient_flows([fibered, noisy], P)
+        assert solvers.gradient_flows([], P) == []
+
+
 @pytest.mark.parametrize(
     "g", [interval_grid(263, 1.0), circle_grid(263), torus_grid(33, 17)], ids=lambda g: g.kind
 )
@@ -1888,8 +1980,12 @@ def test_a_fibered_flow_whose_w_prime_turns_non_finite_stops_as_the_frozen_loop(
         def dw(x):
             calls.append(None)
             out = P.dw(x)
-            if len(calls) == 23:
-                out[g.shape[0] // 3] = value
+            if len(calls) == 23:  # the frozen loop's torus field, or the flow's stack of profiles
+                row = g.shape[0] // 3
+                if out.shape == g.shape:
+                    out[row] = value
+                else:
+                    out[:, row] = value
             return out
 
         return from_callables(P.w, dw, P.d2w, "injected")
