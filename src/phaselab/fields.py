@@ -31,8 +31,9 @@ Hessian action -eps Lap_h(phi) + W''(u)/eps phi, whose Laplacian is one
 (``Grid.periodic``), whose one-axis case is the circle, and the Dirichlet
 interval.  The Laplacian is one wrapped second difference per axis,
 ``_second_differences``, on the torus fiber axis (the last) as on axis 0.
-The energy's fiber differences stay one subtraction over the raveled
-array, which construct's torus control runs at every energy check.  The
+The energy's differences are one wrapped forward difference per axis,
+``_forward_differences``: one subtraction over the raveled stack at the
+axis' stride, then the wrapped slab.  The
 energy's sums run in C order, field by field, so neither a field's memory
 layout nor the stack it sits in changes a bit of it.
 """
@@ -108,20 +109,17 @@ def _squared_norms(d):
     return np.matmul(d[:, None, :], d[:, :, None]).reshape(len(d))
 
 
-def _forward_differences(v, out):
-    """v[:, i+1] - v[:, i] along axis 1 of a stack of fields (each field's
-    axis 0), wrapped, into ``out``."""
-    np.subtract(v[:, 1:], v[:, :-1], out=out[:, :-1])
-    out[:, -1] = v[:, 0] - v[:, -1]
-
-
-def _forward_differences_last(v, out):
-    """v[..., j+1] - v[..., j] along the last axis, wrapped, into a
-    C-contiguous ``out``: one subtraction over the raveled arrays, then the
-    wrapped column."""
+def _forward_differences(v, out, axis):
+    """v[i+1] - v[i] along ``axis``, wrapped, into a C-contiguous ``out``:
+    one subtraction over the raveled arrays at the axis' stride, then the
+    wrapped slab, which overwrites the entries the shift ran across the
+    axis' end with.  A stack of fields puts a field's axis 0 at ``axis`` 1;
+    the torus fiber axis is the last."""
+    stride = math.prod(v.shape[axis + 1 :])
     flat = v.ravel()
-    np.subtract(flat[1:], flat[:-1], out=out.ravel()[:-1])
-    out[..., -1] = v[..., 0] - v[..., -1]
+    np.subtract(flat[stride:], flat[:-stride], out=out.ravel()[:-stride])
+    v, out = v.swapaxes(0, axis), out.swapaxes(0, axis)
+    np.subtract(v[0], v[-1], out=out[-1])
 
 
 def _laplacian_kernel(grid: Grid):
@@ -200,17 +198,15 @@ def energy_kernel(grid: Grid, eps: float, p: Potential, rows: int = 1):
     c_axes = [0.5 * eps * (cell / hk) / hk for hk in grid.spacings]
     c_well = cell / eps
     du = np.empty((rows,) + grid.shape)
-    fiber = len(grid.shape) == 2
 
     def energy_of(vs):
         k = len(vs)
         d = du[:k]
         flat = d.reshape(k, -1)
-        _forward_differences(vs, d)
-        grads = c_axes[0] * _squared_norms(flat)
-        if fiber:
-            _forward_differences_last(vs, d)
-            grads += c_axes[1] * _squared_norms(flat)
+        grads = np.zeros(k)
+        for axis, c in enumerate(c_axes, start=1):
+            _forward_differences(vs, d, axis)
+            grads += c * _squared_norms(flat)
         # each field's C-order ravel as a contiguous row, summed pairwise as
         # ndarray.sum sums the field; on a stack in another order reduce
         # would run down its columns and sum each field sequentially

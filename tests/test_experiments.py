@@ -297,10 +297,10 @@ class TestExperimentDrivers:
         ids=["sphere", "nan", "-inf"],
     )
     def test_m_rigidity_checks_its_arguments_before_any_solve(self, monkeypatch, kwargs, message):
-        def no_run(*args):
-            raise AssertionError("a run was relaxed before the arguments were checked")
+        def no_flow(*args, **kwargs):
+            raise AssertionError("a width was flowed before the arguments were checked")
 
-        monkeypatch.setattr(experiments, "_census_run", no_run)
+        monkeypatch.setattr(experiments, "gradient_flows", no_flow)
         with pytest.raises(ValueError, match=message):
             experiment_m_rigidity(4, **kwargs)
 
@@ -435,10 +435,6 @@ def _failed(report):
     return {a["name"] for a in report.assertions if not a["passed"]}
 
 
-def _assertion(report, name):
-    return next(a for a in report.assertions if a["name"] == name)
-
-
 class TestCensusOutcomes:
     """Each census assertion can fail, and each outcome can be reached."""
 
@@ -491,6 +487,25 @@ class TestCensusOutcomes:
         assert [r["outcome"] for r in rep.runs] == ["non_converged"] * 2
         assert all(r["error"].startswith("non-finite energy nan at flow step ") for r in rep.runs)
         assert _failed(rep) == {"census_nonvacuous"}
+
+    def test_a_failed_circle_flow_leaves_the_rest_of_its_width_running(self, monkeypatch):
+        census = dict(eps_list=(0.25,), seeds=range(3))
+        clean = experiment_two_interface(**census).runs
+        real = experiments.multi_interface_seed
+        seeds = []
+
+        def nan_in_the_second(*args):
+            field = real(*args)
+            seeds.append(field)
+            if len(seeds) == 2:
+                field.values[0] = np.nan
+            return field
+
+        monkeypatch.setattr(experiments, "multi_interface_seed", nan_in_the_second)
+        first, failed, third = experiment_two_interface(**census).runs
+        assert failed == {"eps": 0.25, "seed": 1, "phi": clean[1]["phi"],
+                          "outcome": "non_converged", "error": "non-finite energy nan at flow step 1"}
+        assert [first, third] == [clean[0], clean[2]]
 
     def test_a_failed_torus_flow_leaves_the_rest_of_the_census_running(self):
         # the torus control's noise reaches the NaN region; the circle's does not
@@ -653,7 +668,6 @@ class TestSlowManifoldCertificate:
     pressures; each condition of the certificate can refuse it."""
 
     M4 = dict(eps_list=(0.15,), seeds=range(3), surfaces=("circle",))
-    GUARD = "slow_manifold_guard_circle_eps_0.15"
 
     @pytest.mark.parametrize("eps", [0.1, 0.15])
     def test_a_certified_run_predicts_where_newton_stagnates(self, eps):
@@ -735,7 +749,9 @@ class TestSlowManifoldCertificate:
         assert guard["error"].startswith("stagnated at residual ")
         assert abs(guard["final_residual"] / guard["predicted_residual"] - 1.0) <= 0.01
         assert [r["reason"] for r in rest] == ["slow_manifold_force"] * 2
-        assert rep.passed and self.GUARD not in _failed(rep)
+        assert guard["guard_ratio"] == guard["final_residual"] / guard["predicted_residual"]
+        assert not any("guard_ratio" in r for r in (control, *rest))
+        assert rep.passed and not any(a["name"].startswith("slow_manifold_guard") for a in rep.assertions)
         assert rep.assertions[0]["detail"] == (
             "0 violations in 4 runs; 0 of 3 perturbed runs reached a critical point"
         )
@@ -749,8 +765,7 @@ class TestSlowManifoldCertificate:
         # the guard backs no prediction, so the rest of its width takes Newton
         assert [r["outcome"] for r in rep.runs] == ["converged_symmetric"] * 4
         assert not any("predicted_residual" in r for r in rep.runs[2:])
-        guard = _assertion(rep, self.GUARD)
-        assert guard["passed"] and guard["measured"] is None
+        assert rep.runs[1]["guard_ratio"] is None
         assert rep.passed
         assert rep.assertions[0]["detail"].endswith("3 of 3 perturbed runs reached a critical point")
 
@@ -778,7 +793,7 @@ class TestSlowManifoldCertificate:
         if not certifies:
             assert all(r["error"].startswith("stagnated") and "predicted_residual" not in r for r in rest)
         guard = rep.runs[1]
-        assert _assertion(rep, self.GUARD)["measured"] == guard["final_residual"] / guard["predicted_residual"]
+        assert guard["guard_ratio"] == guard["final_residual"] / guard["predicted_residual"]
         assert rep.passed
 
     def test_a_census_whose_guard_newton_moves_off_its_prediction_passes_and_certifies_no_run(self):

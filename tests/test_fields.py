@@ -613,13 +613,30 @@ def _frozen_dot_energies(grid, eps, p, vs):
     c_axes = [0.5 * eps * (cell / hk) / hk for hk in grid.spacings]
     d = np.empty(vs.shape)
     flat = d.reshape(k, -1)
-    fields._forward_differences(vs, d)
+    fields._forward_differences(vs, d, 1)
     grads = [c_axes[0] * float(np.dot(r, r)) for r in flat]
     if len(grid.shape) == 2:
-        fields._forward_differences_last(vs, d)
+        fields._forward_differences(vs, d, 2)
         grads = [g + c_axes[1] * float(np.dot(r, r)) for g, r in zip(grads, flat)]
     sums = np.add.reduce(np.ascontiguousarray(p.w(vs)).reshape(k, -1), axis=1)
     return [g + cell / eps * float(s) for g, s in zip(grads, sums)]
+
+
+@pytest.mark.parametrize("shape", [(60, 256), (22, 512), (1, 7), (3, 17, 20), (2, 256, 64), (1, 5, 1)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_forward_differences_are_the_wrapped_diff_along_each_axis(shape):
+    # circle stacks (k, n) and torus stacks (k, n0, n1), read in C and in
+    # Fortran order: each entry is the one subtraction np.diff makes
+    rng = np.random.default_rng(len(shape) * shape[-1])
+    stack = rng.uniform(-1.0, 1.0, shape)
+    for vs in (stack, np.asfortranarray(stack)):
+        before = vs.copy()
+        for axis in range(1, len(shape)):
+            out = np.full(shape, np.nan)
+            fields._forward_differences(vs, out, axis)
+            wrapped = np.diff(vs, axis=axis, append=np.take(vs, [0], axis=axis))
+            assert np.array_equal(_bits(out), _bits(wrapped))
+        assert np.array_equal(_bits(vs), _bits(before))
 
 
 @pytest.mark.parametrize(

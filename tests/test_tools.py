@@ -136,3 +136,23 @@ def test_code_lines_counts_code_not_blanks_comments_or_docstrings(tmp_path, caps
         "src lines 25",
         "kind comparisons 2 (grids 2)",
     ]
+
+
+def test_code_lines_counts_each_top_level_function(tmp_path, capsys):
+    source = COUNTED + """
+
+@decorate(
+    1)
+def g():
+    def inner():
+        return 1  # nested: counted in g
+    return inner
+"""
+    # f: def, if, return, return; g: two decorator lines, def, def, return, return
+    assert code_lines.function_lines(source) == {"f": 4, "g": 6}
+    package = tmp_path / "src" / "phaselab"
+    package.mkdir(parents=True)
+    (package / "grids.py").write_text(source)
+    for module in ("grids", "grids.py"):
+        assert code_lines.main([str(tmp_path), "--functions", module]) == 0
+        assert capsys.readouterr().out.splitlines() == ["f 4", "g 6"]

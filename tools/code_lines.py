@@ -1,6 +1,6 @@
 """Count the code lines of each phaselab module and the grid-kind comparisons.
 
-    python3 tools/code_lines.py ROOT
+    python3 tools/code_lines.py ROOT [--functions MODULE]
 
 Prints one ``module lines`` row per module of ``ROOT/src/phaselab``, a
 ``total`` row, and a ``src lines`` row of the modules' physical lines (what
@@ -10,6 +10,11 @@ function body); blank lines do not count.  A last row counts the
 ``.kind`` comparisons the ROADMAP tracks, the matches of
 ``grep -nE '\\.kind (==|!=|in|not in) '`` per module, leaving out
 ``potentials.py`` and ``args.kind``.
+
+``--functions MODULE`` prints instead one ``function lines`` row per
+top-level function of ``ROOT/src/phaselab/MODULE.py``, in source order: the
+code lines from its first decorator to its end, a nested function's
+counted in its parent's.
 """
 
 from __future__ import annotations
@@ -41,14 +46,31 @@ def docstring_lines(tree: ast.AST) -> set:
     return lines
 
 
-def code_lines(source: str) -> int:
-    """The number of code lines in ``source``."""
+def code_line_numbers(source: str) -> set:
+    """The line numbers of the code lines in ``source``."""
     skip = docstring_lines(ast.parse(source))
     lines = set()
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in NOT_CODE:
             lines.update(n for n in range(tok.start[0], tok.end[0] + 1) if n not in skip)
-    return len(lines)
+    return lines
+
+
+def code_lines(source: str) -> int:
+    """The number of code lines in ``source``."""
+    return len(code_line_numbers(source))
+
+
+def function_lines(source: str) -> dict:
+    """The code lines of each top-level function of ``source``, by name in
+    source order, its decorators included."""
+    lines = code_line_numbers(source)
+    counts = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            start = min([d.lineno for d in node.decorator_list] + [node.lineno])
+            counts[node.name] = sum(start <= n <= node.end_lineno for n in lines)
+    return counts
 
 
 def kind_comparisons(source: str) -> int:
@@ -59,7 +81,13 @@ def kind_comparisons(source: str) -> int:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("root", type=Path)
+    parser.add_argument("--functions", metavar="MODULE", help="count each top-level function of MODULE")
     args = parser.parse_args(argv)
+    if args.functions:
+        path = args.root / "src" / "phaselab" / f"{Path(args.functions).stem}.py"
+        for name, n in function_lines(path.read_text()).items():
+            print(f"{name} {n}")
+        return 0
     total, physical, kinds = 0, 0, {}
     for path in sorted((args.root / "src" / "phaselab").glob("*.py")):
         source = path.read_text()
