@@ -33,9 +33,9 @@ interval.  The Laplacian is one wrapped second difference per axis,
 ``_second_differences``, on the torus fiber axis (the last) as on axis 0.
 The energy's differences are one wrapped forward difference per axis,
 ``_forward_differences``: one subtraction over the raveled stack at the
-axis' stride, then the wrapped slab.  The
-energy's sums run in C order, field by field, so neither a field's memory
-layout nor the stack it sits in changes a bit of it.
+axis' stride, then the wrapped slab.  The energy's sums run in C order,
+field by field, so neither a field's memory layout nor the stack it sits
+in changes a bit of it.
 """
 
 from __future__ import annotations
@@ -112,9 +112,9 @@ def _squared_norms(d):
 def _forward_differences(v, out, axis):
     """v[i+1] - v[i] along ``axis``, wrapped, into a C-contiguous ``out``:
     one subtraction over the raveled arrays at the axis' stride, then the
-    wrapped slab, which overwrites the entries the shift ran across the
-    axis' end with.  A stack of fields puts a field's axis 0 at ``axis`` 1;
-    the torus fiber axis is the last."""
+    wrapped slab, written over the entries where that shift crossed the
+    axis' end.  A stack of fields puts a field's axis 0 at ``axis`` 1; the
+    torus fiber axis is the last."""
     stride = math.prod(v.shape[axis + 1 :])
     flat = v.ravel()
     np.subtract(flat[stride:], flat[:-stride], out=out.ravel()[:-stride])
