@@ -348,20 +348,15 @@ def _census_width(rows, seed_of, p: Potential, cfg: SolveConfig, flow_steps: int
 
     The width builds one seed per row, ``seed_of(row)``, in row order (the
     benchmark's operation clock counts the ``multi_interface_seed`` calls),
-    and flows them all as one stack (``gradient_flows``: every row flows the
-    same grid, width and step, ``flow_steps`` steps).  Each result has the
-    bits of the seed's own flow: on the circle the stack's corner correction
-    is one dger, whose OpenBLAS kernel runs the axpy of a row's own daxpy on
-    each column; a row whose energy rises leaves the stack and goes on alone
-    at half the step, and a row whose energy turns non-finite gets its own
-    SolverError while the others go on.  Then each row is finished in order:
-    its flow error, its certificate, its refine step (``newton_refine`` on a
-    circle, ``_fiber_reduced_newton`` on a torus, which adds its own entries
-    to the row), then ``judge(field, nodal_set)``, whose entries a converged
-    row records with its final residual as ``residual``.  A SolverError of
-    the flow or the refine step makes the row ``non_converged`` with the
-    error's message, and with its ``final_residual`` when the error has a
-    residual history.
+    and flows them all as one stack, ``flow_steps`` steps, each with the
+    bits of the seed's own flow (``gradient_flows``).  Then each row is
+    finished in order: its flow error, its certificate, its refine step
+    (``newton_refine`` on a circle, ``_fiber_reduced_newton`` on a torus,
+    which adds its own entries to the row), then ``judge(field,
+    nodal_set)``, whose entries a converged row records with its final
+    residual as ``residual``.  A SolverError of the flow or the refine step
+    makes the row ``non_converged`` with the error's message, and with its
+    ``final_residual`` when the error has a residual history.
 
     ``certify(field, row)`` reads the width's ``guard`` row and, when the
     guard backs it, every row after it; a row it returns True on is finished
@@ -544,9 +539,10 @@ def experiment_two_interface(
         return multi_interface_seed(grid, row["eps"], [0.0, row["phi"]])
 
     grid = circle_grid(n)
+    for eps in eps_list:  # every width, before the first flow
+        require_resolution(grid, eps, cfg.min_points_per_eps)
     runs = []
     for eps in eps_list:
-        require_resolution(grid, eps, cfg.min_points_per_eps)
         rows = [{"eps": eps, "seed": int(seed)} for seed in seeds]
         runs += _census_width(rows, seed_of, p, cfg, TWO_INTERFACE_FLOW_STEPS, judge)
 
@@ -645,14 +641,19 @@ def experiment_m_rigidity(
             f"m = {m} rejected: the interface count must be an even integer >= 4 "
             "(sign alternation cannot close up around the circle otherwise)"
         )
-    for surface in surfaces:
-        if surface not in ("circle", "torus"):
-            raise ValueError(f"unknown surface {surface!r}")
     if not math.isfinite(perturbation):
         raise ValueError(f"perturbation must be finite, got {perturbation!r}")
-    for surface, count in (("circle", circle_n), ("torus", torus_n[0])):
-        if surface in surfaces and count % m != 0:
-            raise ValueError(f"{surface} grid point count {count} must be divisible by m = {m}")
+    torus_cfg = replace(cfg, min_points_per_eps=torus_points_per_eps)
+    setups = []
+    for surface in surfaces:  # every (surface, width), before the first flow
+        if surface not in ("circle", "torus"):
+            raise ValueError(f"unknown surface {surface!r}")
+        grid, run_cfg = (circle_grid(circle_n), cfg) if surface == "circle" else (torus_grid(*torus_n), torus_cfg)
+        if grid.shape[0] % m != 0:
+            raise ValueError(f"{surface} grid point count {grid.shape[0]} must be divisible by m = {m}")
+        for eps in eps_list:
+            require_resolution(grid, eps, run_cfg.min_points_per_eps)
+        setups.append((surface, grid, run_cfg))
 
     def judge(field, ns):
         count = ns.count
@@ -680,10 +681,8 @@ def experiment_m_rigidity(
             nodal_angles=list(ns.angles),
         )
 
-    torus_cfg = replace(cfg, min_points_per_eps=torus_points_per_eps)
     runs = []
-    for surface in surfaces:
-        grid, run_cfg = (circle_grid(circle_n), cfg) if surface == "circle" else (torus_grid(*torus_n), torus_cfg)
+    for surface, grid, run_cfg in setups:
         certify = None
         if surface == "circle":
             certify = functools.partial(_slow_manifold_certificate, p=p, m=m, tol_grad=cfg.tol_grad)
@@ -695,7 +694,6 @@ def experiment_m_rigidity(
             return field0
 
         for eps in eps_list:
-            require_resolution(grid, eps, run_cfg.min_points_per_eps)
             # control run: unperturbed spacing at a generic rotation; the
             # symmetric solutions must be reachable on every surface/width
             cases = [("control", 10_000 + len(runs))]

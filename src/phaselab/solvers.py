@@ -13,34 +13,26 @@ flow adapts its step: it halves on an energy rise only.  The interval model
 solve passes dt = 0.5 eps / max|W''| as flow_dt, up to which the energy
 stays stable (Shen & Yang, DCDS-A 28, 2010).  One loop, gradient_flows,
 flows a stack of k fields on one grid at one width and step (a census
-width's seeds; gradient_flow is its stack of one): each step is one W' call
-and one solve of the (k, n) stack, in place in its row of a block buffer
-the loop owns, and the energies of a block of up to
-max(BLOCK_POINTS, k * npoints) points come from one call of its
-fields.energy_kernel, whose matmul takes all the states' squared-difference
-sums at once.  Each field's result has the bits of its own flow: a field
-whose energy rises leaves the stack and goes on alone at half the step, one
-whose energy turns non-finite gets its own SolverError.  A Newton solve and
-a model solve each build one fields.residual_kernel.
+width's seeds; gradient_flow is its stack of one), each field with the bits
+of its own flow.  A Newton solve and a model solve each build one
+fields.residual_kernel.
 Newton solves -eps Lap_h(u) + W'(u)/eps = 0 with residual-max-norm
 backtracking; the constants MAX_NEWTON and MAX_FLOW_STEPS cap its iterations
-and a model solve's flow steps.  Its watchdog walks link each point to the
-step solved there and the points that step leads to, so a retraced step
-costs no solve and no residual.  Its fallback line search evaluates its
-trials TRIAL_STACK at a time as one residual stack and accepts what a
-one-trial-at-a-time loop would.
+and a model solve's flow steps.  Its two watchdog walks start with the
+iteration's one first step; each later walk step solves at its point and
+evaluates the residual of the point it leads to.  Its fallback line search
+evaluates its trials TRIAL_STACK at a time as one residual stack and
+accepts what a one-trial-at-a-time loop would.
 On a 1-D grid the flow's I + dt eps (-Lap_h) and Newton's Jacobian
 -eps Lap_h + W''(u)/eps are each one chain tridiag(off, diag, off): the
 interval's interior rows between pinned ends, or all the circle's rows plus
 its periodic corners, which _split_corners splits off for a Sherman-Morrison
 correction.  The flow factors the SPD chain without corners once with
-LAPACK dpttrf, a step being one dpttrs solve (on the circle, of the
-stack's (n, k) Fortran-ordered view, plus the precomputed correction: one
-daxpy for one field, one dger for a stack, whose OpenBLAS kernel runs that
-daxpy's axpy on each column, so the stack keeps each field's bits; a third
-of the cost of a SuperLU solve and under half of an FFT step, ROADMAP F9).
-Newton calls LAPACK dgtsv directly, with one right-hand side on the interval and two on the circle
-(rhs and the corner vector, in a work array the solver owns).  On the torus
+LAPACK dpttrf, a step being one dpttrs solve plus, on the circle, the
+precomputed correction (a third of the cost of a SuperLU solve and under
+half of an FFT step, ROADMAP F9).  Newton calls LAPACK dgtsv directly, with
+one right-hand side on the interval and two on the circle (rhs and the
+corner vector, in a work array the solver owns).  On the torus
 the Jacobian is one sparse matrix, the periodic 5-point stencil assembled
 once per solver with W''(v)/eps written into its diagonal at each solve,
 and SuperLU factors it (scipy's splu, MMD_AT_PLUS_A ordering).  Each step
@@ -48,25 +40,17 @@ is checked: a normwise backward error |J s - r|_inf / (|J|_inf |s|_inf +
 |r|_inf) above BACKWARD_TOL, an exactly singular factor, or a step that
 blew up (``_blown_up``: a nearly singular J meets the backward error with a
 huge step) raises SingularJacobianError.  A fibered torus state needs no
-such solve to be certified: transverse_gap takes the smallest eigenvalue of
-its transverse Jacobian blocks J + eps mu_k from the circle Jacobian J
-alone.
-The torus flow step from a field that is not fibered is one _fft_solver: the
-1-D transforms of rfft2/irfft2, in their order, through a spectrum buffer
-the solve owns, with the division by the real symbol done as a multiply by
-its reciprocals with imaginary part -0.0.  Short of an underflow, that
-multiply keeps every bit of numpy's complex division, zero signs included:
-for a real d, Smith's formula (CACM 5, 1962) reduces to
-((re + im*0) * (1/d), (im - re*0) * (1/d)).  A flow from a fibered seed
-(every fiber row constant, bit for bit, as a seed of parallel fibers is)
-is the circle flow of its axis-0 profile, decided once per flow: each step
-one dpttrs solve of n1 points, and each energy the fiber length times the
-circle energy.
+such solve to be certified (transverse_gap).
+The torus flow step from a field that is not fibered is one _fft_solver,
+with the bits of rfft2/irfft2 and numpy's complex division.  A flow from a
+fibered seed (every fiber row constant, bit for bit) is the circle flow of
+its axis-0 profile (gradient_flow).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -169,20 +153,27 @@ class SolveConfig:
 class StopRule:
     """Flow length (MAX_FLOW_STEPS when unset) and nodal sampling; the step is cfg.flow_dt.
 
-    Checked once, when made, and frozen: ``max_steps`` nonnegative when set,
-    and ``sample_every`` at least 1 when ``track_nodal`` asks for samples
-    (without tracking it is never read).
+    Checked once, when made, and frozen: ``max_steps`` a nonnegative
+    integer when set, and ``sample_every`` an integer of at least 1 when
+    ``track_nodal`` asks for samples (without tracking it is never read).
+    An integer is what ``operator.index`` takes, numpy integers included.
     """
     max_steps: int | None = None
     sample_every: int = 50
     track_nodal: bool = False
 
     def __post_init__(self):
-        # as in SolveConfig, a NaN fails each test
-        if self.max_steps is not None and not self.max_steps >= 0:
-            raise ValueError(f"max_steps must be nonnegative, got {self.max_steps}")
-        if self.track_nodal and not self.sample_every >= 1:
-            raise ValueError(f"sample_every must be at least 1, got {self.sample_every}")
+        checks = [("max_steps", 0, "nonnegative")] if self.max_steps is not None else []
+        if self.track_nodal:
+            checks.append(("sample_every", 1, "at least 1"))
+        for name, low, bound in checks:
+            value = getattr(self, name)
+            if not value >= low:  # as in SolveConfig, a NaN fails it
+                raise ValueError(f"{name} must be {bound}, got {value}")
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -297,10 +288,10 @@ def _make_flow_solver(grid: Grid, eps: float, dt: float):
     fields, shape ``(k,) + grid.shape``, holds the right-hand sides on entry
     and the new states on return, and is returned; ``v``, the states the
     step starts from, is read only, on the interval for its end values.  A
-    circle stack is one dpttrs solve of its (n, k) Fortran-ordered view,
-    which solves each column as it would solve it alone; each field of an
-    interval stack is one dpttrs solve of its interior rows, and each field
-    of a torus stack one ``_fft_solver`` solve of the whole grid."""
+    circle stack is one dpttrs solve of its (n, k) Fortran-ordered view
+    (``gradient_flows`` states its bits); each field of an interval stack is
+    one dpttrs solve of its interior rows, and each field of a torus stack
+    one ``_fft_solver`` solve of the whole grid."""
     c = dt * eps
     if grid.kind == "torus":
         solve = _fft_solver(grid, 1.0 + c * _torus_symbol(grid))
@@ -353,13 +344,9 @@ def _make_flow_solver(grid: Grid, eps: float, dt: float):
         if info != 0:
             raise np.linalg.LinAlgError(f"dpttrs failed with info={info}")
         y = y.reshape(n, -1)  # the (n, k) view, one column per field
-        # y_j += coef_j z, coef_j = -(y_j[0] + ratio y_j[-1]) / denom.  A
-        # stack takes one dger (dividing by -denom gives that coef, bit for
-        # bit), which runs OpenBLAS' axpy kernel on each column: each field
-        # gets the bits of its own daxpy, whose multiply-add is fused (a
-        # numpy y - coef * z is not).  One field takes that daxpy itself,
-        # its coef in Python floats: about 2 us a step less than numpy
-        # coefficients and dger.
+        # y_j += coef_j z, coef_j = -(y_j[0] + ratio y_j[-1]) / denom: one
+        # daxpy for one field (Python floats, about 2 us a step less than
+        # dger), one dger for a stack (gradient_flows states its bits)
         if y.shape[1] == 1:
             daxpy(z, y[:, 0], a=-(float(y[0, 0]) + ratio * float(y[-1, 0])) / denom)
         else:
@@ -509,8 +496,8 @@ def _blown_up(size: float, v: np.ndarray) -> bool:
 
 
 def _backtrack(residual, v, first_step, rn):
-    """Newton's fallback line search: the point [trial, residual, sup norm,
-    None] of the first trial v - alpha_k * first_step, alpha_k = DAMPING
+    """Newton's fallback line search: the point (trial, residual, sup norm)
+    of the first trial v - alpha_k * first_step, alpha_k = DAMPING
     multiplied by DAMPING once per earlier trial, whose residual sup norm is
     finite and below ``rn``, or None when none of the MAX_TRIALS trials is.
 
@@ -527,7 +514,7 @@ def _backtrack(residual, v, first_step, rn):
         norms = np.maximum.reduce(np.abs(tres).reshape(len(tres), -1), axis=1)
         for i, trn in enumerate(norms.tolist()):
             if math.isfinite(trn) and trn < rn:
-                return [trials[i].copy(), tres[i].copy(), trn, None]
+                return trials[i].copy(), tres[i].copy(), trn
     return None
 
 
@@ -545,41 +532,21 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
     """
     cfg = cfg or SolveConfig()
     require_resolution(f.grid, f.epsilon, cfg.min_points_per_eps)
-    v = f.values.copy()
     eps = f.epsilon
     solver = _make_jacobian_solver(f.grid, eps, p)
     residual = residual_kernel(f.grid, eps, p)
-    res = residual(v)
-    rn = sup_norm(res)
+
+    def point_at(w):  # a point is (values, residual, residual sup norm)
+        w_res = residual(w)
+        return w, w_res, sup_norm(w_res)
+
+    point = point_at(f.values.copy())
+    rn = point[2]
     history = [rn]
     iterations = 0
     if not math.isfinite(rn):
         # a NaN residual would fail the loop test below and read as converged
-        raise NewtonDivergenceError(f"non-finite starting residual {rn!r}", history, v)
-
-    # A point is [v, res, |res|_inf, out]; out is set the first time a walk
-    # solves at the point, to (step, |step|_inf, {scaled: successor}), the
-    # successor being the point v minus the step, raw or capped at MAX_STEP.
-    # Walks that retrace a step (the uncapped walk up to the capped walk's
-    # first capped step, the next iteration's walks on from the accepted
-    # point) follow these links, so no system is solved twice and no residual
-    # is evaluated twice; only what the accepted point reaches stays alive.
-    point = [v, res, rn, None]
-
-    def solve_at(point):
-        if point[3] is None:
-            step = solver(point[0], point[1])
-            point[3] = (step, sup_norm(step), {})
-        return point[3]
-
-    def advance(point, scaled):
-        step, size, successors = point[3]
-        nxt = successors.get(scaled)
-        if nxt is None:
-            w = point[0] - (step * (MAX_STEP / size) if scaled else step)
-            w_res = residual(w)
-            nxt = successors[scaled] = [w, w_res, sup_norm(w_res), None]
-        return nxt
+        raise NewtonDivergenceError(f"non-finite starting residual {rn!r}", history, point[0])
 
     while rn > cfg.tol_grad:
         if iterations >= MAX_NEWTON:
@@ -605,26 +572,29 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
         # are capped in sup norm first (controlled travel along the valley);
         # when that walk makes no clear progress the unrestricted walk gets a
         # chance, which is what completes long journeys at gentle widths.
-        # A capped walk that capped no step would be replayed exactly.
-        step0, size0, _ = solve_at(point)
+        # A capped walk that capped no step would be replayed exactly.  Both
+        # walks start with the iteration's first step, solved once.
+        step0 = solver(point[0], point[1])
+        size0 = sup_norm(step0)
         if _blown_up(size0, point[0]):
             raise SingularJacobianError("Newton step blew up (nearly singular Jacobian)")
         capped = size0 > MAX_STEP
         champion = None
         for cap in (MAX_STEP, None):
-            w = point
+            w, step, size = point, step0, size0
             for k in range(12):
                 if k > 0:
                     try:
-                        solve_at(w)
+                        step = solver(w[0], w[1])
                     except SolverError:
                         break
-                    if _blown_up(w[3][1], w[0]):
+                    size = sup_norm(step)
+                    if _blown_up(size, w[0]):
                         break
-                scaled = cap is not None and w[3][1] > cap
+                scaled = cap is not None and size > cap
                 capped = capped or scaled
-                w = advance(w, scaled)
-                if not math.isfinite(w[2]) or w[2] > 1e3 * (1.0 + rn):
+                w = point_at(w[0] - (step * (MAX_STEP / size) if scaled else step))
+                if not w[2] <= 1e3 * (1.0 + rn):  # a NaN fails it
                     break
                 if champion is None or w[2] < champion[2]:
                     champion = w
@@ -649,15 +619,13 @@ def newton_refine(f: Field, p: Potential, cfg: SolveConfig | None = None) -> New
     if iterations > 0:
         for _ in range(4):
             try:
-                solve_at(point)
+                trial = point_at(point[0] - solver(point[0], point[1]))
             except SolverError:
                 break
-            trial = advance(point, False)
-            if math.isfinite(trial[2]) and trial[2] < 0.5 * point[2]:
-                point = trial
-                history.append(point[2])
-            else:
+            if not trial[2] < 0.5 * point[2]:  # a NaN fails it
                 break
+            point = trial
+            history.append(point[2])
 
     return NewtonResult(Field(f.grid, point[0], eps), history, iterations, True)
 
@@ -701,14 +669,8 @@ def gradient_flow(
     full grid.
 
     The flow is the stack of one of ``gradient_flows``, the one flow loop,
-    which flows many fields of one grid, width and step as a stack: one W'
-    call and one solve per step for them all, on the circle one dpttrs of
-    the (n, k) stack and one dger for its corners, whose OpenBLAS kernel is
-    the axpy of the one daxpy this flow runs, so each field keeps the bits
-    of this flow.  A field of a stack whose energy rises leaves it and
-    goes on alone from its last accepted state at half the step; one whose
-    energy turns non-finite gets this SolverError, and the others go on.
-    Here the trace is the stack's one result, and its SolverError is raised.
+    whose every field keeps the bits of this flow; here the trace is the
+    stack's one result, and its SolverError is raised.
     """
     (trace,) = gradient_flows([f], p, cfg, stop)
     if isinstance(trace, SolverError):
@@ -732,7 +694,8 @@ def gradient_flows(
     stack and one solve of it (``_make_flow_solver``).  On the circle that
     is one dpttrs of its (n, k) Fortran-ordered view, which solves each
     column as it solves it alone, and one dger for the Sherman-Morrison
-    corners (one daxpy for a stack of one), which runs OpenBLAS' axpy
+    corners (one daxpy for a stack of one), whose coefficients, divided by
+    -denom, are the daxpy's bit for bit, and which runs OpenBLAS' axpy
     kernel on each column: the bits of one daxpy per field, whose
     multiply-add is fused, as a numpy ``y - coef * z`` is not.  A block
     holds at most max(BLOCK_POINTS, k * npoints) points, and its energies

@@ -20,7 +20,7 @@ from phaselab.experiments import (
     slide_to_touch,
 )
 from phaselab.fields import Field, gradient, sup_norm
-from phaselab.grids import circle_distance, circle_grid, interval_grid, torus_grid
+from phaselab.grids import ResolutionError, circle_distance, circle_grid, interval_grid, torus_grid
 from phaselab.nodal import SYMMETRY_TOL, extract_nodal_set
 from phaselab.potentials import from_callables, make_potential, quartic
 from phaselab.reports import canonicalize
@@ -314,6 +314,25 @@ class TestExperimentDrivers:
         with pytest.raises(ValueError, match="min_points_per_eps must be finite and positive"):
             experiment_m_rigidity(4, eps_list=(0.15,), seeds=(), torus_points_per_eps=points)
 
+    @pytest.mark.parametrize(
+        "driver, kwargs, coarse",
+        [
+            (experiment_m_rigidity, {"eps_list": (0.15, 0.01), "seeds": (0,), "surfaces": ("circle",)}, 0.01),
+            (experiment_m_rigidity, {"eps_list": (0.15,), "seeds": (0,), "torus_points_per_eps": 100.0}, 0.15),
+            (experiment_two_interface, {"eps_list": (0.2, 0.01), "seeds": (0, 1)}, 0.01),
+        ],
+        ids=["circle_width", "torus_after_circle", "two_interface_width"],
+    )
+    def test_census_checks_every_width_before_any_solve(self, monkeypatch, driver, kwargs, coarse):
+        # a width too coarse for its grid is rejected before the widths before it flow
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a width was flowed before every width was checked")
+
+        monkeypatch.setattr(experiments, "gradient_flows", no_solve)
+        monkeypatch.setattr(experiments, "newton_refine", no_solve)
+        with pytest.raises(ResolutionError, match=f"grid too coarse for epsilon = {coarse:g} "):
+            driver(**kwargs)
+
     def test_m_rigidity_rejects_indivisible_grid(self):
         with pytest.raises(ValueError, match="circle grid point count 510 must be divisible by m = 4"):
             experiment_m_rigidity(4, circle_n=510)
@@ -515,6 +534,83 @@ class TestCensusOutcomes:
         assert torus["outcome"] == "non_converged" and "path" not in torus
         assert torus["error"] == "non-finite energy nan at flow step 1"
         assert _failed(rep) == {"symmetric_solution_found_torus_eps_0.15"}
+
+
+def _refine_to(monkeypatch, values):
+    """Make every Newton solve of a census converge to ``values`` on the
+    grid it was given: a crafted state for the real judge."""
+
+    def refine(field, p, cfg):
+        return NewtonResult(Field(field.grid, values, field.epsilon), [0.0], 0, True)
+
+    monkeypatch.setattr(experiments, "newton_refine", refine)
+
+
+class TestCensusMutantWitnesses:
+    """States that one census check alone rejects, or a pair on both sides
+    of one tolerance, judged through the real census: each fails when its
+    check is dropped, its tolerance loosened or its bound lowered (ROADMAP
+    item 21).  The values are written out here, not read from the
+    constants."""
+
+    C07 = dict(eps_list=(0.1,), seeds=(), surfaces=("circle",))  # the eps 0.1 circle control alone
+
+    def _control(self, monkeypatch, values):
+        _refine_to(monkeypatch, values)
+        (row,) = experiment_m_rigidity(4, **self.C07).runs
+        return row
+
+    def test_an_unequal_arc_amplitude_is_rejected_by_the_symmetry_check_alone(self, monkeypatch):
+        # equal spacings and alternating signs; one arc scaled by 0.9 between
+        # the grid points that bracket its crossings, so no crossing moves
+        h = C07_CIRCLE.h
+        values = multi_interface_seed(C07_CIRCLE, 0.1, 0.5 * h + np.arange(4) * np.pi / 2).values.copy()
+        values[2:128] *= 0.9
+        row = self._control(monkeypatch, values)
+        assert row["interfaces"] == 4 and row["alternating"]
+        assert row["spacing_rel_deviation"] < 1e-12
+        assert row["sign_flip_residual"] == pytest.approx(0.1, rel=1e-3)
+        assert row["outcome"] == "rigidity_violation"
+
+    def test_a_crossing_moved_within_the_symmetry_tolerance_is_rejected_by_congruence_alone(self, monkeypatch):
+        # cubic zeros: a change of 9e-8 at the two points that bracket one
+        # crossing moves it by 1.9e-4 of a spacing, and the sign-flip residual is 9e-8
+        values = np.sin(2.0 * (C07_CIRCLE.axis(0) - 0.5 * C07_CIRCLE.h)) ** 3
+        values[:2] += 9e-8
+        row = self._control(monkeypatch, values)
+        assert row["interfaces"] == 4 and row["alternating"]
+        assert row["sign_flip_residual"] == pytest.approx(9e-8, rel=1e-6)
+        assert row["spacing_rel_deviation"] == pytest.approx(1.9e-4, rel=1e-2)
+        assert row["outcome"] == "rigidity_violation"
+
+    def test_touching_zeros_below_the_symmetry_tolerance_are_rejected_by_alternation_alone(self, monkeypatch):
+        # four equally spaced exact zeros of a field of one sign and amplitude
+        # 4e-8: the sign-flip residual is 8e-8
+        values = 4e-8 * np.sin(2.0 * C07_CIRCLE.axis(0)) ** 2
+        values[::128] = 0.0
+        row = self._control(monkeypatch, values)
+        assert row["interfaces"] == 4 and row["spacing_rel_deviation"] == 0.0
+        assert row["sign_flip_residual"] == pytest.approx(8e-8, rel=1e-6)
+        assert not row["alternating"]
+        assert row["outcome"] == "rigidity_violation"
+
+    @pytest.mark.parametrize("deviation, passes", [(0.5e-4, True), (2e-4, False)])
+    def test_angle_tolerance(self, monkeypatch, deviation, passes):
+        _relax_to(monkeypatch, [0.3, 0.3 + np.pi + deviation])
+        rep = experiment_two_interface(eps_list=(0.25,), seeds=range(1))
+        (row,) = rep.runs
+        assert row["outcome"] == "converged_pair"
+        assert row["antipodal_deviation"] == pytest.approx(deviation, rel=1e-3)
+        assert ("every_converged_pair_antipodal" in _failed(rep)) == (not passes)
+
+    def test_a_control_whose_refine_step_fails_finds_no_symmetric_solution(self, monkeypatch):
+        def stagnate(field, p, cfg):
+            raise NewtonDivergenceError("stagnated at residual 1.000e-06 (target 1.0e-12)", [1e-6], field.values)
+
+        monkeypatch.setattr(experiments, "newton_refine", stagnate)
+        rep = experiment_m_rigidity(4, **self.C07)
+        assert [r["outcome"] for r in rep.runs] == ["non_converged"]
+        assert _failed(rep) == {"symmetric_solution_found_circle_eps_0.1"}
 
 
 def test_census_solves_are_looked_up_in_the_experiments_module(monkeypatch):

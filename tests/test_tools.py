@@ -1,9 +1,17 @@
 import sys
 from pathlib import Path
 
+import numpy as np
+
+import phaselab.solvers as solvers
+from phaselab.grids import circle_grid
+from phaselab.potentials import quartic
+from phaselab.solvers import SolveConfig, StopRule, gradient_flows, multi_interface_seed, newton_refine
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
 import code_lines  # noqa: E402
 import report_digests  # noqa: E402
+import solve_counts  # noqa: E402
 import unexecuted  # noqa: E402
 
 MODULE = '''"""A module."""
@@ -156,3 +164,23 @@ def g():
     for module in ("grids", "grids.py"):
         assert code_lines.main([str(tmp_path), "--functions", module]) == 0
         assert capsys.readouterr().out.splitlines() == ["f 4", "g 6"]
+
+
+def test_solve_counts_counts_one_newton_solve_and_one_flow_stack(monkeypatch):
+    p = quartic()
+    model = solvers.solve_dirichlet_model(np.pi / 4, 0.1, p, SolveConfig(tol_grad=1e-12), n=129)
+    f = solvers.reflect_extend(model, 4)
+    f = f.with_values(f.values + 0.003 * np.sin(3.0 * f.grid.axis(0)))
+    for name in solve_counts.WRAPPED:  # restored after the test
+        monkeypatch.setattr(solvers, name, getattr(solvers, name))
+    counts = solve_counts.install(solvers)
+    nr = newton_refine(f, p)
+    # three iterations: the first two steps win at once, the third iteration
+    # walks four steps along a translation mode; then one polishing step,
+    # rejected.  Each solve's step leads to one new point and its residual.
+    assert nr.iterations == 3 and len(nr.residuals) == 4
+    assert counts == {"jacobian_solves circle": 7, "residual_rows": 8}
+    counts.clear()
+    seeds = [multi_interface_seed(circle_grid(256), 0.25, [0.0, phi]) for phi in (2.0, 3.0, 4.0)]
+    gradient_flows(seeds, p, stop=StopRule(max_steps=5))
+    assert counts == {"flow_factorizations": 1, "flow_steps_per_field": 15}
