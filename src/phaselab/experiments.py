@@ -20,6 +20,7 @@ from .fields import Field, gradient, sup_norm
 from .grids import TWO_PI, Grid, circle_grid, require_resolution, torus_grid
 from .nodal import (
     SYMMETRY_TOL,
+    IndeterminateSignError,
     check_alternation,
     check_congruent_intervals,
     check_rotation_symmetry,
@@ -356,7 +357,9 @@ def _census_width(rows, seed_of, p: Potential, cfg: SolveConfig, flow_steps: int
     nodal_set)``, whose entries a converged row records with its final
     residual as ``residual``.  A SolverError of the flow or the refine step
     makes the row ``non_converged`` with the error's message, and with its
-    ``final_residual`` when the error has a residual history.
+    ``final_residual`` when the error has a residual history; a judge's
+    IndeterminateSignError (as at the zero state) makes it
+    ``indeterminate_sign``, with the message and its ``interfaces``.
 
     ``certify(field, row)`` reads the width's ``guard`` row and, when the
     guard backs it, every row after it; a row it returns True on is finished
@@ -391,7 +394,11 @@ def _census_width(rows, seed_of, p: Potential, cfg: SolveConfig, flow_steps: int
                 row["final_residual"] = exc.residuals[-1]
         else:
             row["residual"] = nr.residuals[-1]
-            row.update(judge(nr.field, extract_nodal_set(nr.field)))
+            ns = extract_nodal_set(nr.field)
+            try:
+                row.update(judge(nr.field, ns))
+            except IndeterminateSignError as exc:
+                row.update(interfaces=ns.count, outcome="indeterminate_sign", error=str(exc))
         if guard:
             stagnated = "final_residual" in row and "predicted_residual" in row
             row["guard_ratio"] = row["final_residual"] / row["predicted_residual"] if stagnated else None
@@ -607,10 +614,11 @@ def experiment_m_rigidity(
     the circle, m nodal fiber circles on the torus) must pass spacing
     congruence (``CONGRUENCE_TOL``), sign alternation, and the rotate-and-flip
     symmetry (``SYMMETRY_TOL``); everything else lands in the census as escaped
-    or non-converged.  Torus runs add transverse noise (``NOISE_AMPLITUDE``) to
-    the seed so one-dimensional artifacts cannot mask genuinely
-    two-dimensional instabilities.  Each seed flows ``M_RIGIDITY_FLOW_STEPS``
-    steps before Newton.
+    or non-converged, or as ``indeterminate_sign`` (neither symmetric nor a
+    violation) when an arc's sign cannot be read.  Torus runs add transverse
+    noise (``NOISE_AMPLITUDE``) to the seed so one-dimensional artifacts
+    cannot mask genuinely two-dimensional instabilities.  Each seed flows
+    ``M_RIGIDITY_FLOW_STEPS`` steps before Newton.
 
     A torus run is refined through its fiber mean on the circle of the
     torus' axis 0, and certified by the transverse gap lambda_min(J) +

@@ -5,11 +5,11 @@ well force explicitly,
 
     (I + dt/eps * (-eps^2 Lap_h)) u_new = u - dt/eps * W'(u),
 
-so every step is one prefactored tridiagonal solve (interval, circle) or
-one FFT-diagonalized solve (torus), each set up once per flow and step size,
-and the monitored energy is non-increasing for the default step
-dt = eps * h; a non-finite energy stops the flow with a SolverError.  No
-flow adapts its step: it halves on an energy rise only.  The interval model
+so every step is one prefactored solve of the whole stack of fields,
+tridiagonal (interval, circle) or FFT-diagonalized (torus), set up once per
+flow and step size, and the monitored energy is non-increasing for the
+default step dt = eps * h; a non-finite energy stops the flow with a
+SolverError.  No flow adapts its step: it halves on an energy rise only.  The interval model
 solve passes dt = 0.5 eps / max|W''| as flow_dt, up to which the energy
 stays stable (Shen & Yang, DCDS-A 28, 2010).  One loop, gradient_flows,
 flows a stack of k fields on one grid at one width and step (a census
@@ -27,22 +27,20 @@ On a 1-D grid the flow's I + dt eps (-Lap_h) and Newton's Jacobian
 -eps Lap_h + W''(u)/eps are each one chain tridiag(off, diag, off): the
 interval's interior rows between pinned ends, or all the circle's rows plus
 its periodic corners, which _split_corners splits off for a Sherman-Morrison
-correction.  The flow factors the SPD chain without corners once with
-LAPACK dpttrf, a step being one dpttrs solve plus, on the circle, the
-precomputed correction (a third of the cost of a SuperLU solve and under
-half of an FFT step, ROADMAP F9).  Newton calls LAPACK dgtsv directly, with
-one right-hand side on the interval and two on the circle (rhs and the
-corner vector, in a work array the solver owns).  On the torus
-the Jacobian is one sparse matrix, the periodic 5-point stencil assembled
+correction.  The flow factors its SPD chain once with LAPACK dpttrf (the
+circle's without corners, the interval's with identity rows at its pinned
+ends), a step being one dpttrs solve plus, on the circle, the precomputed
+correction (a third of the cost of a SuperLU solve and under half of an FFT
+step, ROADMAP F9).  Newton calls LAPACK dgtsv directly, with one
+right-hand side on the interval and two on the circle (rhs and the corner
+vector, in a work array the solver owns).  On the torus the Jacobian is one sparse matrix, the periodic 5-point stencil assembled
 once per solver with W''(v)/eps written into its diagonal at each solve,
 and SuperLU factors it (scipy's splu, MMD_AT_PLUS_A ordering).  Each step
 is checked: a normwise backward error |J s - r|_inf / (|J|_inf |s|_inf +
 |r|_inf) above BACKWARD_TOL, an exactly singular factor, or a step that
 blew up (``_blown_up``: a nearly singular J meets the backward error with a
 huge step) raises SingularJacobianError.  A fibered torus state needs no
-such solve to be certified (transverse_gap).
-The torus flow step from a field that is not fibered is one _fft_solver,
-with the bits of rfft2/irfft2 and numpy's complex division.  A flow from a
+such solve to be certified (transverse_gap).  A torus flow from a
 fibered seed (every fiber row constant, bit for bit) is the circle flow of
 its axis-0 profile (gradient_flow).
 """
@@ -56,7 +54,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.linalg  # eigvalsh; perfbench's tracer wraps solvers.scipy.linalg
 import scipy.sparse.linalg as spla
-from scipy.linalg.blas import daxpy, dger
+from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dgtsv, dpttrf, dpttrs
 from scipy.sparse import csc_matrix
 
@@ -237,40 +235,6 @@ def transverse_gap(grid: Grid, eps: float, p: Potential, profile: np.ndarray) ->
     return float(lam + eps * _torus_symbol(grid)[0, 1])
 
 
-def _fft_solver(grid: Grid, denom: np.ndarray):
-    """``solve(x, out=None)``: irfft2(rfft2(x) / denom, s=grid.shape) on a
-    torus grid, as a new real array or into ``out`` (which may be ``x``);
-    ``denom`` is positive and finite.
-
-    The same 1-D transforms, in the same order, as rfft2 and irfft2, without
-    their per-call n-d set-up: they run in place in one spectrum buffer of
-    the rfft layout that the solve owns.  The division is a multiply by the
-    reciprocals ``1/denom`` with imaginary part -0.0, built once.  numpy
-    divides a complex by a real d by Smith's formula with a zero imaginary
-    part, ((re + im*0) * (1/d), (im - re*0) * (1/d)); the multiply computes
-    (re * (1/d) + im*0, im * (1/d) + re*(-0.0)), the same bits, signs of
-    zero included, unless a product underflows (a spectrum entry below
-    d * 2**-1074), up to NaN payloads.  A multiply of the real floats alone
-    would drop the zero terms, whose signs reach the result of a field of
-    -0.0.  It serves the torus flow from a field that is not fibered; a
-    flow from a fibered field is the circle flow of its axis-0 profile
-    (``gradient_flow``).
-    """
-    n2 = grid.shape[1]
-    spec = np.empty(denom.shape, dtype=complex)
-    recip = np.empty(denom.shape, dtype=complex)
-    recip.real, recip.imag = 1.0 / denom, -0.0
-
-    def solve(x, out=None):
-        np.fft.rfft(x, axis=1, out=spec)
-        np.fft.fft(spec, axis=0, out=spec)
-        np.multiply(spec, recip, out=spec)
-        np.fft.ifft(spec, axis=0, out=spec)
-        return np.fft.irfft(spec, n=n2, axis=1, out=out)
-
-    return solve
-
-
 def _fibered_profile(v: np.ndarray):
     """The axis-0 profile ``v[:, 0]``, as a new array, of a torus field
     whose every fiber row is constant, bit for bit (a row of +0.0 and -0.0
@@ -287,70 +251,74 @@ def _make_flow_solver(grid: Grid, eps: float, dt: float):
     ``step(v, out)``: ``out``, C-contiguous, one field or a stack of k
     fields, shape ``(k,) + grid.shape``, holds the right-hand sides on entry
     and the new states on return, and is returned; ``v``, the states the
-    step starts from, is read only, on the interval for its end values.  A
-    circle stack is one dpttrs solve of its (n, k) Fortran-ordered view
-    (``gradient_flows`` states its bits); each field of an interval stack is
-    one dpttrs solve of its interior rows, and each field of a torus stack
-    one ``_fft_solver`` solve of the whole grid."""
+    step starts from, is read only, on the interval for its end values.
+    A step is one solve of the whole stack (``gradient_flows`` states its
+    bits): one dpttrs of the (n, k) Fortran-ordered view of ``out``, with
+    one dger for the circle's corners; on the torus, the 1-D transforms of
+    rfft2 and irfft2, in their order, in a spectrum buffer that the solver
+    holds and grows for a larger stack, dividing by d = 1 + dt*eps*symbol
+    as a multiply by 1/d - 0.0j.  numpy divides a complex by a real d by
+    Smith's formula, ((re + im*0) * (1/d), (im - re*0) * (1/d)); the
+    multiply computes (re * (1/d) + im*0, im * (1/d) + re*(-0.0)), the same
+    bits, signs of zero included, unless a product underflows (a spectrum
+    entry below d * 2**-1074), up to NaN payloads."""
     c = dt * eps
     if grid.kind == "torus":
-        solve = _fft_solver(grid, 1.0 + c * _torus_symbol(grid))
+        recip = np.conj(1.0 / (1.0 + c * _torus_symbol(grid)) + 0j)  # imaginary parts -0.0
+        spec = np.empty((1,) + recip.shape, dtype=complex)
 
         def step(v, out):
-            for x in out.reshape((-1,) + grid.shape):
-                solve(x, x)
+            nonlocal spec
+            x = out.reshape((-1,) + grid.shape)
+            if len(spec) < len(x):
+                spec = np.empty((len(x),) + recip.shape, dtype=complex)
+            s = spec[: len(x)]
+            np.fft.rfft(x, axis=2, out=s)
+            np.fft.fft(s, axis=1, out=s)
+            np.multiply(s, recip, out=s)
+            np.fft.ifft(s, axis=1, out=s)
+            np.fft.irfft(s, n=grid.shape[1], axis=2, out=x)
             return out
 
         return step
 
-    # tridiag(-cc, 1 + 2 cc, -cc) on the interval's interior rows, and B, the
-    # circle's operator without its corners as _split_corners shifts it (by
-    # g = -(1 + 2 cc)), are symmetric and strictly diagonally dominant with a
-    # positive diagonal, so SPD for every cc > 0, and dpttrf needs no pivoting
-    n = grid.shape[0] if grid.periodic else grid.shape[0] - 2
+    # the interval's tridiag(-cc, 1 + 2 cc, -cc) between identity end rows,
+    # and the circle's B of _split_corners (shifted by g = -(1 + 2 cc)), are
+    # symmetric and strictly diagonally dominant with a positive diagonal:
+    # SPD for every cc > 0, so dpttrf needs no pivoting
+    n, periodic = grid.shape[0], grid.periodic
     cc = c / grid.h**2
     off = -cc
-    diag = np.full(n, 1.0 + 2.0 * cc)
-    if grid.periodic:
+    diag, offs = np.full(n, 1.0 + 2.0 * cc), np.full(n - 1, off)
+    if periodic:
         g, ratio = _split_corners(diag, off)
-    d, e, info = dpttrf(diag, np.full(n - 1, off))
+    else:
+        diag[[0, -1]], offs[[0, -1]] = 1.0, 0.0
+    d, e, info = dpttrf(diag, offs)
     if info != 0:
         raise np.linalg.LinAlgError(f"dpttrf failed with info={info}")
-
-    if not grid.periodic:
-
-        def step(v, out):
-            rows, starts = out.reshape(-1, n + 2), v.reshape(-1, n + 2)
-            for j in range(len(rows)):  # each field, between its pinned ends
-                o, w = rows[j], starts[j]
-                r = o[1:-1]  # contiguous: dpttrs solves in place in it
-                r[0] += cc * w[0]
-                r[-1] += cc * w[-1]
-                _, info = dpttrs(d, e, r, overwrite_b=1)
-                if info != 0:
-                    raise np.linalg.LinAlgError(f"dpttrs failed with info={info}")
-                o[0], o[-1] = w[0], w[-1]
-            return out
-
-        return step
-
-    u = np.zeros(n)
-    u[0], u[-1] = g, off
-    z, _ = dpttrs(d, e, u)  # B^-1 u
-    denom = 1.0 + float(z[0]) + ratio * float(z[-1])  # 1 + w^T B^-1 u > 0: A is SPD
+    if periodic:
+        u = np.zeros(n)
+        u[0], u[-1] = g, off
+        z, _ = dpttrs(d, e, u)  # B^-1 u
+        denom = 1.0 + float(z[0]) + ratio * float(z[-1])  # 1 + w^T B^-1 u > 0: A is SPD
 
     def step(v, out):
-        y, info = dpttrs(d, e, out.T, overwrite_b=1)  # B^-1 rhs, in place in out
+        if not periodic:
+            # the end values (every n - 1 points) couple into the rows next
+            # to them (every n - 3 points from 1); the ends hold +0.0 in the
+            # solve, as b - 0.0 * 0.0 is b, -0.0 included
+            x, w = out.reshape(-1, n), v.reshape(-1, n)
+            x[:, 1 :: n - 3] += cc * w[:, :: n - 1]
+            x[:, :: n - 1] = 0.0
+        y, info = dpttrs(d, e, out.T, overwrite_b=1)  # in place in out
         if info != 0:
             raise np.linalg.LinAlgError(f"dpttrs failed with info={info}")
-        y = y.reshape(n, -1)  # the (n, k) view, one column per field
-        # y_j += coef_j z, coef_j = -(y_j[0] + ratio y_j[-1]) / denom: one
-        # daxpy for one field (Python floats, about 2 us a step less than
-        # dger), one dger for a stack (gradient_flows states its bits)
-        if y.shape[1] == 1:
-            daxpy(z, y[:, 0], a=-(float(y[0, 0]) + ratio * float(y[-1, 0])) / denom)
-        else:
+        if periodic:  # y_j += coef_j z, coef_j = -(y_j[0] + ratio y_j[-1]) / denom, per column j
+            y = y.reshape(n, -1)
             dger(1.0, z, (y[0] + ratio * y[-1]) / -denom, a=y, overwrite_a=1)
+        else:
+            x[:, :: n - 1] = w[:, :: n - 1]
         return out
 
     return step
@@ -690,23 +658,21 @@ def gradient_flows(
 
     The fields share one grid and one width, else ValueError; on a torus
     they are all fibered or all not (a fibered field flows on the circle).
-    Each step of a stack of k fields is one ``p.dw`` call on the ``(k, n)``
-    stack and one solve of it (``_make_flow_solver``).  On the circle that
-    is one dpttrs of its (n, k) Fortran-ordered view, which solves each
-    column as it solves it alone, and one dger for the Sherman-Morrison
-    corners (one daxpy for a stack of one), whose coefficients, divided by
-    -denom, are the daxpy's bit for bit, and which runs OpenBLAS' axpy
-    kernel on each column: the bits of one daxpy per field, whose
-    multiply-add is fused, as a numpy ``y - coef * z`` is not.  A block
-    holds at most max(BLOCK_POINTS, k * npoints) points, and its energies
-    come from one ``energy_kernel`` call on the ``(steps * k, n)`` states,
-    whose per-field bits do not depend on the stack.  On the interval and
-    the torus the solve runs field by field.  Each field's energies are
-    scanned in step order.  A field whose energy turns non-finite, or whose
-    step collapses, gets its own SolverError and leaves the stack; one
-    whose energy rises leaves it and goes on alone from its last accepted
-    state at half the step, carrying its step count and energies, as its
-    own flow would.  The other fields are unaffected.
+    Each step of a stack of k fields is one ``p.dw`` call on the stack and
+    one solve of the whole stack (``_make_flow_solver``), which gives each
+    field the bits of its own solve: dpttrs solves each column of the
+    (n, k) Fortran-ordered view as it solves it alone (the interval's
+    pinned ends, +0.0 during the solve, add exact zeros); OpenBLAS' dger
+    runs its axpy kernel on each column, a fused multiply-add, as a numpy
+    ``y - coef * z`` is not; numpy's FFTs transform each line alone.  A
+    block holds at most max(BLOCK_POINTS, k * npoints) points, and its
+    energies come from one ``energy_kernel`` call on its ``(steps * k,) +
+    grid.shape`` states, whose per-field bits do not depend on the stack.
+    Each field's energies are scanned in step order.  A field whose energy
+    turns non-finite, or whose step collapses, gets its own SolverError and
+    leaves the stack; one whose energy rises leaves it and goes on alone
+    from its last accepted state at half the step, carrying its step count
+    and energies, as its own flow would.  The other fields are unaffected.
     """
     if not fields:
         return []
@@ -938,6 +904,9 @@ def existence_threshold(
         return solve_dirichlet_model(half_length, e, p, cfg).status == "positive"
 
     scale = 2.0 * half_length / np.pi * float(np.sqrt(-p.d2w(0.0)))
+    # at hi the zero state is linearly stable, and the model solve takes its
+    # shortcut: on its n >= 65 points mu1_h is within 0.02% of (pi/2l)^2, so
+    # hi^2 mu1_h is about 9 |W''(0)|
     lo, hi = 0.4 * scale, 3.0 * scale
     tries = 0
     while not positive(lo):
@@ -945,12 +914,6 @@ def existence_threshold(
         tries += 1
         if tries > 12:
             return 0.0
-    tries = 0
-    while positive(hi):
-        hi *= 2.0
-        tries += 1
-        if tries > 12:
-            raise SolverError("could not bracket the existence threshold from above")
 
     while (hi - lo) > 1e-3 * 0.5 * (hi + lo):
         mid = 0.5 * (lo + hi)

@@ -21,7 +21,7 @@ from phaselab.experiments import (
 )
 from phaselab.fields import Field, gradient, sup_norm
 from phaselab.grids import ResolutionError, circle_distance, circle_grid, interval_grid, torus_grid
-from phaselab.nodal import SYMMETRY_TOL, extract_nodal_set
+from phaselab.nodal import SYMMETRY_TOL, DecayFit, extract_nodal_set
 from phaselab.potentials import from_callables, make_potential, quartic
 from phaselab.reports import canonicalize
 from phaselab.solvers import (
@@ -495,6 +495,21 @@ class TestCensusOutcomes:
         assert not any(r["antipodal"] for r in rep.runs)
         assert _failed(rep) == {"every_converged_pair_antipodal"}
 
+    @pytest.mark.parametrize("amplitude, interfaces", [(0.0, 512), (4e-9, 4)], ids=["zero", "faint"])
+    def test_a_state_whose_signs_cannot_be_read_leaves_the_census_running(self, monkeypatch, amplitude, interfaces):
+        # the zero state, a critical point of every double-well census, is an
+        # exact zero at each grid point; four crossings of amplitude 4e-9 put
+        # every arc midpoint below the 1e-8 at which a sign is read
+        g = C07_CIRCLE
+        values = amplitude * np.sin(2.0 * (g.axis(0) - 0.5 * g.h)) if amplitude else np.zeros(g.shape)
+        _refine_to(monkeypatch, values)
+        rep = experiment_m_rigidity(4, eps_list=(0.1,), seeds=(0,), surfaces=("circle",))
+        assert [r["outcome"] for r in rep.runs] == ["indeterminate_sign"] * 2
+        for row in rep.runs:
+            assert row["interfaces"] == interfaces and row["residual"] == 0.0
+            assert row["error"].startswith("arc midpoint ") and row["error"].endswith("; sign indeterminate")
+        assert _failed(rep) == {"symmetric_solution_found_circle_eps_0.1"}
+
     @staticmethod
     def _nan_below():
         """The quartic with W' NaN below -0.999, so a flow that gets there fails."""
@@ -611,6 +626,47 @@ class TestCensusMutantWitnesses:
         rep = experiment_m_rigidity(4, **self.C07)
         assert [r["outcome"] for r in rep.runs] == ["non_converged"]
         assert _failed(rep) == {"symmetric_solution_found_circle_eps_0.1"}
+
+
+class TestDecayMutantWitnesses:
+    """Crafted decay fits on both sides of each c08 tolerance, judged by the
+    real ``experiment_decay``: each failing case passes when RATE_WINDOW,
+    WIDTH_RATIO_WINDOW or POINTWISE_SLACK is loosened (ROADMAP item 21).
+    The values are written out here, not read from the constants."""
+
+    @staticmethod
+    def _failed(monkeypatch, ratios, factor=1.0):
+        """The failed assertions when the fit at width eps has the rate
+        ``ratios[eps]`` times the linearization rate sqrt(W''(1)) / eps and
+        the pointwise factor ``factor``."""
+        rate = float(np.sqrt(P.d2w(1.0)))
+
+        def fit(field, ns):
+            eps = field.epsilon
+            return DecayFit(1.0, ratios[eps] * rate / eps, 0.0, 10, (0.0, 1.0), factor)
+
+        monkeypatch.setattr(experiments, "fit_decay", fit)
+        return _failed(experiment_decay(eps_list=(0.05, 0.025)))
+
+    @pytest.mark.parametrize("ratio, passes", [(1.1, True), (1.5, False)])
+    def test_rate_window(self, monkeypatch, ratio, passes):
+        failed = self._failed(monkeypatch, {0.05: ratio, 0.025: ratio})
+        rates = {"rate_matches_linearization_eps_0.05", "rate_matches_linearization_eps_0.025"}
+        assert failed == (set() if passes else rates)
+
+    @pytest.mark.parametrize(
+        "ratios, passes", [((1.0, 1.2), True), ((0.8, 1.2), False)], ids=["miss-0.2", "miss-0.5"]
+    )
+    def test_width_ratio_window(self, monkeypatch, ratios, passes):
+        # each rate within 0.2 of the linearization's; 1.0 and 1.2 make the
+        # rate ratio 2.4 for a width ratio of 2 (a miss of 0.2), 0.8 and 1.2 make it 3 (0.5)
+        failed = self._failed(monkeypatch, dict(zip((0.05, 0.025), ratios)))
+        assert failed == (set() if passes else {"rate_scales_with_inverse_width_0.05_to_0.025"})
+
+    @pytest.mark.parametrize("factor, passes", [(1.01, True), (1.5, False)])
+    def test_pointwise_slack(self, monkeypatch, factor, passes):
+        failed = self._failed(monkeypatch, {0.05: 1.0, 0.025: 1.0}, factor)
+        assert failed == (set() if passes else {"pointwise_bound_eps_0.05", "pointwise_bound_eps_0.025"})
 
 
 def test_census_solves_are_looked_up_in_the_experiments_module(monkeypatch):

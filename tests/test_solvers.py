@@ -166,6 +166,18 @@ class TestExistenceThreshold:
         threshold included, is the one the gated model solve gave."""
         assert existence_threshold(half_length, p).hex() == bits
 
+    @pytest.mark.parametrize("min_points_per_eps", [1e-3, 8.0, 100.0])
+    @pytest.mark.parametrize("p", [P, TABLE], ids=["quartic", "table"])
+    def test_the_upper_bracket_is_a_linearly_stable_width(self, p, min_points_per_eps):
+        # the bisection's hi, 3 times the linearization's threshold
+        # 2 l sqrt(-W''(0)) / pi: the model solve's linear-stability
+        # shortcut finds no positive profile there, at every half length
+        cfg = SolveConfig(min_points_per_eps=min_points_per_eps)
+        for half_length in np.logspace(-3.0, 3.0, 13):
+            hi = 3.0 * (2.0 * half_length / np.pi * float(np.sqrt(-p.d2w(0.0))))
+            sol = solve_dirichlet_model(half_length, hi, p, cfg)
+            assert sol.status == "trivial_zero" and sol.diagnostics["shortcut"] == "linear_stability"
+
 
 class TestReflectExtend:
     def test_two_copies_antipodal_nodes(self):
@@ -1034,6 +1046,28 @@ def _banded_flow_step(grid, eps, dt, v, p):
     return out
 
 
+def _frozen_interval_step(grid, eps, dt):
+    """The interval flow step as it was solved field by field, frozen:
+    dpttrf of the interior rows' chain once, and per field one dpttrs of its
+    interior rows, cc times its end values added to the rows next to them,
+    with its ends copied."""
+    cc = dt * eps / grid.h**2
+    m = grid.shape[0] - 2
+    d, e, info = dpttrf(np.full(m, 1.0 + 2.0 * cc), np.full(m - 1, -cc))
+    assert info == 0
+
+    def step(v, rhs):
+        out = rhs.copy()
+        r = out[1:-1]
+        r[0] += cc * v[0]
+        r[-1] += cc * v[-1]
+        r[:] = dpttrs(d, e, r)[0]
+        out[0], out[-1] = v[0], v[-1]
+        return out
+
+    return step
+
+
 class TestIntervalFlowStep:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -1050,7 +1084,8 @@ class TestIntervalFlowStep:
         with row sums at least 1, so |A^-1|_inf <= 1 and cond_inf(A) <=
         1 + 4 cc; the bound grants both solves 64 ulps of backward error.
         Dropping the boundary terms cc * v[0], cc * v[-1] or flipping the sign
-        of the off-diagonal fails it."""
+        of the off-diagonal fails it.  The fields solved as one stack get the
+        bits of the frozen field-by-field solve, zero signs included."""
         g = interval_grid(n, 1.0 + seed % 7)
         # the default step eps * h, halved as after energy rises, or 1.4
         # times larger, as a caller's flow_dt may be
@@ -1066,6 +1101,11 @@ class TestIntervalFlowStep:
             assert np.array_equal(got[[0, -1]], v[[0, -1]])
             bound = 64 * np.finfo(float).eps * (1.0 + 4.0 * cc) * np.abs(got).max()
             assert np.abs(got - ref).max() <= bound
+        v = np.array(fields)
+        got = step(v, v - (dt / eps) * P.dw(v))
+        frozen = _frozen_interval_step(g, eps, dt)
+        for w, x in zip(v, got):
+            assert np.array_equal(x.view(np.int64), frozen(w, w - (dt / eps) * P.dw(w)).view(np.int64))
 
     def test_singular_operator_raises(self):
         # dt = -h^2 / (2 eps) makes the operator tridiag(1/2, 0, 1/2) on 15
@@ -1454,22 +1494,53 @@ def _nan_at(step, row):
     return from_callables(P.w, dw, P.d2w, "nan")
 
 
+def _interval_seeds(count):
+    """``count`` interval waves of one to three modes, noisy, pinned at 0."""
+    g, rng = interval_grid(263, 1.0), np.random.default_rng(count)
+    seeds = []
+    for i in range(count):
+        v = np.cos((1 + i % 3) * np.pi * g.axis()) + 0.1 * rng.standard_normal(g.shape)
+        v[0] = v[-1] = 0.0
+        seeds.append(Field(g, v, 0.2))
+    return seeds
+
+
+def _noisy_torus_seeds(count):
+    """``count`` four-interface torus seeds with census-like noise, so that
+    they flow on the full grid."""
+    f, rng = _four_interface_torus(), np.random.default_rng(count)
+    return [f.with_values(f.values + 1e-3 * rng.standard_normal(f.grid.shape)) for _ in range(count)]
+
+
+STACK_SEEDS = {
+    "circle-256": lambda k: _circle_seeds(256, k),
+    "circle-512": lambda k: _circle_seeds(512, k),
+    "interval": _interval_seeds,
+    "torus": _noisy_torus_seeds,
+}
+
+
 class TestFlowStacks:
     """gradient_flows runs its fields as one stack; each field's result has
     the bits of its own flow."""
 
     @pytest.mark.parametrize("k", [1, 2, 12])
-    @pytest.mark.parametrize("n", [256, 512])
-    def test_each_member_is_its_own_flow(self, n, k):
-        fields = _circle_seeds(n, k)
+    @pytest.mark.parametrize("kind", STACK_SEEDS)
+    def test_each_member_is_its_own_flow(self, kind, k):
+        fields = STACK_SEEDS[kind](k)
         stop = StopRule(max_steps=40, sample_every=10, track_nodal=True)
         traces = solvers.gradient_flows(fields, P, None, stop)
         assert len(traces) == k
         for f, trace in zip(fields, traces):
             _assert_same_trace(trace, gradient_flow(f, P, None, stop))
-            # the per-field dpttrs and daxpy loop, frozen: a numpy rank-1
-            # update in place of dger's axpy kernel fails it
-            v, energies, dt_final = _frozen_circle_flow(f.grid, f.epsilon, f.epsilon * f.grid.h, f.values, 40)
+            if kind == "torus":  # the division formula, frozen
+                v, energies, dt_final, _, _ = _frozen_torus_flow(f.grid, f.epsilon, f.epsilon * f.grid.h, f.values, 40)
+            elif kind != "interval":
+                # the per-field dpttrs and daxpy loop, frozen: a numpy rank-1
+                # update in place of dger's axpy kernel fails it
+                v, energies, dt_final = _frozen_circle_flow(f.grid, f.epsilon, f.epsilon * f.grid.h, f.values, 40)
+            else:  # its steps are checked against the frozen field-by-field solve in TestIntervalFlowStep
+                continue
             assert trace.dt_final == dt_final
             assert np.array_equal(trace.energies.view(np.int64), energies.view(np.int64))
             assert np.array_equal(trace.field.values.view(np.int64), v.view(np.int64))
@@ -1797,10 +1868,16 @@ def _assert_solves_like_the_formula(solve, x, denom):
         assert np.array_equal(np.isnan(out), np.isnan(ref))
 
 
+@pytest.mark.parametrize("circumferences", [(2 * np.pi, 2 * np.pi), (2 * np.pi, 3.0)], ids=["square", "unequal"])
 @pytest.mark.parametrize("shape", TORUS_SHAPES)
-def test_torus_flow_solve_is_bit_identical_to_fft_formula(shape):
+def test_torus_flow_solve_is_bit_identical_to_fft_formula(shape, circumferences):
+    """Each field alone, in any layout, gets the bits of irfft2(rfft2(rhs) /
+    denom), on square and unequal circumferences; each field of a C-ordered
+    stack of 3, for which the solver grows its spectrum buffer, gets the
+    bits of its solve alone, and the single fields after it use a part of
+    the buffer."""
     rng = np.random.default_rng(shape[0])
-    g = torus_grid(*shape)
+    g = torus_grid(*shape, circumferences=circumferences)
     for eps, halvings in ((0.1, 0), (0.5, 2)):
         dt = eps * g.h * 0.5**halvings
         step = _make_flow_solver(g, eps, dt)
@@ -1811,34 +1888,18 @@ def test_torus_flow_solve_is_bit_identical_to_fft_formula(shape):
             ref = np.fft.irfft2(np.fft.rfft2(rhs) / denom, s=g.shape)
             for x in _layouts(rhs):
                 assert np.array_equal(step(v, x).view(np.int64), ref.view(np.int64))
+        stack = np.array([_flow_rhs(rng, shape, eps, dt)[1], _zero_sign_inputs(g)[3], _non_finite_input(rng, shape)])
+        with np.errstate(invalid="ignore"):
+            alone = [solve(x.copy()) for x in stack]
+            assert solve(stack) is stack
+        for x, y in zip(stack, alone):
+            assert np.array_equal(x.view(np.int64), y.view(np.int64))
         for x in _zero_sign_inputs(g):
             _assert_solves_like_the_formula(solve, x, denom)
         for x in _fibered_inputs(rng, g):
             for y in _layouts(x):
                 _assert_solves_like_the_formula(solve, y, denom)
         _assert_solves_like_the_formula(solve, _non_finite_input(rng, shape), denom)
-
-
-@pytest.mark.parametrize("shape", TORUS_SHAPES)
-def test_fft_solver_is_bit_identical_to_fft_formula(shape):
-    # positive denominators of another form than the flow's, on unequal circumferences
-    rng = np.random.default_rng(shape[1])
-    g = torus_grid(*shape, circumferences=(2 * np.pi, 3.0))
-    c0 = float(P.d2w(1.0))
-    for eps in (0.05, 0.1, 0.5):
-        denom = eps * solvers._torus_symbol(g) + c0 / eps
-        inverse = solvers._fft_solver(g, denom)
-        for _ in range(3):
-            x = rng.uniform(-1.2, 1.2, shape)
-            ref = np.fft.irfft2(np.fft.rfft2(x) / denom, s=g.shape)
-            for y in _layouts(x):
-                assert np.array_equal(inverse(y).view(np.int64), ref.view(np.int64))
-        for x in _zero_sign_inputs(g):
-            _assert_solves_like_the_formula(inverse, x, denom)
-        for x in _fibered_inputs(rng, g):
-            for y in _layouts(x):
-                _assert_solves_like_the_formula(inverse, y, denom)
-        _assert_solves_like_the_formula(inverse, _non_finite_input(rng, shape), denom)
 
 
 # power-of-two fibers, the census torus among them, with odd and even n1
@@ -1942,7 +2003,7 @@ def test_a_seed_fibered_only_up_to_zero_signs_flows_on_the_full_grid(monkeypatch
 
 
 def test_signed_zero_reciprocal_multiply_is_numpy_complex_division():
-    # the premise of solvers._fft_solver: a complex times (1/d - 0j) has the
+    # the premise of the torus flow step: a complex times (1/d - 0j) has the
     # bits of the complex divided by d, zero signs included, for every
     # finite or infinite part that does not underflow (NaN payloads aside)
     parts = [0.0, -0.0, 1.5, -2.5, 1e300, -1e-300, np.inf, -np.inf, np.nan]

@@ -1,11 +1,12 @@
 """Print the digests that show two checkouts compute the same results.
 
     python3 tools/report_digests.py ROOT [--seeds 7 101] [--dump DIR]
-        [--workloads circle-census construct] [--against OTHER]
+        [--workloads circle-census torus-census construct] [--against OTHER]
 
-Runs the perfbench ``circle-census`` and ``construct`` passes (or the
-workloads named by ``--workloads``; ``torus-census`` covers the torus
-census) in-process on the phaselab sources under ``ROOT/src``, with the
+Runs the perfbench ``circle-census``, ``torus-census`` and ``construct``
+passes (or the workloads named by ``--workloads``; torus-census is the one
+pass that flows torus stacks of more than one field) in-process on the
+phaselab sources under ``ROOT/src``, with the
 seed sets of ``perfbench/run.py`` (``numpy.random.default_rng([seed, 0])``),
 and prints one line per report or snapshot blob (its SHA-256) and one per
 operation (its group, converged flag and correctness-gate failures).
@@ -35,10 +36,9 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS = ("circle-census", "torus-census", "construct")  # perfbench's names
-DEFAULT_WORKLOADS = ("circle-census", "construct")
 
 
-def passes(root: Path, seeds, names=DEFAULT_WORKLOADS):
+def passes(root: Path, seeds, names=WORKLOADS):
     """Yield ``(workload, seed, PassResult)`` for each pass of the named
     benchmark workloads, run in-process on the phaselab sources under
     ``root/src``."""
@@ -127,7 +127,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", type=int, nargs="+", default=[7, 101])
     ap.add_argument("--dump", type=Path, default=None, help="directory for the raw blobs")
     ap.add_argument(
-        "--workloads", nargs="+", choices=WORKLOADS, default=DEFAULT_WORKLOADS,
+        "--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS,
         help="perfbench workloads to run, in this order",
     )
     ap.add_argument(

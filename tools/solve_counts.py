@@ -1,7 +1,7 @@
 """Print what each benchmark pass asks of the solvers, counted at their factories.
 
     python3 tools/solve_counts.py ROOT [--seeds 7 101]
-        [--workloads circle-census construct]
+        [--workloads circle-census torus-census construct]
 
 Runs the perfbench passes as ``tools/report_digests.py`` runs them (its
 ``passes``: in-process, on the phaselab sources under ``ROOT/src``) with
@@ -86,7 +86,7 @@ def main(argv=None) -> int:
     ap.add_argument("root", type=Path, help="checkout whose src/ and perfbench/ to run")
     ap.add_argument("--seeds", type=int, nargs="+", default=[7, 101])
     ap.add_argument(
-        "--workloads", nargs="+", choices=report_digests.WORKLOADS, default=report_digests.DEFAULT_WORKLOADS,
+        "--workloads", nargs="+", choices=report_digests.WORKLOADS, default=report_digests.WORKLOADS,
         help="perfbench workloads to run, in this order",
     )
     args = ap.parse_args(argv)
